@@ -55,7 +55,7 @@ def main():
     print(f"threshold_best_duration_us = {best_dur}")
     print(f"threshold_best_error = {best_stats.mean_error:.3e}")
 
-    labels = np.asarray([t.prepared for t in retained])
+    labels = np.where(retained.bright, BRIGHT, DARK)
     levels = 1.0 - np.geomspace(0.1, 1e-4, 16)
     with open(out_dir / "adaptive_sweep.csv", "w") as fh:
         fh.write("confidence_level,mean_duration_us,mean_error\n")

@@ -29,6 +29,7 @@ from .photon_sim import (
     RateParams,
     ReadoutConfig,
     apply_herald_dataset,
+    as_dataset,
     simulate_dataset,
     simulate_timetag_streams,
 )
@@ -37,7 +38,6 @@ from .readout import (
     calibrate_rates,
     error_stats,
     optimize_threshold,
-    threshold_classify,
 )
 from .rfcircuit import (
     BiasCountCurve,
@@ -104,7 +104,7 @@ def _cmd_simulate(args) -> int:
     cfg = ReadoutConfig(
         bin_width_us=args.bin_width_us,
         n_bins=args.n_bins,
-        herald_duration_us=args.herald_duration_us,
+        herald_duration_us=args.herald_duration_us if args.herald else 0.0,
         herald_bright_min=args.herald_bright_min,
     )
     trajs = simulate_dataset(
@@ -136,30 +136,29 @@ def _cmd_classify(args) -> int:
         raise ConfigError("choose --threshold, --bayes, or both")
     if args.out and args.threshold and args.bayes:
         raise ConfigError("--out works with a single method; drop it to compare both")
-    trajs = _io.read_trajectories_csv(args.infile, bin_width_us=args.bin_width_us)
-    truths = [t.prepared for t in trajs]
+    ds = as_dataset(_io.read_trajectories_csv(args.infile, bin_width_us=args.bin_width_us))
+    truths = ds.labels
     rows = []
 
     if args.threshold:
-        if args.threshold_counts is None:
-            thr, stats = optimize_threshold(trajs, args.duration_us)
-        else:
-            thr = args.threshold_counts
-            decisions = [threshold_classify(t, thr, args.duration_us) for t in trajs]
-            stats = error_stats(truths, decisions,
-                                np.full(len(trajs), args.duration_us))
-        decisions = [threshold_classify(t, thr, args.duration_us) for t in trajs]
+        thr = args.threshold_counts
+        if thr is None:
+            thr, _ = optimize_threshold(ds, args.duration_us)
+        elif thr < 0:
+            raise ConfigError("--threshold-counts must be >= 0")
+        decisions = np.where(ds.totals(args.duration_us) >= thr, "bright", "dark")
+        stats = error_stats(truths, decisions, np.full(len(ds), args.duration_us))
         rows.append(("threshold", stats))
         print(f"threshold_counts = {thr}")
         if args.out and not args.bayes:
             _io.write_results_csv(
                 args.out,
                 ((i, truths[i], decisions[i], args.duration_us, "")
-                 for i in range(len(trajs))),
+                 for i in range(len(ds))),
             )
 
     if args.bayes:
-        res = adaptive_classify_batch(trajs, _rates_from(args),
+        res = adaptive_classify_batch(ds, _rates_from(args),
                                       args.bin_width_us, [args.level])[0]
         decisions_b = np.where(res.decisions, "bright", "dark")
         stats_b = error_stats(truths, decisions_b, res.bins_consumed * args.bin_width_us)
@@ -169,7 +168,7 @@ def _cmd_classify(args) -> int:
                 args.out,
                 ((i, truths[i], decisions_b[i],
                   res.bins_consumed[i] * args.bin_width_us, res.confidence[i])
-                 for i in range(len(trajs))),
+                 for i in range(len(ds))),
             )
 
     print(f"{'method':<10} {'eps_bright':>12} {'eps_dark':>12} "

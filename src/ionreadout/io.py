@@ -6,13 +6,14 @@ separation, '\n' line endings, floats via repr so values round-trip.
 from __future__ import annotations
 
 import csv
+import warnings
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .optics import APSurface
-from .photon_sim import Trajectory
+from .photon_sim import BRIGHT, DARK, Dataset, Trajectory
 from .rfcircuit import BiasCountCurve
 from .timing import G2Estimate, TimeTagStream
 
@@ -35,38 +36,60 @@ def _write_rows(path, header: Sequence[str], rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def write_trajectories_csv(path, trajs: Sequence[Trajectory]) -> None:
-    """Long-format dump: one row per (trial, bin)."""
-    def rows():
-        for trial_id, traj in enumerate(trajs):
-            for bin_index, counts in enumerate(traj.bins):
-                yield trial_id, traj.prepared, bin_index, int(counts)
+_TRAJECTORY_COLUMNS = ("trial_id", "prepared", "bin_index", "counts")
 
-    _write_rows(path, ["trial_id", "prepared", "bin_index", "counts"], rows())
+
+def write_trajectories_csv(path, trajs: Dataset | Sequence[Trajectory]) -> None:
+    """Long-format dump: one row per (trial, bin)."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(_TRAJECTORY_COLUMNS) + "\n")
+        for trial_id, traj in enumerate(trajs):
+            head = f"{trial_id},{traj.prepared},"
+            fh.write("".join([f"{head}{j},{c}\n" for j, c in enumerate(traj.bins.tolist())]))
 
 
 def read_trajectories_csv(path, bin_width_us: float = 1.0) -> list[Trajectory]:
-    by_trial: dict[int, tuple[str, list[tuple[int, int]]]] = {}
+    """Read a long-format dump; rows may come in any order.
+
+    Trials may differ in length; each trial's bins must run 0..n-1.
+    """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"trial_id", "prepared", "bin_index", "counts"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns {sorted(required)}")
-        for row in reader:
-            tid = int(row["trial_id"])
-            entry = by_trial.setdefault(tid, (row["prepared"], []))
-            if entry[0] != row["prepared"]:
-                raise ValueError(f"{path}: trial {tid} has inconsistent labels")
-            entry[1].append((int(row["bin_index"]), int(row["counts"])))
-    trajs = []
-    for tid in sorted(by_trial):
-        prepared, pairs = by_trial[tid]
-        pairs.sort()
-        if [p[0] for p in pairs] != list(range(len(pairs))):
-            raise ValueError(f"{path}: trial {tid} has missing or duplicate bins")
-        bins = np.array([p[1] for p in pairs], dtype=np.int16)
-        trajs.append(Trajectory(prepared=prepared, bins=bins, bin_width_us=bin_width_us))
-    return trajs
+        header = next(csv.reader(fh), [])
+    if not set(_TRAJECTORY_COLUMNS).issubset(header):
+        raise ValueError(f"{path}: expected columns {sorted(_TRAJECTORY_COLUMNS)}")
+    tid_col, label_col, bin_col, counts_col = (header.index(c) for c in _TRAJECTORY_COLUMNS)
+
+    def columns(usecols, dtype) -> np.ndarray:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1, usecols=usecols,
+                              comments=None, ndmin=2)
+
+    label = columns((label_col,), str)[:, 0]
+    if not label.size:
+        return []
+    tid, bin_index, counts = columns((tid_col, bin_col, counts_col), np.int64).T
+    bad = (label != BRIGHT) & (label != DARK)
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise ValueError(f"{path}: trial {tid[first]} has label {str(label[first])!r}; "
+                         "expected 'bright' or 'dark'")
+
+    order = np.lexsort((bin_index, tid))
+    bright = (label == BRIGHT)[order]
+    tid, bin_index, counts = tid[order], bin_index[order], counts[order]
+    starts = np.flatnonzero(np.diff(tid, prepend=tid[0] - 1))
+    trial_of_row = np.repeat(np.arange(starts.size), np.diff(starts, append=tid.size))
+    mixed = bright != bright[starts][trial_of_row]
+    if mixed.any():
+        raise ValueError(f"{path}: trial {tid[np.argmax(mixed)]} has inconsistent labels")
+    gaps = bin_index != np.arange(tid.size) - starts[trial_of_row]
+    if gaps.any():
+        raise ValueError(f"{path}: trial {tid[np.argmax(gaps)]} has missing or duplicate bins")
+    return [
+        Trajectory(prepared=BRIGHT if bright[s] else DARK, bins=b, bin_width_us=bin_width_us)
+        for s, b in zip(starts, np.split(counts, starts[1:]))
+    ]
 
 
 def write_timetags_csv(path, streams: Sequence[TimeTagStream]) -> None:

@@ -19,12 +19,17 @@ Reproducibility contract: every trial draws from its own generator seeded
 by ``(master_seed, trial_index)``, so datasets are independent of
 evaluation order and can be generated in parallel without changing the
 result.
+
+A dataset is a :class:`Dataset`: one counts matrix (trials x bins) with
+a boolean label column.  Counts are stored as int16 and widened only
+when a count would not fit, never wrapped.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Literal, Sequence
 
 import numpy as np
@@ -86,6 +91,11 @@ class ReadoutConfig:
             raise ValueError("herald_duration_us must be >= 0")
         if self.herald_bright_min < 1:
             raise ValueError("herald_bright_min must be >= 1")
+        if self.herald_bins >= self.n_bins:
+            raise ValueError(
+                f"herald_duration_us ({self.herald_duration_us}) must be shorter than the "
+                f"record ({self.n_bins} bins of {self.bin_width_us} us)"
+            )
 
     @property
     def duration_us(self) -> float:
@@ -97,6 +107,24 @@ class ReadoutConfig:
         if abs(nb - round(nb)) > 1e-9:
             raise ValueError("herald_duration_us must be a whole number of bins")
         return int(round(nb))
+
+
+def _counts_dtype(max_count: int):
+    """The narrowest of int16, int32 and int64 that holds max_count."""
+    for dtype in (np.int16, np.int32):
+        if max_count <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
+def _as_counts(values) -> np.ndarray:
+    """Non-negative integer counts, narrowed to int16 unless a count would wrap."""
+    arr = np.asarray(values)
+    if not arr.size:
+        return arr.astype(np.int16)
+    if not np.issubdtype(arr.dtype, np.integer) or arr.min() < 0:
+        raise ValueError("bins must be non-negative integers")
+    return arr.astype(_counts_dtype(int(arr.max())), copy=False)
 
 
 @dataclass(frozen=True)
@@ -114,22 +142,106 @@ class Trajectory:
     state_path: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.bins)
-        if arr.ndim != 1:
+        if np.ndim(self.bins) != 1:
             raise ValueError("bins must be one-dimensional")
-        if arr.size and (np.any(arr < 0) or not np.issubdtype(arr.dtype, np.integer)):
-            raise ValueError("bins must be non-negative integers")
-        object.__setattr__(self, "bins", arr.astype(np.int16, copy=False))
+        object.__setattr__(self, "bins", _as_counts(self.bins))
         if self.prepared not in (BRIGHT, DARK):
             raise ValueError(f"prepared must be 'bright' or 'dark', got {self.prepared!r}")
         if self.bin_width_us <= 0:
             raise ValueError("bin_width_us must be positive")
-        if self.state_path is not None and len(self.state_path) != arr.size:
+        if self.state_path is not None and len(self.state_path) != self.bins.size:
             raise ValueError("state_path length must match bins")
 
     @property
     def total_counts(self) -> int:
         return int(self.bins.sum())
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Labelled binned records held as one counts matrix.
+
+    ``counts`` is n_trials x n_bins, int16 unless a count would not fit
+    (then the narrowest wider integer type).  ``bright`` is the label
+    column: the preparation, or after heralding the herald's verdict.
+    ``len``, iteration and indexing behave like a list of records: an
+    int index gives a :class:`Trajectory` view of one row, a slice (or
+    a boolean mask) gives a Dataset.
+    """
+
+    counts: np.ndarray
+    bright: np.ndarray
+    bin_width_us: float = 1.0
+
+    def __post_init__(self) -> None:
+        if np.ndim(self.counts) != 2:
+            raise ValueError("counts must be a trials x bins matrix")
+        object.__setattr__(self, "counts", _as_counts(self.counts))
+        bright = np.asarray(self.bright)
+        if bright.dtype != bool or bright.shape != self.counts.shape[:1]:
+            raise ValueError("bright must be a boolean array with one entry per trial")
+        object.__setattr__(self, "bright", bright)
+        if self.bin_width_us <= 0:
+            raise ValueError("bin_width_us must be positive")
+
+    def __len__(self) -> int:
+        return self.counts.shape[0]
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return Trajectory(BRIGHT if self.bright[key] else DARK, self.counts[key],
+                              self.bin_width_us)
+        return Dataset(self.counts[key], self.bright[key], self.bin_width_us)
+
+    @property
+    def n_bins(self) -> int:
+        return self.counts.shape[1]
+
+    @property
+    def labels(self) -> np.ndarray:
+        """The label column as 'bright' / 'dark' strings."""
+        return np.where(self.bright, BRIGHT, DARK)
+
+    @cached_property
+    def _prefix(self) -> np.ndarray:
+        """Counts summed over bins 0..j of every record, for each j."""
+        bound = int(self.counts.max(initial=0)) * self.n_bins
+        return np.cumsum(self.counts, axis=1, dtype=_counts_dtype(bound))
+
+    def totals(self, duration_us: float) -> np.ndarray:
+        """Counts in the first duration_us of every record."""
+        nb = duration_us / self.bin_width_us
+        if abs(nb - round(nb)) > 1e-9:
+            raise ValueError("duration_us must be a whole number of bins")
+        nb = int(round(nb))
+        if nb < 1 or nb > self.n_bins:
+            raise ValueError("duration must cover between 1 bin and the whole record")
+        return self._prefix[:, nb - 1]
+
+
+def as_dataset(trajs: Dataset | Sequence[Trajectory]) -> Dataset:
+    """The records as a :class:`Dataset`; a sequence of records is stacked.
+
+    Records of a sequence must have equal length and bin width.
+    """
+    if isinstance(trajs, Dataset):
+        return trajs
+    trajs = list(trajs)
+    if not trajs:
+        return Dataset(np.zeros((0, 0), dtype=np.int16), np.zeros(0, dtype=bool))
+    n_bins, width = trajs[0].bins.size, trajs[0].bin_width_us
+    if any(t.bins.size != n_bins for t in trajs):
+        raise ValueError("all trajectories must have equal length")
+    if any(t.bin_width_us != width for t in trajs):
+        raise ValueError("all trajectories must share one bin width")
+    return Dataset(
+        np.stack([t.bins for t in trajs]),
+        np.array([t.prepared == BRIGHT for t in trajs], dtype=bool),
+        width,
+    )
 
 
 class HeraldOutcome(Enum):
@@ -244,6 +356,57 @@ def _bright_time_per_bin(
     return bright
 
 
+def _mean_counts(rates: RateParams, bright_us: np.ndarray, t0: float) -> np.ndarray:
+    """Per-bin Poisson means given the bright time inside each bin."""
+    return (rates.gamma_b * bright_us + rates.gamma_d * (t0 - bright_us)) * _MS_PER_US
+
+
+def _steady_mean(rates: RateParams, cfg: ReadoutConfig, prepared: StateLabel, mode: str):
+    """Per-bin mean counts of a record that never flips.
+
+    A scalar when every bin's mean is the same float: ``rng.poisson``
+    then draws the same values as from the per-bin array, at less cost.
+    """
+    t0, n = cfg.bin_width_us, cfg.n_bins
+    if mode == "exact":
+        bright_us = _bright_time_per_bin([], prepared, n, t0)
+    else:
+        bright_us = np.full(n, t0 if prepared == BRIGHT else 0.0)
+    mean = _mean_counts(rates, bright_us, t0)
+    return mean[0] if np.all(mean == mean[0]) else mean
+
+
+def _simulate_row(
+    rng: np.random.Generator, rates: RateParams, cfg: ReadoutConfig, prepared: StateLabel,
+    mode: str, steady_mean,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One trial's counts (int64) and its flip positions.
+
+    Flips are times in us (``"exact"``) or bin indices (``"bin-boundary"``).
+    ``steady_mean`` is :func:`_steady_mean` for this trial's state and mode.
+    """
+    t0, n = cfg.bin_width_us, cfg.n_bins
+    if mode == "exact":
+        flip_list = _switch_times_exact(rng, rates, prepared, n * t0)
+        flips = np.asarray(flip_list)
+        if flips.size:
+            bright_us = _bright_time_per_bin(flip_list, prepared, n, t0)
+    else:
+        flips = np.asarray(_switch_bins_boundary(rng, rates, prepared, n, t0), dtype=float)
+        if flips.size:
+            n_flips_before = np.searchsorted(flips, np.arange(n, dtype=float), side="right")
+            in_bright = (n_flips_before % 2 == 0) == (prepared == BRIGHT)
+            bright_us = np.where(in_bright, t0, 0.0)
+    if not flips.size:
+        return rng.poisson(steady_mean, n), flips
+    return rng.poisson(_mean_counts(rates, bright_us, t0)), flips
+
+
+def _check_mode(mode) -> None:
+    if mode not in ("exact", "bin-boundary"):
+        raise ValueError(f"unknown transition mode {mode!r}")
+
+
 def simulate_trial(
     rates: RateParams,
     cfg: ReadoutConfig,
@@ -259,32 +422,18 @@ def simulate_trial(
     """
     if prepared not in (BRIGHT, DARK):
         raise ValueError(f"prepared must be 'bright' or 'dark', got {prepared!r}")
-    if mode not in ("exact", "bin-boundary"):
-        raise ValueError(f"unknown transition mode {mode!r}")
+    _check_mode(mode)
     _check_slow_pumping(rates, cfg.bin_width_us)
-    rng = _rng(seed)
     t0 = cfg.bin_width_us
-    n = cfg.n_bins
-
-    if mode == "exact":
-        flips = _switch_times_exact(rng, rates, prepared, n * t0)
-        bright_us = _bright_time_per_bin(flips, prepared, n, t0)
-        flip_arr = np.asarray(flips)
-        starts = np.arange(n) * t0
-    else:
-        flip_bins = _switch_bins_boundary(rng, rates, prepared, n, t0)
-        flip_arr = np.asarray(flip_bins, dtype=float)
-        starts = np.arange(n, dtype=float)
-        n_flips_before = np.searchsorted(flip_arr, starts, side="right")
-        in_bright = (n_flips_before % 2 == 0) == (prepared == BRIGHT)
-        bright_us = np.where(in_bright, t0, 0.0)
-
-    mean_counts = (rates.gamma_b * bright_us + rates.gamma_d * (t0 - bright_us)) * _MS_PER_US
-    counts = rng.poisson(mean_counts).astype(np.int16)
-
+    counts, flips = _simulate_row(
+        _rng(seed), rates, cfg, prepared, mode, _steady_mean(rates, cfg, prepared, mode)
+    )
     path = None
     if record_states:
-        n_before = np.searchsorted(flip_arr, starts, side="right")
+        starts = np.arange(cfg.n_bins, dtype=float)  # flips are bin indices
+        if mode == "exact":
+            starts = starts * t0  # flips are times
+        n_before = np.searchsorted(flips, starts, side="right")
         bright_at_start = (n_before % 2 == 0) == (prepared == BRIGHT)
         path = np.where(bright_at_start, BRIGHT, DARK)
     return Trajectory(prepared=prepared, bins=counts, bin_width_us=t0, state_path=path)
@@ -296,8 +445,7 @@ def simulate_dataset(
     trials_per_state: int,
     seed: int,
     mode: TransitionMode = "exact",
-    record_states: bool = False,
-) -> list[Trajectory]:
+) -> Dataset:
     """Simulate trials_per_state bright then trials_per_state dark trials.
 
     Trial i uses the sub-seed (seed, i); calling :func:`simulate_trial`
@@ -305,14 +453,21 @@ def simulate_dataset(
     """
     if trials_per_state < 1:
         raise ValueError("trials_per_state must be >= 1")
-    out: list[Trajectory] = []
-    for idx in range(2 * trials_per_state):
-        prepared = BRIGHT if idx < trials_per_state else DARK
-        out.append(
-            simulate_trial(rates, cfg, prepared, (seed, idx), mode=mode,
-                           record_states=record_states)
-        )
-    return out
+    _check_mode(mode)
+    _check_slow_pumping(rates, cfg.bin_width_us)
+    n_trials = 2 * trials_per_state
+    counts = np.empty((n_trials, cfg.n_bins), dtype=np.int16)
+    limit = np.iinfo(counts.dtype).max
+    for prepared, first in ((BRIGHT, 0), (DARK, trials_per_state)):
+        steady = _steady_mean(rates, cfg, prepared, mode)
+        for idx in range(first, first + trials_per_state):
+            row, _ = _simulate_row(_rng((seed, idx)), rates, cfg, prepared, mode, steady)
+            top = row.max()
+            if top > limit:
+                counts = counts.astype(_counts_dtype(int(top)))
+                limit = np.iinfo(counts.dtype).max
+            counts[idx] = row
+    return Dataset(counts, np.arange(n_trials) < trials_per_state, cfg.bin_width_us)
 
 
 def apply_herald(traj: Trajectory, cfg: ReadoutConfig) -> tuple[HeraldOutcome, Trajectory | None]:
@@ -352,17 +507,30 @@ def apply_herald(traj: Trajectory, cfg: ReadoutConfig) -> tuple[HeraldOutcome, T
 
 
 def apply_herald_dataset(
-    trajs: Sequence[Trajectory], cfg: ReadoutConfig
-) -> tuple[list[Trajectory], dict[HeraldOutcome, int]]:
-    """Herald every trial; return retained trajectories and outcome tallies."""
-    retained: list[Trajectory] = []
-    tally = {o: 0 for o in HeraldOutcome}
-    for traj in trajs:
-        outcome, rest = apply_herald(traj, cfg)
-        tally[outcome] += 1
-        if rest is not None:
-            retained.append(rest)
-    return retained, tally
+    trajs: Dataset | Sequence[Trajectory], cfg: ReadoutConfig
+) -> tuple[Dataset, dict[HeraldOutcome, int]]:
+    """Herald every trial; return the retained records and outcome tallies.
+
+    Same rule as :func:`apply_herald`, applied to the whole matrix.
+    """
+    ds = as_dataset(trajs)
+    hb = cfg.herald_bins
+    if hb and hb >= ds.n_bins:
+        raise ValueError("herald window must be shorter than the records")
+    if hb == 0:
+        n_bright = int(np.count_nonzero(ds.bright))
+        tally = {HeraldOutcome.RETAINED_BRIGHT: n_bright,
+                 HeraldOutcome.RETAINED_DARK: len(ds) - n_bright,
+                 HeraldOutcome.DISCARDED: 0}
+        return ds, tally
+    herald_counts = ds.counts[:, :hb].sum(axis=1)
+    dark = herald_counts == 0
+    bright = herald_counts >= cfg.herald_bright_min
+    keep = dark | bright
+    tally = {HeraldOutcome.RETAINED_BRIGHT: int(np.count_nonzero(bright)),
+             HeraldOutcome.RETAINED_DARK: int(np.count_nonzero(dark)),
+             HeraldOutcome.DISCARDED: int(len(ds) - np.count_nonzero(keep))}
+    return Dataset(ds.counts[keep, hb:], bright[keep], ds.bin_width_us), tally
 
 
 def _renewal_times_s(rng: np.random.Generator, cfg: EmitterStreamConfig) -> np.ndarray:

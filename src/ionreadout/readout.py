@@ -21,7 +21,16 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .photon_sim import BRIGHT, DARK, RateParams, StateLabel, Trajectory, _MS_PER_US
+from .photon_sim import (
+    BRIGHT,
+    DARK,
+    Dataset,
+    RateParams,
+    StateLabel,
+    Trajectory,
+    _MS_PER_US,
+    as_dataset,
+)
 
 _NEG_INF = float("-inf")
 
@@ -179,7 +188,7 @@ class AdaptiveBatchResult:
 
 
 def adaptive_classify_batch(
-    trajs: Sequence[Trajectory],
+    trajs: Dataset | Sequence[Trajectory],
     rates: RateParams,
     bin_width_us: float,
     confidence_levels: Sequence[float],
@@ -187,7 +196,11 @@ def adaptive_classify_batch(
     """Classify many trajectories at several stopping levels in one pass.
 
     Equivalent to calling :func:`adaptive_classify` per trajectory and
-    per level, but iterates bins across the whole batch at once.
+    per level, but iterates bins across the whole batch at once.  A
+    trial that has reached the highest level has stopped at every lower
+    one too (the first bin where the posterior reaches a level never
+    comes earlier for a higher level), so only trials still open at the
+    highest level are stepped.
     """
     levels = [float(l) for l in confidence_levels]
     if not levels:
@@ -195,53 +208,64 @@ def adaptive_classify_batch(
     for l in levels:
         if not (0.5 < l < 1.0):
             raise ValueError("confidence levels must lie in (0.5, 1)")
-    if not trajs:
+    ds = as_dataset(trajs)
+    if not len(ds):
         raise ValueError("empty dataset")
-    n_bins = trajs[0].bins.size
-    if any(t.bins.size != n_bins for t in trajs):
-        raise ValueError("all trajectories must have equal length")
+    n_trials, n_bins = ds.counts.shape
+    if n_bins == 0:
+        raise ValueError("records have no bins to classify")
     p_dp, p_rp = _transition_probs(rates, bin_width_us)
 
-    counts = np.stack([t.bins for t in trajs]).astype(np.int16)
-    n_trials = counts.shape[0]
-    max_n = int(counts.max())
-    log_fact = gammaln(np.arange(max_n + 1) + 1.0)
+    # per-bin log-likelihoods, tabulated over the observed counts
+    n = np.arange(int(ds.counts.max()) + 1)
+    log_fact = gammaln(n + 1.0)
     mu_b = rates.gamma_b * bin_width_us * _MS_PER_US
     mu_d = rates.gamma_d * bin_width_us * _MS_PER_US
-    log_mu_b = np.log(mu_b) if mu_b > 0 else _NEG_INF
-    log_mu_d = np.log(mu_d) if mu_d > 0 else _NEG_INF
+    like_b = n * np.log(mu_b) - mu_b - log_fact if mu_b > 0 else np.where(n == 0, 0.0, _NEG_INF)
+    like_d = n * np.log(mu_d) - mu_d - log_fact if mu_d > 0 else np.where(n == 0, 0.0, _NEG_INF)
 
-    log_pb = np.full(n_trials, np.log(0.5))
-    log_pd = np.full(n_trials, np.log(0.5))
-    log_levels = np.log(levels)
+    # A trial's stopped levels are always the lowest ones, so per trial
+    # one count of stopped levels (in ascending order) tracks them all.
+    order = np.argsort(levels, kind="stable")
+    sorted_log_levels = np.log(levels)[order]
     stop_bin = np.full((n_trials, len(levels)), -1, dtype=np.int32)
     stop_bright = np.zeros((n_trials, len(levels)), dtype=bool)
     stop_conf = np.zeros((n_trials, len(levels)))
 
+    active = np.arange(n_trials)  # trials still open at the highest level
+    n_stopped = np.zeros(n_trials, dtype=np.intp)
+    log_pb = np.full(n_trials, np.log(0.5))
+    log_pd = np.full(n_trials, np.log(0.5))
     for i in range(n_bins):
-        n_i = counts[:, i].astype(np.int64)
-        lf = log_fact[n_i]
-        like_b = n_i * log_mu_b - mu_b - lf if mu_b > 0 else np.where(n_i == 0, 0.0, _NEG_INF)
-        like_d = n_i * log_mu_d - mu_d - lf if mu_d > 0 else np.where(n_i == 0, 0.0, _NEG_INF)
-        log_pb, log_pd = _log_bayes_update(log_pb, log_pd, like_b, like_d, p_dp, p_rp)
+        n_i = ds.counts[active, i]
+        log_pb, log_pd = _log_bayes_update(log_pb, log_pd, like_b[n_i], like_d[n_i], p_dp, p_rp)
         best = np.maximum(log_pb, log_pd)
-        bright_now = log_pb >= log_pd
-        done_any = True
-        for j, log_level in enumerate(log_levels):
-            open_ = stop_bin[:, j] < 0
-            hit = open_ & (best >= log_level)
-            if np.any(hit):
-                stop_bin[hit, j] = i + 1
-                stop_bright[hit, j] = bright_now[hit]
-                stop_conf[hit, j] = np.exp(best[hit])
-            if np.any(stop_bin[:, j] < 0):
-                done_any = False
-        if done_any:
+        reached = np.searchsorted(sorted_log_levels, best, side="right")
+        reached[np.isnan(best)] = 0  # an impossible count under both rates stops nothing
+        new = np.flatnonzero(reached > n_stopped)
+        if not new.size:
+            continue
+        rows, lo, hi = active[new], n_stopped[new], reached[new]
+        bright_now = log_pb[new] >= log_pd[new]
+        conf_now = np.exp(best[new])
+        for k in range(int(lo.min()), int(hi.max())):
+            hit = (lo <= k) & (k < hi)
+            j = order[k]
+            stop_bin[rows[hit], j] = i + 1
+            stop_bright[rows[hit], j] = bright_now[hit]
+            stop_conf[rows[hit], j] = conf_now[hit]
+        n_stopped[new] = hi
+        still_open = n_stopped < len(levels)
+        active, n_stopped = active[still_open], n_stopped[still_open]
+        log_pb, log_pd = log_pb[still_open], log_pd[still_open]
+        if not active.size:
             break
 
     results = []
-    final_bright = log_pb >= log_pd
-    final_conf = np.exp(np.maximum(log_pb, log_pd))
+    final_bright = np.zeros(n_trials, dtype=bool)
+    final_conf = np.zeros(n_trials)
+    final_bright[active] = log_pb >= log_pd
+    final_conf[active] = np.exp(np.maximum(log_pb, log_pd))
     for j, level in enumerate(levels):
         open_ = stop_bin[:, j] < 0
         bins_used = np.where(open_, n_bins, stop_bin[:, j])
@@ -311,6 +335,25 @@ class ErrorStats:
         ) / n
 
 
+def _stats_from_counts(
+    k_b: int, n_b: int, k_d: int, n_d: int, dur_b: float, dur_d: float
+) -> ErrorStats:
+    """ErrorStats from k_b of n_b bright and k_d of n_d dark trials misclassified."""
+    eps_b = k_b / n_b
+    eps_d = k_d / n_d
+    return ErrorStats(
+        eps_bright=eps_b,
+        eps_dark=eps_d,
+        fidelity=1.0 - 0.5 * (eps_b + eps_d),
+        eps_bright_ci=_wilson_interval(k_b, n_b),
+        eps_dark_ci=_wilson_interval(k_d, n_d),
+        n_bright=n_b,
+        n_dark=n_d,
+        mean_duration_bright_us=dur_b,
+        mean_duration_dark_us=dur_d,
+    )
+
+
 def error_stats(
     truths: Sequence[StateLabel],
     decisions: Sequence[StateLabel],
@@ -331,53 +374,30 @@ def error_stats(
     wrong = truths != decisions
     k_b = int(np.count_nonzero(wrong & is_bright))
     k_d = int(np.count_nonzero(wrong & ~is_bright))
-    eps_b = k_b / n_b
-    eps_d = k_d / n_d
     if durations_us is None:
         dur_b = dur_d = float("nan")
     else:
         durations_us = np.asarray(durations_us, dtype=float)
         dur_b = float(durations_us[is_bright].mean())
         dur_d = float(durations_us[~is_bright].mean())
-    return ErrorStats(
-        eps_bright=eps_b,
-        eps_dark=eps_d,
-        fidelity=1.0 - 0.5 * (eps_b + eps_d),
-        eps_bright_ci=_wilson_interval(k_b, n_b),
-        eps_dark_ci=_wilson_interval(k_d, n_d),
-        n_bright=n_b,
-        n_dark=n_d,
-        mean_duration_bright_us=dur_b,
-        mean_duration_dark_us=dur_d,
-    )
-
-
-def _counts_at_duration(trajs: Sequence[Trajectory], duration_us: float) -> np.ndarray:
-    t0 = trajs[0].bin_width_us
-    nb = duration_us / t0
-    if abs(nb - round(nb)) > 1e-9:
-        raise ValueError("duration_us must be a whole number of bins")
-    nb = int(round(nb))
-    if nb < 1 or any(t.bins.size < nb for t in trajs):
-        raise ValueError("duration must cover between 1 bin and the whole record")
-    return np.stack([t.bins[:nb].sum() for t in trajs])
+    return _stats_from_counts(k_b, n_b, k_d, n_d, dur_b, dur_d)
 
 
 def optimize_threshold(
-    trajs: Sequence[Trajectory], duration_us: float
+    trajs: Dataset | Sequence[Trajectory], duration_us: float
 ) -> tuple[int, ErrorStats]:
     """Exhaustively scan integer thresholds and return the fidelity maximizer.
 
-    Ties are broken toward the smallest threshold.  Labels are taken from
-    each trajectory's ``prepared`` field.
+    Ties are broken toward the smallest threshold.  Labels are the
+    dataset's label column (each trajectory's ``prepared`` field).
     """
-    if not trajs:
+    ds = as_dataset(trajs)
+    if not len(ds):
         raise ValueError("empty dataset")
-    labels = np.asarray([t.prepared for t in trajs])
-    totals = _counts_at_duration(trajs, duration_us)
-    is_bright = labels == BRIGHT
-    n_b = int(is_bright.sum())
-    n_d = int(labels.size - n_b)
+    totals = ds.totals(duration_us)
+    is_bright = ds.bright
+    n_b = int(np.count_nonzero(is_bright))
+    n_d = len(ds) - n_b
     if n_b == 0 or n_d == 0:
         raise ValueError("need both bright and dark trials to optimize a threshold")
     m = int(totals.max())
@@ -388,16 +408,18 @@ def optimize_threshold(
     cum_d_ge = n_d - np.concatenate([[0], np.cumsum(hist_d)])[: m + 1]
     fidelity = 1.0 - 0.5 * (cum_b / n_b + cum_d_ge / n_d)
     best = int(np.argmax(fidelity))  # first max = smallest threshold
-    decisions = np.where(totals >= best, BRIGHT, DARK)
-    stats = error_stats(labels, decisions, np.full(labels.size, float(duration_us)))
+    duration = float(duration_us)
+    stats = _stats_from_counts(int(cum_b[best]), n_b, int(cum_d_ge[best]), n_d,
+                               duration, duration)
     return best, stats
 
 
 def threshold_error_vs_duration(
-    trajs: Sequence[Trajectory], durations_us: Sequence[float]
+    trajs: Dataset | Sequence[Trajectory], durations_us: Sequence[float]
 ) -> list[tuple[float, int, ErrorStats]]:
     """Optimal-threshold error at each requested duration."""
-    return [(d, *optimize_threshold(trajs, d)) for d in durations_us]
+    ds = as_dataset(trajs)
+    return [(d, *optimize_threshold(ds, d)) for d in durations_us]
 
 
 @dataclass(frozen=True)
@@ -452,23 +474,23 @@ def _fit_poisson_peak(totals: np.ndarray) -> float:
 
 
 def _mean_rate_slope(
-    counts: np.ndarray, bin_width_us: float
+    mean_counts: np.ndarray, bin_width_us: float
 ) -> tuple[float, float, float]:
     """Linear fit of ensemble mean count rate (1/ms) vs time (ms).
 
+    ``mean_counts`` is the mean count of each bin over the ensemble.
     Returns (intercept, slope, slope_err).  Per-bin variances are equal
     under the Poisson model, so an unweighted fit is the weighted one.
     """
-    n_trials, n_bins = counts.shape
     t0_ms = bin_width_us * _MS_PER_US
-    t_ms = (np.arange(n_bins) + 0.5) * t0_ms
-    rate = counts.mean(axis=0) / t0_ms
+    t_ms = (np.arange(mean_counts.size) + 0.5) * t0_ms
+    rate = mean_counts / t0_ms
     coef, cov = np.polyfit(t_ms, rate, 1, cov=True)
     return float(coef[1]), float(coef[0]), float(np.sqrt(cov[0, 0]))
 
 
 def calibrate_rates(
-    trajs: Sequence[Trajectory],
+    trajs: Dataset | Sequence[Trajectory],
     duration_fractions: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
     min_trials: int = 100,
 ) -> CalibratedRates:
@@ -479,36 +501,40 @@ def calibrate_rates(
     (growth) of the instantaneous ensemble mean rate of bright (dark)
     prepared trials over the full record.
     """
-    bright = [t for t in trajs if t.prepared == BRIGHT]
-    dark = [t for t in trajs if t.prepared == DARK]
-    if len(bright) < min_trials or len(dark) < min_trials:
+    ds = as_dataset(trajs)
+    n_bright = int(np.count_nonzero(ds.bright))
+    n_dark = len(ds) - n_bright
+    if n_bright < min_trials or n_dark < min_trials:
         raise ValueError(
             f"calibration needs at least {min_trials} trials per state; "
-            f"got {len(bright)} bright / {len(dark)} dark"
+            f"got {n_bright} bright / {n_dark} dark"
         )
-    t0 = trajs[0].bin_width_us
-    n_bins = trajs[0].bins.size
-    counts_b = np.stack([t.bins for t in bright]).astype(np.int64)
-    counts_d = np.stack([t.bins for t in dark]).astype(np.int64)
+    t0 = ds.bin_width_us
+    n_bins = ds.n_bins
 
-    def peak_rate(counts: np.ndarray) -> tuple[float, float]:
+    def peak_rate(mask: np.ndarray) -> tuple[float, float]:
         estimates = []
         for frac in duration_fractions:
             nb = max(1, int(round(frac * n_bins)))
-            mu = _fit_poisson_peak(counts[:, :nb].sum(axis=1))
+            mu = _fit_poisson_peak(ds.totals(nb * t0)[mask])
             estimates.append(mu / (nb * t0 * _MS_PER_US))
         est = np.asarray(estimates)
         err = est.std(ddof=1) / np.sqrt(est.size) if est.size > 1 else float("nan")
         return float(est.mean()), float(err)
 
-    gamma_b, gamma_b_err = peak_rate(counts_b)
-    gamma_d, gamma_d_err = peak_rate(counts_d)
+    def mean_counts(mask: np.ndarray, n: int) -> np.ndarray:
+        # integer sums are exact, so this equals counts[mask].mean(axis=0)
+        return ds.counts.sum(axis=0, dtype=np.int64, where=mask[:, None]) / n
+
+    dark = ~ds.bright
+    gamma_b, gamma_b_err = peak_rate(ds.bright)
+    gamma_d, gamma_d_err = peak_rate(dark)
     spread = gamma_b - gamma_d
     if spread <= 0:
         raise ValueError("bright rate did not exceed dark rate; cannot calibrate pumping")
 
-    _, slope_b, slope_b_err = _mean_rate_slope(counts_b, t0)
-    _, slope_d, slope_d_err = _mean_rate_slope(counts_d, t0)
+    _, slope_b, slope_b_err = _mean_rate_slope(mean_counts(ds.bright, n_bright), t0)
+    _, slope_d, slope_d_err = _mean_rate_slope(mean_counts(dark, n_dark), t0)
     return CalibratedRates(
         gamma_b=gamma_b,
         gamma_b_err=gamma_b_err,

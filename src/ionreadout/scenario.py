@@ -171,7 +171,6 @@ def load_scenario(path) -> Scenario:
             herald_duration_us=values["herald_duration_us"],
             herald_bright_min=values["herald_bright_min"],
         )
-        readout.herald_bins  # validates divisibility
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
     if values["trials_per_state"] < 1:
@@ -211,24 +210,22 @@ def run_scenario(path) -> dict:
     out = _io.ensure_dir(scn.out_dir)
     t0 = scn.readout.bin_width_us
 
-    trajs = simulate_dataset(
+    dataset = simulate_dataset(
         scn.rates, scn.readout, scn.trials_per_state, scn.seed, mode=scn.transition_mode
     )
-    retained, tally = apply_herald_dataset(trajs, scn.readout)
-    if not retained:
+    retained, tally = apply_herald_dataset(dataset, scn.readout)
+    del dataset  # only the retained records are needed from here on
+    if not len(retained):
         raise ConfigError(f"{path}: heralding retained no trials")
     if scn.write_trajectories:
         _io.write_trajectories_csv(out / "trajectories.csv", retained)
 
-    labels = [t.prepared for t in retained]
+    labels = retained.labels
 
     threshold, thr_stats = optimize_threshold(retained, scn.threshold_duration_us)
     if scn.write_results:
-        decisions = [
-            ("bright" if t.bins[: int(round(scn.threshold_duration_us / t0))].sum() >= threshold
-             else "dark")
-            for t in retained
-        ]
+        decisions = np.where(retained.totals(scn.threshold_duration_us) >= threshold,
+                             "bright", "dark")
         _io.write_results_csv(
             out / "threshold_results.csv",
             (

@@ -60,6 +60,35 @@ def test_trajectory_read_validation(tmp_path):
         iio.read_trajectories_csv(path)
 
 
+def test_trajectory_read_accepts_rows_in_any_order(tmp_path):
+    trajs = [
+        Trajectory(prepared="bright", bins=np.array([3, 0, 2, 1], dtype=np.int16)),
+        Trajectory(prepared="dark", bins=np.array([0, 0, 1], dtype=np.int16)),
+        Trajectory(prepared="dark", bins=np.array([5], dtype=np.int16)),
+    ]
+    path = tmp_path / "trajs.csv"
+    iio.write_trajectories_csv(path, trajs)
+    header, *rows = _read_lines(path)
+    shuffled = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+    assert shuffled != rows
+    path.write_text("\n".join([header, *shuffled]) + "\n")
+    back = iio.read_trajectories_csv(path)
+    assert [t.prepared for t in back] == [t.prepared for t in trajs]
+    for orig, rt in zip(trajs, back):
+        assert np.array_equal(rt.bins, orig.bins)
+
+
+def test_trajectory_read_rejects_unknown_label(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "trial_id,prepared,bin_index,counts\n"
+        "0,dim,0,4\n"
+        "0,dim,1,1\n"
+    )
+    with pytest.raises(ValueError, match="'bright' or 'dark'"):
+        iio.read_trajectories_csv(path)
+
+
 def test_timetag_round_trip(tmp_path):
     streams = [
         TimeTagStream("A", np.array([3, 17, 99], dtype=np.int64), 1000),

@@ -6,6 +6,7 @@ from scipy import stats
 from ionreadout import (
     BRIGHT,
     DARK,
+    Dataset,
     EmitterStreamConfig,
     HeraldOutcome,
     RateParams,
@@ -13,6 +14,7 @@ from ionreadout import (
     Trajectory,
     apply_herald,
     apply_herald_dataset,
+    as_dataset,
     simulate_dataset,
     simulate_timetag_streams,
     simulate_trial,
@@ -149,6 +151,68 @@ def test_invalid_inputs_rejected(rates):
         simulate_trial(rates, cfg, "dim", seed=0)
     with pytest.raises(ValueError):
         simulate_trial(rates, cfg, BRIGHT, seed=0, mode="jump")
+
+
+def test_large_counts_widen_instead_of_wrapping():
+    # 5e4 counts per bin do not fit int16; they must not wrap negative
+    traj = simulate_trial(RateParams(5e4, 1.0), ReadoutConfig(1000.0, 3, 0.0), BRIGHT, 1)
+    assert np.all(np.abs(traj.bins.astype(np.int64) - 50_000) < 5 * np.sqrt(50_000))
+    assert traj.total_counts > 3 * 40_000
+
+    ds = simulate_dataset(RateParams(5e4, 1.0), ReadoutConfig(1000.0, 3, 0.0), 2, seed=1)
+    assert ds.counts[:2].min() > 40_000 and ds.counts[2:].max() < 100
+    assert np.array_equal(ds[0].bins, traj.bins)
+    assert Trajectory(prepared=BRIGHT, bins=np.array([70_000, 0])).bins[0] == 70_000
+    assert Dataset(np.array([[70_000]]), np.array([True])).counts[0, 0] == 70_000
+
+
+def test_small_counts_are_stored_as_int16(rates):
+    ds = simulate_dataset(rates, ReadoutConfig(n_bins=20, herald_duration_us=0.0), 5, seed=3)
+    assert ds.counts.dtype == np.int16
+    assert _traj([1, 2]).bins.dtype == np.int16
+
+
+def test_herald_window_must_be_shorter_than_record():
+    with pytest.raises(ValueError, match="herald_duration_us"):
+        ReadoutConfig(1.0, 50, 50.0)
+    with pytest.raises(ValueError, match="herald_duration_us"):
+        ReadoutConfig(0.5, 50, 40.0)
+    assert ReadoutConfig(1.0, 50, 49.0).herald_bins == 49
+
+
+def test_dataset_indexes_like_a_list_of_records(rates):
+    cfg = ReadoutConfig(n_bins=30, herald_duration_us=0.0)
+    ds = simulate_dataset(rates, cfg, trials_per_state=4, seed=8)
+    records = list(ds)
+    assert len(ds) == len(records) == 8
+    assert [t.prepared for t in records] == [BRIGHT] * 4 + [DARK] * 4
+    assert isinstance(ds[5], Trajectory) and ds[5].prepared == DARK
+    assert np.array_equal(ds[-1].bins, ds.counts[7])
+    tail = ds[2:6]
+    assert isinstance(tail, Dataset) and len(tail) == 4
+    assert list(tail.bright) == [True, True, False, False]
+    assert np.array_equal(tail.counts, ds.counts[2:6])
+    assert tail.bin_width_us == ds.bin_width_us
+
+    again = as_dataset(records)
+    assert np.array_equal(again.counts, ds.counts)
+    assert np.array_equal(again.bright, ds.bright)
+    assert as_dataset(ds) is ds
+    with pytest.raises(ValueError, match="equal length"):
+        as_dataset([records[0], Trajectory(BRIGHT, records[1].bins[:10])])
+
+
+def test_dataset_window_totals(rates):
+    ds = Dataset(np.array([[1, 2, 3], [0, 0, 4]]), np.array([True, False]), bin_width_us=0.5)
+    assert list(ds.totals(1.0)) == [3, 0]
+    assert list(ds.totals(1.5)) == [6, 4]
+    for bad in (0.0, 0.75, 2.0):
+        with pytest.raises(ValueError):
+            ds.totals(bad)
+    with pytest.raises(ValueError):
+        Dataset(np.array([[1, -1]]), np.array([True]))
+    with pytest.raises(ValueError):
+        Dataset(np.array([[1, 1]]), np.array(["bright"]))
 
 
 def _traj(counts, prepared=BRIGHT):

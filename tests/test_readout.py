@@ -13,6 +13,7 @@ from ionreadout import (
     Trajectory,
     adaptive_classify,
     adaptive_classify_batch,
+    apply_herald_dataset,
     bayes_step,
     calibrate_rates,
     error_stats,
@@ -186,6 +187,33 @@ def test_batch_confidence_invariant(small_dataset):
     rates, ds = small_dataset
     for res in adaptive_classify_batch(ds, rates, 1.0, [0.9, 0.999]):
         assert np.all(res.confidence[res.converged] >= res.confidence_level)
+
+
+def test_stages_agree_on_dataset_and_record_list(rates, config):
+    dataset = simulate_dataset(rates, config, trials_per_state=300, seed=31)
+    retained, _ = apply_herald_dataset(dataset, config)
+    records = list(retained)
+    assert optimize_threshold(retained, 125.0) == optimize_threshold(records, 125.0)
+    levels = [0.9, 0.999, 0.9999]
+    for a, b in zip(adaptive_classify_batch(retained, rates, 1.0, levels),
+                    adaptive_classify_batch(records, rates, 1.0, levels)):
+        assert np.array_equal(a.decisions, b.decisions)
+        assert np.array_equal(a.bins_consumed, b.bins_consumed)
+        assert np.array_equal(a.confidence, b.confidence)
+        assert np.array_equal(a.converged, b.converged)
+    assert calibrate_rates(retained) == calibrate_rates(records)
+
+
+def test_batch_levels_in_any_order(small_dataset):
+    rates, ds = small_dataset
+    shuffled = [0.99, 0.9, 0.9999, 0.9]
+    ordered = adaptive_classify_batch(ds, rates, 1.0, [0.9, 0.99, 0.9999])
+    by_level = {r.confidence_level: r for r in ordered}
+    for res in adaptive_classify_batch(ds, rates, 1.0, shuffled):
+        ref = by_level[res.confidence_level]
+        assert np.array_equal(res.decisions, ref.decisions)
+        assert np.array_equal(res.bins_consumed, ref.bins_consumed)
+        assert np.array_equal(res.confidence, ref.confidence)
 
 
 def test_threshold_classify_separated_dataset():

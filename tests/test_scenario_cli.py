@@ -168,6 +168,24 @@ def test_run_scenario_writes_threshold_sweep(tmp_path):
     assert len(lines) == 5
 
 
+def test_herald_as_long_as_record_is_a_config_error(tmp_path):
+    cfg = _write_minimal_cfg(tmp_path / "s.cfg", tmp_path / "out",
+                             n_bins=50, herald_duration_us=50.0)
+    with pytest.raises(ConfigError, match="herald_duration_us"):
+        load_scenario(cfg)
+
+
+def test_paper_scenario_reproduces_shipped_outputs(tmp_path):
+    golden = SCENARIO_DIR.parent / "out" / "paper"
+    text = (SCENARIO_DIR / "paper.cfg").read_text()
+    assert "out_dir = out/paper\n" in text
+    cfg = tmp_path / "paper.cfg"
+    cfg.write_text(text.replace("out_dir = out/paper\n", f"out_dir = {tmp_path / 'paper'}\n"))
+    run_scenario(cfg)
+    for name in ("summary.txt", "bayes_sweep.csv", "threshold_sweep.csv"):
+        assert (tmp_path / "paper" / name).read_bytes() == (golden / name).read_bytes(), name
+
+
 def test_shipped_scenario_config_loads():
     scn = load_scenario(SCENARIO_DIR / "paper.cfg")
     assert scn.seed == 42
@@ -256,6 +274,29 @@ def test_cli_classify_writes_results(small_csv, tmp_path, capsys):
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "trial_id,truth,decision,duration_us,confidence"
     assert len(lines) == 301
+
+
+def test_cli_classify_fixed_threshold_decisions(small_csv, tmp_path, capsys):
+    out_csv = tmp_path / "r.csv"
+    code = main([
+        "classify", "--in", str(small_csv), "--threshold", "--threshold-counts", "7",
+        "--out", str(out_csv),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    trajs = iio.read_trajectories_csv(small_csv)
+    n_bins = 125  # default --duration-us 125 at 1 us bins
+    expected = [
+        (str(i), t.prepared, "bright" if np.cumsum(t.bins)[n_bins - 1] >= 7 else "dark")
+        for i, t in enumerate(trajs)
+    ]
+    rows = [line.split(",")[:3] for line in out_csv.read_text().splitlines()[1:]]
+    assert rows == [list(e) for e in expected]
+    assert {r[2] for r in rows} == {"bright", "dark"}
+
+    code = main(["classify", "--in", str(small_csv), "--threshold", "--threshold-counts", "-1"])
+    assert code == 1
+    capsys.readouterr()
 
 
 def test_cli_calibrate_recovers_rates(small_csv, capsys):
