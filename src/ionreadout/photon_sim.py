@@ -12,13 +12,17 @@ Two transition models are provided:
   chain; each bin's count is Poisson with mean given by the time-weighted
   rate integral across the bin.
 * ``"bin-boundary"``: state changes may only occur between bins, with
-  per-boundary probabilities gamma_dp * t0 and gamma_rp * t0.  Cheap and
-  adequate when those products are tiny.
+  per-boundary probabilities 1 - exp(-gamma_dp * t0) and
+  1 - exp(-gamma_rp * t0).
 
-Reproducibility contract: every trial draws from its own generator seeded
-by ``(master_seed, trial_index)``, so datasets are independent of
-evaluation order and can be generated in parallel without changing the
-result.
+Both are simulated at the event level: each trial is cut at its flips
+into constant-rate segments, each segment's Poisson total is placed
+uniformly inside it, and the placed counts are binned.
+
+Reproducibility contract: trials are drawn in fixed-size blocks of one
+prepared state, each block from its own generator seeded by
+``(master_seed, state, block)``.  Output is bitwise reproducible under
+the seed, and a block's rows do not depend on how many trials follow it.
 
 A dataset is a :class:`Dataset`: one counts matrix (trials x bins) with
 a boolean label column.  Counts are stored as int16 and widened only
@@ -188,13 +192,19 @@ class Dataset:
         return self.counts.shape[0]
 
     def __iter__(self):
-        return (self[i] for i in range(len(self)))
+        return (self._record(row, b) for row, b in zip(self.counts, self.bright))
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
-            return Trajectory(BRIGHT if self.bright[key] else DARK, self.counts[key],
-                              self.bin_width_us)
+            return self._record(self.counts[key], self.bright[key])
         return Dataset(self.counts[key], self.bright[key], self.bin_width_us)
+
+    def _record(self, row: np.ndarray, bright) -> Trajectory:
+        """A Trajectory view of one row; the matrix is validated already."""
+        traj = object.__new__(Trajectory)
+        vars(traj).update(prepared=BRIGHT if bright else DARK, bins=row,
+                          bin_width_us=self.bin_width_us, state_path=None)
+        return traj
 
     @property
     def n_bins(self) -> int:
@@ -284,11 +294,9 @@ class EmitterStreamConfig:
             raise ValueError("duration_s must be positive")
 
 
-SeedLike = "int | Sequence[int]"
-
-
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
+def _flip_prob(rate_per_ms: float, bin_width_us: float) -> float:
+    """Probability that a state left at rate_per_ms is left within one bin."""
+    return float(-np.expm1(-rate_per_ms * bin_width_us * _MS_PER_US))
 
 
 def _check_slow_pumping(rates: RateParams, bin_width_us: float) -> None:
@@ -301,105 +309,85 @@ def _check_slow_pumping(rates: RateParams, bin_width_us: float) -> None:
         )
 
 
-def _switch_times_exact(
-    rng: np.random.Generator, rates: RateParams, prepared: StateLabel, duration_us: float
-) -> list[float]:
-    """Times (us) of successive hidden-state flips inside the record."""
-    t = 0.0
-    state = prepared
-    flips: list[float] = []
-    while True:
-        exit_per_us = rates.exit_rate(state) * _MS_PER_US
-        if exit_per_us <= 0:
-            break
-        t += rng.exponential(1.0 / exit_per_us)
-        if t >= duration_us:
-            break
-        flips.append(t)
-        state = DARK if state == BRIGHT else BRIGHT
-    return flips
+# Trials per block of simulate_dataset, and the bins plus photons of the
+# rows binned at a time (one row at least): a block's scratch stays near
+# 1 MB at any rate and record length unless one row alone is larger.
+_BLOCK_TRIALS = 4096
+_PLACE_BUDGET = 1 << 17
 
 
-def _switch_bins_boundary(
-    rng: np.random.Generator, rates: RateParams, prepared: StateLabel, n_bins: int,
-    bin_width_us: float,
-) -> list[int]:
-    """Bin indices at whose leading boundary the state flips."""
-    i = 0
-    state = prepared
-    flips: list[int] = []
-    while True:
-        p = rates.exit_rate(state) * bin_width_us * _MS_PER_US
-        if p <= 0:
-            break
-        i += int(rng.geometric(p))
-        if i >= n_bins:
-            break
-        flips.append(i)
-        state = DARK if state == BRIGHT else BRIGHT
-    return flips
-
-
-def _bright_time_per_bin(
-    flips_us: list[float], prepared: StateLabel, n_bins: int, t0: float
-) -> np.ndarray:
-    """Time (us) spent in the bright state inside each bin."""
-    bounds = [0.0, *flips_us, n_bins * t0]
-    state = prepared
-    edges_lo = np.arange(n_bins) * t0
-    edges_hi = edges_lo + t0
-    bright = np.zeros(n_bins)
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if state == BRIGHT and b > a:
-            bright += np.clip(np.minimum(edges_hi, b) - np.maximum(edges_lo, a), 0.0, None)
-        state = DARK if state == BRIGHT else BRIGHT
-    return bright
-
-
-def _mean_counts(rates: RateParams, bright_us: np.ndarray, t0: float) -> np.ndarray:
-    """Per-bin Poisson means given the bright time inside each bin."""
-    return (rates.gamma_b * bright_us + rates.gamma_d * (t0 - bright_us)) * _MS_PER_US
-
-
-def _steady_mean(rates: RateParams, cfg: ReadoutConfig, prepared: StateLabel, mode: str):
-    """Per-bin mean counts of a record that never flips.
-
-    A scalar when every bin's mean is the same float: ``rng.poisson``
-    then draws the same values as from the per-bin array, at less cost.
-    """
-    t0, n = cfg.bin_width_us, cfg.n_bins
-    if mode == "exact":
-        bright_us = _bright_time_per_bin([], prepared, n, t0)
-    else:
-        bright_us = np.full(n, t0 if prepared == BRIGHT else 0.0)
-    mean = _mean_counts(rates, bright_us, t0)
-    return mean[0] if np.all(mean == mean[0]) else mean
-
-
-def _simulate_row(
+def _segments(
     rng: np.random.Generator, rates: RateParams, cfg: ReadoutConfig, prepared: StateLabel,
-    mode: str, steady_mean,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One trial's counts (int64) and its flip positions.
+    mode: str, n: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Constant-state segments of n trials prepared in one state.
 
-    Flips are times in us (``"exact"``) or bin indices (``"bin-boundary"``).
-    ``steady_mean`` is :func:`_steady_mean` for this trial's state and mode.
+    Returns (trial, start, end, flipped) per segment, sorted by trial and
+    start; times are in bins, and ``flipped`` (0 or 1) is the parity of
+    the flips before the segment, 0 meaning the prepared state.  Every
+    open trial has flipped equally often, so one vectorised round draws
+    every open trial's next flip: an exponential gap (``"exact"``) or a
+    geometric number of bin boundaries (``"bin-boundary"``).
     """
-    t0, n = cfg.bin_width_us, cfg.n_bins
-    if mode == "exact":
-        flip_list = _switch_times_exact(rng, rates, prepared, n * t0)
-        flips = np.asarray(flip_list)
-        if flips.size:
-            bright_us = _bright_time_per_bin(flip_list, prepared, n, t0)
-    else:
-        flips = np.asarray(_switch_bins_boundary(rng, rates, prepared, n, t0), dtype=float)
-        if flips.size:
-            n_flips_before = np.searchsorted(flips, np.arange(n, dtype=float), side="right")
-            in_bright = (n_flips_before % 2 == 0) == (prepared == BRIGHT)
-            bright_us = np.where(in_bright, t0, 0.0)
-    if not flips.size:
-        return rng.poisson(steady_mean, n), flips
-    return rng.poisson(_mean_counts(rates, bright_us, t0)), flips
+    t0, n_bins = cfg.bin_width_us, cfg.n_bins
+    states = (prepared, DARK if prepared == BRIGHT else BRIGHT)
+    trial, start, flipped = [np.arange(n)], [np.zeros(n)], [np.zeros(n, dtype=np.intp)]
+    open_, t, k = trial[0], start[0], 0  # k: flips so far of every open trial
+    while open_.size:
+        rate = rates.exit_rate(states[k % 2])
+        if rate <= 0:
+            break
+        if mode == "exact":
+            t = t + rng.exponential(1.0 / (rate * t0 * _MS_PER_US), open_.size)
+        else:
+            t = t + rng.geometric(_flip_prob(rate, t0), open_.size)
+        inside = t < n_bins
+        open_, t, k = open_[inside], t[inside], k + 1
+        trial.append(open_)
+        start.append(t)
+        flipped.append(np.full(open_.size, k % 2, dtype=np.intp))
+    trial, start, flipped = (np.concatenate(a) for a in (trial, start, flipped))
+    order = np.argsort(trial, kind="stable")  # rounds are in time order
+    trial, start, flipped = trial[order], start[order], flipped[order]
+    end = np.append(np.where(trial[1:] == trial[:-1], start[1:], n_bins), n_bins)
+    return trial, start, end, flipped
+
+
+def _binned_counts(
+    rng: np.random.Generator, rates: RateParams, cfg: ReadoutConfig, prepared: StateLabel,
+    segments: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+):
+    """Yield (first row, int64 counts of consecutive rows) for the segments' trials.
+
+    Each segment gets one Poisson total, placed uniformly inside it and
+    binned.  Binned counts of a Poisson process are independent Poisson
+    variables with the time-weighted means, so this is exact.  Rows are
+    binned a few at a time; the draws do not depend on how they are cut.
+    """
+    t0, n_bins = cfg.bin_width_us, cfg.n_bins
+    trial, start, end, flipped = segments
+    other = DARK if prepared == BRIGHT else BRIGHT
+    per_bin = np.array([rates.count_rate(prepared), rates.count_rate(other)]) * t0 * _MS_PER_US
+    totals = rng.poisson(per_bin[flipped] * (end - start))
+    n = int(trial[-1]) + 1  # every trial has a first segment
+    first_seg = np.searchsorted(trial, np.arange(n + 1))
+    cost = np.bincount(trial, weights=totals, minlength=n) + n_bins
+    before = np.cumsum(cost) - cost  # bins plus photons of the rows before each
+    # positions in cells of the flattened rows; the cap keeps a position
+    # rounded up to its segment's end inside the segment
+    first_cell = trial * n_bins + start
+    cap = trial * n_bins + np.ceil(end).astype(np.int64) - 1
+    row = 0
+    while row < n:
+        stop = max(row + 1, int(np.searchsorted(before, before[row] + _PLACE_BUDGET)))
+        lo, hi = first_seg[row], first_seg[stop]
+        seg = np.repeat(np.arange(lo, hi), totals[lo:hi])
+        at = rng.random(seg.size)
+        at *= (end - start)[seg]
+        at += first_cell[seg]
+        cell = np.minimum(at.astype(np.int64), cap[seg]) - row * n_bins
+        yield row, np.bincount(cell, minlength=(stop - row) * n_bins).reshape(-1, n_bins)
+        row = stop
 
 
 def _check_mode(mode) -> None:
@@ -417,26 +405,22 @@ def simulate_trial(
 ) -> Trajectory:
     """Simulate one trial and return its binned counts.
 
-    ``seed`` may be an int or a sequence of ints (the dataset generator
-    passes ``(master_seed, trial_index)``).
+    ``seed`` (an int or a sequence of ints) seeds a one-trial block.
     """
     if prepared not in (BRIGHT, DARK):
         raise ValueError(f"prepared must be 'bright' or 'dark', got {prepared!r}")
     _check_mode(mode)
     _check_slow_pumping(rates, cfg.bin_width_us)
-    t0 = cfg.bin_width_us
-    counts, flips = _simulate_row(
-        _rng(seed), rates, cfg, prepared, mode, _steady_mean(rates, cfg, prepared, mode)
-    )
+    rng = np.random.default_rng(seed)
+    segments = _, start, _, flipped = _segments(rng, rates, cfg, prepared, mode, 1)
+    ((_, counts),) = _binned_counts(rng, rates, cfg, prepared, segments)
     path = None
     if record_states:
-        starts = np.arange(cfg.n_bins, dtype=float)  # flips are bin indices
-        if mode == "exact":
-            starts = starts * t0  # flips are times
-        n_before = np.searchsorted(flips, starts, side="right")
-        bright_at_start = (n_before % 2 == 0) == (prepared == BRIGHT)
+        seg = np.searchsorted(start, np.arange(cfg.n_bins), side="right") - 1
+        bright_at_start = (flipped[seg] == 0) == (prepared == BRIGHT)
         path = np.where(bright_at_start, BRIGHT, DARK)
-    return Trajectory(prepared=prepared, bins=counts, bin_width_us=t0, state_path=path)
+    return Trajectory(prepared=prepared, bins=counts[0], bin_width_us=cfg.bin_width_us,
+                      state_path=path)
 
 
 def simulate_dataset(
@@ -448,26 +432,31 @@ def simulate_dataset(
 ) -> Dataset:
     """Simulate trials_per_state bright then trials_per_state dark trials.
 
-    Trial i uses the sub-seed (seed, i); calling :func:`simulate_trial`
-    with that sub-seed reproduces the trial exactly.
+    Each state's trials are drawn in blocks of ``_BLOCK_TRIALS``
+    trials; block b of state s (0 bright, 1 dark) draws from the
+    generator seeded by (seed, s, b).  The output is bitwise reproducible
+    under the seed, and a block's rows do not change when
+    trials_per_state grows beyond that block.
     """
     if trials_per_state < 1:
         raise ValueError("trials_per_state must be >= 1")
     _check_mode(mode)
     _check_slow_pumping(rates, cfg.bin_width_us)
-    n_trials = 2 * trials_per_state
-    counts = np.empty((n_trials, cfg.n_bins), dtype=np.int16)
+    counts = np.empty((2 * trials_per_state, cfg.n_bins), dtype=np.int16)
     limit = np.iinfo(counts.dtype).max
-    for prepared, first in ((BRIGHT, 0), (DARK, trials_per_state)):
-        steady = _steady_mean(rates, cfg, prepared, mode)
-        for idx in range(first, first + trials_per_state):
-            row, _ = _simulate_row(_rng((seed, idx)), rates, cfg, prepared, mode, steady)
-            top = row.max()
-            if top > limit:
-                counts = counts.astype(_counts_dtype(int(top)))
-                limit = np.iinfo(counts.dtype).max
-            counts[idx] = row
-    return Dataset(counts, np.arange(n_trials) < trials_per_state, cfg.bin_width_us)
+    for s, prepared in enumerate((BRIGHT, DARK)):
+        for b, lo in enumerate(range(0, trials_per_state, _BLOCK_TRIALS)):
+            n = min(_BLOCK_TRIALS, trials_per_state - lo)
+            rng = np.random.default_rng((seed, s, b))
+            segments = _segments(rng, rates, cfg, prepared, mode, n)
+            for row, rows in _binned_counts(rng, rates, cfg, prepared, segments):
+                top = rows.max()
+                if top > limit:
+                    counts = counts.astype(_counts_dtype(int(top)))
+                    limit = np.iinfo(counts.dtype).max
+                first = s * trials_per_state + lo + row
+                counts[first:first + len(rows)] = rows
+    return Dataset(counts, np.arange(len(counts)) < trials_per_state, cfg.bin_width_us)
 
 
 def apply_herald(traj: Trajectory, cfg: ReadoutConfig) -> tuple[HeraldOutcome, Trajectory | None]:
@@ -480,8 +469,8 @@ def apply_herald(traj: Trajectory, cfg: ReadoutConfig) -> tuple[HeraldOutcome, T
     bins.  A zero-length herald window retains every trial unchanged.
     """
     hb = cfg.herald_bins
-    if hb > traj.bins.size:
-        raise ValueError("herald window longer than trajectory")
+    if hb and hb >= traj.bins.size:
+        raise ValueError("herald window must be shorter than the records")
     if hb == 0:
         outcome = (
             HeraldOutcome.RETAINED_BRIGHT if traj.prepared == BRIGHT
@@ -564,7 +553,7 @@ def simulate_timetag_streams(
     both channels; with no background and dead time tau_d, no A-B pair
     can have |delay - offset| < tau_d.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     emissions = _renewal_times_s(rng, cfg)
     u = rng.random(emissions.size)
     to_a = u < cfg.route_prob_a

@@ -29,6 +29,7 @@ from .photon_sim import (
     StateLabel,
     Trajectory,
     _MS_PER_US,
+    _flip_prob,
     as_dataset,
 )
 
@@ -80,10 +81,12 @@ class Posterior:
 
 
 def _transition_probs(rates: RateParams, bin_width_us: float) -> tuple[float, float]:
-    p_dp = rates.gamma_dp * bin_width_us * _MS_PER_US
-    p_rp = rates.gamma_rp * bin_width_us * _MS_PER_US
+    """Per-bin flip probabilities 1 - exp(-gamma * t0) out of bright and dark."""
+    p_dp = _flip_prob(rates.gamma_dp, bin_width_us)
+    p_rp = _flip_prob(rates.gamma_rp, bin_width_us)
     if p_dp >= 1 or p_rp >= 1:
-        raise ValueError("bin width times pumping rate must be < 1")
+        raise ValueError("pumping rate times bin width is too large: the per-bin flip "
+                         "probability rounds to 1")
     return p_dp, p_rp
 
 
@@ -214,6 +217,11 @@ def adaptive_classify_batch(
     n_trials, n_bins = ds.counts.shape
     if n_bins == 0:
         raise ValueError("records have no bins to classify")
+    if not np.isclose(bin_width_us, ds.bin_width_us, rtol=1e-9, atol=0.0):
+        raise ValueError(
+            f"bin_width_us ({bin_width_us}) does not match the records' bin width "
+            f"({ds.bin_width_us})"
+        )
     p_dp, p_rp = _transition_probs(rates, bin_width_us)
 
     # per-bin log-likelihoods, tabulated over the observed counts

@@ -19,6 +19,7 @@ from ionreadout import (
     simulate_timetag_streams,
     simulate_trial,
 )
+from ionreadout.photon_sim import _BLOCK_TRIALS, _segments
 
 NOPUMP = RateParams(gamma_b=162.50, gamma_d=5.095)
 
@@ -85,13 +86,17 @@ def test_same_seed_reproduces_dataset_bitwise(rates, config):
         assert np.array_equal(ta.bins, tb.bins)
 
 
-def test_trial_subseed_reproduces_dataset_entry(rates, config):
+def test_block_rows_do_not_depend_on_later_trials(rates):
+    # the stream is keyed on (seed, state, block): reproducible under the
+    # seed, and a full block's rows are the same when more trials follow it
     small = ReadoutConfig(n_bins=60, herald_duration_us=0.0)
-    ds = simulate_dataset(rates, small, trials_per_state=30, seed=19)
-    for idx in (0, 17, 45):
-        prepared = BRIGHT if idx < 30 else DARK
-        solo = simulate_trial(rates, small, prepared, (19, idx))
-        assert np.array_equal(solo.bins, ds[idx].bins)
+    block = _BLOCK_TRIALS
+    a = simulate_dataset(rates, small, trials_per_state=block + 7, seed=19)
+    assert np.array_equal(a.counts, simulate_dataset(rates, small, block + 7, seed=19).counts)
+    b = simulate_dataset(rates, small, trials_per_state=2 * block + 3, seed=19)
+    assert np.array_equal(a.counts[:block], b.counts[:block])
+    assert np.array_equal(a.counts[block + 7:2 * block + 7], b.counts[2 * block + 3:3 * block + 3])
+    assert not np.array_equal(a.counts[:block], simulate_dataset(rates, small, block, 20).counts[:block])
 
 
 def test_single_trial_per_state_labels(rates):
@@ -101,16 +106,68 @@ def test_single_trial_per_state_labels(rates):
 
 
 def test_depump_frequency_matches_rate(rates, config):
-    # P(bright trial leaves the bright manifold) ~ gamma_dp * T
+    # P(bright trial leaves the bright manifold) ~ gamma_dp * T, read off
+    # the flip segments of 10^5 trials drawn as one block
     n = 100_000
-    hits = 0
-    for i in range(n):
-        tr = simulate_trial(rates, config, BRIGHT, (42, i), record_states=True)
-        if np.any(tr.state_path == DARK):
-            hits += 1
+    trial, start, end, flipped = _segments(
+        np.random.default_rng(42), rates, config, BRIGHT, "exact", n
+    )
+    # dark at the start of some bin, as the state path records it
+    hits = np.unique(trial[(flipped == 1) & (np.ceil(start) < end)]).size
     p = rates.gamma_dp * config.duration_us * 1e-3
     sd = np.sqrt(p * (1 - p) / n)
     assert hits / n == pytest.approx(p, abs=2 * sd)
+
+
+def test_recorded_states_follow_the_flip_segments(rates):
+    fast = RateParams(rates.gamma_b, rates.gamma_d, gamma_dp=20.0, gamma_rp=12.0)
+    cfg = ReadoutConfig(n_bins=200, herald_duration_us=0.0)
+    for mode in ("exact", "bin-boundary"):
+        for seed in range(5):
+            with pytest.warns(UserWarning):
+                tr = simulate_trial(fast, cfg, BRIGHT, seed, mode=mode, record_states=True)
+            _, start, end, flipped = _segments(
+                np.random.default_rng(seed), fast, cfg, BRIGHT, mode, 1
+            )
+            expected = np.repeat(np.where(flipped == 0, BRIGHT, DARK),
+                                 np.diff(np.ceil(np.append(start, cfg.n_bins)).astype(int)))
+            assert np.array_equal(tr.state_path, expected)
+
+
+def _two_state_mean_counts(r: RateParams, cfg: ReadoutConfig, bright: bool, mode: str):
+    """Closed-form mean count of each bin of the two-state emitter.
+
+    P(bright at t) relaxes to pi = gamma_rp / kappa at kappa = gamma_dp +
+    gamma_rp; exact flips average it over each bin, bin-boundary flips
+    hold it for a bin and relax by 1 - p_dp - p_rp per bin.
+    """
+    t0 = cfg.bin_width_us * 1e-3
+    j = np.arange(cfg.n_bins)
+    kappa = r.gamma_dp + r.gamma_rp
+    pi = r.gamma_rp / kappa
+    if mode == "exact":
+        p_bright = pi + ((1.0 if bright else 0.0) - pi) * np.exp(-kappa * t0 * j) \
+            * -np.expm1(-kappa * t0) / (kappa * t0)
+    else:
+        p_dp, p_rp = -np.expm1(-r.gamma_dp * t0), -np.expm1(-r.gamma_rp * t0)
+        pi = p_rp / (p_dp + p_rp)
+        p_bright = pi + ((1.0 if bright else 0.0) - pi) * (1 - p_dp - p_rp) ** j
+    return (r.gamma_d + (r.gamma_b - r.gamma_d) * p_bright) * t0
+
+
+@pytest.mark.parametrize("mode", ["exact", "bin-boundary"])
+def test_mean_count_profile_matches_two_state_model(mode):
+    # flips every ~50 us in 10 us bins: counts across a flip are time-weighted
+    r = RateParams(gamma_b=100.0, gamma_d=10.0, gamma_dp=12.0, gamma_rp=8.0)
+    cfg = ReadoutConfig(bin_width_us=10.0, n_bins=20, herald_duration_us=0.0)
+    n = 20_000
+    with pytest.warns(UserWarning):
+        ds = simulate_dataset(r, cfg, trials_per_state=n, seed=3, mode=mode)
+    for rows, bright in ((slice(0, n), True), (slice(n, 2 * n), False)):
+        counts = ds.counts[rows].astype(float)
+        z = (counts.mean(axis=0) - _two_state_mean_counts(r, cfg, bright, mode)) \
+            / (counts.std(axis=0) / np.sqrt(n))
+        assert np.all(np.abs(z) < 4.5), z
 
 
 def test_transition_modes_agree_on_mean_totals(rates):
@@ -161,7 +218,7 @@ def test_large_counts_widen_instead_of_wrapping():
 
     ds = simulate_dataset(RateParams(5e4, 1.0), ReadoutConfig(1000.0, 3, 0.0), 2, seed=1)
     assert ds.counts[:2].min() > 40_000 and ds.counts[2:].max() < 100
-    assert np.array_equal(ds[0].bins, traj.bins)
+    assert ds.counts.dtype == traj.bins.dtype == np.int32
     assert Trajectory(prepared=BRIGHT, bins=np.array([70_000, 0])).bins[0] == 70_000
     assert Dataset(np.array([[70_000]]), np.array([True])).counts[0, 0] == 70_000
 
@@ -200,6 +257,19 @@ def test_dataset_indexes_like_a_list_of_records(rates):
     assert as_dataset(ds) is ds
     with pytest.raises(ValueError, match="equal length"):
         as_dataset([records[0], Trajectory(BRIGHT, records[1].bins[:10])])
+
+
+def test_iterated_records_are_the_matrix_rows(rates):
+    ds = simulate_dataset(rates, ReadoutConfig(n_bins=30, herald_duration_us=0.0), 6, seed=9)
+    records = list(ds)
+    assert [t.prepared for t in records] == list(ds.labels)
+    for i, t in enumerate(records):
+        ref = Trajectory(BRIGHT if ds.bright[i] else DARK, ds.counts[i], ds.bin_width_us)
+        for got in (t, ds[i]):
+            assert isinstance(got, Trajectory) and got.prepared == ref.prepared
+            assert np.array_equal(got.bins, ref.bins) and got.bins.dtype == ref.bins.dtype
+            assert got.bin_width_us == ref.bin_width_us and got.state_path is None
+            assert got.total_counts == ref.total_counts
 
 
 def test_dataset_window_totals(rates):
@@ -243,6 +313,11 @@ def test_herald_relabels_by_counts(config):
     assert outcome is HeraldOutcome.RETAINED_BRIGHT
     assert rest.prepared == BRIGHT
     assert np.array_equal(rest.bins, bins[50:])
+
+
+def test_herald_as_long_as_the_record_is_rejected():
+    with pytest.raises(ValueError, match="herald window must be shorter than the records"):
+        apply_herald(Trajectory(BRIGHT, np.ones(50, int)), ReadoutConfig(1.0, 60, 50.0))
 
 
 def test_zero_length_herald_retains_everything(rates):
@@ -303,3 +378,10 @@ def test_dead_time_forbids_pairs_near_offset():
     )
     assert delays.size > 1000
     assert not np.any(np.abs(delays - 28) < 5)
+
+
+def test_binning_rows_in_chunks_keeps_the_stream(rates, monkeypatch):
+    cfg = ReadoutConfig(n_bins=80, herald_duration_us=0.0)
+    whole = simulate_dataset(rates, cfg, trials_per_state=300, seed=6)
+    monkeypatch.setattr("ionreadout.photon_sim._PLACE_BUDGET", 100)
+    assert np.array_equal(simulate_dataset(rates, cfg, 300, seed=6).counts, whole.counts)

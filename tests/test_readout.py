@@ -24,6 +24,7 @@ from ionreadout import (
     threshold_classify,
     threshold_error_vs_duration,
 )
+from ionreadout.readout import _transition_probs
 
 NOPUMP = RateParams(gamma_b=162.50, gamma_d=5.095)
 
@@ -202,6 +203,20 @@ def test_stages_agree_on_dataset_and_record_list(rates, config):
         assert np.array_equal(a.confidence, b.confidence)
         assert np.array_equal(a.converged, b.converged)
     assert calibrate_rates(retained) == calibrate_rates(records)
+
+
+def test_batch_rejects_a_bin_width_other_than_the_records(small_dataset):
+    rates, ds = small_dataset  # 1 us bins
+    with pytest.raises(ValueError, match=r"\(2\.0\).*\(1\.0\)"):
+        adaptive_classify_batch(ds, rates, 2.0, [0.99])
+
+
+def test_transition_probability_is_exact_per_bin():
+    p_dp, p_rp = _transition_probs(RateParams(1000, 1, 999, 0), 1.0)
+    assert p_dp == pytest.approx(1 - np.exp(-0.999), rel=1e-12)
+    assert p_rp == 0.0
+    with pytest.raises(ValueError, match="flip probability"):
+        _transition_probs(RateParams(1e6, 1, 1e5, 0), 1.0)
 
 
 def test_batch_levels_in_any_order(small_dataset):
