@@ -43,7 +43,7 @@ def main():
     rf_off = BiasCountCurve(np.array([0.0, 2.0, 5.0, 8.9]),
                             np.array([0.0, 0.0, 1000.0, 1000.0]))
     bias = np.linspace(0.5, 8.5, 33)
-    on_counts = np.array([predict_counts(model, rf_off, b) for b in bias])
+    on_counts = predict_counts(model, rf_off, bias)
     rf_on = BiasCountCurve(bias, on_counts)
     deficit = 1.0 - on_counts.max() / rf_off.counts.max()
     print(f"plateau_deficit = {deficit:.4f}")

@@ -240,10 +240,7 @@ def _cmd_rfmodel(args) -> int:
         if args.bias_ua is not None:
             print(f"predicted_counts = {predict_counts(model, curve, args.bias_ua):.8g}")
         if args.out:
-            on = BiasCountCurve(
-                curve.bias_ua.copy(),
-                np.array([predict_counts(model, curve, b) for b in curve.bias_ua]),
-            )
+            on = BiasCountCurve(curve.bias_ua.copy(), predict_counts(model, curve, curve.bias_ua))
             _io.write_bias_curve_csv(args.out, on)
             print(f"out = {args.out}")
     elif args.bias_ua is not None or args.out:
@@ -302,6 +299,8 @@ def _cmd_optics(args) -> int:
 # ---------------------------------------------------------------- g2
 
 def _cmd_g2(args) -> int:
+    if not float(args.bin_width_ns).is_integer():
+        raise ConfigError(f"--bin must be a whole number of ns, got {args.bin_width_ns:g}")
     if args.infile and args.simulate:
         raise ConfigError("--in and --simulate conflict; pick one tag source")
     if args.infile:

@@ -271,6 +271,33 @@ def _polarization_weights(
     return w_te, w_tm, theta_deg, phi_deg
 
 
+def _rates(
+    scene: DetectorScene, ap: APSurface, cal: CalibrationInputs
+) -> tuple[float, float]:
+    """Detection rates (1/s) with AP surface ``ap`` and with AP = 1.
+
+    Both sum (decay_rate/2) * d_omega * dipole weight * IDE * AP over the
+    visible cells of one geometry; the first blends AP from its TE/TM
+    tables by the emitted intensity fractions, the second takes AP = 1,
+    where the blend is w_te + w_tm.
+    """
+    geo = _cell_geometry(scene)
+    if not np.any(geo.visible):
+        return 0.0, 0.0
+    keep = geo.visible
+    n_hat = geo.n_hat[keep]
+    d_omega = geo.d_omega[keep]
+    q = _quant_axis(scene)
+    cos_tq = n_hat @ q
+    dipole = 3.0 / (16.0 * np.pi) * (1.0 + cos_tq**2)
+    w_te, w_tm, theta_deg, phi_deg = _polarization_weights(n_hat, scene)
+    ap_te, ap_tm = ap.lookup(theta_deg, phi_deg)
+    weight = d_omega * dipole
+    scale = 0.5 * cal.decay_rate_s * cal.internal_efficiency
+    return (float(scale * np.sum(weight * (w_te * ap_te + w_tm * ap_tm))),
+            float(scale * np.sum(weight * (w_te + w_tm))))
+
+
 def expected_rate(
     scene: DetectorScene, ap: APSurface, cal: CalibrationInputs
 ) -> float:
@@ -280,20 +307,7 @@ def expected_rate(
     over visible cells, with AP blended from its TE/TM tables by the
     emitted intensity fractions.
     """
-    geo = _cell_geometry(scene)
-    if geo.visible.size == 0 or not np.any(geo.visible):
-        return 0.0
-    keep = geo.visible
-    n_hat = geo.n_hat[keep]
-    d_omega = geo.d_omega[keep]
-    q = _quant_axis(scene)
-    cos_tq = n_hat @ q
-    dipole = 3.0 / (16.0 * np.pi) * (1.0 + cos_tq**2)
-    w_te, w_tm, theta_deg, phi_deg = _polarization_weights(n_hat, scene)
-    ap_te, ap_tm = ap.lookup(theta_deg, phi_deg)
-    blended = w_te * ap_te + w_tm * ap_tm
-    total = np.sum(d_omega * dipole * blended)
-    return float(0.5 * cal.decay_rate_s * cal.internal_efficiency * total)
+    return _rates(scene, ap, cal)[0]
 
 
 @dataclass(frozen=True)
@@ -314,25 +328,21 @@ def rate_vs_position(
     """Sweep the emitter along the trap axis.
 
     Returns the normalized angle-dependent-AP curve together with a
-    constant-AP reference computed from the same geometry.
+    constant-AP reference computed from the same geometry, which is
+    built once per offset.
     """
     offsets = np.asarray(lateral_offsets_um, dtype=float)
     if offsets.ndim != 1 or offsets.size < 1:
         raise ValueError("need at least one lateral offset")
     cal = cal or CalibrationInputs()
-    flat = APSurface.constant(1.0)
-    rates = np.empty(offsets.size)
-    rates_flat = np.empty(offsets.size)
-    for i, off in enumerate(offsets):
-        sc = replace(scene, lateral_um=float(off))
-        rates[i] = expected_rate(sc, ap, cal)
-        rates_flat[i] = expected_rate(sc, flat, cal)
-    if rates[0] <= 0 or rates_flat[0] <= 0:
+    rates = np.array([_rates(replace(scene, lateral_um=float(off)), ap, cal)
+                      for off in offsets])
+    if rates[0, 0] <= 0 or rates[0, 1] <= 0:
         raise ValueError("rate at the first offset is zero; cannot normalize")
     return PositionSweep(
         lateral_um=offsets,
-        rel_rate=rates / rates[0],
-        rel_rate_const_ap=rates_flat / rates_flat[0],
+        rel_rate=rates[:, 0] / rates[0, 0],
+        rel_rate_const_ap=rates[:, 1] / rates[0, 1],
     )
 
 

@@ -562,13 +562,19 @@ def simulate_timetag_streams(
     duration_ns = int(round(cfg.duration_s * 1e9))
     streams = []
     for channel, routed, bg_rate, offset in (
-        ("A", emissions[to_a], cfg.background_rate_a_s, 0.0),
-        ("B", emissions[to_b], cfg.background_rate_b_s, cfg.delay_offset_b_s),
+        ("A", to_a, cfg.background_rate_a_s, 0.0),
+        ("B", to_b, cfg.background_rate_b_s, cfg.delay_offset_b_s),
     ):
-        n_bg = rng.poisson(bg_rate * cfg.duration_s)
-        bg = rng.random(n_bg) * cfg.duration_s
-        t_s = np.concatenate([routed + offset, bg])
-        ticks = np.rint(t_s * 1e9).astype(np.int64)
-        ticks = np.sort(ticks[(ticks >= 0) & (ticks < duration_ns)])
-        streams.append(TimeTagStream(channel=channel, t_ns=ticks, duration_ns=duration_ns))
+        n_routed = int(np.count_nonzero(routed))
+        t_s = np.empty(n_routed + rng.poisson(bg_rate * cfg.duration_s))
+        np.compress(routed, emissions, out=t_s[:n_routed])
+        t_s[:n_routed] += offset
+        rng.random(out=t_s[n_routed:])
+        t_s[n_routed:] *= cfg.duration_s
+        t_s *= 1e9
+        ticks = np.rint(t_s, out=t_s).astype(np.int64)
+        del t_s  # free the float buffer before the next channel's is drawn
+        ticks.sort()
+        inside = ticks[np.searchsorted(ticks, 0) : np.searchsorted(ticks, duration_ns)]
+        streams.append(TimeTagStream(channel=channel, t_ns=inside, duration_ns=duration_ns))
     return streams[0], streams[1]

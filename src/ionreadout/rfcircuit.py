@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 TWO_PI = 2.0 * np.pi
 DEFAULT_OMEGA_RF = TWO_PI * 67.03e6  # rad/s
@@ -84,44 +85,41 @@ class InducedCurrentSolution:
 
 
 def solve_network(net: NanowireNetwork) -> InducedCurrentSolution:
-    """Single-frequency complex nodal analysis of the pickup network."""
+    """Single-frequency complex nodal analysis of the pickup network.
+
+    The ladder couples each node only to its neighbours, so the nodal
+    admittance matrix is tridiagonal: it is assembled as its three
+    diagonals and solved as a banded system.
+    """
     k = net.k_segments
-    n_nodes = k + 2
     omega = net.omega_rf
     y_l = 1.0 / (1j * omega * net.l_segment)
+    y_cd = 1j * omega * net.c_drive
+    y_cl = 1j * omega * net.c_lead
 
-    y = np.zeros((n_nodes, n_nodes), dtype=complex)
-    rhs = np.zeros(n_nodes, dtype=complex)
-
-    for seg in range(k + 1):
-        a, b = seg, seg + 1
-        y[a, a] += y_l
-        y[b, b] += y_l
-        y[a, b] -= y_l
-        y[b, a] -= y_l
-
-    for node in range(1, k + 1):
-        y[node, node] += 1j * omega * net.c_ground
-        y_cd = 1j * omega * net.c_drive
-        y[node, node] += y_cd
-        rhs[node] += y_cd * net.v_rf
-
-    for node, z_term in ((0, net.z_term_left), (n_nodes - 1, net.z_term_right)):
-        y_cl = 1j * omega * net.c_lead
-        y[node, node] += y_cl
-        rhs[node] += y_cl * net.v_rf
+    diag = np.full(k + 2, y_l + y_l + 1j * omega * net.c_ground + y_cd)
+    rhs = np.full(k + 2, y_cd * net.v_rf)
+    for node, z_term in ((0, net.z_term_left), (k + 1, net.z_term_right)):
         z_lead = net.r_lead + 1j * omega * net.l_lead + z_term
         if z_lead == 0:
             raise ValueError("lead branch impedance is zero; network is ill-posed")
-        y[node, node] += 1.0 / z_lead
+        diag[node] = y_l + y_cl + 1.0 / z_lead
+        rhs[node] = y_cl * net.v_rf
+    off = np.full(k + 1, -y_l)
 
+    bands = np.zeros((3, k + 2), dtype=complex)
+    bands[0, 1:] = off
+    bands[1] = diag
+    bands[2, :-1] = off
     try:
-        v = np.linalg.solve(y, rhs)
+        v = solve_banded((1, 1), bands, rhs)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"singular pickup network: {exc}") from exc
 
     currents = (v[:-1] - v[1:]) * y_l
-    imbalance = y @ v - rhs
+    imbalance = diag * v - rhs
+    imbalance[:-1] += off * v[1:]
+    imbalance[1:] += off * v[:-1]
     scale = np.abs(rhs).max()
     residual = float(np.abs(imbalance).max() / scale) if scale > 0 else float(
         np.abs(imbalance).max()
@@ -232,26 +230,93 @@ class BiasCountCurve:
         return np.interp(bias_ua, self.bias_ua, self.counts, left=0.0, right=0.0)
 
 
+def _cut_indices(
+    x: np.ndarray, bias: np.ndarray, cuts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """First indices of sorted x where bias + x reaches each cut.
+
+    Returns (ge, gt), both of shape (bias.size, cuts.size): ge[i, c] is
+    the first k with fl(bias[i] + x[k]) >= cuts[c], gt[i, c] the first
+    with > cuts[c].  Floating-point addition is monotone, so each set is
+    a suffix of x.  A search on cut - bias lands within a rounding margin
+    of its boundary; the points inside the margin are classified by
+    evaluating bias + x itself, as a pointwise comparison would.
+    """
+    b = bias[:, None]
+    c = cuts[None, :]
+    shape = (bias.size, cuts.size)
+    margin = 16 * np.finfo(float).eps * (np.abs(b) + np.abs(c) + max(-x[0], x[-1]))
+    lo = np.searchsorted(x, (c - b - margin).ravel(), side="left")
+    hi = np.searchsorted(x, (c - b + margin).ravel(), side="right")
+    n = hi - lo
+    query = np.repeat(np.arange(lo.size), n)
+    k = np.arange(query.size) - np.repeat(np.cumsum(n) - n, n) + np.repeat(lo, n)
+    z = np.broadcast_to(b, shape).ravel()[query] + x[k]
+    cut = np.broadcast_to(c, shape).ravel()[query]
+    ge = lo + np.bincount(query[z < cut], minlength=lo.size)
+    gt = lo + np.bincount(query[z <= cut], minlength=lo.size)
+    return ge.reshape(shape), gt.reshape(shape)
+
+
 def predict_counts(
     model: PickupModel,
     rf_off_curve: BiasCountCurve,
-    bias_ua: float,
+    bias_ua,
     n_phase: int = 256,
-) -> float:
-    """Mean counts with the drive on, at dc bias bias_ua.
+) -> float | np.ndarray:
+    """Mean counts with the drive on, at dc bias bias_ua (scalar or array).
 
     Averages rf_off_curve(|bias + I(k, t)|) over n_phase equally spaced
     drive phases and all K+1 segments: each patch of wire sees the dc
-    bias plus its local instantaneous pickup current.
+    bias plus its local instantaneous pickup current.  The currents are
+    built and sorted once per call.  For every bias, the points on each
+    side of bias + I = 0 are split at the curve's knots exactly as the
+    pointwise interpolation splits them (points on a knot, including the
+    last one, take that knot's counts; points outside the curve count
+    0), and each knot interval adds its linear piece over the prefix sums
+    of the sorted currents.  Returns a float for a scalar bias, else an
+    array of the bias's shape.
     """
     if n_phase < 8:
         raise ValueError("n_phase must be >= 8")
+    bias = np.asarray(bias_ua, dtype=float)
+    if not np.all(np.isfinite(bias)):
+        raise ValueError("bias_ua must be finite")
     phases = (np.arange(n_phase) + 0.5) * (TWO_PI / n_phase)
     u = (np.arange(model.k_segments + 1) - model.k_segments / 2) / (model.k_segments / 2)
     inst = model.i0_ua * np.sin(phases)[None, :] + (
         model.i1_ua * u[:, None] * np.cos(phases)[None, :]
     )
-    return float(np.mean(rf_off_curve(np.abs(bias_ua + inst))))
+    x = np.sort(inst, axis=None)
+    prefix = np.concatenate([[0.0], np.cumsum(x)])
+
+    knots, counts = rf_off_curve.bias_ua, rf_off_curve.counts
+    b = bias.reshape(-1, 1)
+    m = knots.size
+    ge, gt = _cut_indices(x, b.ravel(), np.concatenate([[0.0], knots, -knots]))
+    # z = bias + I >= 0 occupies [zero, N) of the sorted points, z < 0 [0, zero).
+    # On the positive side |z| >= t_j from pos_ge[:, j] on, |z| > t_j from
+    # pos_gt[:, j]; on the negative side |z| > t_j before neg_gt[:, j] and
+    # |z| >= t_j before neg_ge[:, j].
+    zero = ge[:, :1]
+    pos_ge = np.maximum(ge[:, 1 : m + 1], zero)
+    pos_gt = np.maximum(gt[:, 1 : m + 1], zero)
+    neg_gt = np.minimum(ge[:, m + 1 :], zero)
+    neg_ge = np.minimum(gt[:, m + 1 :], zero)
+
+    on_knot = (pos_gt - pos_ge) + (neg_ge - neg_gt)
+    # strictly inside (t_j, t_j+1): the positive run [pos_gt_j, pos_ge_j+1)
+    # and the negative run [neg_ge_j+1, neg_gt_j)
+    n_pos = pos_ge[:, 1:] - pos_gt[:, :-1]
+    n_neg = neg_gt[:, :-1] - neg_ge[:, 1:]
+    sum_pos = prefix[pos_ge[:, 1:]] - prefix[pos_gt[:, :-1]]
+    sum_neg = prefix[neg_gt[:, :-1]] - prefix[neg_ge[:, 1:]]
+    t = knots[:-1]
+    excess = n_pos * (b - t) + sum_pos + n_neg * (-b - t) - sum_neg  # sum of |z| - t_j
+    slope = np.diff(counts) / np.diff(knots)
+    total = on_knot @ counts + (n_pos + n_neg) @ counts[:-1] + excess @ slope
+    mean = total / x.size
+    return float(mean[0]) if bias.ndim == 0 else mean.reshape(bias.shape)
 
 
 @dataclass(frozen=True)
@@ -302,7 +367,7 @@ def fit_pickup(
         model = PickupModel(
             delta_im_ua * np.cos(psi), delta_im_ua * np.sin(psi), k_segments, omega_rf
         )
-        pred = np.array([predict_counts(model, rf_off_curve, b, n_phase) for b in bias])
+        pred = predict_counts(model, rf_off_curve, bias, n_phase)
         return float(np.sum((pred - target) ** 2))
 
     psis = np.linspace(0.0, np.pi / 2, 65)

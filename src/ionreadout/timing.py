@@ -2,9 +2,12 @@
 
 Works on integer-nanosecond time tags from two detection channels.  The
 normalized coincidence histogram g2(tau) is estimated from all pairwise
-delays t_b - t_a that fall inside a +/- max_delay window, using a sorted
-two-pointer sweep so the cost is linear in the number of qualifying pairs
-rather than quadratic in the number of tags.
+delays t_b - t_a that fall inside a +/- max_delay window.  Channel A is
+walked in blocks of tags; for each block a binary search of the sorted
+channel B bounds every tag's window, the delays in those windows are
+listed and counted into integer bins, so the cost is linear in the
+number of qualifying pairs rather than quadratic in the number of tags,
+and the memory is bounded by the pairs of one block.
 """
 from __future__ import annotations
 
@@ -73,15 +76,14 @@ class DipResult:
 def _pair_delays(a: np.ndarray, b: np.ndarray, max_delay: int, block: int = 1 << 16):
     """Yield arrays of delays t_b - t_a with |delay| <= max_delay.
 
-    Both inputs must be sorted.  Tags are processed in blocks so peak
-    memory stays bounded for long streams.
+    Both inputs must be sorted.  Channel A is taken ``block`` tags at a
+    time and the window of each tag in B is found by binary search per
+    block, so the working memory is that of one block's tags and pairs.
     """
-    lo_all = np.searchsorted(b, a - max_delay, side="left")
-    hi_all = np.searchsorted(b, a + max_delay, side="right")
     for start in range(0, a.size, block):
-        stop = min(start + block, a.size)
-        lo = lo_all[start:stop]
-        hi = hi_all[start:stop]
+        a_blk = a[start : start + block]
+        lo = np.searchsorted(b, a_blk - max_delay, side="left")
+        hi = np.searchsorted(b, a_blk + max_delay, side="right")
         lens = hi - lo
         total = int(lens.sum())
         if total == 0:
@@ -89,7 +91,7 @@ def _pair_delays(a: np.ndarray, b: np.ndarray, max_delay: int, block: int = 1 <<
         # flat index construction: for each a-tag, the run b[lo:hi]
         offsets = np.repeat(np.cumsum(lens) - lens, lens)
         b_idx = np.arange(total, dtype=np.int64) - offsets + np.repeat(lo, lens)
-        yield b[b_idx] - np.repeat(a[start:stop], lens)
+        yield b[b_idx] - np.repeat(a_blk, lens)
 
 
 def g2_estimate(
@@ -108,8 +110,11 @@ def g2_estimate(
     of channels gives g2 = 1.  Counting errors are Poisson: the 68%
     interval half-width is sqrt(max(N, 1)) in pair counts.
     """
+    if not float(bin_width_ns).is_integer():
+        raise ValueError(f"bin_width_ns must be a whole number of ns, got {bin_width_ns}")
     if bin_width_ns < 1:
         raise ValueError("bin_width_ns must be >= 1 ns")
+    w = int(bin_width_ns)
     if max_delay_ns < bin_width_ns:
         raise ValueError("max_delay_ns must be at least one bin width")
     if stream_a.t_ns.size == 0 or stream_b.t_ns.size == 0:
@@ -119,19 +124,19 @@ def g2_estimate(
     if exclude_ns is not None and exclude_ns[0] > exclude_ns[1]:
         raise ValueError("exclusion window must satisfy lo <= hi")
 
-    n_side = int(max_delay_ns // bin_width_ns)
-    centers = np.arange(-n_side, n_side + 1, dtype=np.int64) * bin_width_ns
-    edges = (np.arange(-n_side, n_side + 2) - 0.5) * bin_width_ns
+    n_side = int(max_delay_ns // w)
+    centers = np.arange(-n_side, n_side + 1, dtype=np.int64) * w
 
+    # Bin i covers [(i - n_side - 1/2) w, (i - n_side + 1/2) w), and the last
+    # bin also takes its upper edge, so integer delays with |d| <= n_side w
+    # + w // 2 are counted and d falls in bin (2d + w) // (2w) + n_side.
     hist = np.zeros(centers.size, dtype=np.int64)
-    span = int(n_side * bin_width_ns + bin_width_ns)  # cover outermost edges
-    for delays in _pair_delays(stream_a.t_ns, stream_b.t_ns, span):
-        hist += np.histogram(delays, bins=edges)[0]
+    for delays in _pair_delays(stream_a.t_ns, stream_b.t_ns, n_side * w + w // 2):
+        idx = (2 * delays + w) // (2 * w) + n_side
+        hist += np.bincount(np.minimum(idx, 2 * n_side, out=idx), minlength=centers.size)
 
     duration = stream_a.duration_ns
-    expected = (
-        stream_a.t_ns.size * stream_b.t_ns.size * bin_width_ns / duration
-    )
+    expected = stream_a.t_ns.size * stream_b.t_ns.size * w / duration
     g2 = hist / expected
     sigma = np.sqrt(np.maximum(hist, 1)) / expected
     if exclude_ns is None:
@@ -145,7 +150,7 @@ def g2_estimate(
         ci_high=g2 + sigma,
         masked=masked,
         n_pairs=hist,
-        bin_width_ns=float(bin_width_ns),
+        bin_width_ns=float(w),
     )
 
 

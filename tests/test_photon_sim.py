@@ -19,7 +19,7 @@ from ionreadout import (
     simulate_timetag_streams,
     simulate_trial,
 )
-from ionreadout.photon_sim import _BLOCK_TRIALS, _segments
+from ionreadout.photon_sim import _BLOCK_TRIALS, _renewal_times_s, _segments
 
 NOPUMP = RateParams(gamma_b=162.50, gamma_d=5.095)
 
@@ -378,6 +378,40 @@ def test_dead_time_forbids_pairs_near_offset():
     )
     assert delays.size > 1000
     assert not np.any(np.abs(delays - 28) < 5)
+
+
+def _reference_streams(cfg, seed):
+    """Tag ticks by concatenate, rint, mask and sort, with the same draws."""
+    rng = np.random.default_rng(seed)
+    emissions = _renewal_times_s(rng, cfg)
+    u = rng.random(emissions.size)
+    to_a = u < cfg.route_prob_a
+    to_b = (~to_a) & (u < cfg.route_prob_a + cfg.route_prob_b)
+    duration_ns = int(round(cfg.duration_s * 1e9))
+    out = []
+    for routed, bg_rate, offset in ((emissions[to_a], cfg.background_rate_a_s, 0.0),
+                                    (emissions[to_b], cfg.background_rate_b_s,
+                                     cfg.delay_offset_b_s)):
+        bg = rng.random(rng.poisson(bg_rate * cfg.duration_s)) * cfg.duration_s
+        ticks = np.rint(np.concatenate([routed + offset, bg]) * 1e9).astype(np.int64)
+        inside = (ticks >= 0) & (ticks < duration_ns)
+        out.append((np.sort(ticks[inside]), int(np.count_nonzero(~inside))))
+    return out
+
+
+def test_timetag_streams_match_the_reference_assembly():
+    cfg = EmitterStreamConfig(
+        emission_rate_s=3e5, dead_time_s=2e-9, route_prob_a=0.35, route_prob_b=0.45,
+        background_rate_a_s=4e4, background_rate_b_s=7e4, delay_offset_b_s=-2e-4,
+        duration_s=0.02,
+    )
+    streams = simulate_timetag_streams(cfg, seed=3)
+    (ref_a, cut_a), (ref_b, cut_b) = _reference_streams(cfg, seed=3)
+    assert cut_b > 0  # the negative channel-B offset pushes tags below 0
+    for stream, ref in zip(streams, (ref_a, ref_b)):
+        assert stream.t_ns.dtype == np.int64
+        assert np.array_equal(stream.t_ns, ref)
+        assert stream.duration_ns == 20_000_000
 
 
 def test_binning_rows_in_chunks_keeps_the_stream(rates, monkeypatch):

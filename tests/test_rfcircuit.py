@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionreadout import (
     BiasCountCurve,
@@ -23,6 +25,50 @@ def _phase_from_inphase_deg(z: complex) -> float:
     """Angular distance of a phasor from the drive axis (0 or 180 deg)."""
     ph = np.degrees(np.angle(z))
     return abs((ph + 90.0) % 180.0 - 90.0)
+
+
+def _dense_voltages(net: NanowireNetwork) -> np.ndarray:
+    """Reference solve: the full nodal matrix, filled element by element."""
+    k, omega = net.k_segments, net.omega_rf
+    y_l = 1.0 / (1j * omega * net.l_segment)
+    y = np.zeros((k + 2, k + 2), dtype=complex)
+    rhs = np.zeros(k + 2, dtype=complex)
+    for seg in range(k + 1):
+        y[seg, seg] += y_l
+        y[seg + 1, seg + 1] += y_l
+        y[seg, seg + 1] -= y_l
+        y[seg + 1, seg] -= y_l
+    for node in range(1, k + 1):
+        y[node, node] += 1j * omega * (net.c_ground + net.c_drive)
+        rhs[node] += 1j * omega * net.c_drive * net.v_rf
+    for node, z_term in ((0, net.z_term_left), (k + 1, net.z_term_right)):
+        y[node, node] += 1j * omega * net.c_lead + 1.0 / (
+            net.r_lead + 1j * omega * net.l_lead + z_term)
+        rhs[node] += 1j * omega * net.c_lead * net.v_rf
+    return np.linalg.solve(y, rhs)
+
+
+@pytest.mark.parametrize("k_segments", [40, 1200])
+def test_banded_solve_matches_dense_nodal_solve(k_segments):
+    for net in (NanowireNetwork(k_segments=k_segments),
+                NanowireNetwork(k_segments=k_segments, z_term_left=50.0, r_lead=0.0)):
+        sol = solve_network(net)
+        ref = _dense_voltages(net)
+        assert np.abs(sol.node_voltages - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert sol.residual < 1e-9
+    zero = solve_network(NanowireNetwork(k_segments=k_segments, v_rf=0.0))
+    assert np.all(zero.currents == 0) and zero.residual == 0
+
+
+def test_ill_posed_networks_are_rejected():
+    net = NanowireNetwork()
+    with pytest.raises(ValueError, match="lead branch impedance is zero"):
+        solve_network(replace(net, z_term_left=-(net.r_lead + 1j * net.omega_rf * net.l_lead)))
+    # no capacitance anywhere and open leads: nothing ties the wire to a potential
+    floating = NanowireNetwork(k_segments=2, c_ground=0.0, c_drive=0.0, c_lead=0.0,
+                               z_term_left=complex("inf"), z_term_right=complex("inf"))
+    with pytest.raises(np.linalg.LinAlgError, match="singular pickup network"):
+        solve_network(floating)
 
 
 def test_zero_drive_means_zero_current():
@@ -220,3 +266,106 @@ def test_rf_on_maximum_sits_below_plateau(plateau_curve):
     best = max(predict_counts(m, plateau_curve, b) for b in grid)
     deficit = 1.0 - best / 1000.0
     assert 0.10 <= deficit <= 0.25
+
+
+def _currents(model, n_phase):
+    """Instantaneous pickup current (uA) at every (segment, phase) point."""
+    phases = (np.arange(n_phase) + 0.5) * (TWO_PI / n_phase)
+    u = (np.arange(model.k_segments + 1) - model.k_segments / 2) / (model.k_segments / 2)
+    return model.i0_ua * np.sin(phases)[None, :] + (
+        model.i1_ua * u[:, None] * np.cos(phases)[None, :]
+    )
+
+
+def _brute_predict(model, curve, bias, n_phase):
+    """Reference: interpolate every (segment, phase) point and average."""
+    return float(np.mean(np.interp(np.abs(bias + _currents(model, n_phase)), curve.bias_ua,
+                                   curve.counts, left=0.0, right=0.0)))
+
+
+@st.composite
+def _curves(draw):
+    """Piecewise-linear rf-off curves, end counts often non-zero.
+
+    Knots are at least 0.05 uA apart, so slopes stay below 20 * max(counts)
+    per uA; the 1e-12 relative tolerance below is stated for such curves.
+    """
+    n = draw(st.integers(min_value=2, max_value=7))
+    start = draw(st.floats(min_value=-3.0, max_value=4.0))
+    gaps = draw(st.lists(st.floats(min_value=0.05, max_value=3.0), min_size=n - 1,
+                         max_size=n - 1))
+    counts = draw(st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e3)),
+                           min_size=n, max_size=n))
+    return BiasCountCurve(start + np.concatenate([[0.0], np.cumsum(gaps)]), np.array(counts))
+
+
+_amplitude = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=6.0))
+
+
+@given(
+    curve=_curves(),
+    i0=_amplitude,
+    i1=_amplitude,
+    k_segments=st.sampled_from([2, 8, 40]),
+    n_phase=st.sampled_from([8, 64, 256]),
+    free=st.lists(st.floats(min_value=-14.0, max_value=14.0), max_size=4),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_predict_counts_matches_pointwise_interpolation(curve, i0, i1, k_segments, n_phase,
+                                                        free, data):
+    model = PickupModel(i0, i1, k_segments)
+    knots = curve.bias_ua
+    on_knots = data.draw(st.lists(st.sampled_from(np.concatenate([knots, -knots]).tolist()),
+                                  min_size=1, max_size=4))
+    bias = np.array(on_knots + free)
+    ref = np.array([_brute_predict(model, curve, b, n_phase) for b in bias])
+    got = predict_counts(model, curve, bias, n_phase)
+    one_by_one = np.array([predict_counts(model, curve, b, n_phase) for b in bias])
+    tol = 1e-12 * max(curve.counts.max(), 1e-300)
+    assert got.shape == bias.shape
+    assert np.abs(got - ref).max() <= tol
+    assert np.abs(one_by_one - got).max() <= tol
+    assert np.all(got[ref == 0] == 0) and np.all(one_by_one[ref == 0] == 0)
+
+
+def test_predict_counts_at_the_curve_ends():
+    """On the last knot a point takes its counts; just past either end, none."""
+    curve = BiasCountCurve(np.array([1.0, 2.0, 4.0]), np.array([300.0, 500.0, 700.0]))
+    still = PickupModel(0.0, 0.0)
+    assert predict_counts(still, curve, 4.0) == pytest.approx(700.0, rel=1e-15)
+    assert predict_counts(still, curve, -4.0) == pytest.approx(700.0, rel=1e-15)
+    assert predict_counts(still, curve, 1.0) == pytest.approx(300.0, rel=1e-15)
+    for beyond in (np.nextafter(4.0, 5.0), np.nextafter(1.0, 0.0), 0.0, -4.5):
+        assert predict_counts(still, curve, beyond) == 0.0
+    grid = predict_counts(PickupModel(0.7, 2.1), curve, np.array([[0.5, 2.0], [4.0, 6.0]]))
+    assert grid.shape == (2, 2)
+    for b, got in zip(np.array([0.5, 2.0, 4.0, 6.0]), grid.ravel()):
+        assert got == pytest.approx(_brute_predict(PickupModel(0.7, 2.1), curve, b, 256),
+                                    abs=1e-12 * 700.0)
+    with pytest.raises(ValueError, match="bias_ua must be finite"):
+        predict_counts(still, curve, np.array([1.0, np.nan]))
+
+
+def test_predict_counts_compares_the_rounded_sum_with_the_knots():
+    """A point whose rounded bias + I equals an end knot takes that knot's counts.
+
+    The knots are set to such sums where knot - bias, rounded, misses the
+    point's current (above it at the first knot, below it at the last), so
+    comparing the current with knot - bias would drop those points.
+    """
+    model, bias = PickupModel(0.9, 3.5), 1.7
+    x = _currents(model, 256).ravel()
+    z = bias + x
+    first = z[(z > 1.0) & (z < 2.5) & (z - bias > x)].min()
+    last = z[(z > 3.0) & (z < 5.0) & (z - bias < x)].max()
+    curve = BiasCountCurve(np.array([first, 2.8, last]), np.array([400.0, 900.0, 600.0]))
+    assert predict_counts(model, curve, bias) == pytest.approx(
+        _brute_predict(model, curve, bias, 256), abs=1e-12 * 900.0)
+
+
+def test_fit_rejects_a_coarse_phase_grid(ramp_curve):
+    bias = np.linspace(0.5, 8.5, 9)
+    rf_on = BiasCountCurve(bias, predict_counts(PickupModel(0.9, 3.5), ramp_curve, bias))
+    with pytest.raises(ValueError, match="n_phase"):
+        fit_pickup(rf_on, ramp_curve, delta_im_ua=float(np.hypot(0.9, 3.5)), n_phase=4)

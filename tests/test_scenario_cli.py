@@ -387,6 +387,11 @@ def test_cli_g2_simulate_and_exclusion(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_g2_rejects_a_fractional_bin(capsys):
+    assert main(["g2", "--simulate", "--duration-s", "0.01", "--bin", "1.5ns"]) == 1
+    assert "--bin" in capsys.readouterr().err
+
+
 def test_cli_heating_numbers(capsys):
     code, kv, _ = _run_cli(
         capsys, "heating",

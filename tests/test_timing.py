@@ -10,6 +10,7 @@ from ionreadout import (
     g2_estimate,
     simulate_timetag_streams,
 )
+from ionreadout.timing import _pair_delays
 
 
 def _sigma(est: G2Estimate) -> np.ndarray:
@@ -181,3 +182,44 @@ def test_estimate_validation():
         g2_estimate(good, other, bin_width_ns=5, max_delay_ns=2)
     with pytest.raises(ValueError, match="exclusion"):
         g2_estimate(good, other, exclude_ns=(10.0, -10.0))
+
+
+def test_fractional_bin_width_is_rejected():
+    """A 1.5 ns bin would hold one or two integer delays in turn."""
+    cfg = EmitterStreamConfig(
+        emission_rate_s=0.0, dead_time_s=0.0, route_prob_a=0.0, route_prob_b=0.0,
+        background_rate_a_s=1.05e6, background_rate_b_s=1.05e6, duration_s=0.01,
+    )
+    a, b = simulate_timetag_streams(cfg, seed=5)
+    for width in (1.5, 2.25, float("nan")):
+        with pytest.raises(ValueError, match="bin_width_ns"):
+            g2_estimate(a, b, bin_width_ns=width, max_delay_ns=20)
+    assert g2_estimate(a, b, bin_width_ns=2.0, max_delay_ns=20).bin_width_ns == 2.0
+
+
+def test_blocked_pair_delays_are_every_pair_in_the_window():
+    rng = np.random.default_rng(8)
+    a = np.sort(rng.integers(0, 3000, 400))
+    b = np.sort(rng.integers(0, 3000, 300))
+    every = (b[None, :] - a[:, None]).ravel()
+    for max_delay in (0, 7, 40):
+        got = np.concatenate(list(_pair_delays(a, b, max_delay, block=7)))
+        assert np.array_equal(np.sort(got), np.sort(every[np.abs(every) <= max_delay]))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+def test_integer_binning_matches_histogram_edges(width):
+    """Pair counts equal np.histogram on edges (i - n_side -/+ 1/2) * width."""
+    max_delay = 6 * width + width // 2 + 1  # not a multiple of the width
+    n_side = max_delay // width
+    edge = n_side * width + width // 2  # the outermost integer delay inside the edges
+    rng = np.random.default_rng(width)
+    a = np.sort(rng.integers(200, 800, 150))
+    b = np.sort(np.concatenate([rng.integers(0, 1000, 150), a[:3] + edge, a[3:6] - edge,
+                                a[6:9] + edge + 1, a[9:12] - edge - 1]))
+    est = g2_estimate(TimeTagStream("A", a, 1000), TimeTagStream("B", b, 1000),
+                      bin_width_ns=width, max_delay_ns=max_delay)
+    edges = (np.arange(-n_side, n_side + 2) - 0.5) * width
+    ref = np.histogram((b[None, :] - a[:, None]).ravel(), bins=edges)[0]
+    assert np.array_equal(est.n_pairs, ref)
+    assert est.n_pairs[0] > 0 and est.n_pairs[-1] > 0
