@@ -46,12 +46,8 @@ from .photon_sim import (
 from .readout import (
     AdaptiveBatchResult,
     CalibratedRates,
-    ClassifierResult,
     ErrorStats,
-    Posterior,
-    adaptive_classify,
     adaptive_classify_batch,
-    bayes_step,
     calibrate_rates,
     error_stats,
     optimize_threshold,
@@ -88,7 +84,6 @@ __all__ = [
     "BiasCountCurve",
     "CalibratedRates",
     "CalibrationInputs",
-    "ClassifierResult",
     "ConfigError",
     "DARK",
     "Dataset",
@@ -105,18 +100,15 @@ __all__ = [
     "PickupFit",
     "PickupModel",
     "PositionSweep",
-    "Posterior",
     "RateParams",
     "ReadoutConfig",
     "Scenario",
     "TimeTagStream",
     "Trajectory",
-    "adaptive_classify",
     "adaptive_classify_batch",
     "apply_herald",
     "apply_herald_dataset",
     "as_dataset",
-    "bayes_step",
     "calibrate_rates",
     "collection_fraction",
     "decompose_currents",

@@ -404,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="state discrimination on a trajectory CSV")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--bin-width-us", type=float, default=1.0)
+    p.add_argument("--bin-width-us", type=float, required=True,
+                   help="bin width of the records (the CSV does not record it)")
     p.add_argument("--threshold", action="store_true",
                    help="fixed-duration counting threshold method")
     p.add_argument("--threshold-counts", type=int, default=None,
@@ -420,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="recover emitter rates from a dataset")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--bin-width-us", type=float, default=1.0)
+    p.add_argument("--bin-width-us", type=float, required=True,
+                   help="bin width of the records (the CSV does not record it)")
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("rfmodel", help="induced-current model of the biased wire")

@@ -165,7 +165,12 @@ def dipole_intensity(theta_q) -> np.ndarray:
 
     Normalized so the integral over the full sphere is 1.
     """
-    return 3.0 / (16.0 * np.pi) * (1.0 + np.cos(theta_q) ** 2)
+    return _dipole_weight(np.cos(theta_q))
+
+
+def _dipole_weight(cos_tq):
+    """Emission density (1/sr) at cosine cos_tq to the quantization axis."""
+    return 3.0 / (16.0 * np.pi) * (1.0 + cos_tq**2)
 
 
 @dataclass(frozen=True)
@@ -227,8 +232,7 @@ def collection_fraction(scene: DetectorScene) -> float:
     if geo.visible.size == 0:
         return 0.0
     q = _quant_axis(scene)
-    cos_tq = geo.n_hat @ q
-    weight = 3.0 / (16.0 * np.pi) * (1.0 + cos_tq**2)
+    weight = _dipole_weight(geo.n_hat @ q)
     return float(np.sum(weight[geo.visible] * geo.d_omega[geo.visible]))
 
 
@@ -288,8 +292,7 @@ def _rates(
     n_hat = geo.n_hat[keep]
     d_omega = geo.d_omega[keep]
     q = _quant_axis(scene)
-    cos_tq = n_hat @ q
-    dipole = 3.0 / (16.0 * np.pi) * (1.0 + cos_tq**2)
+    dipole = _dipole_weight(n_hat @ q)
     w_te, w_tm, theta_deg, phi_deg = _polarization_weights(n_hat, scene)
     ap_te, ap_tm = ap.lookup(theta_deg, phi_deg)
     weight = d_omega * dipole

@@ -533,15 +533,17 @@ def _renewal_times_s(rng: np.random.Generator, cfg: EmitterStreamConfig) -> np.n
     remaining = cfg.duration_s
     while remaining > 0:
         n_draw = int(remaining / mean_gap * 1.05) + int(4 * np.sqrt(remaining / mean_gap)) + 16
-        gaps = cfg.dead_time_s + rng.exponential(1.0 / lam, size=n_draw)
-        chunk = t_last + np.cumsum(gaps)
-        inside = chunk < cfg.duration_s
-        times.append(chunk[inside])
-        if not inside.all():
+        chunk = rng.exponential(1.0 / lam, size=n_draw)  # gaps, then times, in place
+        chunk += cfg.dead_time_s
+        np.cumsum(chunk, out=chunk)
+        chunk += t_last
+        inside = int(np.searchsorted(chunk, cfg.duration_s))  # times are sorted
+        times.append(chunk[:inside])
+        if inside < n_draw:
             break
         t_last = chunk[-1]
         remaining = cfg.duration_s - t_last
-    return np.concatenate(times) if times else np.empty(0)
+    return times[0] if len(times) == 1 else np.concatenate(times)
 
 
 def simulate_timetag_streams(

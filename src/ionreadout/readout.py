@@ -2,15 +2,22 @@
 
 Two discriminators are provided.  The fixed-duration threshold method
 sums counts over a window and compares against an integer threshold.
-The adaptive method updates a two-hypothesis posterior bin by bin,
+The adaptive method filters a two-state posterior bin by bin,
 accounting for state transitions during the readout, and stops as soon
-as either posterior reaches a requested confidence level, so easy trials
-finish early.
+as the more likely state reaches a requested confidence level, so easy
+trials finish early (Myerson et al., PRL 100, 200502 (2008)).
 
-All posterior arithmetic is carried out on log-probabilities: per-bin
-likelihood ratios can span hundreds of orders of magnitude over a long
-record, and the mixed add/multiply recursion is only stable via
-logaddexp.
+The filter carries one number per trial, the log posterior odds
+r = log P(bright) / P(dark), starting from even odds.  Each bin first
+propagates the odds through the per-bin flip probabilities p_dp (bright
+to dark) and p_rp (dark to bright),
+
+    r <- log(((1 - p_dp) e^r + p_rp) / (p_dp e^r + 1 - p_rp)),
+
+then adds the bin's log-likelihood ratio n log(mu_b / mu_d) - (mu_b - mu_d)
+for n counts and mean counts mu_b, mu_d, as in Wald's sequential test.
+The posterior of the more likely state is sigma(|r|), so a level l is
+reached when |r| >= log(l / (1 - l)).
 """
 from __future__ import annotations
 
@@ -60,26 +67,6 @@ def poisson_pmf(n, gamma_per_ms: float, bin_width_us: float):
     return np.exp(poisson_log_pmf(n, gamma_per_ms, bin_width_us))
 
 
-@dataclass(frozen=True)
-class Posterior:
-    """Two-hypothesis state probabilities."""
-
-    p_bright: float
-    p_dark: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.p_bright) and np.isfinite(self.p_dark)):
-            raise ValueError("posterior probabilities must be finite")
-        if self.p_bright < 0 or self.p_dark < 0:
-            raise ValueError("posterior probabilities must be >= 0")
-        if abs(self.p_bright + self.p_dark - 1.0) > 1e-9:
-            raise ValueError("posterior must sum to 1")
-
-    @classmethod
-    def uniform(cls) -> "Posterior":
-        return cls(0.5, 0.5)
-
-
 def _transition_probs(rates: RateParams, bin_width_us: float) -> tuple[float, float]:
     """Per-bin flip probabilities 1 - exp(-gamma * t0) out of bright and dark."""
     p_dp = _flip_prob(rates.gamma_dp, bin_width_us)
@@ -88,95 +75,6 @@ def _transition_probs(rates: RateParams, bin_width_us: float) -> tuple[float, fl
         raise ValueError("pumping rate times bin width is too large: the per-bin flip "
                          "probability rounds to 1")
     return p_dp, p_rp
-
-
-def _log_bayes_update(log_pb, log_pd, log_like_b, log_like_d, p_dp: float, p_rp: float):
-    """One recursion step on log-posteriors (vectorized over trials).
-
-    Prior is first propagated through the transition matrix, then
-    reweighted by the per-state count likelihoods and renormalized.
-    """
-    log_stay_b = np.log1p(-p_dp)
-    log_stay_d = np.log1p(-p_rp)
-    log_dp = np.log(p_dp) if p_dp > 0 else _NEG_INF
-    log_rp = np.log(p_rp) if p_rp > 0 else _NEG_INF
-    lb = np.logaddexp(log_stay_b + log_pb, log_rp + log_pd) + log_like_b
-    ld = np.logaddexp(log_stay_d + log_pd, log_dp + log_pb) + log_like_d
-    norm = np.logaddexp(lb, ld)
-    return lb - norm, ld - norm
-
-
-def bayes_step(
-    prior: Posterior, n: int, rates: RateParams, bin_width_us: float
-) -> Posterior:
-    """Advance the posterior by one observed bin of n counts."""
-    p_dp, p_rp = _transition_probs(rates, bin_width_us)
-    with np.errstate(divide="ignore"):
-        log_pb = np.log(prior.p_bright)
-        log_pd = np.log(prior.p_dark)
-    lb, ld = _log_bayes_update(
-        log_pb,
-        log_pd,
-        poisson_log_pmf(int(n), rates.gamma_b, bin_width_us),
-        poisson_log_pmf(int(n), rates.gamma_d, bin_width_us),
-        p_dp,
-        p_rp,
-    )
-    return Posterior(float(np.exp(lb)), float(np.exp(ld)))
-
-
-@dataclass(frozen=True)
-class ClassifierResult:
-    decision: StateLabel
-    duration_us: float
-    confidence: float
-    bins_consumed: int
-    converged: bool = True
-
-
-def adaptive_classify(
-    traj: Trajectory,
-    rates: RateParams,
-    bin_width_us: float,
-    confidence_level: float,
-) -> ClassifierResult:
-    """Classify one trajectory, stopping at the requested confidence.
-
-    Starts from a uniform prior.  If the record is exhausted before
-    either posterior reaches the level, the larger posterior decides and
-    ``converged`` is False.
-    """
-    if not (0.5 < confidence_level < 1.0):
-        raise ValueError("confidence_level must lie in (0.5, 1)")
-    if traj.bins.size == 0:
-        raise ValueError("empty trajectory")
-    p_dp, p_rp = _transition_probs(rates, bin_width_us)
-    log_level = np.log(confidence_level)
-    log_pb = np.log(0.5)
-    log_pd = np.log(0.5)
-    counts = traj.bins.astype(np.int64)
-    log_mu_b = poisson_log_pmf(counts, rates.gamma_b, bin_width_us)
-    log_mu_d = poisson_log_pmf(counts, rates.gamma_d, bin_width_us)
-    for i in range(counts.size):
-        log_pb, log_pd = _log_bayes_update(
-            log_pb, log_pd, log_mu_b[i], log_mu_d[i], p_dp, p_rp
-        )
-        best = max(log_pb, log_pd)
-        if best >= log_level:
-            return ClassifierResult(
-                decision=BRIGHT if log_pb >= log_pd else DARK,
-                duration_us=(i + 1) * bin_width_us,
-                confidence=float(np.exp(best)),
-                bins_consumed=i + 1,
-            )
-    best = max(log_pb, log_pd)
-    return ClassifierResult(
-        decision=BRIGHT if log_pb >= log_pd else DARK,
-        duration_us=counts.size * bin_width_us,
-        confidence=float(np.exp(best)),
-        bins_consumed=counts.size,
-        converged=False,
-    )
 
 
 @dataclass
@@ -190,20 +88,26 @@ class AdaptiveBatchResult:
     converged: np.ndarray
 
 
+def _confidence(log_odds):
+    """Posterior probability of the more likely state, sigma(|r|)."""
+    return 1.0 / (1.0 + np.exp(-np.abs(log_odds)))
+
+
 def adaptive_classify_batch(
     trajs: Dataset | Sequence[Trajectory],
     rates: RateParams,
     bin_width_us: float,
     confidence_levels: Sequence[float],
 ) -> list[AdaptiveBatchResult]:
-    """Classify many trajectories at several stopping levels in one pass.
+    """Classify every record at several stopping levels in one pass.
 
-    Equivalent to calling :func:`adaptive_classify` per trajectory and
-    per level, but iterates bins across the whole batch at once.  A
-    trial that has reached the highest level has stopped at every lower
-    one too (the first bin where the posterior reaches a level never
-    comes earlier for a higher level), so only trials still open at the
-    highest level are stepped.
+    Each record starts from even odds and is filtered bin by bin (see the
+    module docstring); at a level it stops at the first bin where the
+    posterior of the more likely state reaches the level, and the state
+    decides.  A record that never gets there is decided by its final
+    posterior and reported with ``converged`` False.  A record that has
+    reached the highest level has stopped at every lower one, so only
+    records still open at the highest level are stepped.
     """
     levels = [float(l) for l in confidence_levels]
     if not levels:
@@ -223,70 +127,78 @@ def adaptive_classify_batch(
             f"({ds.bin_width_us})"
         )
     p_dp, p_rp = _transition_probs(rates, bin_width_us)
+    flips = p_dp > 0 or p_rp > 0
 
-    # per-bin log-likelihoods, tabulated over the observed counts
-    n = np.arange(int(ds.counts.max()) + 1)
-    log_fact = gammaln(n + 1.0)
+    # log-likelihood ratio of one bin, tabulated over the observed counts;
+    # +inf for a count only the bright state can give, nan for one neither can
     mu_b = rates.gamma_b * bin_width_us * _MS_PER_US
     mu_d = rates.gamma_d * bin_width_us * _MS_PER_US
-    like_b = n * np.log(mu_b) - mu_b - log_fact if mu_b > 0 else np.where(n == 0, 0.0, _NEG_INF)
-    like_d = n * np.log(mu_d) - mu_d - log_fact if mu_d > 0 else np.where(n == 0, 0.0, _NEG_INF)
+    n = np.arange(int(ds.counts.max()) + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        llr = np.where(n == 0, 0.0, n * np.log(np.divide(mu_b, mu_d))) - (mu_b - mu_d)
 
     # A trial's stopped levels are always the lowest ones, so per trial
     # one count of stopped levels (in ascending order) tracks them all.
+    # The reported confidence decides a stop, so it is >= the level; the
+    # cheap first test |r| >= low[k] sits a little below the level's logit.
     order = np.argsort(levels, kind="stable")
-    sorted_log_levels = np.log(levels)[order]
-    stop_bin = np.full((n_trials, len(levels)), -1, dtype=np.int32)
-    stop_bright = np.zeros((n_trials, len(levels)), dtype=bool)
-    stop_conf = np.zeros((n_trials, len(levels)))
+    sorted_levels = np.asarray(levels)[order]
+    q = sorted_levels - 16 * np.spacing(sorted_levels)
+    low = np.log(q) - np.log1p(-q)
+    low -= 1e-12 * (1.0 + np.abs(low))
+
+    # bin, decision and confidence of each trial's stop, per sorted level
+    stop_bin = np.full((len(levels), n_trials), -1, dtype=np.int32)
+    stop_bright = np.zeros((len(levels), n_trials), dtype=bool)
+    stop_conf = np.zeros((len(levels), n_trials))
 
     active = np.arange(n_trials)  # trials still open at the highest level
     n_stopped = np.zeros(n_trials, dtype=np.intp)
-    log_pb = np.full(n_trials, np.log(0.5))
-    log_pd = np.full(n_trials, np.log(0.5))
+    r = np.zeros(n_trials)  # log posterior odds, bright over dark
     for i in range(n_bins):
-        n_i = ds.counts[active, i]
-        log_pb, log_pd = _log_bayes_update(log_pb, log_pd, like_b[n_i], like_d[n_i], p_dp, p_rp)
-        best = np.maximum(log_pb, log_pd)
-        reached = np.searchsorted(sorted_log_levels, best, side="right")
-        reached[np.isnan(best)] = 0  # an impossible count under both rates stops nothing
-        new = np.flatnonzero(reached > n_stopped)
+        if flips:  # propagate the odds through one bin of state flips
+            x = np.exp(r)
+            r = np.log(((1.0 - p_dp) * x + p_rp) / (p_dp * x + (1.0 - p_rp)))
+        r += llr[ds.counts[active, i]]
+        mag = np.abs(r)
+        new = np.flatnonzero(mag >= low[n_stopped])  # nan stops nothing
         if not new.size:
             continue
-        rows, lo, hi = active[new], n_stopped[new], reached[new]
-        bright_now = log_pb[new] >= log_pd[new]
-        conf_now = np.exp(best[new])
-        for k in range(int(lo.min()), int(hi.max())):
-            hit = (lo <= k) & (k < hi)
-            j = order[k]
-            stop_bin[rows[hit], j] = i + 1
-            stop_bright[rows[hit], j] = bright_now[hit]
-            stop_conf[rows[hit], j] = conf_now[hit]
+        conf = _confidence(mag[new])
+        hi = np.searchsorted(sorted_levels, conf, side="right")
+        lo = n_stopped[new]
+        moved = hi > lo
+        if not moved.any():
+            continue
+        new, conf, lo, hi = new[moved], conf[moved], lo[moved], hi[moved]
+        # one entry per (trial, level passed in this bin): trial e passes lo[e] .. hi[e] - 1
+        passed = hi - lo
+        e = np.repeat(np.arange(new.size), passed)
+        k = np.arange(e.size) - (np.cumsum(passed) - passed - lo)[e]
+        rows = active[new][e]
+        stop_bin[k, rows] = i + 1
+        stop_bright[k, rows] = (r[new] >= 0)[e]
+        stop_conf[k, rows] = conf[e]
         n_stopped[new] = hi
         still_open = n_stopped < len(levels)
-        active, n_stopped = active[still_open], n_stopped[still_open]
-        log_pb, log_pd = log_pb[still_open], log_pd[still_open]
+        active, n_stopped, r = active[still_open], n_stopped[still_open], r[still_open]
         if not active.size:
             break
 
-    results = []
+    # trials open at a level keep the whole record and their final posterior
     final_bright = np.zeros(n_trials, dtype=bool)
     final_conf = np.zeros(n_trials)
-    final_bright[active] = log_pb >= log_pd
-    final_conf[active] = np.exp(np.maximum(log_pb, log_pd))
-    for j, level in enumerate(levels):
-        open_ = stop_bin[:, j] < 0
-        bins_used = np.where(open_, n_bins, stop_bin[:, j])
-        decisions = np.where(open_, final_bright, stop_bright[:, j])
-        conf = np.where(open_, final_conf, stop_conf[:, j])
-        results.append(
-            AdaptiveBatchResult(
-                confidence_level=level,
-                decisions=decisions,
-                bins_consumed=bins_used.astype(np.int64),
-                confidence=conf,
-                converged=~open_,
-            )
+    final_bright[active] = r >= 0
+    final_conf[active] = _confidence(r)
+    results = [None] * len(levels)
+    for k, j in enumerate(order):
+        open_ = stop_bin[k] < 0
+        results[j] = AdaptiveBatchResult(
+            confidence_level=levels[j],
+            decisions=np.where(open_, final_bright, stop_bright[k]),
+            bins_consumed=np.where(open_, n_bins, stop_bin[k]).astype(np.int64),
+            confidence=np.where(open_, final_conf, stop_conf[k]),
+            converged=~open_,
         )
     return results
 

@@ -170,17 +170,17 @@ def test_mean_count_profile_matches_two_state_model(mode):
         assert np.all(np.abs(z) < 4.5), z
 
 
-def test_transition_modes_agree_on_mean_totals(rates):
+@pytest.mark.parametrize("mode", ["exact", "bin-boundary"])
+def test_transition_modes_match_the_analytic_mean_totals(rates, mode):
+    # one sample against the closed-form mean, so the heavy tail of the
+    # dark totals (rare flips) enters the standard error once, not twice
     cfg = ReadoutConfig(n_bins=500, herald_duration_us=0.0)
-    exact = simulate_dataset(rates, cfg, trials_per_state=10_000, seed=11, mode="exact")
-    bound = simulate_dataset(
-        rates, cfg, trials_per_state=10_000, seed=12, mode="bin-boundary"
-    )
-    for sl in (slice(0, 10_000), slice(10_000, 20_000)):
-        a = np.array([t.total_counts for t in exact[sl]], dtype=float)
-        b = np.array([t.total_counts for t in bound[sl]], dtype=float)
-        se = np.sqrt(a.var() / a.size + b.var() / b.size)
-        assert abs(a.mean() - b.mean()) < 3 * se
+    n = 10_000
+    ds = simulate_dataset(rates, cfg, trials_per_state=n, seed=11, mode=mode)
+    for rows, bright in ((slice(0, n), True), (slice(n, 2 * n), False)):
+        totals = ds.counts[rows].sum(axis=1, dtype=np.int64).astype(float)
+        expected = _two_state_mean_counts(rates, cfg, bright, mode).sum()
+        assert abs(totals.mean() - expected) < 3 * totals.std() / np.sqrt(n)
 
 
 def test_fast_pumping_triggers_warning():

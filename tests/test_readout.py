@@ -1,20 +1,18 @@
-"""State discrimination: Bayesian recursion, thresholding, rate recovery."""
+"""State discrimination: Bayesian filter, thresholding, rate recovery."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ionreadout import (
     BRIGHT,
     DARK,
-    Posterior,
     RateParams,
     ReadoutConfig,
     Trajectory,
-    adaptive_classify,
     adaptive_classify_batch,
     apply_herald_dataset,
-    bayes_step,
     calibrate_rates,
     error_stats,
     optimize_threshold,
@@ -48,50 +46,105 @@ def test_poisson_pmf_reference_values():
     )
 
 
-def test_bayes_step_zero_count_from_uniform_prior():
-    post = bayes_step(Posterior(0.5, 0.5), 0, NOPUMP, 1.0)
-    expected = np.exp(-0.1625) / (np.exp(-0.1625) + np.exp(-0.005095))
-    assert post.p_bright == pytest.approx(expected, rel=1e-12)
-    assert post.p_bright == pytest.approx(0.46073, abs=5e-6)
+def _reference_filter(counts, rates, bin_width_us, level):
+    """The forward filter on (log P(bright), log P(dark)) for one record.
+
+    Propagates the posterior through the flip matrix with logaddexp,
+    reweights it by the two Poisson likelihoods and renormalises, one bin
+    at a time.  Returns (bright, bins_consumed, confidence, converged).
+    """
+    p_dp, p_rp = _transition_probs(rates, bin_width_us)
+    counts = np.asarray(counts, dtype=np.int64)
+    like_b = poisson_log_pmf(counts, rates.gamma_b, bin_width_us)
+    like_d = poisson_log_pmf(counts, rates.gamma_d, bin_width_us)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stay_b, stay_d = np.log1p(-p_dp), np.log1p(-p_rp)
+        dp, rp = np.log(p_dp), np.log(p_rp)
+        lb = ld = np.log(0.5)
+        for i in range(counts.size):
+            lb, ld = (np.logaddexp(stay_b + lb, rp + ld) + like_b[i],
+                      np.logaddexp(stay_d + ld, dp + lb) + like_d[i])
+            norm = np.logaddexp(lb, ld)
+            lb, ld = lb - norm, ld - norm
+            if max(lb, ld) >= np.log(level):
+                return lb >= ld, i + 1, np.exp(max(lb, ld)), True
+    return lb >= ld, counts.size, np.exp(max(lb, ld)), False
 
 
-def test_bayes_step_equal_rates_leaves_prior():
-    r = RateParams(gamma_b=30.0, gamma_d=30.0)
-    prior = Posterior(0.37, 0.63)
-    post = bayes_step(prior, 4, r, 1.0)
-    assert post.p_bright == pytest.approx(prior.p_bright, rel=1e-12)
+def _classify(counts, level, rates=NOPUMP):
+    """The batch filter on a single record at a single level."""
+    return adaptive_classify_batch([_traj(counts)], rates, 1.0, [level])[0]
 
 
-def test_bayes_step_certain_prior_is_absorbing():
-    post = bayes_step(Posterior(1.0, 0.0), 2, NOPUMP, 1.0)
-    assert post.p_bright == pytest.approx(1.0, abs=1e-15)
+def _assert_matches_reference(res, records, rates, bin_width_us):
+    for i, counts in enumerate(records):
+        bright, bins, conf, converged = _reference_filter(
+            counts, rates, bin_width_us, res.confidence_level)
+        assert res.bins_consumed[i] == bins
+        assert bool(res.converged[i]) == converged
+        assert np.isclose(res.confidence[i], conf, rtol=1e-9, atol=0.0, equal_nan=True)
+        if not abs(conf - 0.5) < 1e-12:  # at even odds the reference's rounding decides
+            assert bool(res.decisions[i]) == bright
 
 
 @given(
-    n=st.integers(min_value=0, max_value=60),
-    gamma_d=st.floats(min_value=0.0, max_value=50.0),
-    spread=st.floats(min_value=1e-3, max_value=200.0),
-    p_prior=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+    records=arrays(np.int64, st.tuples(st.integers(1, 6), st.integers(1, 30)),
+                   elements=st.integers(0, 12)),
+    gamma_d=st.sampled_from([0.0, 5.095]) | st.floats(min_value=0.0, max_value=50.0),
+    spread=st.sampled_from([0.0, 157.405]) | st.floats(min_value=0.0, max_value=200.0),
     gamma_dp=st.floats(min_value=0.0, max_value=0.05),
     gamma_rp=st.floats(min_value=0.0, max_value=0.05),
+    bin_width_us=st.sampled_from([0.5, 1.0, 10.0]),
+    levels=st.lists(st.floats(min_value=0.51, max_value=1 - 1e-9), min_size=1, max_size=3),
 )
-@settings(max_examples=200, deadline=None)
-def test_posterior_stays_normalized(n, gamma_d, spread, p_prior, gamma_dp, gamma_rp):
-    r = RateParams(gamma_d + spread, gamma_d, gamma_dp, gamma_rp)
-    post = bayes_step(Posterior(p_prior, 1.0 - p_prior), n, r, 1.0)
-    assert abs(post.p_bright + post.p_dark - 1.0) < 1e-12
-    assert 0.0 <= post.p_bright <= 1.0
-    assert 0.0 <= post.p_dark <= 1.0
+@settings(max_examples=300, deadline=None)
+def test_batch_filter_matches_log_domain_reference(
+    records, gamma_d, spread, gamma_dp, gamma_rp, bin_width_us, levels
+):
+    # includes gamma_d = 0 (a count decides bright outright), gamma_b = gamma_d
+    # (the odds only drift) and gamma_b = gamma_d = 0 (a count stops nothing)
+    rates = RateParams(gamma_d + spread, gamma_d, gamma_dp, gamma_rp)
+    trajs = [_traj(c, bin_width_us=bin_width_us) for c in records]
+    for res in adaptive_classify_batch(trajs, rates, bin_width_us, levels):
+        _assert_matches_reference(res, records, rates, bin_width_us)
+        conf = res.confidence[~np.isnan(res.confidence)]
+        assert np.all((conf >= 0.5) & (conf <= 1.0))
+
+
+def test_bayes_step_zero_count_from_uniform_prior():
+    res = _classify([0], 0.9)
+    expected = np.exp(-0.1625) / (np.exp(-0.1625) + np.exp(-0.005095))
+    assert not res.decisions[0]
+    assert 1.0 - res.confidence[0] == pytest.approx(expected, rel=1e-12)
+    assert 1.0 - res.confidence[0] == pytest.approx(0.46073, abs=5e-6)
+
+
+def test_bayes_step_equal_rates_leaves_prior():
+    res = _classify([4, 0, 7], 0.9, RateParams(gamma_b=30.0, gamma_d=30.0))
+    assert res.confidence[0] == 0.5
+    assert not res.converged[0]
+
+
+def test_count_impossible_when_dark_decides_bright_with_certainty():
+    res = adaptive_classify_batch([_traj([0, 0, 1, 0])], RateParams(30.0, 0.0, 0.02, 0.01),
+                                  1.0, [0.9, np.nextafter(1.0, 0.0)])
+    for r in res:
+        assert r.decisions[0] and r.converged[0]
+        assert r.bins_consumed[0] == 3
+        assert r.confidence[0] == 1.0
 
 
 @given(counts=st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=8))
 @settings(max_examples=100, deadline=None)
 def test_merged_bins_are_sufficient_without_pumping(counts):
-    post = Posterior(0.5, 0.5)
-    for n in counts:
-        post = bayes_step(post, n, NOPUMP, 1.0)
-    merged = bayes_step(Posterior(0.5, 0.5), sum(counts), NOPUMP, float(len(counts)))
-    assert post.p_bright == pytest.approx(merged.p_bright, abs=1e-10)
+    # without pumping the posterior after k bins depends only on their sum
+    for level in (0.9, 0.9999):
+        res = _classify(counts, level)
+        k = int(res.bins_consumed[0])
+        merged = adaptive_classify_batch(
+            [_traj([sum(counts[:k])], bin_width_us=float(k))], NOPUMP, float(k), [level])[0]
+        assert merged.decisions[0] == res.decisions[0]
+        assert merged.confidence[0] == pytest.approx(res.confidence[0], abs=1e-10)
 
 
 @given(
@@ -102,65 +155,67 @@ def test_merged_bins_are_sufficient_without_pumping(counts):
 )
 @settings(max_examples=100, deadline=None)
 def test_more_counts_never_lower_bright_posterior(counts, idx, gamma_dp, gamma_rp):
+    # one more count raises the bright posterior at every later bin, so a
+    # bright decision stays bright and comes no later
     r = RateParams(162.50, 5.095, gamma_dp, gamma_rp)
     idx %= len(counts)
     bumped = list(counts)
     bumped[idx] += 1
-
-    def run(seq):
-        post = Posterior(0.5, 0.5)
-        for n in seq:
-            post = bayes_step(post, n, r, 1.0)
-        return post.p_bright
-
-    assert run(bumped) >= run(counts) - 1e-12
+    levels = [0.9, 0.99, 0.9999]
+    base = adaptive_classify_batch([_traj(counts)], r, 1.0, levels)
+    more = adaptive_classify_batch([_traj(bumped)], r, 1.0, levels)
+    for a, b in zip(base, more):
+        if a.decisions[0]:
+            assert b.decisions[0]
+            assert b.bins_consumed[0] <= a.bins_consumed[0]
 
 
 def test_all_zero_record_decides_dark_after_14_bins():
-    traj = _traj(np.zeros(100, dtype=np.int64))
-    res = adaptive_classify(traj, NOPUMP, 1.0, 0.9)
-    assert res.decision == DARK
-    assert res.bins_consumed == 14
-    assert res.duration_us == pytest.approx(14.0)
-    assert res.converged
+    res = _classify(np.zeros(100, dtype=np.int64), 0.9)
+    assert not res.decisions[0]
+    assert res.bins_consumed[0] == 14
+    assert res.converged[0]
 
 
 def test_all_zero_record_decides_dark_after_59_bins():
-    traj = _traj(np.zeros(100, dtype=np.int64))
-    res = adaptive_classify(traj, NOPUMP, 1.0, 0.9999)
-    assert res.decision == DARK
-    assert res.bins_consumed == 59
+    res = _classify(np.zeros(100, dtype=np.int64), 0.9999)
+    assert not res.decisions[0]
+    assert res.bins_consumed[0] == 59
 
 
 def test_five_counts_decide_bright_in_one_bin():
     counts = np.zeros(100, dtype=np.int64)
     counts[0] = 5
-    res = adaptive_classify(_traj(counts), NOPUMP, 1.0, 0.9)
-    assert res.decision == BRIGHT
-    assert res.bins_consumed == 1
+    res = _classify(counts, 0.9)
+    assert res.decisions[0]
+    assert res.bins_consumed[0] == 1
 
 
 def test_confidence_meets_level_when_converged():
     counts = np.zeros(100, dtype=np.int64)
     counts[0] = 5
     for level in (0.9, 0.99, 0.9999):
-        res = adaptive_classify(_traj(counts), NOPUMP, 1.0, level)
-        assert res.converged
-        assert res.confidence >= level
+        res = _classify(counts, level)
+        assert res.converged[0]
+        assert res.confidence[0] >= level
+    # even odds never meet the next level above 0.5, though log(level) rounds to log(0.5)
+    res = _classify(counts, np.nextafter(0.5, 1.0), RateParams(gamma_b=30.0, gamma_d=30.0))
+    assert not res.converged[0]
+    assert res.confidence[0] == 0.5
 
 
 def test_nonconvergent_record_is_flagged():
     # two bins cannot reach 0.9999 on a single zero count each
-    res = adaptive_classify(_traj([0, 0]), NOPUMP, 1.0, 0.9999)
-    assert not res.converged
-    assert res.bins_consumed == 2
+    res = _classify([0, 0], 0.9999)
+    assert not res.converged[0]
+    assert res.bins_consumed[0] == 2
 
 
 def test_adaptive_level_validation():
     with pytest.raises(ValueError):
-        adaptive_classify(_traj([0]), NOPUMP, 1.0, 0.5)
+        _classify([0], 0.5)
     with pytest.raises(ValueError):
-        adaptive_classify(_traj([0]), NOPUMP, 1.0, 1.0)
+        _classify([0], 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -176,12 +231,7 @@ def test_batch_classifier_matches_single_trial_path(small_dataset):
     batch = adaptive_classify_batch(ds, rates, 1.0, levels)
     for res, level in zip(batch, levels):
         assert res.confidence_level == level
-        for i, traj in enumerate(ds):
-            single = adaptive_classify(traj, rates, 1.0, level)
-            assert (single.decision == BRIGHT) == bool(res.decisions[i])
-            assert single.bins_consumed == res.bins_consumed[i]
-            assert single.confidence == pytest.approx(res.confidence[i], rel=1e-9)
-            assert single.converged == bool(res.converged[i])
+        _assert_matches_reference(res, ds.counts, rates, 1.0)
 
 
 def test_batch_confidence_invariant(small_dataset):

@@ -236,7 +236,7 @@ def small_csv(tmp_path, capsys):
 
 def test_cli_classify_compares_methods(small_csv, capsys):
     code = main([
-        "classify", "--in", str(small_csv),
+        "classify", "--in", str(small_csv), "--bin-width-us", "1",
         "--threshold", "--duration-us", "100",
         "--bayes", "--level", "0.99",
     ])
@@ -251,12 +251,12 @@ def test_cli_classify_compares_methods(small_csv, capsys):
 
 
 def test_cli_classify_flag_conflicts(small_csv, tmp_path, capsys):
-    code = main(["classify", "--in", str(small_csv)])
+    code = main(["classify", "--in", str(small_csv), "--bin-width-us", "1"])
     assert code == 1
     assert "threshold" in capsys.readouterr().err
 
     code = main([
-        "classify", "--in", str(small_csv), "--threshold", "--bayes",
+        "classify", "--in", str(small_csv), "--bin-width-us", "1", "--threshold", "--bayes",
         "--out", str(tmp_path / "res.csv"),
     ])
     assert code == 1
@@ -266,7 +266,7 @@ def test_cli_classify_flag_conflicts(small_csv, tmp_path, capsys):
 def test_cli_classify_writes_results(small_csv, tmp_path, capsys):
     out_csv = tmp_path / "res.csv"
     code = main([
-        "classify", "--in", str(small_csv), "--bayes", "--level", "0.99",
+        "classify", "--in", str(small_csv), "--bin-width-us", "1", "--bayes", "--level", "0.99",
         "--out", str(out_csv),
     ])
     capsys.readouterr()
@@ -279,7 +279,8 @@ def test_cli_classify_writes_results(small_csv, tmp_path, capsys):
 def test_cli_classify_fixed_threshold_decisions(small_csv, tmp_path, capsys):
     out_csv = tmp_path / "r.csv"
     code = main([
-        "classify", "--in", str(small_csv), "--threshold", "--threshold-counts", "7",
+        "classify", "--in", str(small_csv), "--bin-width-us", "1",
+        "--threshold", "--threshold-counts", "7",
         "--out", str(out_csv),
     ])
     capsys.readouterr()
@@ -294,20 +295,29 @@ def test_cli_classify_fixed_threshold_decisions(small_csv, tmp_path, capsys):
     assert rows == [list(e) for e in expected]
     assert {r[2] for r in rows} == {"bright", "dark"}
 
-    code = main(["classify", "--in", str(small_csv), "--threshold", "--threshold-counts", "-1"])
+    code = main(["classify", "--in", str(small_csv), "--bin-width-us", "1",
+                 "--threshold", "--threshold-counts", "-1"])
     assert code == 1
     capsys.readouterr()
 
 
 def test_cli_calibrate_recovers_rates(small_csv, capsys):
-    code, kv, _ = _run_cli(capsys, "calibrate", "--in", str(small_csv))
+    code, kv, _ = _run_cli(capsys, "calibrate", "--in", str(small_csv), "--bin-width-us", "1")
     assert code == 0
     assert float(kv["gamma_b"]) == pytest.approx(162.5, rel=0.05)
     assert float(kv["gamma_d"]) == pytest.approx(5.095, rel=0.25)
     assert "gamma_rp_err" in kv
 
-    code = main(["calibrate", "--in", "no-such-file.csv"])
+    code = main(["calibrate", "--in", "no-such-file.csv", "--bin-width-us", "1"])
     assert code == 1
+
+
+def test_cli_reading_commands_require_the_bin_width(small_csv, capsys):
+    # the CSV does not record the bin width, so a guessed one would scale every rate
+    for args in (["classify", "--in", str(small_csv), "--bayes"],
+                 ["calibrate", "--in", str(small_csv)]):
+        assert main(args) == 1
+        assert "--bin-width-us" in capsys.readouterr().err
 
 
 def test_cli_rfmodel_default_network(capsys):
