@@ -29,7 +29,6 @@ from .photon_sim import (
     RateParams,
     ReadoutConfig,
     apply_herald_dataset,
-    as_dataset,
     simulate_dataset,
     simulate_timetag_streams,
 )
@@ -136,7 +135,7 @@ def _cmd_classify(args) -> int:
         raise ConfigError("choose --threshold, --bayes, or both")
     if args.out and args.threshold and args.bayes:
         raise ConfigError("--out works with a single method; drop it to compare both")
-    ds = as_dataset(_io.read_trajectories_csv(args.infile, bin_width_us=args.bin_width_us))
+    ds = _io.read_trajectories_csv(args.infile, bin_width_us=args.bin_width_us)
     truths = ds.labels
     rows = []
 
@@ -181,8 +180,7 @@ def _cmd_classify(args) -> int:
 # ---------------------------------------------------------------- calibrate
 
 def _cmd_calibrate(args) -> int:
-    trajs = _io.read_trajectories_csv(args.infile, bin_width_us=args.bin_width_us)
-    cal = calibrate_rates(trajs)
+    cal = calibrate_rates(_io.read_trajectories_csv(args.infile, bin_width_us=args.bin_width_us))
     _print_kv(
         (field, getattr(cal, field))
         for field in ("gamma_b", "gamma_b_err", "gamma_d", "gamma_d_err",

@@ -2,6 +2,11 @@
 
 All writers emit deterministic bytes for identical inputs: plain comma
 separation, '\n' line endings, floats via repr so values round-trip.
+
+The trajectory file is long format, one row per (trial, bin), and does
+not record the bin width: its reader takes the width as a required
+keyword and returns a :class:`Dataset`, so every trial must have the
+same length.
 """
 from __future__ import annotations
 
@@ -37,59 +42,78 @@ def _write_rows(path, header: Sequence[str], rows) -> None:
 
 
 _TRAJECTORY_COLUMNS = ("trial_id", "prepared", "bin_index", "counts")
+# One field per column.  Labels stay bytes: the file is read as latin-1, so
+# any label loads, and one longer than "bright" still reads as invalid.
+_TRAJECTORY_DTYPE = np.dtype([("trial_id", np.int64), ("prepared", "S7"),
+                              ("bin_index", np.int64), ("counts", np.int64)])
 
 
 def write_trajectories_csv(path, trajs: Dataset | Sequence[Trajectory]) -> None:
     """Long-format dump: one row per (trial, bin)."""
+    templates: dict[int, str] = {}  # record length -> the rows of one trial
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_TRAJECTORY_COLUMNS) + "\n")
         for trial_id, traj in enumerate(trajs):
-            head = f"{trial_id},{traj.prepared},"
-            fh.write("".join([f"{head}{j},{c}\n" for j, c in enumerate(traj.bins.tolist())]))
+            bins = traj.bins.tolist()
+            template = templates.get(len(bins))
+            if template is None:
+                template = templates[len(bins)] = "".join(
+                    [f"%s{j},%d\n" for j in range(len(bins))])
+            values = [f"{trial_id},{traj.prepared},"] * (2 * len(bins))
+            values[1::2] = bins
+            fh.write(template % tuple(values))
 
 
-def read_trajectories_csv(path, bin_width_us: float = 1.0) -> list[Trajectory]:
-    """Read a long-format dump; rows may come in any order.
+def read_trajectories_csv(path, *, bin_width_us: float) -> Dataset:
+    """Read a long-format dump into a Dataset; rows may come in any order.
 
-    Trials may differ in length; each trial's bins must run 0..n-1.
+    The file does not record the bin width, so the caller supplies it.
+    Trials come in ascending trial_id order; each trial's bins must run
+    0..n-1, and every trial must have the same n.
     """
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), [])
     if not set(_TRAJECTORY_COLUMNS).issubset(header):
         raise ValueError(f"{path}: expected columns {sorted(_TRAJECTORY_COLUMNS)}")
-    tid_col, label_col, bin_col, counts_col = (header.index(c) for c in _TRAJECTORY_COLUMNS)
-
-    def columns(usecols, dtype) -> np.ndarray:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            return np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1, usecols=usecols,
-                              comments=None, ndmin=2)
-
-    label = columns((label_col,), str)[:, 0]
-    if not label.size:
-        return []
-    tid, bin_index, counts = columns((tid_col, bin_col, counts_col), np.int64).T
-    bad = (label != BRIGHT) & (label != DARK)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        rows = np.loadtxt(path, dtype=_TRAJECTORY_DTYPE, delimiter=",", skiprows=1,
+                          usecols=[header.index(c) for c in _TRAJECTORY_COLUMNS],
+                          comments=None, ndmin=1, encoding="latin-1")
+    if not rows.size:
+        return Dataset(np.zeros((0, 0), dtype=np.int16), np.zeros(0, dtype=bool), bin_width_us)
+    tid, label, bin_index = rows["trial_id"], rows["prepared"], rows["bin_index"]
+    bright = label == BRIGHT.encode()
+    bad = ~bright & (label != DARK.encode())
     if bad.any():
         first = int(np.argmax(bad))
-        raise ValueError(f"{path}: trial {tid[first]} has label {str(label[first])!r}; "
+        shown = label[first].decode("utf-8", "replace")
+        raise ValueError(f"{path}: trial {tid[first]} has label {shown!r}; "
                          "expected 'bright' or 'dark'")
 
-    order = np.lexsort((bin_index, tid))
-    bright = (label == BRIGHT)[order]
-    tid, bin_index, counts = tid[order], bin_index[order], counts[order]
-    starts = np.flatnonzero(np.diff(tid, prepend=tid[0] - 1))
-    trial_of_row = np.repeat(np.arange(starts.size), np.diff(starts, append=tid.size))
-    mixed = bright != bright[starts][trial_of_row]
+    trial_ids, trial = np.unique(tid, return_inverse=True)
+    n_rows = np.bincount(trial)
+    n_bright = np.bincount(trial[bright], minlength=trial_ids.size)
+    mixed = (n_bright > 0) & (n_bright < n_rows)
     if mixed.any():
-        raise ValueError(f"{path}: trial {tid[np.argmax(mixed)]} has inconsistent labels")
-    gaps = bin_index != np.arange(tid.size) - starts[trial_of_row]
-    if gaps.any():
-        raise ValueError(f"{path}: trial {tid[np.argmax(gaps)]} has missing or duplicate bins")
-    return [
-        Trajectory(prepared=BRIGHT if bright[s] else DARK, bins=b, bin_width_us=bin_width_us)
-        for s, b in zip(starts, np.split(counts, starts[1:]))
-    ]
+        raise ValueError(f"{path}: trial {trial_ids[np.argmax(mixed)]} has inconsistent labels")
+    # a trial of n rows is whole when its bins fill its slots 0..n-1 once each
+    inside = (bin_index >= 0) & (bin_index < n_rows[trial])
+    slot = np.where(inside, (np.cumsum(n_rows) - n_rows)[trial] + bin_index, -1)
+    hits = np.bincount(slot[inside], minlength=rows.size)
+    whole = np.ones(trial_ids.size, dtype=bool)
+    whole[trial[~inside | (hits[slot] != 1)]] = False
+    if not whole.all():
+        raise ValueError(
+            f"{path}: trial {trial_ids[np.argmin(whole)]} has missing or duplicate bins")
+    ragged = n_rows != n_rows[0]
+    if ragged.any():
+        k = int(np.argmax(ragged))
+        raise ValueError(f"{path}: trials have different lengths (trial {trial_ids[0]} has "
+                         f"{n_rows[0]} bins, trial {trial_ids[k]} has {n_rows[k]})")
+    counts = np.empty(rows.size, dtype=np.int64)
+    counts[slot] = rows["counts"]
+    return Dataset(counts.reshape(trial_ids.size, n_rows[0]), n_bright > 0, bin_width_us)
 
 
 def write_timetags_csv(path, streams: Sequence[TimeTagStream]) -> None:

@@ -560,6 +560,7 @@ def simulate_timetag_streams(
     u = rng.random(emissions.size)
     to_a = u < cfg.route_prob_a
     to_b = (~to_a) & (u < cfg.route_prob_a + cfg.route_prob_b)
+    del u  # free the routing draw before the channels' buffers are built
 
     duration_ns = int(round(cfg.duration_s * 1e9))
     streams = []

@@ -130,12 +130,13 @@ def adaptive_classify_batch(
     flips = p_dp > 0 or p_rp > 0
 
     # log-likelihood ratio of one bin, tabulated over the observed counts;
-    # +inf for a count only the bright state can give, nan for one neither can
+    # +inf for a count only the bright state can give, nan for one neither can;
+    # a difference of logs, since mu_b / mu_d overflows for a tiny mu_d
     mu_b = rates.gamma_b * bin_width_us * _MS_PER_US
     mu_d = rates.gamma_d * bin_width_us * _MS_PER_US
     n = np.arange(int(ds.counts.max()) + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        llr = np.where(n == 0, 0.0, n * np.log(np.divide(mu_b, mu_d))) - (mu_b - mu_d)
+        llr = np.where(n == 0, 0.0, n * (np.log(mu_b) - np.log(mu_d))) - (mu_b - mu_d)
 
     # A trial's stopped levels are always the lowest ones, so per trial
     # one count of stopped levels (in ascending order) tracks them all.

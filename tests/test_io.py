@@ -1,10 +1,14 @@
 """CSV interchange: round trips, deterministic bytes, format validation."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ionreadout import (
     APSurface,
     BiasCountCurve,
+    Dataset,
     G2Estimate,
     PositionSweep,
     TimeTagStream,
@@ -20,73 +24,117 @@ def _read_lines(path):
 def test_trajectory_round_trip(tmp_path):
     trajs = [
         Trajectory(prepared="bright", bins=np.array([3, 0, 2, 1], dtype=np.int16)),
-        Trajectory(prepared="dark", bins=np.array([0, 0, 1], dtype=np.int16)),
+        Trajectory(prepared="dark", bins=np.array([0, 0, 1, 0], dtype=np.int16)),
     ]
     path = tmp_path / "trajs.csv"
     iio.write_trajectories_csv(path, trajs)
-    assert _read_lines(path)[0] == "trial_id,prepared,bin_index,counts"
-    back = iio.read_trajectories_csv(path)
-    assert len(back) == 2
-    for orig, rt in zip(trajs, back):
-        assert rt.prepared == orig.prepared
-        assert np.array_equal(rt.bins, orig.bins)
-        assert rt.bin_width_us == 1.0
+    assert _read_lines(path)[:3] == ["trial_id,prepared,bin_index,counts",
+                                     "0,bright,0,3", "0,bright,1,0"]
+    back = iio.read_trajectories_csv(path, bin_width_us=0.5)
+    assert isinstance(back, Dataset)
+    assert back.bin_width_us == 0.5
+    assert back.bright.tolist() == [True, False]
+    assert np.array_equal(back.counts, np.stack([t.bins for t in trajs]))
 
     again = tmp_path / "trajs2.csv"
     iio.write_trajectories_csv(again, back)
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_trajectory_read_needs_bin_width(tmp_path):
+    path = tmp_path / "trajs.csv"
+    iio.write_trajectories_csv(path, [Trajectory("bright", np.array([1, 2]))])
+    with pytest.raises(TypeError):
+        iio.read_trajectories_csv(path)
+    with pytest.raises(TypeError):
+        iio.read_trajectories_csv(path, 0.5)
+
+
+def test_trajectory_read_empty_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    iio.write_trajectories_csv(path, [])
+    back = iio.read_trajectories_csv(path, bin_width_us=2.0)
+    assert len(back) == 0 and back.bin_width_us == 2.0
+
+
+@given(
+    counts=arrays(np.int64, st.tuples(st.integers(1, 5), st.integers(1, 12)),
+                  elements=st.integers(0, 40) | st.integers(32_000, 70_000)),
+    data=st.data(),
+    bin_width_us=st.sampled_from([0.5, 1.0, 2.5]),
+)
+@settings(max_examples=60, deadline=None)
+def test_trajectory_round_trip_property(tmp_path_factory, counts, data, bin_width_us):
+    # int16 counts, and counts past 32767 that come back as int32
+    bright = data.draw(arrays(bool, counts.shape[0]))
+    ds = Dataset(counts, bright, bin_width_us)
+    path = tmp_path_factory.mktemp("rt") / "trajs.csv"
+    iio.write_trajectories_csv(path, ds)
+    back = iio.read_trajectories_csv(path, bin_width_us=bin_width_us)
+    assert back.counts.dtype == ds.counts.dtype
+    assert np.array_equal(back.counts, ds.counts)
+    assert np.array_equal(back.bright, ds.bright)
+    assert back.bin_width_us == bin_width_us
+    again = path.with_name("again.csv")
+    iio.write_trajectories_csv(again, back)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def _write_trajectory_rows(path, *rows):
+    path.write_text("trial_id,prepared,bin_index,counts\n" + "".join(r + "\n" for r in rows),
+                    encoding="utf-8")
+
+
 def test_trajectory_read_validation(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text(
-        "trial_id,prepared,bin_index,counts\n"
-        "0,bright,0,4\n"
-        "0,bright,2,1\n"
-    )
-    with pytest.raises(ValueError, match="missing or duplicate"):
-        iio.read_trajectories_csv(path)
+    _write_trajectory_rows(path, "0,bright,0,4", "0,bright,2,1")
+    with pytest.raises(ValueError, match="trial 0 has missing or duplicate bins"):
+        iio.read_trajectories_csv(path, bin_width_us=1.0)
 
-    path.write_text(
-        "trial_id,prepared,bin_index,counts\n"
-        "0,bright,0,4\n"
-        "0,dark,1,1\n"
-    )
-    with pytest.raises(ValueError, match="inconsistent labels"):
-        iio.read_trajectories_csv(path)
+    _write_trajectory_rows(path, "0,dark,0,4", "0,dark,1,1", "3,dark,0,2", "3,dark,0,1")
+    with pytest.raises(ValueError, match="trial 3 has missing or duplicate bins"):
+        iio.read_trajectories_csv(path, bin_width_us=1.0)
+
+    _write_trajectory_rows(path, "0,bright,0,4", "0,dark,1,1")
+    with pytest.raises(ValueError, match="trial 0 has inconsistent labels"):
+        iio.read_trajectories_csv(path, bin_width_us=1.0)
 
     path.write_text("trial,counts\n0,1\n")
     with pytest.raises(ValueError, match="expected columns"):
-        iio.read_trajectories_csv(path)
+        iio.read_trajectories_csv(path, bin_width_us=1.0)
+
+
+def test_trajectory_read_rejects_ragged_trials(tmp_path):
+    path = tmp_path / "ragged.csv"
+    iio.write_trajectories_csv(path, [Trajectory("bright", np.array([3, 0, 2])),
+                                      Trajectory("dark", np.array([0, 1]))])
+    with pytest.raises(ValueError, match=r"different lengths \(trial 0 has 3 bins, "
+                                         r"trial 1 has 2\)"):
+        iio.read_trajectories_csv(path, bin_width_us=1.0)
 
 
 def test_trajectory_read_accepts_rows_in_any_order(tmp_path):
-    trajs = [
-        Trajectory(prepared="bright", bins=np.array([3, 0, 2, 1], dtype=np.int16)),
-        Trajectory(prepared="dark", bins=np.array([0, 0, 1], dtype=np.int16)),
-        Trajectory(prepared="dark", bins=np.array([5], dtype=np.int16)),
-    ]
+    ds = Dataset(np.array([[3, 0, 2, 1], [0, 0, 1, 0], [5, 0, 0, 7]]),
+                 np.array([True, False, False]), 1.0)
     path = tmp_path / "trajs.csv"
-    iio.write_trajectories_csv(path, trajs)
+    iio.write_trajectories_csv(path, ds)
     header, *rows = _read_lines(path)
     shuffled = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
     assert shuffled != rows
     path.write_text("\n".join([header, *shuffled]) + "\n")
-    back = iio.read_trajectories_csv(path)
-    assert [t.prepared for t in back] == [t.prepared for t in trajs]
-    for orig, rt in zip(trajs, back):
-        assert np.array_equal(rt.bins, orig.bins)
+    back = iio.read_trajectories_csv(path, bin_width_us=1.0)
+    assert np.array_equal(back.counts, ds.counts)
+    assert np.array_equal(back.bright, ds.bright)
 
 
 def test_trajectory_read_rejects_unknown_label(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text(
-        "trial_id,prepared,bin_index,counts\n"
-        "0,dim,0,4\n"
-        "0,dim,1,1\n"
-    )
-    with pytest.raises(ValueError, match="'bright' or 'dark'"):
-        iio.read_trajectories_csv(path)
+    for label, shown in [("dim", "dim"), ("1", "1"), ("brightx", "brightx"), ("暗", "暗"),
+                         ("bright-and-more", "bright-")]:  # a long label is cut to 7 bytes
+        _write_trajectory_rows(path, "0,bright,0,4", f"1,{label},0,1")
+        with pytest.raises(ValueError, match=f"trial 1 has label '{shown}'; "
+                                             "expected 'bright' or 'dark'"):
+            iio.read_trajectories_csv(path, bin_width_us=1.0)
 
 
 def test_timetag_round_trip(tmp_path):

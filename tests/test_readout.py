@@ -1,4 +1,6 @@
 """State discrimination: Bayesian filter, thresholding, rate recovery."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,6 +134,17 @@ def test_count_impossible_when_dark_decides_bright_with_certainty():
         assert r.decisions[0] and r.converged[0]
         assert r.bins_consumed[0] == 3
         assert r.confidence[0] == 1.0
+
+
+def test_tiny_dark_rate_tabulates_without_overflow():
+    # mu_b / mu_d overflows a double here; the per-count table must not
+    records = np.array([[0, 0, 1, 0], [0, 0, 0, 0]])
+    rates = RateParams(100.0, 1e-320, 0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = adaptive_classify_batch([_traj(c) for c in records], rates, 1.0, [0.9])[0]
+    _assert_matches_reference(res, records, rates, 1.0)
+    assert res.decisions[0] and res.bins_consumed[0] == 3 and res.confidence[0] == 1.0
 
 
 @given(counts=st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=8))

@@ -285,7 +285,7 @@ def test_cli_classify_fixed_threshold_decisions(small_csv, tmp_path, capsys):
     ])
     capsys.readouterr()
     assert code == 0
-    trajs = iio.read_trajectories_csv(small_csv)
+    trajs = iio.read_trajectories_csv(small_csv, bin_width_us=1.0)
     n_bins = 125  # default --duration-us 125 at 1 us bins
     expected = [
         (str(i), t.prepared, "bright" if np.cumsum(t.bins)[n_bins - 1] >= 7 else "dark")
