@@ -36,12 +36,10 @@ from .photon_sim import (
     RateParams,
     ReadoutConfig,
     Trajectory,
-    apply_herald,
     apply_herald_dataset,
     as_dataset,
     simulate_dataset,
     simulate_timetag_streams,
-    simulate_trial,
 )
 from .readout import (
     AdaptiveBatchResult,
@@ -53,8 +51,6 @@ from .readout import (
     optimize_threshold,
     poisson_log_pmf,
     poisson_pmf,
-    threshold_classify,
-    threshold_error_vs_duration,
 )
 from .rfcircuit import (
     BiasCountCurve,
@@ -106,7 +102,6 @@ __all__ = [
     "TimeTagStream",
     "Trajectory",
     "adaptive_classify_batch",
-    "apply_herald",
     "apply_herald_dataset",
     "as_dataset",
     "calibrate_rates",
@@ -137,8 +132,5 @@ __all__ = [
     "sde_calibrate",
     "simulate_dataset",
     "simulate_timetag_streams",
-    "simulate_trial",
     "solve_network",
-    "threshold_classify",
-    "threshold_error_vs_duration",
 ]

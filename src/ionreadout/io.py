@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .optics import APSurface
-from .photon_sim import BRIGHT, DARK, Dataset, Trajectory
+from .photon_sim import BRIGHT, DARK, Dataset, Trajectory, as_dataset
 from .rfcircuit import BiasCountCurve
 from .timing import G2Estimate, TimeTagStream
 
@@ -50,16 +50,13 @@ _TRAJECTORY_DTYPE = np.dtype([("trial_id", np.int64), ("prepared", "S7"),
 
 def write_trajectories_csv(path, trajs: Dataset | Sequence[Trajectory]) -> None:
     """Long-format dump: one row per (trial, bin)."""
-    templates: dict[int, str] = {}  # record length -> the rows of one trial
+    ds = as_dataset(trajs)
+    template = "".join([f"%s{j},%d\n" for j in range(ds.n_bins)])  # the rows of one trial
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_TRAJECTORY_COLUMNS) + "\n")
-        for trial_id, traj in enumerate(trajs):
-            bins = traj.bins.tolist()
-            template = templates.get(len(bins))
-            if template is None:
-                template = templates[len(bins)] = "".join(
-                    [f"%s{j},%d\n" for j in range(len(bins))])
-            values = [f"{trial_id},{traj.prepared},"] * (2 * len(bins))
+        for trial_id, (row, label) in enumerate(zip(ds.counts, ds.labels.tolist())):
+            bins = row.tolist()  # a row at a time, not the whole matrix as one list
+            values = [f"{trial_id},{label},"] * (2 * len(bins))
             values[1::2] = bins
             fh.write(template % tuple(values))
 

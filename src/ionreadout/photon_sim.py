@@ -24,9 +24,12 @@ prepared state, each block from its own generator seeded by
 ``(master_seed, state, block)``.  Output is bitwise reproducible under
 the seed, and a block's rows do not depend on how many trials follow it.
 
-A dataset is a :class:`Dataset`: one counts matrix (trials x bins) with
-a boolean label column.  Counts are stored as int16 and widened only
-when a count would not fit, never wrapped.
+Records are held as a :class:`Dataset`: one counts matrix (trials x
+bins) with a boolean label column, so a trial is one row of ``counts``
+plus one entry of ``bright``.  Counts are stored as int16 and widened
+only when a count would not fit, never wrapped.  A list of
+:class:`Trajectory` input records is stacked into one by
+:func:`as_dataset`.
 """
 from __future__ import annotations
 
@@ -133,17 +136,14 @@ def _as_counts(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Binned counts for one trial.
+    """Binned counts of one trial, as an input record for :func:`as_dataset`.
 
-    ``prepared`` is the preparation label ('bright' or 'dark'); after
-    heralding it is the herald-assigned label.  ``state_path`` optionally
-    records the hidden state at the start of each bin (ground truth).
+    ``prepared`` is the label ('bright' or 'dark').
     """
 
     prepared: StateLabel
     bins: np.ndarray
     bin_width_us: float = 1.0
-    state_path: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if np.ndim(self.bins) != 1:
@@ -153,12 +153,6 @@ class Trajectory:
             raise ValueError(f"prepared must be 'bright' or 'dark', got {self.prepared!r}")
         if self.bin_width_us <= 0:
             raise ValueError("bin_width_us must be positive")
-        if self.state_path is not None and len(self.state_path) != self.bins.size:
-            raise ValueError("state_path length must match bins")
-
-    @property
-    def total_counts(self) -> int:
-        return int(self.bins.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,9 +162,9 @@ class Dataset:
     ``counts`` is n_trials x n_bins, int16 unless a count would not fit
     (then the narrowest wider integer type).  ``bright`` is the label
     column: the preparation, or after heralding the herald's verdict.
-    ``len``, iteration and indexing behave like a list of records: an
-    int index gives a :class:`Trajectory` view of one row, a slice (or
-    a boolean mask) gives a Dataset.
+    Trial i is ``counts[i]`` with label ``bright[i]``.  ``len`` counts
+    trials, and a slice, boolean mask or index array selects trials as
+    a Dataset; a Dataset is not iterable and takes no integer index.
     """
 
     counts: np.ndarray
@@ -191,20 +185,13 @@ class Dataset:
     def __len__(self) -> int:
         return self.counts.shape[0]
 
-    def __iter__(self):
-        return (self._record(row, b) for row, b in zip(self.counts, self.bright))
+    __iter__ = None  # iter() raises TypeError instead of falling back on __getitem__
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
-            return self._record(self.counts[key], self.bright[key])
+            raise TypeError("a Dataset takes no integer index; trial i is "
+                            "counts[i] with label bright[i]")
         return Dataset(self.counts[key], self.bright[key], self.bin_width_us)
-
-    def _record(self, row: np.ndarray, bright) -> Trajectory:
-        """A Trajectory view of one row; the matrix is validated already."""
-        traj = object.__new__(Trajectory)
-        vars(traj).update(prepared=BRIGHT if bright else DARK, bins=row,
-                          bin_width_us=self.bin_width_us, state_path=None)
-        return traj
 
     @property
     def n_bins(self) -> int:
@@ -225,10 +212,12 @@ class Dataset:
         """Counts in the first duration_us of every record."""
         nb = duration_us / self.bin_width_us
         if abs(nb - round(nb)) > 1e-9:
-            raise ValueError("duration_us must be a whole number of bins")
+            raise ValueError(f"duration_us ({duration_us:g}) must be a whole number of "
+                             f"{self.bin_width_us:g} us bins")
         nb = int(round(nb))
         if nb < 1 or nb > self.n_bins:
-            raise ValueError("duration must cover between 1 bin and the whole record")
+            raise ValueError(f"duration ({duration_us:g} us) must cover between 1 bin and the "
+                             f"whole record ({self.n_bins} bins of {self.bin_width_us:g} us)")
         return self._prefix[:, nb - 1]
 
 
@@ -390,39 +379,6 @@ def _binned_counts(
         row = stop
 
 
-def _check_mode(mode) -> None:
-    if mode not in ("exact", "bin-boundary"):
-        raise ValueError(f"unknown transition mode {mode!r}")
-
-
-def simulate_trial(
-    rates: RateParams,
-    cfg: ReadoutConfig,
-    prepared: StateLabel,
-    seed,
-    mode: TransitionMode = "exact",
-    record_states: bool = False,
-) -> Trajectory:
-    """Simulate one trial and return its binned counts.
-
-    ``seed`` (an int or a sequence of ints) seeds a one-trial block.
-    """
-    if prepared not in (BRIGHT, DARK):
-        raise ValueError(f"prepared must be 'bright' or 'dark', got {prepared!r}")
-    _check_mode(mode)
-    _check_slow_pumping(rates, cfg.bin_width_us)
-    rng = np.random.default_rng(seed)
-    segments = _, start, _, flipped = _segments(rng, rates, cfg, prepared, mode, 1)
-    ((_, counts),) = _binned_counts(rng, rates, cfg, prepared, segments)
-    path = None
-    if record_states:
-        seg = np.searchsorted(start, np.arange(cfg.n_bins), side="right") - 1
-        bright_at_start = (flipped[seg] == 0) == (prepared == BRIGHT)
-        path = np.where(bright_at_start, BRIGHT, DARK)
-    return Trajectory(prepared=prepared, bins=counts[0], bin_width_us=cfg.bin_width_us,
-                      state_path=path)
-
-
 def simulate_dataset(
     rates: RateParams,
     cfg: ReadoutConfig,
@@ -440,7 +396,8 @@ def simulate_dataset(
     """
     if trials_per_state < 1:
         raise ValueError("trials_per_state must be >= 1")
-    _check_mode(mode)
+    if mode not in ("exact", "bin-boundary"):
+        raise ValueError(f"unknown transition mode {mode!r}")
     _check_slow_pumping(rates, cfg.bin_width_us)
     counts = np.empty((2 * trials_per_state, cfg.n_bins), dtype=np.int16)
     limit = np.iinfo(counts.dtype).max
@@ -459,48 +416,17 @@ def simulate_dataset(
     return Dataset(counts, np.arange(len(counts)) < trials_per_state, cfg.bin_width_us)
 
 
-def apply_herald(traj: Trajectory, cfg: ReadoutConfig) -> tuple[HeraldOutcome, Trajectory | None]:
-    """Classify the herald window and strip it from the trajectory.
-
-    Zero counts in the herald window keep the trial as dark; at least
-    cfg.herald_bright_min counts keep it as bright; anything in between
-    discards the trial (returned trajectory is None).  The retained
-    trajectory carries the herald-assigned label and only post-herald
-    bins.  A zero-length herald window retains every trial unchanged.
-    """
-    hb = cfg.herald_bins
-    if hb and hb >= traj.bins.size:
-        raise ValueError("herald window must be shorter than the records")
-    if hb == 0:
-        outcome = (
-            HeraldOutcome.RETAINED_BRIGHT if traj.prepared == BRIGHT
-            else HeraldOutcome.RETAINED_DARK
-        )
-        return outcome, traj
-
-    herald_counts = int(traj.bins[:hb].sum())
-    if herald_counts == 0:
-        outcome, label = HeraldOutcome.RETAINED_DARK, DARK
-    elif herald_counts >= cfg.herald_bright_min:
-        outcome, label = HeraldOutcome.RETAINED_BRIGHT, BRIGHT
-    else:
-        return HeraldOutcome.DISCARDED, None
-    path = None if traj.state_path is None else traj.state_path[hb:]
-    rest = Trajectory(
-        prepared=label,
-        bins=traj.bins[hb:],
-        bin_width_us=traj.bin_width_us,
-        state_path=path,
-    )
-    return outcome, rest
-
-
 def apply_herald_dataset(
     trajs: Dataset | Sequence[Trajectory], cfg: ReadoutConfig
 ) -> tuple[Dataset, dict[HeraldOutcome, int]]:
     """Herald every trial; return the retained records and outcome tallies.
 
-    Same rule as :func:`apply_herald`, applied to the whole matrix.
+    The herald window is the first cfg.herald_duration_us of each record.
+    Zero counts in it retain the trial as dark, at least
+    cfg.herald_bright_min counts retain it as bright, and anything in
+    between discards it.  Retained records carry the herald's label and
+    only their post-herald bins.  A zero-length window retains every
+    trial unchanged.
     """
     ds = as_dataset(trajs)
     hb = cfg.herald_bins

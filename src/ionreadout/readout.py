@@ -30,7 +30,6 @@ from scipy.special import gammaln
 
 from .photon_sim import (
     BRIGHT,
-    DARK,
     Dataset,
     RateParams,
     StateLabel,
@@ -204,20 +203,6 @@ def adaptive_classify_batch(
     return results
 
 
-def threshold_classify(traj: Trajectory, threshold: int, duration_us: float) -> StateLabel:
-    """Bright iff the first duration_us of the record holds >= threshold counts."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    nb = duration_us / traj.bin_width_us
-    if abs(nb - round(nb)) > 1e-9:
-        raise ValueError("duration_us must be a whole number of bins")
-    nb = int(round(nb))
-    if nb < 1 or nb > traj.bins.size:
-        raise ValueError("duration must cover between 1 bin and the whole record")
-    total = int(traj.bins[:nb].sum())
-    return BRIGHT if total >= threshold else DARK
-
-
 def _wilson_interval(k: int, n: int, z: float = 1.0) -> tuple[float, float]:
     """Wilson score interval; z = 1 gives a 68% band."""
     if n == 0:
@@ -335,14 +320,6 @@ def optimize_threshold(
     return best, stats
 
 
-def threshold_error_vs_duration(
-    trajs: Dataset | Sequence[Trajectory], durations_us: Sequence[float]
-) -> list[tuple[float, int, ErrorStats]]:
-    """Optimal-threshold error at each requested duration."""
-    ds = as_dataset(trajs)
-    return [(d, *optimize_threshold(ds, d)) for d in durations_us]
-
-
 @dataclass(frozen=True)
 class CalibratedRates:
     """Point estimates and one-sigma uncertainties, all in 1/ms."""
@@ -376,6 +353,8 @@ def _fit_poisson_peak(totals: np.ndarray) -> float:
     from scipy.stats import poisson as _poisson
 
     m = int(totals.max())
+    if m == 0:  # the exact mean; one histogram point cannot fit two parameters
+        return 0.0
     hist = np.bincount(totals, minlength=m + 1).astype(float)
     mode = int(np.argmax(hist))
     half = int(np.ceil(4 * np.sqrt(mode + 1)))

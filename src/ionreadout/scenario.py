@@ -217,6 +217,13 @@ def run_scenario(path) -> dict:
     del dataset  # only the retained records are needed from here on
     if not len(retained):
         raise ConfigError(f"{path}: heralding retained no trials")
+    sweep = () if scn.threshold_sweep_us is None else scn.threshold_sweep_us
+    for key, d in [("threshold_duration_us", scn.threshold_duration_us),
+                   *(("threshold_sweep_us", d) for d in sweep)]:
+        try:
+            retained.totals(float(d))  # the readout must fit the post-herald record
+        except ValueError as exc:
+            raise ConfigError(f"{path}: key {key!r}: {exc}") from exc
     if scn.write_trajectories:
         _io.write_trajectories_csv(out / "trajectories.csv", retained)
 

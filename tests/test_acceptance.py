@@ -78,8 +78,8 @@ def test_criterion_2_adaptive_beats_threshold(heralded, bayes16):
     """Adaptive stopping: low error, short records, never worse than a
     fixed threshold at the same mean duration."""
     retained, _ = heralded
-    labels = np.asarray([t.prepared for t in retained])
-    n_bins = retained[0].bins.size
+    labels = retained.labels
+    n_bins = retained.n_bins
 
     per_level = []
     for res in bayes16:

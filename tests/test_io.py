@@ -106,11 +106,17 @@ def test_trajectory_read_validation(tmp_path):
 
 def test_trajectory_read_rejects_ragged_trials(tmp_path):
     path = tmp_path / "ragged.csv"
-    iio.write_trajectories_csv(path, [Trajectory("bright", np.array([3, 0, 2])),
-                                      Trajectory("dark", np.array([0, 1]))])
+    path.write_text("trial_id,prepared,bin_index,counts\n"
+                    "0,bright,0,3\n0,bright,1,0\n0,bright,2,2\n"
+                    "1,dark,0,0\n1,dark,1,1\n")
     with pytest.raises(ValueError, match=r"different lengths \(trial 0 has 3 bins, "
                                          r"trial 1 has 2\)"):
         iio.read_trajectories_csv(path, bin_width_us=1.0)
+    # the writer holds its records as one matrix too, so it writes no ragged file
+    with pytest.raises(ValueError, match="equal length"):
+        iio.write_trajectories_csv(tmp_path / "w.csv", [Trajectory("bright", np.array([3, 0, 2])),
+                                                        Trajectory("dark", np.array([0, 1]))])
+    assert not (tmp_path / "w.csv").exists()
 
 
 def test_trajectory_read_accepts_rows_in_any_order(tmp_path):

@@ -12,12 +12,10 @@ from ionreadout import (
     RateParams,
     ReadoutConfig,
     Trajectory,
-    apply_herald,
     apply_herald_dataset,
     as_dataset,
     simulate_dataset,
     simulate_timetag_streams,
-    simulate_trial,
 )
 from ionreadout.photon_sim import _BLOCK_TRIALS, _renewal_times_s, _segments
 
@@ -34,23 +32,24 @@ def pure_dataset():
 def test_dark_without_emission_gives_all_zero_bins():
     r = RateParams(gamma_b=100.0, gamma_d=0.0)
     cfg = ReadoutConfig(n_bins=200, herald_duration_us=0.0)
-    traj = simulate_trial(r, cfg, DARK, seed=1)
-    assert traj.total_counts == 0
+    ds = simulate_dataset(r, cfg, trials_per_state=1, seed=1)
+    assert list(ds.bright) == [True, False]
+    assert not ds.counts[1].any()
 
 
 def test_equal_rates_make_states_indistinguishable():
     r = RateParams(gamma_b=50.0, gamma_d=50.0)
     cfg = ReadoutConfig(n_bins=50, herald_duration_us=0.0)
     ds = simulate_dataset(r, cfg, trials_per_state=2000, seed=3)
-    tb = np.array([t.total_counts for t in ds[:2000]], dtype=float)
-    td = np.array([t.total_counts for t in ds[2000:]], dtype=float)
+    totals = ds.totals(50.0).astype(float)
+    tb, td = totals[:2000], totals[2000:]
     se = np.sqrt(tb.var() / tb.size + td.var() / td.size)
     assert abs(tb.mean() - td.mean()) < 3 * se
 
 
 def test_bright_mean_total_counts_at_125us(pure_dataset):
     # gamma_b * T = 162.50/ms * 0.125 ms
-    totals = np.array([t.total_counts for t in pure_dataset[:100_000]], dtype=float)
+    totals = pure_dataset.totals(125.0)[:100_000].astype(float)
     expected = 162.50 * 0.125
     se = np.sqrt(expected / totals.size)
     assert totals.mean() == pytest.approx(expected, abs=3 * se)
@@ -70,8 +69,8 @@ def _poisson_gof_pvalue(samples: np.ndarray, mu: float) -> float:
 
 
 def test_per_bin_counts_are_poisson(pure_dataset):
-    bright = np.concatenate([t.bins for t in pure_dataset[:100_000]])
-    dark = np.concatenate([t.bins for t in pure_dataset[100_000:]])
+    bright = pure_dataset.counts[:100_000].ravel()
+    dark = pure_dataset.counts[100_000:].ravel()
     assert _poisson_gof_pvalue(bright, 0.1625) > 0.01
     assert _poisson_gof_pvalue(dark, 0.005095) > 0.01
 
@@ -81,9 +80,8 @@ def test_same_seed_reproduces_dataset_bitwise(rates, config):
     a = simulate_dataset(rates, small, trials_per_state=50, seed=7)
     b = simulate_dataset(rates, small, trials_per_state=50, seed=7)
     assert len(a) == len(b) == 100
-    for ta, tb in zip(a, b):
-        assert ta.prepared == tb.prepared
-        assert np.array_equal(ta.bins, tb.bins)
+    assert np.array_equal(a.bright, b.bright)
+    assert np.array_equal(a.counts, b.counts) and a.counts.dtype == b.counts.dtype
 
 
 def test_block_rows_do_not_depend_on_later_trials(rates):
@@ -102,7 +100,8 @@ def test_block_rows_do_not_depend_on_later_trials(rates):
 def test_single_trial_per_state_labels(rates):
     cfg = ReadoutConfig(n_bins=10, herald_duration_us=0.0)
     ds = simulate_dataset(rates, cfg, trials_per_state=1, seed=4)
-    assert [t.prepared for t in ds] == [BRIGHT, DARK]
+    assert list(ds.labels) == [BRIGHT, DARK]
+    assert ds.counts.shape == (2, 10)
 
 
 def test_depump_frequency_matches_rate(rates, config):
@@ -117,21 +116,6 @@ def test_depump_frequency_matches_rate(rates, config):
     p = rates.gamma_dp * config.duration_us * 1e-3
     sd = np.sqrt(p * (1 - p) / n)
     assert hits / n == pytest.approx(p, abs=2 * sd)
-
-
-def test_recorded_states_follow_the_flip_segments(rates):
-    fast = RateParams(rates.gamma_b, rates.gamma_d, gamma_dp=20.0, gamma_rp=12.0)
-    cfg = ReadoutConfig(n_bins=200, herald_duration_us=0.0)
-    for mode in ("exact", "bin-boundary"):
-        for seed in range(5):
-            with pytest.warns(UserWarning):
-                tr = simulate_trial(fast, cfg, BRIGHT, seed, mode=mode, record_states=True)
-            _, start, end, flipped = _segments(
-                np.random.default_rng(seed), fast, cfg, BRIGHT, mode, 1
-            )
-            expected = np.repeat(np.where(flipped == 0, BRIGHT, DARK),
-                                 np.diff(np.ceil(np.append(start, cfg.n_bins)).astype(int)))
-            assert np.array_equal(tr.state_path, expected)
 
 
 def _two_state_mean_counts(r: RateParams, cfg: ReadoutConfig, bright: bool, mode: str):
@@ -187,7 +171,7 @@ def test_fast_pumping_triggers_warning():
     r = RateParams(gamma_b=100.0, gamma_d=1.0, gamma_dp=0.5)
     cfg = ReadoutConfig(bin_width_us=30.0, n_bins=10, herald_duration_us=0.0)
     with pytest.warns(UserWarning):
-        simulate_trial(r, cfg, BRIGHT, seed=1)
+        simulate_dataset(r, cfg, trials_per_state=1, seed=1)
 
 
 def test_invalid_inputs_rejected(rates):
@@ -204,21 +188,17 @@ def test_invalid_inputs_rejected(rates):
     with pytest.raises(ValueError):
         Trajectory(prepared=BRIGHT, bins=np.array([0.5, 1.0]))
     cfg = ReadoutConfig(n_bins=10, herald_duration_us=0.0)
-    with pytest.raises(ValueError):
-        simulate_trial(rates, cfg, "dim", seed=0)
-    with pytest.raises(ValueError):
-        simulate_trial(rates, cfg, BRIGHT, seed=0, mode="jump")
+    with pytest.raises(ValueError, match="transition mode"):
+        simulate_dataset(rates, cfg, trials_per_state=1, seed=0, mode="jump")
 
 
 def test_large_counts_widen_instead_of_wrapping():
     # 5e4 counts per bin do not fit int16; they must not wrap negative
-    traj = simulate_trial(RateParams(5e4, 1.0), ReadoutConfig(1000.0, 3, 0.0), BRIGHT, 1)
-    assert np.all(np.abs(traj.bins.astype(np.int64) - 50_000) < 5 * np.sqrt(50_000))
-    assert traj.total_counts > 3 * 40_000
-
     ds = simulate_dataset(RateParams(5e4, 1.0), ReadoutConfig(1000.0, 3, 0.0), 2, seed=1)
-    assert ds.counts[:2].min() > 40_000 and ds.counts[2:].max() < 100
-    assert ds.counts.dtype == traj.bins.dtype == np.int32
+    assert np.all(np.abs(ds.counts[:2].astype(np.int64) - 50_000) < 5 * np.sqrt(50_000))
+    assert np.all(ds.totals(3000.0)[:2] > 3 * 40_000)
+    assert ds.counts[2:].max() < 100
+    assert ds.counts.dtype == np.int32
     assert Trajectory(prepared=BRIGHT, bins=np.array([70_000, 0])).bins[0] == 70_000
     assert Dataset(np.array([[70_000]]), np.array([True])).counts[0, 0] == 70_000
 
@@ -226,7 +206,8 @@ def test_large_counts_widen_instead_of_wrapping():
 def test_small_counts_are_stored_as_int16(rates):
     ds = simulate_dataset(rates, ReadoutConfig(n_bins=20, herald_duration_us=0.0), 5, seed=3)
     assert ds.counts.dtype == np.int16
-    assert _traj([1, 2]).bins.dtype == np.int16
+    assert Trajectory(BRIGHT, np.array([1, 2], dtype=np.int64)).bins.dtype == np.int16
+    assert Dataset(np.array([[1, 2]], dtype=np.int64), np.array([True])).counts.dtype == np.int16
 
 
 def test_herald_window_must_be_shorter_than_record():
@@ -238,38 +219,35 @@ def test_herald_window_must_be_shorter_than_record():
 
 
 def test_dataset_indexes_like_a_list_of_records(rates):
+    # slices, masks and index arrays select trials as a Dataset; a trial is
+    # one row of counts plus one entry of bright, so there is no record view
     cfg = ReadoutConfig(n_bins=30, herald_duration_us=0.0)
     ds = simulate_dataset(rates, cfg, trials_per_state=4, seed=8)
-    records = list(ds)
-    assert len(ds) == len(records) == 8
-    assert [t.prepared for t in records] == [BRIGHT] * 4 + [DARK] * 4
-    assert isinstance(ds[5], Trajectory) and ds[5].prepared == DARK
-    assert np.array_equal(ds[-1].bins, ds.counts[7])
-    tail = ds[2:6]
-    assert isinstance(tail, Dataset) and len(tail) == 4
-    assert list(tail.bright) == [True, True, False, False]
-    assert np.array_equal(tail.counts, ds.counts[2:6])
-    assert tail.bin_width_us == ds.bin_width_us
+    assert len(ds) == 8
+    assert list(ds.labels) == [BRIGHT] * 4 + [DARK] * 4
+    for key in (slice(2, 6), np.arange(8) % 4 < 2, np.array([2, 3, 4, 5])):
+        part = ds[key]
+        assert isinstance(part, Dataset)
+        assert np.array_equal(part.counts, ds.counts[key])
+        assert np.array_equal(part.bright, ds.bright[key])
+        assert part.bin_width_us == ds.bin_width_us
+    assert list(ds[2:6].bright) == [True, True, False, False]
+    for key in (5, -1, np.int64(0), True):
+        with pytest.raises(TypeError, match="integer index"):
+            ds[key]
+    with pytest.raises(TypeError):
+        iter(ds)
+    with pytest.raises(TypeError):
+        list(ds)
 
+    records = [Trajectory(label, row, ds.bin_width_us)
+               for label, row in zip(ds.labels, ds.counts)]
     again = as_dataset(records)
     assert np.array_equal(again.counts, ds.counts)
     assert np.array_equal(again.bright, ds.bright)
     assert as_dataset(ds) is ds
     with pytest.raises(ValueError, match="equal length"):
-        as_dataset([records[0], Trajectory(BRIGHT, records[1].bins[:10])])
-
-
-def test_iterated_records_are_the_matrix_rows(rates):
-    ds = simulate_dataset(rates, ReadoutConfig(n_bins=30, herald_duration_us=0.0), 6, seed=9)
-    records = list(ds)
-    assert [t.prepared for t in records] == list(ds.labels)
-    for i, t in enumerate(records):
-        ref = Trajectory(BRIGHT if ds.bright[i] else DARK, ds.counts[i], ds.bin_width_us)
-        for got in (t, ds[i]):
-            assert isinstance(got, Trajectory) and got.prepared == ref.prepared
-            assert np.array_equal(got.bins, ref.bins) and got.bins.dtype == ref.bins.dtype
-            assert got.bin_width_us == ref.bin_width_us and got.state_path is None
-            assert got.total_counts == ref.total_counts
+        as_dataset([records[0], Trajectory(BRIGHT, ds.counts[1, :10])])
 
 
 def test_dataset_window_totals(rates):
@@ -285,39 +263,40 @@ def test_dataset_window_totals(rates):
         Dataset(np.array([[1, 1]]), np.array(["bright"]))
 
 
-def _traj(counts, prepared=BRIGHT):
-    return Trajectory(prepared=prepared, bins=np.asarray(counts, dtype=np.int64))
+def _one_trial(counts, bright):
+    """A one-trial Dataset of 1 us bins."""
+    return Dataset(np.asarray(counts)[None, :], np.array([bright]))
 
 
 def test_herald_zero_counts_keeps_dark(config):
-    bins = np.zeros(500, dtype=np.int64)
-    outcome, rest = apply_herald(_traj(bins, DARK), config)
-    assert outcome is HeraldOutcome.RETAINED_DARK
-    assert rest.prepared == DARK
-    assert rest.bins.size == 450
+    retained, tally = apply_herald_dataset(_one_trial(np.zeros(500, dtype=np.int64), False),
+                                           config)
+    assert tally[HeraldOutcome.RETAINED_DARK] == 1
+    assert list(retained.bright) == [False]
+    assert retained.counts.shape == (1, 450)
 
 
 def test_herald_seven_counts_discards(config):
     bins = np.zeros(500, dtype=np.int64)
     bins[:7] = 1  # one shy of the bright minimum
-    outcome, rest = apply_herald(_traj(bins, BRIGHT), config)
-    assert outcome is HeraldOutcome.DISCARDED
-    assert rest is None
+    retained, tally = apply_herald_dataset(_one_trial(bins, True), config)
+    assert tally[HeraldOutcome.DISCARDED] == 1
+    assert len(retained) == 0
 
 
 def test_herald_relabels_by_counts(config):
     bins = np.zeros(500, dtype=np.int64)
     bins[2] = 9
     bins[200] = 3
-    outcome, rest = apply_herald(_traj(bins, DARK), config)
-    assert outcome is HeraldOutcome.RETAINED_BRIGHT
-    assert rest.prepared == BRIGHT
-    assert np.array_equal(rest.bins, bins[50:])
+    retained, tally = apply_herald_dataset(_one_trial(bins, False), config)
+    assert tally[HeraldOutcome.RETAINED_BRIGHT] == 1
+    assert list(retained.bright) == [True]
+    assert np.array_equal(retained.counts[0], bins[50:])
 
 
 def test_herald_as_long_as_the_record_is_rejected():
     with pytest.raises(ValueError, match="herald window must be shorter than the records"):
-        apply_herald(Trajectory(BRIGHT, np.ones(50, int)), ReadoutConfig(1.0, 60, 50.0))
+        apply_herald_dataset(_one_trial(np.ones(50, int), True), ReadoutConfig(1.0, 60, 50.0))
 
 
 def test_zero_length_herald_retains_everything(rates):
@@ -326,9 +305,8 @@ def test_zero_length_herald_retains_everything(rates):
     retained, tally = apply_herald_dataset(ds, cfg)
     assert len(retained) == 40
     assert tally[HeraldOutcome.DISCARDED] == 0
-    for before, after in zip(ds, retained):
-        assert after.prepared == before.prepared
-        assert np.array_equal(after.bins, before.bins)
+    assert np.array_equal(retained.bright, ds.bright)
+    assert np.array_equal(retained.counts, ds.counts)
 
 
 def test_discard_fraction_matches_poisson_prediction():

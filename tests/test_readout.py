@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from ionreadout import (
     BRIGHT,
     DARK,
+    Dataset,
     RateParams,
     ReadoutConfig,
     Trajectory,
@@ -21,9 +22,8 @@ from ionreadout import (
     poisson_log_pmf,
     poisson_pmf,
     simulate_dataset,
-    threshold_classify,
-    threshold_error_vs_duration,
 )
+from ionreadout import io as iio
 from ionreadout.readout import _transition_probs
 
 NOPUMP = RateParams(gamma_b=162.50, gamma_d=5.095)
@@ -253,19 +253,25 @@ def test_batch_confidence_invariant(small_dataset):
         assert np.all(res.confidence[res.converged] >= res.confidence_level)
 
 
-def test_stages_agree_on_dataset_and_record_list(rates, config):
+def test_stages_agree_on_dataset_and_record_list(rates, config, tmp_path):
+    # the list is built the way the benchmark's offline check builds it
     dataset = simulate_dataset(rates, config, trials_per_state=300, seed=31)
     retained, _ = apply_herald_dataset(dataset, config)
-    records = list(retained)
+    w = retained.bin_width_us
+    records = [Trajectory(prepared="bright" if b else "dark", bins=row, bin_width_us=w)
+               for b, row in zip(retained.bright, retained.counts)]
     assert optimize_threshold(retained, 125.0) == optimize_threshold(records, 125.0)
     levels = [0.9, 0.999, 0.9999]
-    for a, b in zip(adaptive_classify_batch(retained, rates, 1.0, levels),
-                    adaptive_classify_batch(records, rates, 1.0, levels)):
+    for a, b in zip(adaptive_classify_batch(retained, rates, w, levels),
+                    adaptive_classify_batch(records, rates, w, levels)):
         assert np.array_equal(a.decisions, b.decisions)
         assert np.array_equal(a.bins_consumed, b.bins_consumed)
         assert np.array_equal(a.confidence, b.confidence)
         assert np.array_equal(a.converged, b.converged)
     assert calibrate_rates(retained) == calibrate_rates(records)
+    iio.write_trajectories_csv(tmp_path / "ds.csv", retained)
+    iio.write_trajectories_csv(tmp_path / "list.csv", records)
+    assert (tmp_path / "ds.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
 
 
 def test_batch_rejects_a_bin_width_other_than_the_records(small_dataset):
@@ -294,21 +300,11 @@ def test_batch_levels_in_any_order(small_dataset):
         assert np.array_equal(res.confidence, ref.confidence)
 
 
-def test_threshold_classify_separated_dataset():
-    bright = [_traj(np.full(10, 3), BRIGHT) for _ in range(5)]  # totals 30
-    dark = [_traj(np.zeros(10, dtype=np.int64), DARK) for _ in range(5)]
-    for t in bright:
-        assert threshold_classify(t, 1, 10.0) == BRIGHT
-    for t in dark:
-        assert threshold_classify(t, 1, 10.0) == DARK
-    for t in bright + dark:
-        assert threshold_classify(t, 0, 10.0) == BRIGHT  # threshold 0: everything bright
-
-
 def test_threshold_duration_must_be_whole_bins():
-    with pytest.raises(ValueError):
-        threshold_classify(_traj([1, 2, 3]), 1, 1.5)
-    with pytest.raises(ValueError):
+    ds = Dataset(np.array([[1, 2, 3], [0, 0, 0]]), np.array([True, False]))
+    with pytest.raises(ValueError, match="whole number"):
+        ds.totals(1.5)
+    with pytest.raises(ValueError, match="whole number"):
         optimize_threshold([_traj([1, 2], BRIGHT), _traj([0, 0], DARK)], 0.7)
 
 
@@ -378,14 +374,13 @@ def test_error_stats_validation():
 def test_error_curve_minimum_sits_near_125us(heralded):
     retained, _ = heralded
     durations = np.arange(25.0, 451.0, 25.0)
-    curve = threshold_error_vs_duration(retained, durations)
-    errors = np.array([s.mean_error for _, _, s in curve])
+    errors = np.array([optimize_threshold(retained, d)[1].mean_error for d in durations])
     assert durations[int(np.argmin(errors))] == pytest.approx(125.0, abs=75.0)
 
 
 def test_bright_decisions_come_faster_than_dark(bayes16, heralded):
     retained, _ = heralded
-    is_bright = np.array([t.prepared == BRIGHT for t in retained])
+    is_bright = retained.bright
     for res in bayes16:
         dur_b = res.bins_consumed[is_bright].mean()
         dur_d = res.bins_consumed[~is_bright].mean()
@@ -400,6 +395,17 @@ def test_calibration_recovers_zero_depump():
     assert abs(cal.gamma_rp) <= 3 * cal.gamma_rp_err
     assert cal.gamma_b == pytest.approx(162.50, rel=0.05)
     assert cal.gamma_d == pytest.approx(5.095, rel=0.05)
+
+
+def test_calibration_with_no_dark_counts():
+    # every dark total is 0 in every window: the peak is exactly 0, and a
+    # one-point histogram must not reach the two-parameter fit
+    cfg = ReadoutConfig(n_bins=50, herald_duration_us=0.0)
+    ds = simulate_dataset(RateParams(162.50, 0.0), cfg, trials_per_state=150, seed=4)
+    assert not ds.counts[~ds.bright].any()
+    cal = calibrate_rates(ds)
+    assert cal.gamma_d == 0.0 and cal.gamma_d_err == 0.0
+    assert cal.gamma_b == pytest.approx(162.50, rel=0.05)
 
 
 def test_calibration_needs_enough_trials():

@@ -175,6 +175,20 @@ def test_herald_as_long_as_record_is_a_config_error(tmp_path):
         load_scenario(cfg)
 
 
+@pytest.mark.parametrize("key, value, problem", [
+    ("threshold_duration_us", "125.0", "whole record"),
+    ("threshold_duration_us", "12.5", "whole number"),
+    ("threshold_sweep_us", "25:125:25", "whole record"),
+    ("threshold_sweep_us", "12.5:37.5:12.5", "whole number"),
+])
+def test_readout_duration_outside_the_record_names_its_key(tmp_path, key, value, problem):
+    # 150 bins less a 50 us herald leave 100 us of record to read out
+    cfg = _write_minimal_cfg(tmp_path / "s.cfg", tmp_path / "out", trials_per_state=50,
+                             herald_duration_us=50.0, **{key: value})
+    with pytest.raises(ConfigError, match=rf"s\.cfg: key '{key}': .*{problem}"):
+        run_scenario(cfg)
+
+
 def test_paper_scenario_reproduces_shipped_outputs(tmp_path):
     golden = SCENARIO_DIR.parent / "out" / "paper"
     text = (SCENARIO_DIR / "paper.cfg").read_text()
@@ -277,23 +291,25 @@ def test_cli_classify_writes_results(small_csv, tmp_path, capsys):
 
 
 def test_cli_classify_fixed_threshold_decisions(small_csv, tmp_path, capsys):
-    out_csv = tmp_path / "r.csv"
-    code = main([
-        "classify", "--in", str(small_csv), "--bin-width-us", "1",
-        "--threshold", "--threshold-counts", "7",
-        "--out", str(out_csv),
-    ])
-    capsys.readouterr()
-    assert code == 0
-    trajs = iio.read_trajectories_csv(small_csv, bin_width_us=1.0)
-    n_bins = 125  # default --duration-us 125 at 1 us bins
-    expected = [
-        (str(i), t.prepared, "bright" if np.cumsum(t.bins)[n_bins - 1] >= 7 else "dark")
-        for i, t in enumerate(trajs)
-    ]
-    rows = [line.split(",")[:3] for line in out_csv.read_text().splitlines()[1:]]
-    assert rows == [list(e) for e in expected]
-    assert {r[2] for r in rows} == {"bright", "dark"}
+    ds = iio.read_trajectories_csv(small_csv, bin_width_us=1.0)
+    totals = ds.counts[:, :125].sum(axis=1)  # default --duration-us 125 at 1 us bins
+    # threshold 7 splits the trials; threshold 0 decides everything bright
+    for thr, decided in ((7, {"bright", "dark"}), (0, {"bright"})):
+        out_csv = tmp_path / f"r{thr}.csv"
+        code = main([
+            "classify", "--in", str(small_csv), "--bin-width-us", "1",
+            "--threshold", "--threshold-counts", str(thr),
+            "--out", str(out_csv),
+        ])
+        capsys.readouterr()
+        assert code == 0
+        expected = [
+            [str(i), label, "bright" if total >= thr else "dark"]
+            for i, (label, total) in enumerate(zip(ds.labels, totals))
+        ]
+        rows = [line.split(",")[:3] for line in out_csv.read_text().splitlines()[1:]]
+        assert rows == expected
+        assert {r[2] for r in rows} == decided
 
     code = main(["classify", "--in", str(small_csv), "--bin-width-us", "1",
                  "--threshold", "--threshold-counts", "-1"])
