@@ -136,39 +136,35 @@ def _cmd_classify(args) -> int:
     if args.out and args.threshold and args.bayes:
         raise ConfigError("--out works with a single method; drop it to compare both")
     ds = _io.read_trajectories_csv(args.infile, bin_width_us=args.bin_width_us)
-    truths = ds.labels
+    if not len(ds):
+        raise ConfigError(f"{args.infile}: empty dataset")
     rows = []
 
     if args.threshold:
         thr = args.threshold_counts
+        if thr is not None and thr < 0:
+            raise ConfigError("--threshold-counts must be >= 0")
+        try:
+            totals = ds.totals(args.duration_us)  # the readout must fit the records
+        except ValueError as exc:
+            raise ConfigError(f"--duration-us: {exc}") from exc
         if thr is None:
             thr, _ = optimize_threshold(ds, args.duration_us)
-        elif thr < 0:
-            raise ConfigError("--threshold-counts must be >= 0")
-        decisions = np.where(ds.totals(args.duration_us) >= thr, "bright", "dark")
-        stats = error_stats(truths, decisions, np.full(len(ds), args.duration_us))
+        decisions = totals >= thr
+        stats = error_stats(ds.bright, decisions, np.full(len(ds), args.duration_us))
         rows.append(("threshold", stats))
         print(f"threshold_counts = {thr}")
         if args.out and not args.bayes:
-            _io.write_results_csv(
-                args.out,
-                ((i, truths[i], decisions[i], args.duration_us, "")
-                 for i in range(len(ds))),
-            )
+            _io.write_results_csv(args.out, ds.bright, decisions, args.duration_us)
 
     if args.bayes:
         res = adaptive_classify_batch(ds, _rates_from(args),
                                       args.bin_width_us, [args.level])[0]
-        decisions_b = np.where(res.decisions, "bright", "dark")
-        stats_b = error_stats(truths, decisions_b, res.bins_consumed * args.bin_width_us)
+        durations = res.bins_consumed * args.bin_width_us
+        stats_b = error_stats(ds.bright, res.decisions, durations)
         rows.append((f"bayes@{args.level:g}", stats_b))
         if args.out and not args.threshold:
-            _io.write_results_csv(
-                args.out,
-                ((i, truths[i], decisions_b[i],
-                  res.bins_consumed[i] * args.bin_width_us, res.confidence[i])
-                 for i in range(len(ds))),
-            )
+            _io.write_results_csv(args.out, ds.bright, res.decisions, durations, res.confidence)
 
     print(f"{'method':<10} {'eps_bright':>12} {'eps_dark':>12} "
           f"{'mean_error':>12} {'fidelity':>12} {'mean_dur_us':>15}")
@@ -249,8 +245,6 @@ def _cmd_rfmodel(args) -> int:
 # ---------------------------------------------------------------- optics
 
 def _cmd_optics(args) -> int:
-    if args.scene not in ("paper", "custom"):
-        raise ConfigError(f"unknown scene preset {args.scene!r}; use paper or custom")
     scene = DetectorScene(
         detector_w_um=args.detector_w_um,
         detector_h_um=args.detector_h_um,
@@ -447,8 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rfmodel)
 
     p = sub.add_parser("optics", help="collection geometry and efficiency")
-    p.add_argument("--scene", default="paper",
-                   help="preset: paper (default geometry) or custom")
     p.add_argument("--detector-w-um", type=float, default=22.0)
     p.add_argument("--detector-h-um", type=float, default=20.0)
     p.add_argument("--recess-um", type=float, default=6.0)

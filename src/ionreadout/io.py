@@ -1,7 +1,12 @@
 """CSV interchange formats shared by the CLI, scripts and tests.
 
-All writers emit deterministic bytes for identical inputs: plain comma
+The program holds a trial's prepared and decided states as booleans
+(True = bright); they become 'bright' / 'dark' text only here.  All
+writers emit deterministic bytes for identical inputs: plain comma
 separation, '\n' line endings, floats via repr so values round-trip.
+Every reader checks the header, then reads the file in one
+``np.loadtxt`` pass; a missing column, a short row or a field that does
+not parse raises ValueError naming the file.
 
 The trajectory file is long format, one row per (trial, bin), and does
 not record the bin width: its reader takes the width as a required
@@ -41,7 +46,27 @@ def _write_rows(path, header: Sequence[str], rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-_TRAJECTORY_COLUMNS = ("trial_id", "prepared", "bin_index", "counts")
+def _read_table(path, dtype) -> np.ndarray:
+    """The columns named by a structured dtype, in file order: a header check, one loadtxt pass.
+
+    The file is read as latin-1, so every byte loads; a quoted field
+    reads as the csv module reads it.
+    """
+    dtype = np.dtype(dtype)
+    with open(path, newline="", encoding="latin-1") as fh:
+        header = next(csv.reader(fh), [])
+    if not set(dtype.names).issubset(header):
+        raise ValueError(f"{path}: expected columns {sorted(dtype.names)}")
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            return np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1,
+                              usecols=[header.index(c) for c in dtype.names], comments=None,
+                              ndmin=1, encoding="latin-1", quotechar='"')
+        except ValueError as exc:  # a short row or a field that does not parse
+            raise ValueError(f"{path}: {exc}") from exc
+
+
 # One field per column.  Labels stay bytes: the file is read as latin-1, so
 # any label loads, and one longer than "bright" still reads as invalid.
 _TRAJECTORY_DTYPE = np.dtype([("trial_id", np.int64), ("prepared", "S7"),
@@ -53,7 +78,7 @@ def write_trajectories_csv(path, trajs: Dataset | Sequence[Trajectory]) -> None:
     ds = as_dataset(trajs)
     template = "".join([f"%s{j},%d\n" for j in range(ds.n_bins)])  # the rows of one trial
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(_TRAJECTORY_COLUMNS) + "\n")
+        fh.write(",".join(_TRAJECTORY_DTYPE.names) + "\n")
         for trial_id, (row, label) in enumerate(zip(ds.counts, ds.labels.tolist())):
             bins = row.tolist()  # a row at a time, not the whole matrix as one list
             values = [f"{trial_id},{label},"] * (2 * len(bins))
@@ -68,15 +93,7 @@ def read_trajectories_csv(path, *, bin_width_us: float) -> Dataset:
     Trials come in ascending trial_id order; each trial's bins must run
     0..n-1, and every trial must have the same n.
     """
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), [])
-    if not set(_TRAJECTORY_COLUMNS).issubset(header):
-        raise ValueError(f"{path}: expected columns {sorted(_TRAJECTORY_COLUMNS)}")
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        rows = np.loadtxt(path, dtype=_TRAJECTORY_DTYPE, delimiter=",", skiprows=1,
-                          usecols=[header.index(c) for c in _TRAJECTORY_COLUMNS],
-                          comments=None, ndmin=1, encoding="latin-1")
+    rows = _read_table(path, _TRAJECTORY_DTYPE)
     if not rows.size:
         return Dataset(np.zeros((0, 0), dtype=np.int16), np.zeros(0, dtype=bool), bin_width_us)
     tid, label, bin_index = rows["trial_id"], rows["prepared"], rows["bin_index"]
@@ -123,27 +140,30 @@ def write_timetags_csv(path, streams: Sequence[TimeTagStream]) -> None:
 
 
 def read_timetags_csv(path, duration_ns: int | None = None) -> list[TimeTagStream]:
-    tags: dict[str, list[int]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"channel", "t_ns"}.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns ['channel', 't_ns']")
-        for row in reader:
-            tags.setdefault(row["channel"], []).append(int(row["t_ns"]))
-    if not tags:
+    """One stream per channel, in channel-name order; rows may come in any order."""
+    rows = _read_table(path, [("channel", object), ("t_ns", np.int64)])
+    if not rows.size:
         raise ValueError(f"{path}: no tags found")
     if duration_ns is None:
-        duration_ns = max(max(v) for v in tags.values() if v) + 1
-    return [
-        TimeTagStream(channel=ch, t_ns=np.array(sorted(v), dtype=np.int64),
-                      duration_ns=duration_ns)
-        for ch, v in sorted(tags.items())
-    ]
+        duration_ns = int(rows["t_ns"].max()) + 1
+    channels, channel = np.unique(rows["channel"], return_inverse=True)
+    # names were written as UTF-8 and read as latin-1
+    return [TimeTagStream(name.encode("latin-1").decode(), np.sort(rows["t_ns"][channel == k]),
+                          duration_ns) for k, name in enumerate(channels)]
 
 
-def write_results_csv(path, rows) -> None:
-    """Classification results: (trial_id, truth, decision, duration_us, confidence)."""
-    _write_rows(path, ["trial_id", "truth", "decision", "duration_us", "confidence"], rows)
+def write_results_csv(path, bright, decided_bright, durations_us, confidence=None) -> None:
+    """Per-trial results from columns: the boolean states (True = bright) as
+    'bright' / 'dark', one duration for every trial or one each, and the
+    confidence, an empty field when None (threshold results)."""
+    if np.asarray(bright).dtype != bool or np.asarray(decided_bright).dtype != bool:
+        raise ValueError("states must be boolean arrays (True = bright)")
+    n = len(bright)
+    durations = np.broadcast_to(np.asarray(durations_us, dtype=float), n)
+    _write_rows(path, ["trial_id", "truth", "decision", "duration_us", "confidence"],
+                zip(range(n), np.where(bright, BRIGHT, DARK),
+                    np.where(decided_bright, BRIGHT, DARK), durations,
+                    [""] * n if confidence is None else confidence, strict=True))
 
 
 def write_bias_curve_csv(path, curve: BiasCountCurve) -> None:
@@ -151,15 +171,8 @@ def write_bias_curve_csv(path, curve: BiasCountCurve) -> None:
 
 
 def read_bias_curve_csv(path) -> BiasCountCurve:
-    bias, counts = [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"bias_ua", "counts"}.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns ['bias_ua', 'counts']")
-        for row in reader:
-            bias.append(float(row["bias_ua"]))
-            counts.append(float(row["counts"]))
-    return BiasCountCurve(np.asarray(bias), np.asarray(counts))
+    rows = _read_table(path, [("bias_ua", float), ("counts", float)])
+    return BiasCountCurve(rows["bias_ua"], rows["counts"])
 
 
 def write_ap_surface_csv(path, surface: APSurface) -> None:
@@ -173,34 +186,33 @@ def write_ap_surface_csv(path, surface: APSurface) -> None:
 
 
 def read_ap_surface_csv(path) -> APSurface:
-    data: dict[str, dict[tuple[float, float], float]] = {"TE": {}, "TM": {}}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"polarization", "theta_deg", "phi_deg", "ap"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns {sorted(required)}")
-        for row in reader:
-            pol = row["polarization"].upper()
-            if pol not in data:
-                raise ValueError(f"{path}: polarization must be TE or TM, got {pol!r}")
-            data[pol][(float(row["theta_deg"]), float(row["phi_deg"]))] = float(row["ap"])
-    if not data["TE"] or not data["TM"]:
+    """TE and TM tables on the grid of the TE rows' distinct angles, in ascending order."""
+    rows = _read_table(path, [("polarization", object), ("theta_deg", float),
+                              ("phi_deg", float), ("ap", float)])
+    pol = np.char.upper(rows["polarization"].astype(str))
+    bad = (pol != "TE") & (pol != "TM")
+    if bad.any():
+        raise ValueError(f"{path}: polarization must be TE or TM, got {str(pol[bad][0])!r}")
+    if not ((pol == "TE").any() and (pol == "TM").any()):
         raise ValueError(f"{path}: need both TE and TM tables")
-    thetas = sorted({k[0] for k in data["TE"]})
-    phis = sorted({k[1] for k in data["TE"]})
-    tables = {}
-    for pol in ("TE", "TM"):
-        table = np.empty((len(thetas), len(phis)))
-        for i, th in enumerate(thetas):
-            for j, ph in enumerate(phis):
-                if (th, ph) not in data[pol]:
-                    raise ValueError(
-                        f"{path}: {pol} table is not a full regular grid "
-                        f"(missing theta={th}, phi={ph})"
-                    )
-                table[i, j] = data[pol][(th, ph)]
-        tables[pol] = table
-    return APSurface(np.asarray(thetas), np.asarray(phis), tables["TE"], tables["TM"])
+    thetas = np.unique(rows["theta_deg"][pol == "TE"])
+    phis = np.unique(rows["phi_deg"][pol == "TE"])
+    tables = []
+    for name in ("TE", "TM"):
+        mine = rows[pol == name]
+        i = np.searchsorted(thetas, mine["theta_deg"]).clip(max=thetas.size - 1)
+        j = np.searchsorted(phis, mine["phi_deg"]).clip(max=phis.size - 1)
+        on = (thetas[i] == mine["theta_deg"]) & (phis[j] == mine["phi_deg"])
+        table = np.empty((thetas.size, phis.size))
+        table[i[on], j[on]] = mine["ap"][on]
+        filled = np.zeros(table.shape, dtype=bool)
+        filled[i[on], j[on]] = True
+        if not filled.all():
+            a, b = np.unravel_index(np.argmin(filled), filled.shape)  # first in grid order
+            raise ValueError(f"{path}: {name} table is not a full regular grid "
+                             f"(missing theta={thetas[a]}, phi={phis[b]})")
+        tables.append(table)
+    return APSurface(thetas, phis, *tables)
 
 
 def write_g2_csv(path, est: G2Estimate) -> None:

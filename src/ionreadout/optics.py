@@ -151,7 +151,6 @@ class CalibrationInputs:
 
     decay_rate_s: float = DEFAULT_DECAY_RATE_S
     internal_efficiency: float = 1.0
-    measured_rate_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.decay_rate_s <= 0:

@@ -73,12 +73,6 @@ class RateParams:
         if self.gamma_b < self.gamma_d:
             raise ValueError("gamma_b must be >= gamma_d")
 
-    def count_rate(self, state: StateLabel) -> float:
-        return self.gamma_b if state == BRIGHT else self.gamma_d
-
-    def exit_rate(self, state: StateLabel) -> float:
-        return self.gamma_dp if state == BRIGHT else self.gamma_rp
-
 
 @dataclass(frozen=True)
 class ReadoutConfig:
@@ -306,10 +300,10 @@ _PLACE_BUDGET = 1 << 17
 
 
 def _segments(
-    rng: np.random.Generator, rates: RateParams, cfg: ReadoutConfig, prepared: StateLabel,
+    rng: np.random.Generator, rates: RateParams, cfg: ReadoutConfig, bright: bool,
     mode: str, n: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Constant-state segments of n trials prepared in one state.
+    """Constant-state segments of n trials prepared bright (or dark).
 
     Returns (trial, start, end, flipped) per segment, sorted by trial and
     start; times are in bins, and ``flipped`` (0 or 1) is the parity of
@@ -319,11 +313,11 @@ def _segments(
     geometric number of bin boundaries (``"bin-boundary"``).
     """
     t0, n_bins = cfg.bin_width_us, cfg.n_bins
-    states = (prepared, DARK if prepared == BRIGHT else BRIGHT)
+    flip_rates = (rates.gamma_dp, rates.gamma_rp) if bright else (rates.gamma_rp, rates.gamma_dp)
     trial, start, flipped = [np.arange(n)], [np.zeros(n)], [np.zeros(n, dtype=np.intp)]
     open_, t, k = trial[0], start[0], 0  # k: flips so far of every open trial
     while open_.size:
-        rate = rates.exit_rate(states[k % 2])
+        rate = flip_rates[k % 2]
         if rate <= 0:
             break
         if mode == "exact":
@@ -343,7 +337,7 @@ def _segments(
 
 
 def _binned_counts(
-    rng: np.random.Generator, rates: RateParams, cfg: ReadoutConfig, prepared: StateLabel,
+    rng: np.random.Generator, rates: RateParams, cfg: ReadoutConfig, bright: bool,
     segments: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ):
     """Yield (first row, int64 counts of consecutive rows) for the segments' trials.
@@ -355,8 +349,8 @@ def _binned_counts(
     """
     t0, n_bins = cfg.bin_width_us, cfg.n_bins
     trial, start, end, flipped = segments
-    other = DARK if prepared == BRIGHT else BRIGHT
-    per_bin = np.array([rates.count_rate(prepared), rates.count_rate(other)]) * t0 * _MS_PER_US
+    photon_rates = (rates.gamma_b, rates.gamma_d) if bright else (rates.gamma_d, rates.gamma_b)
+    per_bin = np.array(photon_rates) * t0 * _MS_PER_US
     totals = rng.poisson(per_bin[flipped] * (end - start))
     n = int(trial[-1]) + 1  # every trial has a first segment
     first_seg = np.searchsorted(trial, np.arange(n + 1))
@@ -401,12 +395,12 @@ def simulate_dataset(
     _check_slow_pumping(rates, cfg.bin_width_us)
     counts = np.empty((2 * trials_per_state, cfg.n_bins), dtype=np.int16)
     limit = np.iinfo(counts.dtype).max
-    for s, prepared in enumerate((BRIGHT, DARK)):
+    for s, bright in enumerate((True, False)):
         for b, lo in enumerate(range(0, trials_per_state, _BLOCK_TRIALS)):
             n = min(_BLOCK_TRIALS, trials_per_state - lo)
             rng = np.random.default_rng((seed, s, b))
-            segments = _segments(rng, rates, cfg, prepared, mode, n)
-            for row, rows in _binned_counts(rng, rates, cfg, prepared, segments):
+            segments = _segments(rng, rates, cfg, bright, mode, n)
+            for row, rows in _binned_counts(rng, rates, cfg, bright, segments):
                 top = rows.max()
                 if top > limit:
                     counts = counts.astype(_counts_dtype(int(top)))

@@ -29,10 +29,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .photon_sim import (
-    BRIGHT,
     Dataset,
     RateParams,
-    StateLabel,
     Trajectory,
     _MS_PER_US,
     _flip_prob,
@@ -261,31 +259,36 @@ def _stats_from_counts(
 
 
 def error_stats(
-    truths: Sequence[StateLabel],
-    decisions: Sequence[StateLabel],
+    bright: np.ndarray,
+    decided_bright: np.ndarray,
     durations_us: Sequence[float] | None = None,
 ) -> ErrorStats:
-    """Per-state error fractions; fidelity is 1 - (eps_b + eps_d)/2."""
-    truths = np.asarray(truths)
-    decisions = np.asarray(decisions)
-    if truths.shape != decisions.shape or truths.ndim != 1:
-        raise ValueError("truths and decisions must be equal-length 1-D sequences")
-    if truths.size == 0:
+    """Per-state error fractions; fidelity is 1 - (eps_b + eps_d)/2.
+
+    ``bright`` and ``decided_bright`` are boolean arrays, True meaning
+    bright: the prepared and the decided state of each trial.
+    """
+    bright = np.asarray(bright)
+    decided_bright = np.asarray(decided_bright)
+    if bright.shape != decided_bright.shape or bright.ndim != 1:
+        raise ValueError("bright and decided_bright must be equal-length 1-D arrays")
+    if bright.size == 0:
         raise ValueError("empty inputs")
-    is_bright = truths == BRIGHT
-    n_b = int(is_bright.sum())
-    n_d = int(truths.size - n_b)
+    if bright.dtype != bool or decided_bright.dtype != bool:
+        raise ValueError("states must be boolean arrays (True = bright), got "
+                         f"{bright.dtype} and {decided_bright.dtype}")
+    n_b = int(np.count_nonzero(bright))
+    n_d = int(bright.size - n_b)
     if n_b == 0 or n_d == 0:
         raise ValueError("need at least one trial of each state")
-    wrong = truths != decisions
-    k_b = int(np.count_nonzero(wrong & is_bright))
-    k_d = int(np.count_nonzero(wrong & ~is_bright))
+    k_b = int(np.count_nonzero(bright & ~decided_bright))
+    k_d = int(np.count_nonzero(~bright & decided_bright))
     if durations_us is None:
         dur_b = dur_d = float("nan")
     else:
         durations_us = np.asarray(durations_us, dtype=float)
-        dur_b = float(durations_us[is_bright].mean())
-        dur_d = float(durations_us[~is_bright].mean())
+        dur_b = float(durations_us[bright].mean())
+        dur_d = float(durations_us[~bright].mean())
     return _stats_from_counts(k_b, n_b, k_d, n_d, dur_b, dur_d)
 
 
@@ -332,14 +335,6 @@ class CalibratedRates:
     gamma_dp_err: float
     gamma_rp: float
     gamma_rp_err: float
-
-    def to_rate_params(self) -> RateParams:
-        return RateParams(
-            gamma_b=self.gamma_b,
-            gamma_d=self.gamma_d,
-            gamma_dp=max(self.gamma_dp, 0.0),
-            gamma_rp=max(self.gamma_rp, 0.0),
-        )
 
 
 def _fit_poisson_peak(totals: np.ndarray) -> float:

@@ -227,19 +227,11 @@ def run_scenario(path) -> dict:
     if scn.write_trajectories:
         _io.write_trajectories_csv(out / "trajectories.csv", retained)
 
-    labels = retained.labels
-
     threshold, thr_stats = optimize_threshold(retained, scn.threshold_duration_us)
     if scn.write_results:
-        decisions = np.where(retained.totals(scn.threshold_duration_us) >= threshold,
-                             "bright", "dark")
-        _io.write_results_csv(
-            out / "threshold_results.csv",
-            (
-                (i, labels[i], decisions[i], scn.threshold_duration_us, "")
-                for i in range(len(retained))
-            ),
-        )
+        _io.write_results_csv(out / "threshold_results.csv", retained.bright,
+                              retained.totals(scn.threshold_duration_us) >= threshold,
+                              scn.threshold_duration_us)
 
     sweep_rows = []
     if scn.threshold_sweep_us is not None:
@@ -258,12 +250,7 @@ def run_scenario(path) -> dict:
     batch = adaptive_classify_batch(retained, scn.rates, t0, scn.bayes_levels)
     bayes_rows = []
     for res in batch:
-        durations = res.bins_consumed * t0
-        stats = error_stats(
-            labels,
-            np.where(res.decisions, "bright", "dark"),
-            durations,
-        )
+        stats = error_stats(retained.bright, res.decisions, res.bins_consumed * t0)
         bayes_rows.append(
             (
                 res.confidence_level,
@@ -289,19 +276,8 @@ def run_scenario(path) -> dict:
     best_idx = int(np.argmin([row[3] for row in bayes_rows]))
     best = batch[best_idx]
     if scn.write_results:
-        _io.write_results_csv(
-            out / "bayes_results.csv",
-            (
-                (
-                    i,
-                    labels[i],
-                    "bright" if best.decisions[i] else "dark",
-                    best.bins_consumed[i] * t0,
-                    best.confidence[i],
-                )
-                for i in range(len(retained))
-            ),
-        )
+        _io.write_results_csv(out / "bayes_results.csv", retained.bright, best.decisions,
+                              best.bins_consumed * t0, best.confidence)
 
     cal = calibrate_rates(retained)
 

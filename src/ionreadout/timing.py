@@ -43,10 +43,6 @@ class TimeTagStream:
                 f"channel {self.channel!r}: tags must lie within [0, duration_ns)"
             )
 
-    @property
-    def rate_per_ns(self) -> float:
-        return self.t_ns.size / self.duration_ns
-
 
 @dataclass(frozen=True)
 class G2Estimate:

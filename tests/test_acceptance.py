@@ -13,8 +13,6 @@ from dataclasses import replace
 import numpy as np
 
 from ionreadout import (
-    BRIGHT,
-    DARK,
     APSurface,
     BiasCountCurve,
     CalibrationInputs,
@@ -78,13 +76,11 @@ def test_criterion_2_adaptive_beats_threshold(heralded, bayes16):
     """Adaptive stopping: low error, short records, never worse than a
     fixed threshold at the same mean duration."""
     retained, _ = heralded
-    labels = retained.labels
     n_bins = retained.n_bins
 
     per_level = []
     for res in bayes16:
-        decisions = np.where(res.decisions, BRIGHT, DARK)
-        stats = error_stats(labels, decisions, res.bins_consumed * 1.0)
+        stats = error_stats(retained.bright, res.decisions, res.bins_consumed * 1.0)
         per_level.append(stats)
 
     best = min(per_level, key=lambda s: s.mean_error)

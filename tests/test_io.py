@@ -1,4 +1,6 @@
 """CSV interchange: round trips, deterministic bytes, format validation."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from ionreadout import (
     Trajectory,
 )
 from ionreadout import io as iio
+from ionreadout.cli import main
 
 
 def _read_lines(path):
@@ -167,11 +170,27 @@ def test_timetag_round_trip(tmp_path):
 
 
 def test_results_header(tmp_path):
-    path = tmp_path / "results.csv"
-    iio.write_results_csv(path, [(0, "bright", "bright", 12.0, 0.9991)])
-    lines = _read_lines(path)
-    assert lines[0] == "trial_id,truth,decision,duration_us,confidence"
-    assert lines[1] == "0,bright,bright,12.0,0.9991"
+    bright = np.array([True, True, False, False])
+    decided_bright = np.array([True, False, True, False])
+    header = "trial_id,truth,decision,duration_us,confidence\n"
+    # adaptive results: durations from bins consumed, one confidence per trial
+    path = tmp_path / "bayes.csv"
+    iio.write_results_csv(path, bright, decided_bright, np.array([12, 7, 1, 3]) * 0.5,
+                          np.array([0.9991, 0.5, 1.0, 1 / 3]))
+    assert path.read_bytes() == (header + "0,bright,bright,6.0,0.9991\n1,bright,dark,3.5,0.5\n"
+                                 "2,dark,bright,0.5,1.0\n3,dark,dark,1.5,0.3333333333333333\n"
+                                 ).encode()
+    # threshold results: one duration for every trial and an empty confidence field
+    path = tmp_path / "threshold.csv"
+    iio.write_results_csv(path, bright, decided_bright, 125.0)
+    assert path.read_bytes() == (header + "0,bright,bright,125.0,\n1,bright,dark,125.0,\n"
+                                 "2,dark,bright,125.0,\n3,dark,dark,125.0,\n").encode()
+    # label strings are not states: "dark" must not be written as bright
+    labels = np.where(bright, "bright", "dark")
+    with pytest.raises(ValueError, match="boolean arrays"):
+        iio.write_results_csv(path, labels, decided_bright, 125.0)
+    with pytest.raises(ValueError, match="boolean arrays"):
+        iio.write_results_csv(path, bright, labels, 125.0)
 
 
 def test_bias_curve_round_trip(tmp_path):
@@ -259,3 +278,107 @@ def test_ensure_dir(tmp_path):
     made = iio.ensure_dir(target)
     assert made.is_dir()
     assert iio.ensure_dir(target) == made
+
+
+# ------------------------------------------------ side formats: round trips
+
+_NAMES = st.text(st.characters(exclude_categories=("Cs", "Cc")), max_size=24)
+
+
+@given(data=st.data(), names=st.lists(_NAMES, min_size=1, max_size=4, unique=True))
+@settings(max_examples=60, deadline=None)
+def test_timetag_round_trip_property(tmp_path_factory, data, names):
+    duration_ns = 10**12
+    streams = [TimeTagStream(name, np.sort(data.draw(arrays(
+        np.int64, st.integers(1, 20), elements=st.integers(0, duration_ns - 1)))), duration_ns)
+        for name in sorted(names)]
+    path = tmp_path_factory.mktemp("rt") / "tags.csv"
+    iio.write_timetags_csv(path, streams)
+    header, *rows = path.read_bytes().split(b"\n")[:-1]
+    shuffled = path.with_name("shuffled.csv")
+    order = data.draw(st.permutations(range(len(rows))))
+    shuffled.write_bytes(b"\n".join([header, *(rows[i] for i in order)]) + b"\n")
+    for source in (path, shuffled):
+        back = iio.read_timetags_csv(source, duration_ns=duration_ns)
+        assert [s.channel for s in back] == [s.channel for s in streams]
+        for orig, rt in zip(streams, back):
+            assert np.array_equal(rt.t_ns, orig.t_ns) and rt.duration_ns == duration_ns
+        again = path.with_name("again.csv")
+        iio.write_timetags_csv(again, back)
+        assert again.read_bytes() == path.read_bytes()
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(bias=st.lists(_FLOATS, min_size=2, max_size=12, unique=True), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_bias_curve_round_trip_property(tmp_path_factory, bias, data):
+    bias = np.sort(np.array(bias))
+    counts = data.draw(arrays(float, bias.size, elements=st.floats(0, 1e300)))
+    curve = BiasCountCurve(bias, counts)
+    path = tmp_path_factory.mktemp("rt") / "curve.csv"
+    iio.write_bias_curve_csv(path, curve)
+    back = iio.read_bias_curve_csv(path)
+    assert np.array_equal(back.bias_ua, curve.bias_ua)
+    assert np.array_equal(back.counts, curve.counts)
+    again = path.with_name("again.csv")
+    iio.write_bias_curve_csv(again, back)
+    assert again.read_bytes() == path.read_bytes()
+
+
+_ANGLES = st.lists(st.floats(-360, 360), min_size=2, max_size=5, unique=True).map(sorted)
+
+
+@given(thetas=_ANGLES, phis=_ANGLES, data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_ap_surface_round_trip_property(tmp_path_factory, thetas, phis, data):
+    shape = (len(thetas), len(phis))
+    te, tm = (data.draw(arrays(float, shape, elements=st.floats(0, 1))) for _ in range(2))
+    surf = APSurface(np.array(thetas), np.array(phis), te, tm)
+    path = tmp_path_factory.mktemp("rt") / "ap.csv"
+    iio.write_ap_surface_csv(path, surf)
+    header, *rows = path.read_text().splitlines()
+    order = data.draw(st.permutations(range(len(rows))))
+    lower = data.draw(st.booleans())  # the reader upper-cases the polarization
+    shuffled = path.with_name("shuffled.csv")
+    shuffled.write_text("\n".join([header, *(rows[i].lower() if lower else rows[i]
+                                             for i in order)]) + "\n")
+    for source in (path, shuffled):
+        back = iio.read_ap_surface_csv(source)
+        for field in ("theta_deg", "phi_deg", "ap_te", "ap_tm"):
+            assert np.array_equal(getattr(back, field), getattr(surf, field)), field
+        again = path.with_name("again.csv")
+        iio.write_ap_surface_csv(again, back)
+        assert again.read_bytes() == path.read_bytes()
+
+
+# ------------------------------------------- malformed files: input errors
+
+# reader, CLI command that reads the file, header, one good row
+_READERS = {
+    "trajectories": (lambda p: iio.read_trajectories_csv(p, bin_width_us=1.0),
+                     ["classify", "--bin-width-us", "1", "--threshold", "--in"],
+                     "trial_id,prepared,bin_index,counts", "0,bright,0,4"),
+    "timetags": (iio.read_timetags_csv, ["g2", "--in"], "channel,t_ns", "A,5"),
+    "bias_curve": (iio.read_bias_curve_csv, ["rfmodel", "--rf-off"], "bias_ua,counts", "1.5,10.0"),
+    "ap_surface": (iio.read_ap_surface_csv, ["optics", "--ap-file"],
+                   "polarization,theta_deg,phi_deg,ap", "TE,0.0,0.0,0.5"),
+}
+
+
+@pytest.mark.parametrize("fmt", list(_READERS))
+@pytest.mark.parametrize("defect", ["short row", "non-numeric field", "missing column"])
+def test_malformed_files_are_input_errors(tmp_path, capsys, fmt, defect):
+    read, command, header, row = _READERS[fmt]
+    *first, last = row.split(",")
+    lines = {"short row": [header, row, ",".join(first)],
+             "non-numeric field": [header, row, ",".join([*first, "x"])],
+             "missing column": [header.rsplit(",", 1)[0], ",".join(first)]}[defect]
+    path = tmp_path / f"{fmt}.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+        read(path)
+    assert main([*command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err

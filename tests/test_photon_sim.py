@@ -109,7 +109,7 @@ def test_depump_frequency_matches_rate(rates, config):
     # the flip segments of 10^5 trials drawn as one block
     n = 100_000
     trial, start, end, flipped = _segments(
-        np.random.default_rng(42), rates, config, BRIGHT, "exact", n
+        np.random.default_rng(42), rates, config, True, "exact", n
     )
     # dark at the start of some bin, as the state path records it
     hits = np.unique(trial[(flipped == 1) & (np.ceil(start) < end)]).size

@@ -349,26 +349,30 @@ def test_equal_rate_dataset_has_coin_flip_fidelity():
 
 
 def test_error_stats_reference_points():
-    truths = np.array([BRIGHT] * 100_000 + [DARK] * 100_000)
-    decisions = truths.copy()
-    decisions[:61] = DARK  # 61 / 1e5 bright errors
-    decisions[100_000:100_119] = BRIGHT  # 119 / 1e5 dark errors
-    st_ = error_stats(truths, decisions)
+    bright = np.arange(200_000) < 100_000
+    decided_bright = bright.copy()
+    decided_bright[:61] = False  # 61 / 1e5 bright errors
+    decided_bright[100_000:100_119] = True  # 119 / 1e5 dark errors
+    st_ = error_stats(bright, decided_bright)
     assert st_.eps_bright == pytest.approx(6.1e-4, rel=1e-12)
     assert st_.eps_dark == pytest.approx(11.9e-4, rel=1e-12)
     assert st_.fidelity == pytest.approx(0.9991, abs=1e-12)
 
-    perfect = error_stats(truths, truths)
+    perfect = error_stats(bright, bright)
     assert perfect.fidelity == 1.0
-    flipped = np.where(truths == BRIGHT, DARK, BRIGHT)
-    assert error_stats(truths, flipped).fidelity == 0.0
+    assert error_stats(bright, ~bright).fidelity == 0.0
 
 
 def test_error_stats_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty inputs"):
         error_stats([], [])
-    with pytest.raises(ValueError):
-        error_stats([BRIGHT, BRIGHT], [BRIGHT, DARK])  # only one true state
+    with pytest.raises(ValueError, match="one trial of each state"):
+        error_stats([True, True], [True, False])  # only one true state
+    # labels are not states: "dark" must not read as a true (bright) entry
+    for bright, decided in [([BRIGHT, DARK], [BRIGHT, DARK]), ([True, False], [BRIGHT, DARK]),
+                            ([1, 0], [1, 0]), ([True, False], [1.0, 0.0])]:
+        with pytest.raises(ValueError, match="boolean arrays"):
+            error_stats(bright, decided)
 
 
 def test_error_curve_minimum_sits_near_125us(heralded):

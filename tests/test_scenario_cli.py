@@ -1,4 +1,5 @@
 """Flat-config scenarios and the command-line front end."""
+import re
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +316,28 @@ def test_cli_classify_fixed_threshold_decisions(small_csv, tmp_path, capsys):
                  "--threshold", "--threshold-counts", "-1"])
     assert code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("threshold_counts", [[], ["--threshold-counts", "3"]])
+@pytest.mark.parametrize("duration, problem", [
+    ("1000", r"duration \(1000 us\) must cover between 1 bin and the whole record "
+             r"\(200 bins of 0\.5 us\)"),
+    ("0.7", r"duration_us \(0\.7\) must be a whole number of 0\.5 us bins"),
+])
+def test_cli_classify_duration_outside_the_record_names_the_flag(small_csv, capsys, duration,
+                                                                 problem, threshold_counts):
+    code = main(["classify", "--in", str(small_csv), "--bin-width-us", "0.5", "--threshold",
+                 "--duration-us", duration, *threshold_counts])
+    assert code == 1
+    assert re.search(rf"^error: --duration-us: {problem}$", capsys.readouterr().err, re.M)
+
+
+def test_cli_classify_names_an_empty_file(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    iio.write_trajectories_csv(path, [])
+    for method in (["--threshold"], ["--threshold", "--threshold-counts", "3"], ["--bayes"]):
+        assert main(["classify", "--in", str(path), "--bin-width-us", "1", *method]) == 1
+        assert capsys.readouterr().err == f"error: {path}: empty dataset\n"
 
 
 def test_cli_calibrate_recovers_rates(small_csv, capsys):
