@@ -1,9 +1,10 @@
 """CSV interchange formats shared by the CLI, scripts and tests.
 
-The program holds a trial's prepared and decided states as booleans
-(True = bright); they become 'bright' / 'dark' text only here.  All
-writers emit deterministic bytes for identical inputs: plain comma
-separation, '\n' line endings, floats via repr so values round-trip.
+Every table is written from its columns by :func:`write_table` under one
+rule set by each column's dtype: booleans as 'true' / 'false', floats
+via repr so values round-trip, anything else via str.  Plain comma
+separation and '\n' line endings make the bytes deterministic.  States
+are booleans (True = bright) until they become 'bright' / 'dark' here.
 Every reader checks the header, then reads the file in one
 ``np.loadtxt`` pass; a missing column, a short row or a field that does
 not parse raises ValueError naming the file.
@@ -28,22 +29,31 @@ from .rfcircuit import BiasCountCurve
 from .timing import G2Estimate, TimeTagStream
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
+def _fields(column) -> list[str]:
+    """One column's fields: booleans as true/false, floats via repr, the rest via str."""
+    col = np.asarray(column)
+    if col.dtype == bool:
+        return np.where(col, "true", "false").tolist()
+    return list(map(repr if col.dtype.kind == "f" else str, col.tolist()))
 
 
-def _write_rows(path, header: Sequence[str], rows) -> None:
+def write_table(path, header: Sequence[str], columns: Sequence) -> None:
+    """Write a header row, then one row per index of the equal-length columns,
+    each column formatted by its numpy dtype (see the module docstring)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(zip(*map(_fields, columns), strict=True))
+
+
+def format_value(value) -> str:
+    """One value, formatted as a one-value column."""
+    return _fields([value])[0]
+
+
+def _labels(bright) -> np.ndarray:
+    """Boolean states (True = bright) as 'bright' / 'dark'."""
+    return np.where(bright, BRIGHT, DARK)
 
 
 def _read_table(path, dtype) -> np.ndarray:
@@ -79,7 +89,7 @@ def write_trajectories_csv(path, trajs: Dataset | Sequence[Trajectory]) -> None:
     template = "".join([f"%s{j},%d\n" for j in range(ds.n_bins)])  # the rows of one trial
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_TRAJECTORY_DTYPE.names) + "\n")
-        for trial_id, (row, label) in enumerate(zip(ds.counts, ds.labels.tolist())):
+        for trial_id, (row, label) in enumerate(zip(ds.counts, _labels(ds.bright).tolist())):
             bins = row.tolist()  # a row at a time, not the whole matrix as one list
             values = [f"{trial_id},{label},"] * (2 * len(bins))
             values[1::2] = bins
@@ -131,12 +141,11 @@ def read_trajectories_csv(path, *, bin_width_us: float) -> Dataset:
 
 
 def write_timetags_csv(path, streams: Sequence[TimeTagStream]) -> None:
-    def rows():
-        for stream in streams:
-            for t in stream.t_ns:
-                yield stream.channel, int(t)
-
-    _write_rows(path, ["channel", "t_ns"], rows())
+    write_table(path, ["channel", "t_ns"],
+                [np.repeat(np.array([s.channel for s in streams], dtype=object),
+                           [s.t_ns.size for s in streams]),
+                 # the empty array keeps an empty stream list to the header alone
+                 np.concatenate([s.t_ns for s in streams] + [np.zeros(0, np.int64)])])
 
 
 def read_timetags_csv(path, duration_ns: int | None = None) -> list[TimeTagStream]:
@@ -159,15 +168,14 @@ def write_results_csv(path, bright, decided_bright, durations_us, confidence=Non
     if np.asarray(bright).dtype != bool or np.asarray(decided_bright).dtype != bool:
         raise ValueError("states must be boolean arrays (True = bright)")
     n = len(bright)
-    durations = np.broadcast_to(np.asarray(durations_us, dtype=float), n)
-    _write_rows(path, ["trial_id", "truth", "decision", "duration_us", "confidence"],
-                zip(range(n), np.where(bright, BRIGHT, DARK),
-                    np.where(decided_bright, BRIGHT, DARK), durations,
-                    [""] * n if confidence is None else confidence, strict=True))
+    write_table(path, ["trial_id", "truth", "decision", "duration_us", "confidence"],
+                [np.arange(n), _labels(bright), _labels(decided_bright),
+                 np.broadcast_to(np.asarray(durations_us, dtype=float), n),
+                 [""] * n if confidence is None else confidence])
 
 
 def write_bias_curve_csv(path, curve: BiasCountCurve) -> None:
-    _write_rows(path, ["bias_ua", "counts"], zip(curve.bias_ua, curve.counts))
+    write_table(path, ["bias_ua", "counts"], [curve.bias_ua, curve.counts])
 
 
 def read_bias_curve_csv(path) -> BiasCountCurve:
@@ -176,13 +184,13 @@ def read_bias_curve_csv(path) -> BiasCountCurve:
 
 
 def write_ap_surface_csv(path, surface: APSurface) -> None:
-    def rows():
-        for pol, table in (("TE", surface.ap_te), ("TM", surface.ap_tm)):
-            for i, th in enumerate(surface.theta_deg):
-                for j, ph in enumerate(surface.phi_deg):
-                    yield pol, th, ph, table[i, j]
-
-    _write_rows(path, ["polarization", "theta_deg", "phi_deg", "ap"], rows())
+    """The TE table, then the TM table, each theta-major."""
+    n_theta, n_phi = surface.ap_te.shape
+    write_table(path, ["polarization", "theta_deg", "phi_deg", "ap"],
+                [np.repeat(["TE", "TM"], n_theta * n_phi),
+                 np.tile(np.repeat(surface.theta_deg, n_phi), 2),
+                 np.tile(surface.phi_deg, 2 * n_theta),
+                 np.concatenate([surface.ap_te.ravel(), surface.ap_tm.ravel()])])
 
 
 def read_ap_surface_csv(path) -> APSurface:
@@ -203,10 +211,14 @@ def read_ap_surface_csv(path) -> APSurface:
         i = np.searchsorted(thetas, mine["theta_deg"]).clip(max=thetas.size - 1)
         j = np.searchsorted(phis, mine["phi_deg"]).clip(max=phis.size - 1)
         on = (thetas[i] == mine["theta_deg"]) & (phis[j] == mine["phi_deg"])
+        if not on.all():
+            stray = mine[np.argmin(on)]
+            raise ValueError(f"{path}: row ({name}, theta={stray['theta_deg']}, "
+                             f"phi={stray['phi_deg']}) lies off the TE grid")
         table = np.empty((thetas.size, phis.size))
-        table[i[on], j[on]] = mine["ap"][on]
+        table[i, j] = mine["ap"]
         filled = np.zeros(table.shape, dtype=bool)
-        filled[i[on], j[on]] = True
+        filled[i, j] = True
         if not filled.all():
             a, b = np.unravel_index(np.argmin(filled), filled.shape)  # first in grid order
             raise ValueError(f"{path}: {name} table is not a full regular grid "
@@ -216,19 +228,13 @@ def read_ap_surface_csv(path) -> APSurface:
 
 
 def write_g2_csv(path, est: G2Estimate) -> None:
-    _write_rows(
-        path,
-        ["delay_ns", "g2", "ci_low", "ci_high", "masked"],
-        zip(est.delay_ns, est.g2, est.ci_low, est.ci_high, est.masked),
-    )
+    write_table(path, ["delay_ns", "g2", "ci_low", "ci_high", "masked"],
+                [est.delay_ns, est.g2, est.ci_low, est.ci_high, est.masked])
 
 
 def write_position_sweep_csv(path, sweep) -> None:
-    _write_rows(
-        path,
-        ["lateral_um", "rel_rate", "rel_rate_const_ap"],
-        zip(sweep.lateral_um, sweep.rel_rate, sweep.rel_rate_const_ap),
-    )
+    write_table(path, ["lateral_um", "rel_rate", "rel_rate_const_ap"],
+                [sweep.lateral_um, sweep.rel_rate, sweep.rel_rate_const_ap])
 
 
 def ensure_dir(path) -> Path:

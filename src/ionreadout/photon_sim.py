@@ -191,11 +191,6 @@ class Dataset:
     def n_bins(self) -> int:
         return self.counts.shape[1]
 
-    @property
-    def labels(self) -> np.ndarray:
-        """The label column as 'bright' / 'dark' strings."""
-        return np.where(self.bright, BRIGHT, DARK)
-
     @cached_property
     def _prefix(self) -> np.ndarray:
         """Counts summed over bins 0..j of every record, for each j."""

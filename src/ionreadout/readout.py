@@ -384,11 +384,13 @@ def _mean_rate_slope(
     return float(coef[1]), float(coef[0]), float(np.sqrt(cov[0, 0]))
 
 
-def calibrate_rates(
-    trajs: Dataset | Sequence[Trajectory],
-    duration_fractions: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
-    min_trials: int = 100,
-) -> CalibratedRates:
+# record fractions at which the count rates are fitted
+_DURATION_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
+MIN_CALIBRATION_TRIALS = 100
+MIN_CALIBRATION_BINS = 3  # the pumping slope's error needs more bins than the line's 2 parameters
+
+
+def calibrate_rates(trajs: Dataset | Sequence[Trajectory]) -> CalibratedRates:
     """Recover emitter rates from a labeled dataset.
 
     Count rates come from Poisson fits to the dominant histogram peak at
@@ -399,17 +401,20 @@ def calibrate_rates(
     ds = as_dataset(trajs)
     n_bright = int(np.count_nonzero(ds.bright))
     n_dark = len(ds) - n_bright
-    if n_bright < min_trials or n_dark < min_trials:
+    if n_bright < MIN_CALIBRATION_TRIALS or n_dark < MIN_CALIBRATION_TRIALS:
         raise ValueError(
-            f"calibration needs at least {min_trials} trials per state; "
+            f"calibration needs at least {MIN_CALIBRATION_TRIALS} trials per state; "
             f"got {n_bright} bright / {n_dark} dark"
         )
+    if ds.n_bins < MIN_CALIBRATION_BINS:
+        raise ValueError(f"calibration needs records of at least {MIN_CALIBRATION_BINS} bins; "
+                         f"got {ds.n_bins}")
     t0 = ds.bin_width_us
     n_bins = ds.n_bins
 
     def peak_rate(mask: np.ndarray) -> tuple[float, float]:
         estimates = []
-        for frac in duration_fractions:
+        for frac in _DURATION_FRACTIONS:
             nb = max(1, int(round(frac * n_bins)))
             mu = _fit_poisson_peak(ds.totals(nb * t0)[mask])
             estimates.append(mu / (nb * t0 * _MS_PER_US))

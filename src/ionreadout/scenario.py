@@ -21,6 +21,8 @@ from .photon_sim import (
     simulate_dataset,
 )
 from .readout import (
+    MIN_CALIBRATION_BINS,
+    MIN_CALIBRATION_TRIALS,
     adaptive_classify_batch,
     calibrate_rates,
     error_stats,
@@ -96,8 +98,8 @@ _SCHEMA: dict[str, tuple[str, bool, str | None]] = {
     "herald_duration_us": ("float", False, "50.0"),
     "herald_bright_min": ("int", False, "8"),
     "threshold_duration_us": ("float", False, "125.0"),
-    "threshold_sweep_us": ("str", False, ""),
-    "bayes_levels": ("str", False, "0.9:0.9999:16"),
+    "threshold_sweep_us": ("sweep", False, ""),
+    "bayes_levels": ("levels", False, "0.9:0.9999:16"),
     "write_trajectories": ("bool", False, "false"),
     "write_results": ("bool", False, "true"),
     "out_dir": ("str", True, None),
@@ -118,6 +120,10 @@ def _convert(key: str, value: str, kind: str, source: str):
             if value in ("exact", "bin-boundary"):
                 return value
             raise ValueError("expected exact or bin-boundary")
+        if kind == "sweep":
+            return parse_duration_sweep(value) if value else None
+        if kind == "levels":
+            return parse_level_sweep(value)
         return value
     except ValueError as exc:
         raise ConfigError(f"{source}: key {key!r}: {exc}") from exc
@@ -173,10 +179,12 @@ def load_scenario(path) -> Scenario:
         )
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
+    record_bins = readout.n_bins - readout.herald_bins
+    if record_bins < MIN_CALIBRATION_BINS:
+        raise ConfigError(f"{source}: keys 'n_bins' and 'herald_duration_us' leave {record_bins} "
+                          f"bin(s) after the herald; calibration needs {MIN_CALIBRATION_BINS}")
     if values["trials_per_state"] < 1:
         raise ConfigError(f"{source}: trials_per_state must be >= 1")
-    sweep = values["threshold_sweep_us"]
-    levels = parse_level_sweep(values["bayes_levels"])
     return Scenario(
         name=values["name"],
         seed=values["seed"],
@@ -185,8 +193,8 @@ def load_scenario(path) -> Scenario:
         rates=rates,
         readout=readout,
         threshold_duration_us=values["threshold_duration_us"],
-        threshold_sweep_us=parse_duration_sweep(sweep) if sweep else None,
-        bayes_levels=levels,
+        threshold_sweep_us=values["threshold_sweep_us"],
+        bayes_levels=values["bayes_levels"],
         write_trajectories=values["write_trajectories"],
         write_results=values["write_results"],
         out_dir=Path(values["out_dir"]),
@@ -199,6 +207,11 @@ def _write_effective_config(scn: Scenario, path: Path) -> None:
     for key in _SCHEMA:
         lines.append(f"{key} = {scn.raw[key]}")
     path.write_text("\n".join(lines) + "\n")
+
+
+def _stat_columns(stats, names: list[str]) -> list[list[float]]:
+    """One column per ErrorStats field named, one entry per ErrorStats."""
+    return [[getattr(st, name) for st in stats] for name in names]
 
 
 def run_scenario(path) -> dict:
@@ -215,8 +228,6 @@ def run_scenario(path) -> dict:
     )
     retained, tally = apply_herald_dataset(dataset, scn.readout)
     del dataset  # only the retained records are needed from here on
-    if not len(retained):
-        raise ConfigError(f"{path}: heralding retained no trials")
     sweep = () if scn.threshold_sweep_us is None else scn.threshold_sweep_us
     for key, d in [("threshold_duration_us", scn.threshold_duration_us),
                    *(("threshold_sweep_us", d) for d in sweep)]:
@@ -224,6 +235,13 @@ def run_scenario(path) -> dict:
             retained.totals(float(d))  # the readout must fit the post-herald record
         except ValueError as exc:
             raise ConfigError(f"{path}: key {key!r}: {exc}") from exc
+    for outcome, state in ((HeraldOutcome.RETAINED_BRIGHT, "bright"),
+                           (HeraldOutcome.RETAINED_DARK, "dark")):
+        if tally[outcome] < MIN_CALIBRATION_TRIALS:
+            raise ConfigError(
+                f"{path}: heralding retained {tally[outcome]} {state} trials; calibration needs "
+                f"{MIN_CALIBRATION_TRIALS} per state; check keys 'trials_per_state', "
+                "'herald_duration_us' and 'herald_bright_min'")
     if scn.write_trajectories:
         _io.write_trajectories_csv(out / "trajectories.csv", retained)
 
@@ -233,47 +251,22 @@ def run_scenario(path) -> dict:
                               retained.totals(scn.threshold_duration_us) >= threshold,
                               scn.threshold_duration_us)
 
-    sweep_rows = []
+    errors = ["eps_bright", "eps_dark", "mean_error", "fidelity"]
     if scn.threshold_sweep_us is not None:
-        for d in scn.threshold_sweep_us:
-            thr_d, stats_d = optimize_threshold(retained, float(d))
-            sweep_rows.append(
-                (d, thr_d, stats_d.eps_bright, stats_d.eps_dark,
-                 stats_d.mean_error, stats_d.fidelity)
-            )
-        _io._write_rows(
-            out / "threshold_sweep.csv",
-            ["duration_us", "threshold", "eps_bright", "eps_dark", "mean_error", "fidelity"],
-            sweep_rows,
-        )
+        thresholds, stats = zip(*(optimize_threshold(retained, float(d))
+                                  for d in scn.threshold_sweep_us))
+        _io.write_table(out / "threshold_sweep.csv", ["duration_us", "threshold", *errors],
+                        [scn.threshold_sweep_us, thresholds, *_stat_columns(stats, errors)])
 
     batch = adaptive_classify_batch(retained, scn.rates, t0, scn.bayes_levels)
-    bayes_rows = []
-    for res in batch:
-        stats = error_stats(retained.bright, res.decisions, res.bins_consumed * t0)
-        bayes_rows.append(
-            (
-                res.confidence_level,
-                stats.eps_bright,
-                stats.eps_dark,
-                stats.mean_error,
-                stats.fidelity,
-                stats.mean_duration_us,
-                stats.mean_duration_bright_us,
-                stats.mean_duration_dark_us,
-                int(res.converged.sum()),
-            )
-        )
-    _io._write_rows(
-        out / "bayes_sweep.csv",
-        [
-            "confidence_level", "eps_bright", "eps_dark", "mean_error", "fidelity",
-            "mean_duration_us", "mean_duration_bright_us", "mean_duration_dark_us",
-            "n_converged",
-        ],
-        bayes_rows,
-    )
-    best_idx = int(np.argmin([row[3] for row in bayes_rows]))
+    per_level = [error_stats(retained.bright, res.decisions, res.bins_consumed * t0)
+                 for res in batch]
+    fields = [*errors, "mean_duration_us", "mean_duration_bright_us", "mean_duration_dark_us"]
+    _io.write_table(out / "bayes_sweep.csv", ["confidence_level", *fields, "n_converged"],
+                    [[res.confidence_level for res in batch], *_stat_columns(per_level, fields),
+                     [np.count_nonzero(res.converged) for res in batch]])
+    best_idx = int(np.argmin([st.mean_error for st in per_level]))
+    best_stats = per_level[best_idx]
     best = batch[best_idx]
     if scn.write_results:
         _io.write_results_csv(out / "bayes_results.csv", retained.bright, best.decisions,
@@ -295,11 +288,11 @@ def run_scenario(path) -> dict:
         "threshold_mean_error": thr_stats.mean_error,
         "threshold_fidelity": thr_stats.fidelity,
         "bayes_best_level": float(scn.bayes_levels[best_idx]),
-        "bayes_best_mean_error": bayes_rows[best_idx][3],
-        "bayes_best_fidelity": bayes_rows[best_idx][4],
-        "bayes_best_mean_duration_us": bayes_rows[best_idx][5],
-        "bayes_best_mean_duration_bright_us": bayes_rows[best_idx][6],
-        "bayes_best_mean_duration_dark_us": bayes_rows[best_idx][7],
+        "bayes_best_mean_error": best_stats.mean_error,
+        "bayes_best_fidelity": best_stats.fidelity,
+        "bayes_best_mean_duration_us": best_stats.mean_duration_us,
+        "bayes_best_mean_duration_bright_us": best_stats.mean_duration_bright_us,
+        "bayes_best_mean_duration_dark_us": best_stats.mean_duration_dark_us,
         "calibrated_gamma_b": cal.gamma_b,
         "calibrated_gamma_b_err": cal.gamma_b_err,
         "calibrated_gamma_d": cal.gamma_d,
@@ -311,7 +304,7 @@ def run_scenario(path) -> dict:
     }
 
     lines = [f"scenario summary: {scn.name}", ""]
-    lines += [f"{key} = {_io._fmt(val)}" for key, val in summary.items()]
+    lines += [f"{key} = {_io.format_value(val)}" for key, val in summary.items()]
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
     _write_effective_config(scn, out / "effective_config.cfg")
     return summary

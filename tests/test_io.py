@@ -1,5 +1,8 @@
 """CSV interchange: round trips, deterministic bytes, format validation."""
 import re
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,13 +152,14 @@ def test_trajectory_read_rejects_unknown_label(tmp_path):
 def test_timetag_round_trip(tmp_path):
     streams = [
         TimeTagStream("A", np.array([3, 17, 99], dtype=np.int64), 1000),
-        TimeTagStream("B", np.array([5, 40], dtype=np.int64), 1000),
+        TimeTagStream('B, "quoted" é', np.array([5, 40], dtype=np.int64), 1000),
     ]
     path = tmp_path / "tags.csv"
     iio.write_timetags_csv(path, streams)
-    assert _read_lines(path)[0] == "channel,t_ns"
+    assert path.read_bytes() == ('channel,t_ns\nA,3\nA,17\nA,99\n'
+                                 '"B, ""quoted"" é",5\n"B, ""quoted"" é",40\n').encode()
     back = iio.read_timetags_csv(path, duration_ns=1000)
-    assert [s.channel for s in back] == ["A", "B"]
+    assert [s.channel for s in back] == ["A", 'B, "quoted" é']
     for orig, rt in zip(streams, back):
         assert np.array_equal(rt.t_ns, orig.t_ns)
         assert rt.duration_ns == 1000
@@ -164,7 +168,8 @@ def test_timetag_round_trip(tmp_path):
     assert inferred[0].duration_ns == 100  # one past the latest tag
 
     empty = tmp_path / "none.csv"
-    empty.write_text("channel,t_ns\n")
+    iio.write_timetags_csv(empty, [])
+    assert empty.read_bytes() == b"channel,t_ns\n"
     with pytest.raises(ValueError, match="no tags"):
         iio.read_timetags_csv(empty)
 
@@ -198,6 +203,7 @@ def test_bias_curve_round_trip(tmp_path):
                            np.array([0.0, 10.0, 950.37, 1000.0]))
     path = tmp_path / "curve.csv"
     iio.write_bias_curve_csv(path, curve)
+    assert path.read_bytes() == b"bias_ua,counts\n0.0,0.0\n2.5,10.0\n5.0,950.37\n8.9,1000.0\n"
     back = iio.read_bias_curve_csv(path)
     assert np.array_equal(back.bias_ua, curve.bias_ua)
     assert np.array_equal(back.counts, curve.counts)
@@ -207,8 +213,17 @@ def test_bias_curve_round_trip(tmp_path):
 
 
 def test_ap_surface_round_trip(tmp_path):
-    surf = APSurface.synthetic_placeholder()
     path = tmp_path / "ap.csv"
+    # TE then TM, each theta-major
+    iio.write_ap_surface_csv(path, APSurface(np.array([0.0, 45.0]), np.array([0.0, 90.0]),
+                                             np.array([[0.5, 0.25], [0.4, 0.1]]),
+                                             np.array([[0.5, 0.75], [0.3, 1.0]])))
+    assert path.read_bytes() == (
+        b"polarization,theta_deg,phi_deg,ap\n"
+        b"TE,0.0,0.0,0.5\nTE,0.0,90.0,0.25\nTE,45.0,0.0,0.4\nTE,45.0,90.0,0.1\n"
+        b"TM,0.0,0.0,0.5\nTM,0.0,90.0,0.75\nTM,45.0,0.0,0.3\nTM,45.0,90.0,1.0\n")
+
+    surf = APSurface.synthetic_placeholder()
     iio.write_ap_surface_csv(path, surf)
     back = iio.read_ap_surface_csv(path)
     assert np.array_equal(back.theta_deg, surf.theta_deg)
@@ -232,6 +247,12 @@ def test_ap_surface_read_validation(tmp_path):
     with pytest.raises(ValueError, match="full regular grid"):
         iio.read_ap_surface_csv(path)
 
+    # a TM row off the TE grid is not dropped
+    path.write_text(header + "\n".join([*full, "TM,80,45,0.9", "TM,0,10,0.9"]) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: row (TM, theta=80.0, phi=45.0) "
+                                                   "lies off the TE grid")):
+        iio.read_ap_surface_csv(path)
+
     path.write_text(header + "XX,0.0,0.0,0.5\n")
     with pytest.raises(ValueError, match="TE or TM"):
         iio.read_ap_surface_csv(path)
@@ -253,24 +274,21 @@ def test_g2_csv_format(tmp_path):
     )
     path = tmp_path / "g2.csv"
     iio.write_g2_csv(path, est)
-    lines = _read_lines(path)
-    assert lines[0] == "delay_ns,g2,ci_low,ci_high,masked"
-    assert len(lines) == 4
-    assert lines[2].endswith(",true")
-    assert lines[1].endswith(",false")
+    assert path.read_bytes() == (b"delay_ns,g2,ci_low,ci_high,masked\n-1.0,1.0,0.9,1.1,false\n"
+                                 b"0.0,0.25,0.2,0.3,true\n1.0,0.9,0.8,1.0,false\n")
 
 
 def test_position_sweep_csv(tmp_path):
+    # an integer column stays integer next to float ones
     sweep = PositionSweep(
-        lateral_um=np.array([0.0, 8.0]),
+        lateral_um=np.array([0, 8]),
         rel_rate=np.array([1.0, 0.93]),
-        rel_rate_const_ap=np.array([1.0, 0.95]),
+        rel_rate_const_ap=np.array([1.0, 1 / 3]),
     )
     path = tmp_path / "sweep.csv"
     iio.write_position_sweep_csv(path, sweep)
-    lines = _read_lines(path)
-    assert lines[0] == "lateral_um,rel_rate,rel_rate_const_ap"
-    assert lines[1] == "0.0,1.0,1.0"
+    assert path.read_bytes() == (b"lateral_um,rel_rate,rel_rate_const_ap\n0,1.0,1.0\n"
+                                 b"8,0.93,0.3333333333333333\n")
 
 
 def test_ensure_dir(tmp_path):
@@ -382,3 +400,26 @@ def test_malformed_files_are_input_errors(tmp_path, capsys, fmt, defect):
     assert main([*command, str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
+
+
+# ------------------------------------------------- demo scripts: tables out
+
+_SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize("script, columns", [
+    ("rf_bias_demo.py", None),
+    ("position_sweep_demo.py", ["lateral_um", "rel_rate", "rel_rate_const_ap"]),
+])
+def test_demo_scripts_write_readable_tables(tmp_path, monkeypatch, capsys, script, columns):
+    path = tmp_path / "table.csv"
+    monkeypatch.setattr(sys, "argv", [script, "--out", str(path)])
+    runpy.run_path(str(_SCRIPTS / script))["main"]()
+    assert f"wrote {path}" in capsys.readouterr().out
+    if columns is None:  # the predicted rf-on curve
+        curve = iio.read_bias_curve_csv(path)
+        assert curve.bias_ua.size == 33 and curve.counts.max() > 0
+    else:  # no reader in io: read the header-checked columns directly
+        sweep = iio._read_table(path, [(name, float) for name in columns])
+        assert np.array_equal(sweep["lateral_um"], np.arange(0.0, 161.0, 8.0))
+        assert sweep["rel_rate"][0] == 1.0

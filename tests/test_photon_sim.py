@@ -100,7 +100,7 @@ def test_block_rows_do_not_depend_on_later_trials(rates):
 def test_single_trial_per_state_labels(rates):
     cfg = ReadoutConfig(n_bins=10, herald_duration_us=0.0)
     ds = simulate_dataset(rates, cfg, trials_per_state=1, seed=4)
-    assert list(ds.labels) == [BRIGHT, DARK]
+    assert ds.bright.tolist() == [True, False]
     assert ds.counts.shape == (2, 10)
 
 
@@ -224,7 +224,7 @@ def test_dataset_indexes_like_a_list_of_records(rates):
     cfg = ReadoutConfig(n_bins=30, herald_duration_us=0.0)
     ds = simulate_dataset(rates, cfg, trials_per_state=4, seed=8)
     assert len(ds) == 8
-    assert list(ds.labels) == [BRIGHT] * 4 + [DARK] * 4
+    assert ds.bright.tolist() == [True] * 4 + [False] * 4
     for key in (slice(2, 6), np.arange(8) % 4 < 2, np.array([2, 3, 4, 5])):
         part = ds[key]
         assert isinstance(part, Dataset)
@@ -240,8 +240,8 @@ def test_dataset_indexes_like_a_list_of_records(rates):
     with pytest.raises(TypeError):
         list(ds)
 
-    records = [Trajectory(label, row, ds.bin_width_us)
-               for label, row in zip(ds.labels, ds.counts)]
+    records = [Trajectory(BRIGHT if bright else DARK, row, ds.bin_width_us)
+               for bright, row in zip(ds.bright, ds.counts)]
     again = as_dataset(records)
     assert np.array_equal(again.counts, ds.counts)
     assert np.array_equal(again.bright, ds.bright)

@@ -417,3 +417,9 @@ def test_calibration_needs_enough_trials():
     ds = simulate_dataset(NOPUMP, cfg, trials_per_state=50, seed=1)
     with pytest.raises(ValueError, match="at least"):
         calibrate_rates(ds)
+    # and enough bins for the pumping slopes' errors, or it fails inside the line fit
+    for n_bins in (1, 2):
+        ds = simulate_dataset(NOPUMP, ReadoutConfig(n_bins=n_bins, herald_duration_us=0.0),
+                              trials_per_state=150, seed=1)
+        with pytest.raises(ValueError, match=f"records of at least 3 bins; got {n_bins}"):
+            calibrate_rates(ds)

@@ -190,6 +190,26 @@ def test_readout_duration_outside_the_record_names_its_key(tmp_path, key, value,
         run_scenario(cfg)
 
 
+@pytest.mark.parametrize("overrides, key", [
+    pytest.param({"bin_width_us": 0.1, "n_bins": 1500}, None, id="0.1us-bins"),
+    pytest.param({"gamma_d_per_ms": 0.0}, None, id="no-dark-counts"),
+    pytest.param({"gamma_dp_per_ms": 0.0, "gamma_rp_per_ms": 0.0}, None, id="no-pumping"),
+    pytest.param({"n_bins": 1, "threshold_duration_us": 1.0}, "n_bins", id="1-bin"),
+    pytest.param({"n_bins": 2, "threshold_duration_us": 1.0}, "n_bins", id="2-bins"),
+    pytest.param({"herald_duration_us": 50.0, "herald_bright_min": 60}, "herald_bright_min",
+                 id="one-class-herald"),
+    pytest.param({"bayes_levels": "0.9:1.5:3"}, "bayes_levels", id="bad-levels"),
+    pytest.param({"threshold_sweep_us": "10:5:1"}, "threshold_sweep_us", id="bad-sweep"),
+])
+def test_accepted_config_runs_or_names_its_key(tmp_path, overrides, key):
+    cfg = _write_minimal_cfg(tmp_path / "s.cfg", tmp_path / "out", **overrides)
+    if key is None:
+        assert run_scenario(cfg)["threshold_mean_error"] < 0.05
+    else:
+        with pytest.raises(ConfigError, match=rf"s\.cfg: .*'{key}'"):
+            run_scenario(cfg)
+
+
 def test_paper_scenario_reproduces_shipped_outputs(tmp_path):
     golden = SCENARIO_DIR.parent / "out" / "paper"
     text = (SCENARIO_DIR / "paper.cfg").read_text()
@@ -305,8 +325,8 @@ def test_cli_classify_fixed_threshold_decisions(small_csv, tmp_path, capsys):
         capsys.readouterr()
         assert code == 0
         expected = [
-            [str(i), label, "bright" if total >= thr else "dark"]
-            for i, (label, total) in enumerate(zip(ds.labels, totals))
+            [str(i), "bright" if bright else "dark", "bright" if total >= thr else "dark"]
+            for i, (bright, total) in enumerate(zip(ds.bright, totals))
         ]
         rows = [line.split(",")[:3] for line in out_csv.read_text().splitlines()[1:]]
         assert rows == expected
