@@ -256,9 +256,8 @@ def _cmd_optics(args) -> int:
         grid_pitch_um=args.grid_pitch_um,
         opening_margin_um=args.opening_margin_um,
     )
-    n_ap_flags = sum(x is not None for x in (args.ap_constant, args.ap_file)) + args.ap_synthetic
-    if n_ap_flags > 1:
-        raise ConfigError("choose one of --ap-constant, --ap-file, --ap-synthetic")
+    if args.ap_constant is not None and args.ap_file:
+        raise ConfigError("--ap-constant and --ap-file conflict; pick one AP source")
     if args.ap_constant is not None:
         ap = APSurface.constant(args.ap_constant)
     elif args.ap_file:
@@ -317,7 +316,11 @@ def _cmd_g2(args) -> int:
 
     exclude = None
     if args.exclude_ns:
-        lo, hi = (float(p) for p in args.exclude_ns.split(":"))
+        try:
+            lo, hi = (float(p) for p in args.exclude_ns.split(":"))
+        except ValueError:
+            raise ConfigError(
+                f"--exclude-ns must be LO:HI in ns, got {args.exclude_ns!r}") from None
         exclude = (lo, hi)
     est = g2_estimate(a, b, bin_width_ns=int(args.bin_width_ns),
                       max_delay_ns=args.max_delay_ns, exclude_ns=exclude)
@@ -452,9 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--opening-margin-um", type=float, default=30.0)
     p.add_argument("--ap-constant", type=float, default=None,
                    help="angle-independent absorption probability")
-    p.add_argument("--ap-file", default=None, help="AP surface CSV")
-    p.add_argument("--ap-synthetic", action="store_true",
-                   help="smooth synthetic AP surface (default)")
+    p.add_argument("--ap-file", default=None,
+                   help="AP surface CSV (default: a smooth synthetic surface)")
     p.add_argument("--internal-efficiency", type=float, default=1.0)
     p.add_argument("--measured-rate-s", type=float, default=None,
                    help="saturated count rate; prints the implied SDE")

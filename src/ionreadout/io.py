@@ -224,7 +224,10 @@ def read_ap_surface_csv(path) -> APSurface:
             raise ValueError(f"{path}: {name} table is not a full regular grid "
                              f"(missing theta={thetas[a]}, phi={phis[b]})")
         tables.append(table)
-    return APSurface(thetas, phis, *tables)
+    try:
+        return APSurface(thetas, phis, *tables)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_g2_csv(path, est: G2Estimate) -> None:

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .rfcircuit import BiasCountCurve
 
@@ -39,9 +38,11 @@ class APSurface:
     """Absorption probability tables on a regular (theta, phi) grid.
 
     theta_deg is the incidence polar angle from the detector normal,
-    phi_deg the azimuth measured from the nanowire axis.  Bilinear
-    interpolation between grid points; lookups outside the grid raise
-    :class:`APCoverageError`.
+    phi_deg the azimuth measured from the nanowire axis.  Lookups blend
+    the four grid points around each angle bilinearly.  Phi is wrapped
+    to [0, 360) first and must then lie inside the table, so a periodic
+    table lists both 0 and 360; an angle outside the table, NaN or
+    infinite raises :class:`APCoverageError`.
     """
 
     theta_deg: np.ndarray
@@ -66,16 +67,6 @@ class APSurface:
         object.__setattr__(self, "phi_deg", ph)
         object.__setattr__(self, "ap_te", te)
         object.__setattr__(self, "ap_tm", tm)
-        object.__setattr__(
-            self,
-            "_interp_te",
-            RegularGridInterpolator((th, ph), te, method="linear", bounds_error=True),
-        )
-        object.__setattr__(
-            self,
-            "_interp_tm",
-            RegularGridInterpolator((th, ph), tm, method="linear", bounds_error=True),
-        )
 
     @classmethod
     def constant(cls, value: float) -> "APSurface":
@@ -101,16 +92,29 @@ class APSurface:
         return cls(th, ph, te, tm)
 
     def lookup(self, theta_deg, phi_deg) -> tuple[np.ndarray, np.ndarray]:
-        """AP values (TE, TM) at the given angles; phi wraps modulo 360."""
+        """AP values (TE, TM) at the given angles, in the angles' shape."""
         theta = np.asarray(theta_deg, dtype=float)
-        phi = np.mod(np.asarray(phi_deg, dtype=float), 360.0)
-        pts = np.stack([theta, phi], axis=-1)
-        try:
-            return self._interp_te(pts), self._interp_tm(pts)
-        except ValueError as exc:
-            raise APCoverageError(
-                f"AP surface does not cover a requested incidence angle: {exc}"
-            ) from exc
+        phi = np.asarray(phi_deg, dtype=float)
+        # NaN and inf are left as they are, for the coverage check to name
+        phi = np.mod(phi, 360.0, out=phi.copy(), where=np.isfinite(phi))
+        phi[phi == 360.0] = 0.0  # np.mod rounds a tiny negative phi up to 360
+        i, t = _grid_cell(self.theta_deg, theta, "theta")
+        j, u = _grid_cell(self.phi_deg, phi, "phi")
+        # one cell and one set of corner weights serve both tables
+        corners = ((i, j, (1 - t) * (1 - u)), (i, j + 1, (1 - t) * u),
+                   (i + 1, j, t * (1 - u)), (i + 1, j + 1, t * u))
+        return tuple(sum(table[a, b] * w for a, b, w in corners)
+                     for table in (self.ap_te, self.ap_tm))
+
+
+def _grid_cell(grid: np.ndarray, x: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the grid cell holding each x, and x's fraction of the way across it."""
+    off = ~((x >= grid[0]) & (x <= grid[-1]))  # NaN fails both comparisons
+    if off.any():
+        raise APCoverageError(f"AP surface does not cover {name} = {x[off][0]:g} deg; "
+                              f"its table spans {grid[0]:g} to {grid[-1]:g} deg")
+    i = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)
+    return i, (x - grid[i]) / (grid[i + 1] - grid[i])
 
 
 @dataclass(frozen=True)
@@ -172,19 +176,17 @@ def _dipole_weight(cos_tq):
     return 3.0 / (16.0 * np.pi) * (1.0 + cos_tq**2)
 
 
-@dataclass(frozen=True)
-class _CellGeometry:
-    n_hat: np.ndarray      # (N, 3) unit vectors, emitter -> cell
-    d_omega: np.ndarray    # (N,) solid angle per cell
-    visible: np.ndarray    # (N,) bool
+def _visible_cells(scene: DetectorScene) -> tuple[np.ndarray, np.ndarray, int]:
+    """The detector cells the emitter sees, and the grid's cell count.
 
-
-def _cell_geometry(scene: DetectorScene) -> _CellGeometry:
+    Returns the (N, 3) unit vectors from the emitter to each visible
+    cell and the fraction of all emission each one receives: its solid
+    angle times the dipole density toward it.
+    """
     nx = int(round(scene.detector_w_um / scene.grid_pitch_um))
     ny = int(round(scene.detector_h_um / scene.grid_pitch_um))
     if nx == 0 or ny == 0:
-        empty = np.empty((0, 3))
-        return _CellGeometry(empty, np.empty(0), np.empty(0, dtype=bool))
+        return np.empty((0, 3)), np.empty(0), 0
     dx = scene.detector_w_um / nx
     dy = scene.detector_h_um / ny
     cx = -scene.detector_w_um / 2 + (np.arange(nx) + 0.5) * dx
@@ -199,6 +201,8 @@ def _cell_geometry(scene: DetectorScene) -> _CellGeometry:
     n_hat = d / r[:, None]
     cos_inc = np.abs(d[:, 2]) / r
     d_omega = dx * dy * cos_inc / r**2
+    a = np.radians(scene.quant_axis_deg)
+    dipole = _dipole_weight(n_hat @ np.array([np.cos(a), np.sin(a), 0.0]))
 
     if scene.ion_height_um > 0 and scene.recess_um > 0:
         # where each sight line pierces the electrode top plane
@@ -209,30 +213,18 @@ def _cell_geometry(scene: DetectorScene) -> _CellGeometry:
         visible = (np.abs(cross[:, 0]) <= half_w) & (np.abs(cross[:, 1]) <= half_h)
     else:
         visible = np.ones(cells.shape[0], dtype=bool)
-    return _CellGeometry(n_hat, d_omega, visible)
+    return n_hat[visible], d_omega[visible] * dipole[visible], xx.size
 
 
 def obscured_fraction(scene: DetectorScene) -> float:
     """Fraction of detector cells blocked by the electrode-plane edge."""
-    geo = _cell_geometry(scene)
-    if geo.visible.size == 0:
-        return 0.0
-    return 1.0 - float(np.count_nonzero(geo.visible)) / geo.visible.size
-
-
-def _quant_axis(scene: DetectorScene) -> np.ndarray:
-    a = np.radians(scene.quant_axis_deg)
-    return np.array([np.cos(a), np.sin(a), 0.0])
+    _, weight, n_cells = _visible_cells(scene)
+    return 1.0 - weight.size / n_cells if n_cells else 0.0
 
 
 def collection_fraction(scene: DetectorScene) -> float:
     """Probability that an emitted photon lands on the visible detector."""
-    geo = _cell_geometry(scene)
-    if geo.visible.size == 0:
-        return 0.0
-    q = _quant_axis(scene)
-    weight = _dipole_weight(geo.n_hat @ q)
-    return float(np.sum(weight[geo.visible] * geo.d_omega[geo.visible]))
+    return float(_visible_cells(scene)[1].sum())
 
 
 def _polarization_weights(
@@ -281,34 +273,20 @@ def _rates(
 
     Both sum (decay_rate/2) * d_omega * dipole weight * IDE * AP over the
     visible cells of one geometry; the first blends AP from its TE/TM
-    tables by the emitted intensity fractions, the second takes AP = 1,
-    where the blend is w_te + w_tm.
+    tables by the emitted intensity fractions.
     """
-    geo = _cell_geometry(scene)
-    if not np.any(geo.visible):
-        return 0.0, 0.0
-    keep = geo.visible
-    n_hat = geo.n_hat[keep]
-    d_omega = geo.d_omega[keep]
-    q = _quant_axis(scene)
-    dipole = _dipole_weight(n_hat @ q)
+    n_hat, weight, _ = _visible_cells(scene)
     w_te, w_tm, theta_deg, phi_deg = _polarization_weights(n_hat, scene)
     ap_te, ap_tm = ap.lookup(theta_deg, phi_deg)
-    weight = d_omega * dipole
     scale = 0.5 * cal.decay_rate_s * cal.internal_efficiency
     return (float(scale * np.sum(weight * (w_te * ap_te + w_tm * ap_tm))),
-            float(scale * np.sum(weight * (w_te + w_tm))))
+            float(scale * weight.sum()))
 
 
 def expected_rate(
     scene: DetectorScene, ap: APSurface, cal: CalibrationInputs
 ) -> float:
-    """Saturated detection rate (1/s) implied by geometry, AP and IDE.
-
-    Sums (decay_rate/2) * d_omega * dipole weight * IDE * blended AP
-    over visible cells, with AP blended from its TE/TM tables by the
-    emitted intensity fractions.
-    """
+    """Saturated detection rate (1/s) implied by geometry, AP and IDE."""
     return _rates(scene, ap, cal)[0]
 
 

@@ -253,6 +253,10 @@ def test_ap_surface_read_validation(tmp_path):
                                                    "lies off the TE grid")):
         iio.read_ap_surface_csv(path)
 
+    path.write_text(header + "\n".join([*full[:-1], "TM,45.0,90.0,1.5"]) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ap_tm values must lie in [0, 1]")):
+        iio.read_ap_surface_csv(path)
+
     path.write_text(header + "XX,0.0,0.0,0.5\n")
     with pytest.raises(ValueError, match="TE or TM"):
         iio.read_ap_surface_csv(path)

@@ -1,9 +1,14 @@
 """Collection geometry, polarization split, detection-efficiency pipeline."""
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.interpolate import RegularGridInterpolator
 
 from ionreadout import (
     APCoverageError,
@@ -20,7 +25,7 @@ from ionreadout import (
     saturation_extrapolate,
     sde_calibrate,
 )
-from ionreadout.optics import DEFAULT_DECAY_RATE_S, _cell_geometry, _polarization_weights
+from ionreadout.optics import DEFAULT_DECAY_RATE_S, _polarization_weights, _visible_cells
 
 HALF_DECAY = 0.5 * DEFAULT_DECAY_RATE_S  # photons/s into 4pi, per saturation limit
 
@@ -108,18 +113,29 @@ def test_fine_grid_oracle_agreement():
 
 
 def test_polarization_weights_sum_to_one():
-    geo = _cell_geometry(replace(DetectorScene(), lateral_um=40.0))
-    w_te, w_tm, theta_deg, phi_deg = _polarization_weights(geo.n_hat, DetectorScene())
+    n_hat, _, _ = _visible_cells(replace(DetectorScene(), lateral_um=40.0))
+    w_te, w_tm, theta_deg, phi_deg = _polarization_weights(n_hat, DetectorScene())
     assert np.all(np.abs(w_te + w_tm - 1.0) < 1e-9)
     assert np.all((theta_deg >= 0) & (theta_deg <= 90.0))
 
 
-def test_ap_surface_validation_and_lookup():
+def _grid(lo, hi):
+    """Strictly increasing grids of 2-6 points inside [lo, hi], both ends included."""
+    inner = st.lists(st.floats(lo, hi), max_size=4, unique=True)
+    grids = inner.map(lambda xs: np.unique([lo, *xs, hi]))
+    return grids.filter(lambda g: np.all(np.diff(g) > 1e-3))
+
+
+@given(thetas=_grid(0.0, 90.0), phis=_grid(0.0, 355.0),
+       coef=st.tuples(*[st.floats(0.0, 0.25)] * 4), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_ap_surface_validation_and_lookup(thetas, phis, coef, data):
     with pytest.raises(ValueError):
         APSurface(np.array([0.0, 1.0]), np.array([0.0, 360.0]),
                   np.full((2, 2), 1.5), np.full((2, 2), 0.5))
     surf = APSurface.constant(0.3)
     te, tm = surf.lookup(17.0, 123.0)
+    assert te.shape == tm.shape == ()
     assert te == pytest.approx(0.3) and tm == pytest.approx(0.3)
     narrow = APSurface(np.array([0.0, 45.0]), np.array([0.0, 360.0]),
                        np.full((2, 2), 0.5), np.full((2, 2), 0.5))
@@ -129,6 +145,50 @@ def test_ap_surface_validation_and_lookup():
     far = replace(DetectorScene(), lateral_um=132.0)
     with pytest.raises(APCoverageError):
         expected_rate(far, narrow, CalibrationInputs())
+
+    # bilinear interpolation is exact for a + b*theta + c*phi + d*theta*phi
+    a, b, c, d = coef
+    def plane(t, p):
+        return a + b * t / 90.0 + c * p / 355.0 + d * (t / 90.0) * (p / 355.0)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    surf = APSurface(thetas, phis, plane(tt, pp), 1.0 - plane(tt, pp))
+    assert set(vars(surf)) == {"theta_deg", "phi_deg", "ap_te", "ap_tm"}
+    te, tm = surf.lookup(tt, pp)  # the nodes come back exactly
+    assert np.array_equal(te, surf.ap_te) and np.array_equal(tm, surf.ap_tm)
+    shape = data.draw(st.sampled_from([(), (3,), (2, 4)]))
+    t = data.draw(arrays(float, shape, elements=st.floats(0.0, 90.0)))
+    p = data.draw(arrays(float, shape, elements=st.floats(0.0, 355.0)))
+    te, tm = surf.lookup(t, p)
+    assert te.shape == tm.shape == shape
+    np.testing.assert_allclose(te, plane(t, p), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(tm, 1.0 - plane(t, p), rtol=0, atol=1e-12)
+    # on any table it agrees with scipy's interpolator to rounding
+    table = data.draw(arrays(float, tt.shape, elements=st.floats(0.0, 1.0)))
+    ref = RegularGridInterpolator((thetas, phis), table)(np.stack([t, p], axis=-1))
+    got = APSurface(thetas, phis, table, table).lookup(t, p)[0]
+    np.testing.assert_allclose(got, ref.reshape(shape), rtol=0, atol=1e-14)
+
+    # phi wraps modulo 360; anything off the table names the angle and its range
+    ring = APSurface(np.array([0.0, 90.0]), np.linspace(0.0, 355.0, 72),
+                     np.full((2, 72), 0.5), np.tile(np.linspace(0.0, 1.0, 72), (2, 1)))
+    assert ring.lookup(30.0, -10.0)[1] == ring.lookup(30.0, 350.0)[1]
+    assert ring.lookup(30.0, 370.0)[1] == ring.lookup(30.0, 10.0)[1]
+    assert ring.lookup(30.0, -1e-20)[1] == ring.lookup(30.0, 0.0)[1]
+    for theta, phi, message in [
+        (95.0, 10.0, "theta = 95 deg; its table spans 0 to 90 deg"),
+        (-1.0, 10.0, "theta = -1 deg"),
+        (10.0, 357.2, "phi = 357.2 deg; its table spans 0 to 355 deg"),
+        (10.0, -2.8, "phi = 357.2 deg"),
+        (np.nan, 10.0, "theta = nan deg"),
+        (10.0, np.nan, "phi = nan deg"),
+        (np.inf, 10.0, "theta = inf deg"),
+        (10.0, np.inf, "phi = inf deg"),
+        (10.0, [5.0, -np.inf], "phi = -inf deg"),
+    ]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(APCoverageError, match=message):
+                ring.lookup(theta, phi)
 
 
 def test_expected_rate_bounds_and_reference():

@@ -1,4 +1,7 @@
 """The public namespace: every exported name resolves, retired ones stay gone."""
+import os
+import subprocess
+import sys
 import types
 
 import ionreadout
@@ -30,3 +33,11 @@ def test_retired_names_are_gone():
         assert not hasattr(ionreadout, name)
         assert not hasattr(ionreadout.photon_sim, name)
         assert not hasattr(ionreadout.readout, name)
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    code = "import sys, ionreadout.cli; print('scipy.interpolate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "False"

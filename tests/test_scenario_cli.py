@@ -429,6 +429,9 @@ def test_cli_optics_summary_and_sweep(tmp_path, capsys):
 
     assert main(["optics", "--out", str(sweep_csv)]) == 1
     capsys.readouterr()
+    assert main(["optics", "--ap-constant", "0.5", "--ap-file", str(sweep_csv)]) == 1
+    assert "conflict" in capsys.readouterr().err
+    # the synthetic surface is the default, so it has no flag
     assert main(["optics", "--ap-constant", "0.5", "--ap-synthetic"]) == 1
     capsys.readouterr()
     assert main(["optics", "--scene", "bogus"]) == 1
@@ -450,6 +453,9 @@ def test_cli_g2_simulate_and_exclusion(tmp_path, capsys):
     assert code == 0
     assert not (20.0 <= float(kv["dip_delay_ns"]) <= 36.0)
 
+    for bad in ("1:2:3", "abc", "5"):
+        assert main([*base, "--exclude-ns", bad]) == 1
+        assert f"--exclude-ns must be LO:HI in ns, got {bad!r}" in capsys.readouterr().err
     assert main(["g2", "--simulate", "--in", "x.csv"]) == 1
     capsys.readouterr()
     assert main(["g2"]) == 1
