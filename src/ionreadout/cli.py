@@ -28,7 +28,6 @@ from .photon_sim import (
     EmitterStreamConfig,
     RateParams,
     ReadoutConfig,
-    apply_herald_dataset,
     simulate_dataset,
     simulate_timetag_streams,
 )
@@ -106,12 +105,11 @@ def _cmd_simulate(args) -> int:
         herald_duration_us=args.herald_duration_us if args.herald else 0.0,
         herald_bright_min=args.herald_bright_min,
     )
-    trajs = simulate_dataset(
+    trajs, tally = simulate_dataset(
         _rates_from(args), cfg, args.trials_per_state, args.seed, mode=args.mode
     )
     pairs = [("trials_per_state", args.trials_per_state), ("seed", args.seed)]
     if args.herald:
-        trajs, tally = apply_herald_dataset(trajs, cfg)
         pairs += [(f"herald_{outcome.name.lower()}", n) for outcome, n in tally.items()]
     _io.write_trajectories_csv(args.out, trajs)
     pairs.append(("trials_written", len(trajs)))

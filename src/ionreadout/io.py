@@ -87,13 +87,14 @@ def write_trajectories_csv(path, trajs: Dataset | Sequence[Trajectory]) -> None:
     """Long-format dump: one row per (trial, bin)."""
     ds = as_dataset(trajs)
     template = "".join([f"%s{j},%d\n" for j in range(ds.n_bins)])  # the rows of one trial
+    labels = _labels(ds.bright).tolist()
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_TRAJECTORY_DTYPE.names) + "\n")
-        for trial_id, (row, label) in enumerate(zip(ds.counts, _labels(ds.bright).tolist())):
-            bins = row.tolist()  # a row at a time, not the whole matrix as one list
-            values = [f"{trial_id},{label},"] * (2 * len(bins))
-            values[1::2] = bins
-            fh.write(template % tuple(values))
+        for lo in range(0, len(ds), 256):  # counts of a few records at a time, never all
+            for trial_id, bins in enumerate(ds[lo:lo + 256].counts.tolist(), lo):
+                values = [f"{trial_id},{labels[trial_id]},"] * (2 * len(bins))
+                values[1::2] = bins
+                fh.write(template % tuple(values))
 
 
 def read_trajectories_csv(path, *, bin_width_us: float) -> Dataset:
@@ -115,7 +116,12 @@ def read_trajectories_csv(path, *, bin_width_us: float) -> Dataset:
         raise ValueError(f"{path}: trial {tid[first]} has label {shown!r}; "
                          "expected 'bright' or 'dark'")
 
-    trial_ids, trial = np.unique(tid, return_inverse=True)
+    # ids 0..T-1 in row order, as written, need no sort: every step is 0 or 1
+    # (a negative step reads as a huge unsigned one)
+    if tid[0] == 0 and (np.diff(tid).view(np.uint64) <= 1).all():
+        trial_ids, trial = np.arange(tid[-1] + 1), tid
+    else:
+        trial_ids, trial = np.unique(tid, return_inverse=True)
     n_rows = np.bincount(trial)
     n_bright = np.bincount(trial[bright], minlength=trial_ids.size)
     mixed = (n_bright > 0) & (n_bright < n_rows)

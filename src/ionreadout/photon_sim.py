@@ -24,19 +24,23 @@ prepared state, each block from its own generator seeded by
 ``(master_seed, state, block)``.  Output is bitwise reproducible under
 the seed, and a block's rows do not depend on how many trials follow it.
 
-Records are held as a :class:`Dataset`: one counts matrix (trials x
-bins) with a boolean label column, so a trial is one row of ``counts``
-plus one entry of ``bright``.  Counts are stored as int16 and widened
-only when a count would not fit, never wrapped.  A list of
-:class:`Trajectory` input records is stacked into one by
-:func:`as_dataset`.
+Records are held as a :class:`Dataset`: one prefix-sum matrix (trials x
+bins, the counts of bins 0..j of each record in column j) with a boolean
+label column.  A readout total is one column, bin j's counts are the
+difference of columns j and j - 1, and the counts matrix is derived only
+on access.  Integers are stored in the narrowest of int16, int32 and
+int64 that holds them, never wrapped.  :func:`simulate_dataset` heralds
+each chunk of rows as it is drawn and writes only the retained rows'
+post-herald prefix sums, so no raw counts matrix is ever held; records
+already in memory are heralded by :func:`apply_herald_dataset` under the
+same rule.  A list of :class:`Trajectory` input records is stacked into
+one by :func:`as_dataset`.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Literal, Sequence
 
 import numpy as np
@@ -149,35 +153,55 @@ class Trajectory:
             raise ValueError("bin_width_us must be positive")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Dataset:
-    """Labelled binned records held as one counts matrix.
+    """Labelled binned records held as one prefix-sum matrix.
 
-    ``counts`` is n_trials x n_bins, int16 unless a count would not fit
-    (then the narrowest wider integer type).  ``bright`` is the label
-    column: the preparation, or after heralding the herald's verdict.
-    Trial i is ``counts[i]`` with label ``bright[i]``.  ``len`` counts
-    trials, and a slice, boolean mask or index array selects trials as
-    a Dataset; a Dataset is not iterable and takes no integer index.
+    ``Dataset(counts, bright, bin_width_us)`` takes an n_trials x n_bins
+    counts matrix and keeps only ``prefix``, its running sum along each
+    record, in the narrowest integer type that holds ``max_count`` x
+    n_bins.  ``max_count`` bounds every count: the largest count of the
+    records the dataset was built, simulated or selected from.
+    ``counts`` is derived from ``prefix`` on each access (int16 unless
+    ``max_count`` does not fit).  ``bright`` is the label column: the
+    preparation, or after heralding the herald's verdict.  Trial i is
+    ``counts[i]`` with label ``bright[i]``.  ``len`` counts trials, and a
+    slice, boolean mask or index array selects trials as a Dataset; a
+    Dataset is not iterable and takes no integer index.
     """
 
-    counts: np.ndarray
+    prefix: np.ndarray
     bright: np.ndarray
-    bin_width_us: float = 1.0
+    bin_width_us: float
+    max_count: int
 
-    def __post_init__(self) -> None:
-        if np.ndim(self.counts) != 2:
+    def __init__(self, counts, bright, bin_width_us: float = 1.0) -> None:
+        if np.ndim(counts) != 2:
             raise ValueError("counts must be a trials x bins matrix")
-        object.__setattr__(self, "counts", _as_counts(self.counts))
-        bright = np.asarray(self.bright)
-        if bright.dtype != bool or bright.shape != self.counts.shape[:1]:
+        counts = _as_counts(counts)
+        top = int(counts.max(initial=0))
+        prefix = np.cumsum(counts, axis=1, dtype=_counts_dtype(top * counts.shape[1]))
+        self._hold(prefix, bright, bin_width_us, top)
+
+    @classmethod
+    def _from_prefix(cls, prefix: np.ndarray, bright, bin_width_us: float,
+                     max_count: int) -> "Dataset":
+        ds = object.__new__(cls)
+        ds._hold(prefix, bright, bin_width_us, max_count)
+        return ds
+
+    def _hold(self, prefix, bright, bin_width_us, max_count) -> None:
+        bright = np.asarray(bright)
+        if bright.dtype != bool or bright.shape != prefix.shape[:1]:
             raise ValueError("bright must be a boolean array with one entry per trial")
-        object.__setattr__(self, "bright", bright)
-        if self.bin_width_us <= 0:
+        if bin_width_us <= 0:
             raise ValueError("bin_width_us must be positive")
+        for name, value in (("prefix", prefix), ("bright", bright),
+                            ("bin_width_us", bin_width_us), ("max_count", max_count)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return self.counts.shape[0]
+        return self.prefix.shape[0]
 
     __iter__ = None  # iter() raises TypeError instead of falling back on __getitem__
 
@@ -185,17 +209,18 @@ class Dataset:
         if isinstance(key, (int, np.integer)):
             raise TypeError("a Dataset takes no integer index; trial i is "
                             "counts[i] with label bright[i]")
-        return Dataset(self.counts[key], self.bright[key], self.bin_width_us)
+        return Dataset._from_prefix(self.prefix[key], self.bright[key], self.bin_width_us,
+                                    self.max_count)
 
     @property
     def n_bins(self) -> int:
-        return self.counts.shape[1]
+        return self.prefix.shape[1]
 
-    @cached_property
-    def _prefix(self) -> np.ndarray:
-        """Counts summed over bins 0..j of every record, for each j."""
-        bound = int(self.counts.max(initial=0)) * self.n_bins
-        return np.cumsum(self.counts, axis=1, dtype=_counts_dtype(bound))
+    @property
+    def counts(self) -> np.ndarray:
+        """The n_trials x n_bins counts matrix, derived from ``prefix`` on each access."""
+        counts = np.diff(self.prefix, axis=1, prepend=self.prefix.dtype.type(0))
+        return counts.astype(_counts_dtype(self.max_count), copy=False)
 
     def totals(self, duration_us: float) -> np.ndarray:
         """Counts in the first duration_us of every record."""
@@ -207,7 +232,7 @@ class Dataset:
         if nb < 1 or nb > self.n_bins:
             raise ValueError(f"duration ({duration_us:g} us) must cover between 1 bin and the "
                              f"whole record ({self.n_bins} bins of {self.bin_width_us:g} us)")
-        return self._prefix[:, nb - 1]
+        return self.prefix[:, nb - 1]
 
 
 def as_dataset(trajs: Dataset | Sequence[Trajectory]) -> Dataset:
@@ -335,7 +360,7 @@ def _binned_counts(
     rng: np.random.Generator, rates: RateParams, cfg: ReadoutConfig, bright: bool,
     segments: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ):
-    """Yield (first row, int64 counts of consecutive rows) for the segments' trials.
+    """Yield int64 counts of consecutive rows, in order, for the segments' trials.
 
     Each segment gets one Poisson total, placed uniformly inside it and
     binned.  Binned counts of a Poisson process are independent Poisson
@@ -364,8 +389,24 @@ def _binned_counts(
         at *= (end - start)[seg]
         at += first_cell[seg]
         cell = np.minimum(at.astype(np.int64), cap[seg]) - row * n_bins
-        yield row, np.bincount(cell, minlength=(stop - row) * n_bins).reshape(-1, n_bins)
+        yield np.bincount(cell, minlength=(stop - row) * n_bins).reshape(-1, n_bins)
         row = stop
+
+
+def _herald(window: np.ndarray, cfg: ReadoutConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The herald rule on each record's count in a non-empty herald window:
+    the retained records' indices, in order, and their labels (True = bright)."""
+    bright = window >= cfg.herald_bright_min
+    keep = np.flatnonzero(bright | (window == 0))
+    return keep, bright[keep]
+
+
+def _tally(bright: np.ndarray, n_trials: int) -> dict[HeraldOutcome, int]:
+    """Outcome tally of n_trials heralded trials whose retained labels are ``bright``."""
+    n_bright = int(np.count_nonzero(bright))
+    return {HeraldOutcome.RETAINED_BRIGHT: n_bright,
+            HeraldOutcome.RETAINED_DARK: len(bright) - n_bright,
+            HeraldOutcome.DISCARDED: n_trials - len(bright)}
 
 
 def simulate_dataset(
@@ -374,35 +415,53 @@ def simulate_dataset(
     trials_per_state: int,
     seed: int,
     mode: TransitionMode = "exact",
-) -> Dataset:
-    """Simulate trials_per_state bright then trials_per_state dark trials.
+) -> tuple[Dataset, dict[HeraldOutcome, int]]:
+    """Simulate trials_per_state bright then trials_per_state dark trials and herald them.
 
-    Each state's trials are drawn in blocks of ``_BLOCK_TRIALS``
-    trials; block b of state s (0 bright, 1 dark) draws from the
-    generator seeded by (seed, s, b).  The output is bitwise reproducible
-    under the seed, and a block's rows do not change when
-    trials_per_state grows beyond that block.
+    Returns the retained records and the outcome tally, exactly as
+    :func:`apply_herald_dataset` would give for the whole records; a
+    zero-length herald window retains every trial whole, labelled by
+    its preparation.  Each state's trials are drawn in blocks of
+    ``_BLOCK_TRIALS`` trials; block b of state s (0 bright, 1 dark)
+    draws from the generator seeded by (seed, s, b).  The output is
+    bitwise reproducible under the seed, and a block's rows do not
+    change when trials_per_state grows beyond that block.  Each chunk of
+    rows is heralded as it is binned, and only the retained rows' prefix
+    sums are written, into one matrix allocated at the upper bound: its
+    pages past the retained rows are never touched, so never resident.
     """
     if trials_per_state < 1:
         raise ValueError("trials_per_state must be >= 1")
     if mode not in ("exact", "bin-boundary"):
         raise ValueError(f"unknown transition mode {mode!r}")
     _check_slow_pumping(rates, cfg.bin_width_us)
-    counts = np.empty((2 * trials_per_state, cfg.n_bins), dtype=np.int16)
-    limit = np.iinfo(counts.dtype).max
-    for s, bright in enumerate((True, False)):
+    hb = cfg.herald_bins
+    n_trials, n_post = 2 * trials_per_state, cfg.n_bins - hb
+    prefix = np.empty((n_trials, n_post), dtype=np.int16)
+    bright = np.empty(n_trials, dtype=bool)
+    kept = top = 0  # rows written; the largest count drawn
+    for s, prepared in enumerate((True, False)):
         for b, lo in enumerate(range(0, trials_per_state, _BLOCK_TRIALS)):
             n = min(_BLOCK_TRIALS, trials_per_state - lo)
             rng = np.random.default_rng((seed, s, b))
-            segments = _segments(rng, rates, cfg, bright, mode, n)
-            for row, rows in _binned_counts(rng, rates, cfg, bright, segments):
-                top = rows.max()
-                if top > limit:
-                    counts = counts.astype(_counts_dtype(int(top)))
-                    limit = np.iinfo(counts.dtype).max
-                first = s * trials_per_state + lo + row
-                counts[first:first + len(rows)] = rows
-    return Dataset(counts, np.arange(len(counts)) < trials_per_state, cfg.bin_width_us)
+            segments = _segments(rng, rates, cfg, prepared, mode, n)
+            for rows in _binned_counts(rng, rates, cfg, prepared, segments):
+                top = max(top, int(rows.max()))
+                dtype = _counts_dtype(top * n_post)
+                if dtype != prefix.dtype:  # widen only the rows written so far
+                    wider = np.empty(prefix.shape, dtype)
+                    wider[:kept] = prefix[:kept]
+                    prefix = wider
+                labels = prepared
+                if hb:
+                    keep, labels = _herald(rows[:, :hb].sum(axis=1), cfg)
+                    rows = rows[keep, hb:]
+                # exact in the narrow type, which holds every sum
+                np.cumsum(rows, axis=1, dtype=prefix.dtype, out=prefix[kept:kept + len(rows)])
+                bright[kept:kept + len(rows)] = labels
+                kept += len(rows)
+    retained = Dataset._from_prefix(prefix[:kept], bright[:kept], cfg.bin_width_us, top)
+    return retained, _tally(retained.bright, n_trials)
 
 
 def apply_herald_dataset(
@@ -415,26 +474,21 @@ def apply_herald_dataset(
     cfg.herald_bright_min counts retain it as bright, and anything in
     between discards it.  Retained records carry the herald's label and
     only their post-herald bins.  A zero-length window retains every
-    trial unchanged.
+    trial unchanged.  This is for records already in memory;
+    :func:`simulate_dataset` heralds under the same rule as it draws.
     """
     ds = as_dataset(trajs)
     hb = cfg.herald_bins
     if hb and hb >= ds.n_bins:
         raise ValueError("herald window must be shorter than the records")
     if hb == 0:
-        n_bright = int(np.count_nonzero(ds.bright))
-        tally = {HeraldOutcome.RETAINED_BRIGHT: n_bright,
-                 HeraldOutcome.RETAINED_DARK: len(ds) - n_bright,
-                 HeraldOutcome.DISCARDED: 0}
-        return ds, tally
-    herald_counts = ds.counts[:, :hb].sum(axis=1)
-    dark = herald_counts == 0
-    bright = herald_counts >= cfg.herald_bright_min
-    keep = dark | bright
-    tally = {HeraldOutcome.RETAINED_BRIGHT: int(np.count_nonzero(bright)),
-             HeraldOutcome.RETAINED_DARK: int(np.count_nonzero(dark)),
-             HeraldOutcome.DISCARDED: int(len(ds) - np.count_nonzero(keep))}
-    return Dataset(ds.counts[keep, hb:], bright[keep], ds.bin_width_us), tally
+        return ds, _tally(ds.bright, len(ds))
+    keep, bright = _herald(ds.prefix[:, hb - 1], cfg)
+    post = ds.prefix[keep, hb:]
+    post -= ds.prefix[keep, hb - 1, None]
+    post = post.astype(_counts_dtype(ds.max_count * post.shape[1]), copy=False)
+    return (Dataset._from_prefix(post, bright, ds.bin_width_us, ds.max_count),
+            _tally(bright, len(ds)))
 
 
 def _renewal_times_s(rng: np.random.Generator, cfg: EmitterStreamConfig) -> np.ndarray:

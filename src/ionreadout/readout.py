@@ -115,7 +115,7 @@ def adaptive_classify_batch(
     ds = as_dataset(trajs)
     if not len(ds):
         raise ValueError("empty dataset")
-    n_trials, n_bins = ds.counts.shape
+    n_trials, n_bins = len(ds), ds.n_bins
     if n_bins == 0:
         raise ValueError("records have no bins to classify")
     if not np.isclose(bin_width_us, ds.bin_width_us, rtol=1e-9, atol=0.0):
@@ -131,7 +131,7 @@ def adaptive_classify_batch(
     # a difference of logs, since mu_b / mu_d overflows for a tiny mu_d
     mu_b = rates.gamma_b * bin_width_us * _MS_PER_US
     mu_d = rates.gamma_d * bin_width_us * _MS_PER_US
-    n = np.arange(int(ds.counts.max()) + 1)
+    n = np.arange(ds.max_count + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         llr = np.where(n == 0, 0.0, n * (np.log(mu_b) - np.log(mu_d))) - (mu_b - mu_d)
 
@@ -145,19 +145,23 @@ def adaptive_classify_batch(
     low = np.log(q) - np.log1p(-q)
     low -= 1e-12 * (1.0 + np.abs(low))
 
-    # bin, decision and confidence of each trial's stop, per sorted level
-    stop_bin = np.full((len(levels), n_trials), -1, dtype=np.int32)
-    stop_bright = np.zeros((len(levels), n_trials), dtype=bool)
-    stop_conf = np.zeros((len(levels), n_trials))
+    # bin, decision and confidence of each trial's stop, per sorted level;
+    # every entry is written, at the stop or after the loop for open trials
+    stop_bin = np.empty((len(levels), n_trials), dtype=np.int64)
+    stop_bright = np.empty((len(levels), n_trials), dtype=bool)
+    stop_conf = np.empty((len(levels), n_trials))
 
     active = np.arange(n_trials)  # trials still open at the highest level
     n_stopped = np.zeros(n_trials, dtype=np.intp)
     r = np.zeros(n_trials)  # log posterior odds, bright over dark
+    before = np.zeros(n_trials, dtype=ds.prefix.dtype)  # counts before bin i
     for i in range(n_bins):
         if flips:  # propagate the odds through one bin of state flips
             x = np.exp(r)
             r = np.log(((1.0 - p_dp) * x + p_rp) / (p_dp * x + (1.0 - p_rp)))
-        r += llr[ds.counts[active, i]]
+        through = ds.prefix[active, i]
+        r += llr[through - before]
+        before = through
         mag = np.abs(r)
         new = np.flatnonzero(mag >= low[n_stopped])  # nan stops nothing
         if not new.size:
@@ -180,23 +184,28 @@ def adaptive_classify_batch(
         n_stopped[new] = hi
         still_open = n_stopped < len(levels)
         active, n_stopped, r = active[still_open], n_stopped[still_open], r[still_open]
+        before = before[still_open]
         if not active.size:
             break
 
-    # trials open at a level keep the whole record and their final posterior
-    final_bright = np.zeros(n_trials, dtype=bool)
-    final_conf = np.zeros(n_trials)
-    final_bright[active] = r >= 0
-    final_conf[active] = _confidence(r)
+    # trials open at a level keep the whole record and their final posterior;
+    # they are the trials still active that stopped at fewer levels
+    final_bright, final_conf = r >= 0, _confidence(r)
     results = [None] * len(levels)
     for k, j in enumerate(order):
-        open_ = stop_bin[k] < 0
+        open_ = n_stopped <= k
+        rows = active[open_]
+        stop_bin[k, rows] = n_bins
+        stop_bright[k, rows] = final_bright[open_]
+        stop_conf[k, rows] = final_conf[open_]
+        converged = np.ones(n_trials, dtype=bool)
+        converged[rows] = False
         results[j] = AdaptiveBatchResult(
             confidence_level=levels[j],
-            decisions=np.where(open_, final_bright, stop_bright[k]),
-            bins_consumed=np.where(open_, n_bins, stop_bin[k]).astype(np.int64),
-            confidence=np.where(open_, final_conf, stop_conf[k]),
-            converged=~open_,
+            decisions=stop_bright[k],
+            bins_consumed=stop_bin[k],
+            confidence=stop_conf[k],
+            converged=converged,
         )
     return results
 
@@ -423,8 +432,10 @@ def calibrate_rates(trajs: Dataset | Sequence[Trajectory]) -> CalibratedRates:
         return float(est.mean()), float(err)
 
     def mean_counts(mask: np.ndarray, n: int) -> np.ndarray:
-        # integer sums are exact, so this equals counts[mask].mean(axis=0)
-        return ds.counts.sum(axis=0, dtype=np.int64, where=mask[:, None]) / n
+        # integer sums are exact, so the differences of the prefix column sums
+        # equal counts[mask].sum(axis=0), and this counts[mask].mean(axis=0)
+        through = ds.prefix.sum(axis=0, dtype=np.int64, where=mask[:, None])
+        return np.diff(through, prepend=0) / n
 
     dark = ~ds.bright
     gamma_b, gamma_b_err = peak_rate(ds.bright)

@@ -17,7 +17,6 @@ from .photon_sim import (
     HeraldOutcome,
     RateParams,
     ReadoutConfig,
-    apply_herald_dataset,
     simulate_dataset,
 )
 from .readout import (
@@ -223,11 +222,9 @@ def run_scenario(path) -> dict:
     out = _io.ensure_dir(scn.out_dir)
     t0 = scn.readout.bin_width_us
 
-    dataset = simulate_dataset(
+    retained, tally = simulate_dataset(
         scn.rates, scn.readout, scn.trials_per_state, scn.seed, mode=scn.transition_mode
     )
-    retained, tally = apply_herald_dataset(dataset, scn.readout)
-    del dataset  # only the retained records are needed from here on
     sweep = () if scn.threshold_sweep_us is None else scn.threshold_sweep_us
     for key, d in [("threshold_duration_us", scn.threshold_duration_us),
                    *(("threshold_sweep_us", d) for d in sweep)]:
@@ -271,6 +268,7 @@ def run_scenario(path) -> dict:
     if scn.write_results:
         _io.write_results_csv(out / "bayes_results.csv", retained.bright, best.decisions,
                               best.bins_consumed * t0, best.confidence)
+    del batch, best  # the per-trial ladder is written; free it before calibration
 
     cal = calibrate_rates(retained)
 

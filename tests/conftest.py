@@ -1,8 +1,8 @@
 """Shared fixtures: the reference emitter and one frozen Monte Carlo dataset.
 
-The big dataset (10^5 + 10^5 trials at the reference rates, master seed
-42) is built once per session and shared between the module tests and
-the acceptance tests.  Everything downstream of it is deterministic.
+The big heralded dataset (10^5 + 10^5 trials at the reference rates,
+master seed 42) is built once per session and shared between the module
+tests and the acceptance tests.  Everything downstream of it is deterministic.
 """
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from ionreadout import (
     RateParams,
     ReadoutConfig,
     adaptive_classify_batch,
-    apply_herald_dataset,
     optimize_threshold,
     simulate_dataset,
 )
@@ -35,14 +34,9 @@ def config():
 
 
 @pytest.fixture(scope="session")
-def dataset(rates, config):
+def heralded(rates, config):
+    """(retained post-herald records, outcome tally), simulated and heralded in one pass."""
     return simulate_dataset(rates, config, trials_per_state=TRIALS_PER_STATE, seed=SEED)
-
-
-@pytest.fixture(scope="session")
-def heralded(dataset, config):
-    """(retained post-herald records, outcome tally)."""
-    return apply_herald_dataset(dataset, config)
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,6 @@ from ionreadout import (
     HeatingPoint,
     NanowireNetwork,
     PickupModel,
-    apply_herald_dataset,
     calibrate_rates,
     collection_fraction,
     decompose_currents,
@@ -58,8 +57,7 @@ def _phase_from_inphase_deg(z: complex) -> float:
 def test_criterion_1_threshold_error(rates, config):
     """10^5 + 10^5 heralded trials; optimal-threshold error at 125 us."""
     start = time.perf_counter()
-    dataset = simulate_dataset(rates, config, trials_per_state=100_000, seed=42)
-    retained, _ = apply_herald_dataset(dataset, config)
+    retained, _ = simulate_dataset(rates, config, trials_per_state=100_000, seed=42)
     threshold, stats = optimize_threshold(retained, 125.0)
     elapsed = time.perf_counter() - start
     err = stats.mean_error

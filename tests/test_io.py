@@ -139,6 +139,23 @@ def test_trajectory_read_accepts_rows_in_any_order(tmp_path):
     assert np.array_equal(back.bright, ds.bright)
 
 
+def test_trajectory_read_sorts_any_trial_ids(tmp_path):
+    path = tmp_path / "trajs.csv"
+    rows = ["9,bright,1,2", "5,dark,0,0", "9,bright,0,1", "5,dark,1,3"]
+    for order in ([0, 1, 2, 3], [3, 0, 2, 1], [1, 3, 2, 0]):
+        _write_trajectory_rows(path, *[rows[i] for i in order])
+        back = iio.read_trajectories_csv(path, bin_width_us=1.0)
+        assert np.array_equal(back.counts, [[0, 3], [1, 2]])  # trial 5, then trial 9
+        assert back.bright.tolist() == [False, True]
+    # in row order but with a gap, or with a trial's rows apart: not the writer's order
+    for rows in (["0,dark,0,4", "0,dark,1,0", "2,bright,0,1", "2,bright,1,6"],
+                 ["0,dark,0,4", "1,bright,0,1", "0,dark,1,0", "1,bright,1,6"]):
+        _write_trajectory_rows(path, *rows)
+        back = iio.read_trajectories_csv(path, bin_width_us=1.0)
+        assert np.array_equal(back.counts, [[4, 0], [1, 6]])
+        assert back.bright.tolist() == [False, True]
+
+
 def test_trajectory_read_rejects_unknown_label(tmp_path):
     path = tmp_path / "bad.csv"
     for label, shown in [("dim", "dim"), ("1", "1"), ("brightx", "brightx"), ("暗", "暗"),

@@ -1,4 +1,10 @@
 """Emitter Monte Carlo: count statistics, heralding, time-tag streams."""
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -20,19 +26,20 @@ from ionreadout import (
 from ionreadout.photon_sim import _BLOCK_TRIALS, _renewal_times_s, _segments
 
 NOPUMP = RateParams(gamma_b=162.50, gamma_d=5.095)
+PUMPED = RateParams(gamma_b=162.50, gamma_d=5.095, gamma_dp=0.020, gamma_rp=0.0120)
 
 
 @pytest.fixture(scope="module")
 def pure_dataset():
     """10^5 + 10^5 pumping-free trials of 125 bins: iid Poisson counts."""
     cfg = ReadoutConfig(bin_width_us=1.0, n_bins=125, herald_duration_us=0.0)
-    return simulate_dataset(NOPUMP, cfg, trials_per_state=100_000, seed=42)
+    return simulate_dataset(NOPUMP, cfg, trials_per_state=100_000, seed=42)[0]
 
 
 def test_dark_without_emission_gives_all_zero_bins():
     r = RateParams(gamma_b=100.0, gamma_d=0.0)
     cfg = ReadoutConfig(n_bins=200, herald_duration_us=0.0)
-    ds = simulate_dataset(r, cfg, trials_per_state=1, seed=1)
+    ds, _ = simulate_dataset(r, cfg, trials_per_state=1, seed=1)
     assert list(ds.bright) == [True, False]
     assert not ds.counts[1].any()
 
@@ -40,7 +47,7 @@ def test_dark_without_emission_gives_all_zero_bins():
 def test_equal_rates_make_states_indistinguishable():
     r = RateParams(gamma_b=50.0, gamma_d=50.0)
     cfg = ReadoutConfig(n_bins=50, herald_duration_us=0.0)
-    ds = simulate_dataset(r, cfg, trials_per_state=2000, seed=3)
+    ds, _ = simulate_dataset(r, cfg, trials_per_state=2000, seed=3)
     totals = ds.totals(50.0).astype(float)
     tb, td = totals[:2000], totals[2000:]
     se = np.sqrt(tb.var() / tb.size + td.var() / td.size)
@@ -77,8 +84,8 @@ def test_per_bin_counts_are_poisson(pure_dataset):
 
 def test_same_seed_reproduces_dataset_bitwise(rates, config):
     small = ReadoutConfig(n_bins=60, herald_duration_us=0.0)
-    a = simulate_dataset(rates, small, trials_per_state=50, seed=7)
-    b = simulate_dataset(rates, small, trials_per_state=50, seed=7)
+    a, _ = simulate_dataset(rates, small, trials_per_state=50, seed=7)
+    b, _ = simulate_dataset(rates, small, trials_per_state=50, seed=7)
     assert len(a) == len(b) == 100
     assert np.array_equal(a.bright, b.bright)
     assert np.array_equal(a.counts, b.counts) and a.counts.dtype == b.counts.dtype
@@ -89,17 +96,17 @@ def test_block_rows_do_not_depend_on_later_trials(rates):
     # seed, and a full block's rows are the same when more trials follow it
     small = ReadoutConfig(n_bins=60, herald_duration_us=0.0)
     block = _BLOCK_TRIALS
-    a = simulate_dataset(rates, small, trials_per_state=block + 7, seed=19)
-    assert np.array_equal(a.counts, simulate_dataset(rates, small, block + 7, seed=19).counts)
-    b = simulate_dataset(rates, small, trials_per_state=2 * block + 3, seed=19)
+    a, _ = simulate_dataset(rates, small, trials_per_state=block + 7, seed=19)
+    assert np.array_equal(a.counts, simulate_dataset(rates, small, block + 7, seed=19)[0].counts)
+    b, _ = simulate_dataset(rates, small, trials_per_state=2 * block + 3, seed=19)
     assert np.array_equal(a.counts[:block], b.counts[:block])
     assert np.array_equal(a.counts[block + 7:2 * block + 7], b.counts[2 * block + 3:3 * block + 3])
-    assert not np.array_equal(a.counts[:block], simulate_dataset(rates, small, block, 20).counts[:block])
+    assert not np.array_equal(a.counts[:block], simulate_dataset(rates, small, block, 20)[0].counts[:block])
 
 
 def test_single_trial_per_state_labels(rates):
     cfg = ReadoutConfig(n_bins=10, herald_duration_us=0.0)
-    ds = simulate_dataset(rates, cfg, trials_per_state=1, seed=4)
+    ds, _ = simulate_dataset(rates, cfg, trials_per_state=1, seed=4)
     assert ds.bright.tolist() == [True, False]
     assert ds.counts.shape == (2, 10)
 
@@ -146,7 +153,7 @@ def test_mean_count_profile_matches_two_state_model(mode):
     cfg = ReadoutConfig(bin_width_us=10.0, n_bins=20, herald_duration_us=0.0)
     n = 20_000
     with pytest.warns(UserWarning):
-        ds = simulate_dataset(r, cfg, trials_per_state=n, seed=3, mode=mode)
+        ds, _ = simulate_dataset(r, cfg, trials_per_state=n, seed=3, mode=mode)
     for rows, bright in ((slice(0, n), True), (slice(n, 2 * n), False)):
         counts = ds.counts[rows].astype(float)
         z = (counts.mean(axis=0) - _two_state_mean_counts(r, cfg, bright, mode)) \
@@ -160,7 +167,7 @@ def test_transition_modes_match_the_analytic_mean_totals(rates, mode):
     # dark totals (rare flips) enters the standard error once, not twice
     cfg = ReadoutConfig(n_bins=500, herald_duration_us=0.0)
     n = 10_000
-    ds = simulate_dataset(rates, cfg, trials_per_state=n, seed=11, mode=mode)
+    ds, _ = simulate_dataset(rates, cfg, trials_per_state=n, seed=11, mode=mode)
     for rows, bright in ((slice(0, n), True), (slice(n, 2 * n), False)):
         totals = ds.counts[rows].sum(axis=1, dtype=np.int64).astype(float)
         expected = _two_state_mean_counts(rates, cfg, bright, mode).sum()
@@ -194,7 +201,7 @@ def test_invalid_inputs_rejected(rates):
 
 def test_large_counts_widen_instead_of_wrapping():
     # 5e4 counts per bin do not fit int16; they must not wrap negative
-    ds = simulate_dataset(RateParams(5e4, 1.0), ReadoutConfig(1000.0, 3, 0.0), 2, seed=1)
+    ds, _ = simulate_dataset(RateParams(5e4, 1.0), ReadoutConfig(1000.0, 3, 0.0), 2, seed=1)
     assert np.all(np.abs(ds.counts[:2].astype(np.int64) - 50_000) < 5 * np.sqrt(50_000))
     assert np.all(ds.totals(3000.0)[:2] > 3 * 40_000)
     assert ds.counts[2:].max() < 100
@@ -204,7 +211,7 @@ def test_large_counts_widen_instead_of_wrapping():
 
 
 def test_small_counts_are_stored_as_int16(rates):
-    ds = simulate_dataset(rates, ReadoutConfig(n_bins=20, herald_duration_us=0.0), 5, seed=3)
+    ds, _ = simulate_dataset(rates, ReadoutConfig(n_bins=20, herald_duration_us=0.0), 5, seed=3)
     assert ds.counts.dtype == np.int16
     assert Trajectory(BRIGHT, np.array([1, 2], dtype=np.int64)).bins.dtype == np.int16
     assert Dataset(np.array([[1, 2]], dtype=np.int64), np.array([True])).counts.dtype == np.int16
@@ -222,7 +229,7 @@ def test_dataset_indexes_like_a_list_of_records(rates):
     # slices, masks and index arrays select trials as a Dataset; a trial is
     # one row of counts plus one entry of bright, so there is no record view
     cfg = ReadoutConfig(n_bins=30, herald_duration_us=0.0)
-    ds = simulate_dataset(rates, cfg, trials_per_state=4, seed=8)
+    ds, _ = simulate_dataset(rates, cfg, trials_per_state=4, seed=8)
     assert len(ds) == 8
     assert ds.bright.tolist() == [True] * 4 + [False] * 4
     for key in (slice(2, 6), np.arange(8) % 4 < 2, np.array([2, 3, 4, 5])):
@@ -301,7 +308,7 @@ def test_herald_as_long_as_the_record_is_rejected():
 
 def test_zero_length_herald_retains_everything(rates):
     cfg = ReadoutConfig(n_bins=40, herald_duration_us=0.0)
-    ds = simulate_dataset(rates, cfg, trials_per_state=20, seed=2)
+    ds, _ = simulate_dataset(rates, cfg, trials_per_state=20, seed=2)
     retained, tally = apply_herald_dataset(ds, cfg)
     assert len(retained) == 40
     assert tally[HeraldOutcome.DISCARDED] == 0
@@ -311,14 +318,78 @@ def test_zero_length_herald_retains_everything(rates):
 
 def test_discard_fraction_matches_poisson_prediction():
     cfg = ReadoutConfig(n_bins=60, herald_duration_us=50.0, herald_bright_min=8)
-    ds = simulate_dataset(NOPUMP, cfg, trials_per_state=20_000, seed=5)
-    _, tally = apply_herald_dataset(ds, cfg)
+    _, tally = simulate_dataset(NOPUMP, cfg, trials_per_state=20_000, seed=5)
     mu_b, mu_d = 162.50 * 0.05, 5.095 * 0.05
     p_b = stats.poisson.cdf(7, mu_b) - stats.poisson.pmf(0, mu_b)
     p_d = stats.poisson.cdf(7, mu_d) - stats.poisson.pmf(0, mu_d)
     predicted = 20_000 * (p_b + p_d)
     sd = np.sqrt(20_000 * (p_b * (1 - p_b) + p_d * (1 - p_d)))
     assert tally[HeraldOutcome.DISCARDED] == pytest.approx(predicted, abs=4 * sd)
+
+
+def _assert_one_pass_matches_simulate_then_herald(rates, cfg, n, mode, seed):
+    one, tally = simulate_dataset(rates, cfg, n, seed, mode=mode)
+    raw, raw_tally = simulate_dataset(rates, replace(cfg, herald_duration_us=0.0), n, seed,
+                                      mode=mode)
+    assert raw_tally[HeraldOutcome.DISCARDED] == 0 and raw.n_bins == cfg.n_bins
+    two, two_tally = apply_herald_dataset(raw, cfg)
+    assert tally == two_tally and sum(tally.values()) == 2 * n
+    assert np.array_equal(one.bright, two.bright)
+    assert one.counts.dtype == two.counts.dtype and np.array_equal(one.counts, two.counts)
+    assert one.prefix.dtype == two.prefix.dtype and np.array_equal(one.prefix, two.prefix)
+    assert one.max_count == two.max_count
+    return one, raw
+
+
+@pytest.mark.parametrize("mode", ["exact", "bin-boundary"])
+@pytest.mark.parametrize("rates, cfg, n", [
+    # more trials than one block, every herald outcome
+    (PUMPED, ReadoutConfig(1.0, 60, 20.0, 3), _BLOCK_TRIALS + 37),
+    (PUMPED, ReadoutConfig(1.0, 60, 0.0), 300),
+    # counts above 32767 widen the counts and the prefix sums
+    (RateParams(5e4, 1.0), ReadoutConfig(1000.0, 4, 1000.0, 8), 20),
+], ids=["two-blocks", "no-herald", "wide-counts"])
+def test_one_pass_herald_equals_simulate_then_herald(rates, cfg, n, mode):
+    one, _ = _assert_one_pass_matches_simulate_then_herald(rates, cfg, n, mode, seed=12)
+    if cfg.herald_bins == 0:
+        assert len(one) == 2 * n and one.bright.tolist() == [True] * n + [False] * n
+    else:
+        assert 0 < len(one) < 2 * n
+
+
+@pytest.mark.parametrize("mode", ["exact", "bin-boundary"])
+def test_prefix_widening_mid_simulation_keeps_the_written_rows(mode, monkeypatch):
+    monkeypatch.setattr("ionreadout.photon_sim._PLACE_BUDGET", 1)  # one row per chunk
+    cfg = ReadoutConfig(1.0, 520, 10.0, 8)
+    one, raw = _assert_one_pass_matches_simulate_then_herald(RateParams(4e4, 1.0), cfg, 40,
+                                                             mode, seed=6)
+    n_post, limit = cfg.n_bins - cfg.herald_bins, np.iinfo(np.int16).max
+    # the first row fits int16 prefix sums, a later one does not
+    assert raw.counts[0].max() * n_post <= limit < one.max_count * n_post
+    assert one.prefix.dtype == np.int32
+
+
+def test_one_pass_simulation_holds_only_the_retained_prefix():
+    # ru_maxrss counts resident pages only, so the matrix allocated at the
+    # upper bound costs what its retained rows fill (tracemalloc would not see that)
+    paper = Path(__file__).resolve().parent.parent / "scenarios" / "paper.cfg"
+    code = f"""if True:
+        import resource
+        import ionreadout
+        from ionreadout.scenario import load_scenario
+        scn = load_scenario({str(paper)!r})
+        ionreadout.simulate_dataset(scn.rates, scn.readout, 10, seed=2)  # first-use allocations
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        ds, _ = ionreadout.simulate_dataset(scn.rates, scn.readout, 10_000, seed=1)
+        rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+        print(rise * 1024, ds.prefix.nbytes)
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    rise, prefix_bytes = map(int, done.stdout.split())
+    assert prefix_bytes > 10 * 2**20  # about 13,000 retained rows of 450 int16 sums
+    assert rise <= prefix_bytes + 8 * 2**20, f"rise {rise / 2**20:.1f} MiB"
 
 
 def test_stream_config_validation():
@@ -394,6 +465,6 @@ def test_timetag_streams_match_the_reference_assembly():
 
 def test_binning_rows_in_chunks_keeps_the_stream(rates, monkeypatch):
     cfg = ReadoutConfig(n_bins=80, herald_duration_us=0.0)
-    whole = simulate_dataset(rates, cfg, trials_per_state=300, seed=6)
+    whole, _ = simulate_dataset(rates, cfg, trials_per_state=300, seed=6)
     monkeypatch.setattr("ionreadout.photon_sim._PLACE_BUDGET", 100)
-    assert np.array_equal(simulate_dataset(rates, cfg, 300, seed=6).counts, whole.counts)
+    assert np.array_equal(simulate_dataset(rates, cfg, 300, seed=6)[0].counts, whole.counts)

@@ -15,7 +15,6 @@ from ionreadout import (
     ReadoutConfig,
     Trajectory,
     adaptive_classify_batch,
-    apply_herald_dataset,
     calibrate_rates,
     error_stats,
     optimize_threshold,
@@ -235,7 +234,7 @@ def test_adaptive_level_validation():
 def small_dataset():
     rates = RateParams(162.50, 5.095, 0.020, 0.0120)
     cfg = ReadoutConfig(n_bins=200, herald_duration_us=0.0)
-    return rates, simulate_dataset(rates, cfg, trials_per_state=250, seed=17)
+    return rates, simulate_dataset(rates, cfg, trials_per_state=250, seed=17)[0]
 
 
 def test_batch_classifier_matches_single_trial_path(small_dataset):
@@ -255,8 +254,7 @@ def test_batch_confidence_invariant(small_dataset):
 
 def test_stages_agree_on_dataset_and_record_list(rates, config, tmp_path):
     # the list is built the way the benchmark's offline check builds it
-    dataset = simulate_dataset(rates, config, trials_per_state=300, seed=31)
-    retained, _ = apply_herald_dataset(dataset, config)
+    retained, _ = simulate_dataset(rates, config, trials_per_state=300, seed=31)
     w = retained.bin_width_us
     records = [Trajectory(prepared="bright" if b else "dark", bins=row, bin_width_us=w)
                for b, row in zip(retained.bright, retained.counts)]
@@ -343,7 +341,7 @@ def test_threshold_optimality_is_exhaustive(bright_totals, dark_totals):
 def test_equal_rate_dataset_has_coin_flip_fidelity():
     r = RateParams(40.0, 40.0)
     cfg = ReadoutConfig(n_bins=25, herald_duration_us=0.0)
-    ds = simulate_dataset(r, cfg, trials_per_state=2000, seed=23)
+    ds, _ = simulate_dataset(r, cfg, trials_per_state=2000, seed=23)
     _, st_ = optimize_threshold(ds, 25.0)
     assert st_.fidelity == pytest.approx(0.5, abs=0.03)
 
@@ -393,7 +391,7 @@ def test_bright_decisions_come_faster_than_dark(bayes16, heralded):
 
 def test_calibration_recovers_zero_depump():
     cfg = ReadoutConfig(n_bins=300, herald_duration_us=0.0)
-    ds = simulate_dataset(NOPUMP, cfg, trials_per_state=5000, seed=9)
+    ds, _ = simulate_dataset(NOPUMP, cfg, trials_per_state=5000, seed=9)
     cal = calibrate_rates(ds)
     assert abs(cal.gamma_dp) <= 3 * cal.gamma_dp_err
     assert abs(cal.gamma_rp) <= 3 * cal.gamma_rp_err
@@ -405,7 +403,7 @@ def test_calibration_with_no_dark_counts():
     # every dark total is 0 in every window: the peak is exactly 0, and a
     # one-point histogram must not reach the two-parameter fit
     cfg = ReadoutConfig(n_bins=50, herald_duration_us=0.0)
-    ds = simulate_dataset(RateParams(162.50, 0.0), cfg, trials_per_state=150, seed=4)
+    ds, _ = simulate_dataset(RateParams(162.50, 0.0), cfg, trials_per_state=150, seed=4)
     assert not ds.counts[~ds.bright].any()
     cal = calibrate_rates(ds)
     assert cal.gamma_d == 0.0 and cal.gamma_d_err == 0.0
@@ -414,12 +412,12 @@ def test_calibration_with_no_dark_counts():
 
 def test_calibration_needs_enough_trials():
     cfg = ReadoutConfig(n_bins=50, herald_duration_us=0.0)
-    ds = simulate_dataset(NOPUMP, cfg, trials_per_state=50, seed=1)
+    ds, _ = simulate_dataset(NOPUMP, cfg, trials_per_state=50, seed=1)
     with pytest.raises(ValueError, match="at least"):
         calibrate_rates(ds)
     # and enough bins for the pumping slopes' errors, or it fails inside the line fit
     for n_bins in (1, 2):
-        ds = simulate_dataset(NOPUMP, ReadoutConfig(n_bins=n_bins, herald_duration_us=0.0),
-                              trials_per_state=150, seed=1)
+        ds, _ = simulate_dataset(NOPUMP, ReadoutConfig(n_bins=n_bins, herald_duration_us=0.0),
+                                 trials_per_state=150, seed=1)
         with pytest.raises(ValueError, match=f"records of at least 3 bins; got {n_bins}"):
             calibrate_rates(ds)
