@@ -232,31 +232,30 @@ def _polarization_weights(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-cell (w_te, w_tm, theta_deg, phi_deg) for the rotating dipole.
 
-    The complex far field of the dipole is projected onto the TE unit
-    vector (horizontal, perpendicular to the plane of incidence) and the
-    TM unit vector (in the plane of incidence); weights are intensity
-    fractions and sum to 1.
+    The far field of the dipole d = (e1 + i e2) / sqrt(2) toward n is
+    d - (n.d) n, projected onto the TE unit vector s (horizontal,
+    perpendicular to the plane of incidence) and the TM unit vector p
+    (in the plane of incidence); weights are intensity fractions and sum
+    to 1.  Both s and p are perpendicular to n, so the projections are
+    d.s and d.p, and with e2 = z and s_z = 0 the intensities are real:
+    w_te ~ (e1.s)^2 and w_tm ~ (e1.p)^2 + p_z^2.
     """
     a = np.radians(scene.quant_axis_deg)
     e1 = np.array([-np.sin(a), np.cos(a), 0.0])
-    e2 = np.array([0.0, 0.0, 1.0])
-    d_vec = (e1 + 1j * e2) / np.sqrt(2.0)
-
-    n_dot_d = n_hat @ d_vec
-    e_field = d_vec[None, :] - n_dot_d[:, None] * n_hat
 
     w = np.radians(scene.nanowire_axis_deg)
     x_w = np.array([np.cos(w), np.sin(w), 0.0])
     y_w = np.array([-np.sin(w), np.cos(w), 0.0])
 
-    s_raw = np.stack([n_hat[:, 1], -n_hat[:, 0], np.zeros(n_hat.shape[0])], axis=1)
-    s_norm = np.linalg.norm(s_raw, axis=1)
+    s_norm = np.hypot(n_hat[:, 0], n_hat[:, 1])
     degenerate = s_norm < 1e-12
-    s_hat = np.where(degenerate[:, None], y_w[None, :], s_raw / np.where(s_norm, s_norm, 1.0)[:, None])
+    s_hat = np.stack([n_hat[:, 1], -n_hat[:, 0], np.zeros(n_hat.shape[0])], axis=1)
+    s_hat /= np.where(degenerate, 1.0, s_norm)[:, None]
+    s_hat[degenerate] = y_w
     p_hat = np.cross(s_hat, n_hat)
 
-    w_te_raw = np.abs(np.sum(e_field * s_hat, axis=1)) ** 2
-    w_tm_raw = np.abs(np.sum(e_field * p_hat, axis=1)) ** 2
+    w_te_raw = (s_hat @ e1) ** 2
+    w_tm_raw = (p_hat @ e1) ** 2 + p_hat[:, 2] ** 2
     total = w_te_raw + w_tm_raw
     w_te = w_te_raw / total
     w_tm = w_tm_raw / total

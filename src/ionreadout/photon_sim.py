@@ -39,7 +39,7 @@ one by :func:`as_dataset`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Literal, Sequence
 
@@ -285,6 +285,10 @@ class EmitterStreamConfig:
     duration_s: float = 1.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not np.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v}")
         if self.emission_rate_s < 0 or self.dead_time_s < 0:
             raise ValueError("rates and dead time must be >= 0")
         if not (0 <= self.route_prob_a <= 1 and 0 <= self.route_prob_b <= 1):

@@ -3,11 +3,12 @@
 Works on integer-nanosecond time tags from two detection channels.  The
 normalized coincidence histogram g2(tau) is estimated from all pairwise
 delays t_b - t_a that fall inside a +/- max_delay window.  Channel A is
-walked in blocks of tags; for each block a binary search of the sorted
-channel B bounds every tag's window, the delays in those windows are
-listed and counted into integer bins, so the cost is linear in the
-number of qualifying pairs rather than quadratic in the number of tags,
-and the memory is bounded by the pairs of one block.
+walked in blocks of tags: one binary search per tag finds the first
+channel-B tag of its window, and each further step moves every open
+window on by one B tag, so the cost is one search per tag plus one step
+per qualifying pair rather than quadratic in the number of tags.  The
+working memory is one block's A tags and the B tags their windows reach,
+however many pairs the block holds.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ class TimeTagStream:
             raise ValueError("duration_ns must be positive")
         if tags.ndim != 1:
             raise ValueError("t_ns must be one-dimensional")
-        if tags.size and np.any(np.diff(tags) < 0):
+        if tags.size and np.any(tags[1:] < tags[:-1]):
             raise ValueError(f"channel {self.channel!r}: tags must be sorted ascending")
         if tags.size and (tags[0] < 0 or tags[-1] >= self.duration_ns):
             raise ValueError(
@@ -69,25 +70,34 @@ class DipResult:
     excluded_bins: int
 
 
-def _pair_delays(a: np.ndarray, b: np.ndarray, max_delay: int, block: int = 1 << 16):
+def _pair_delays(a: np.ndarray, b: np.ndarray, max_delay: int, block: int = 1 << 15):
     """Yield arrays of delays t_b - t_a with |delay| <= max_delay.
 
     Both inputs must be sorted.  Channel A is taken ``block`` tags at a
-    time and the window of each tag in B is found by binary search per
-    block, so the working memory is that of one block's tags and pairs.
+    time, and B is cut to the tags the block's windows can reach and
+    closed by a sentinel past the last window.  One binary search gives
+    each A tag the index of the first B tag at or after t_a - max_delay;
+    each step then yields the delay at that index for every window still
+    open and moves the index on by one, dropping the windows whose delay
+    has passed max_delay.  A block takes one step per B tag in its
+    fullest window, and the working memory is a few arrays of at most
+    ``block`` elements plus the cut of B.
     """
     for start in range(0, a.size, block):
         a_blk = a[start : start + block]
-        lo = np.searchsorted(b, a_blk - max_delay, side="left")
-        hi = np.searchsorted(b, a_blk + max_delay, side="right")
-        lens = hi - lo
-        total = int(lens.sum())
-        if total == 0:
-            continue
-        # flat index construction: for each a-tag, the run b[lo:hi]
-        offsets = np.repeat(np.cumsum(lens) - lens, lens)
-        b_idx = np.arange(total, dtype=np.int64) - offsets + np.repeat(lo, lens)
-        yield b[b_idx] - np.repeat(a_blk, lens)
+        end = a_blk[-1] + max_delay + 1  # past every window of the block
+        lo, hi = np.searchsorted(b, (a_blk[0] - max_delay, end))
+        b_blk = np.append(b[lo:hi], end)
+        j = np.searchsorted(b_blk, a_blk - max_delay)
+        while True:
+            delays = b_blk[j] - a_blk
+            open_ = np.flatnonzero(delays <= max_delay)
+            if open_.size < delays.size:
+                if open_.size == 0:
+                    break
+                a_blk, j, delays = a_blk[open_], j[open_], delays[open_]
+            yield delays
+            j += 1
 
 
 def g2_estimate(

@@ -119,6 +119,40 @@ def test_polarization_weights_sum_to_one():
     assert np.all((theta_deg >= 0) & (theta_deg <= 90.0))
 
 
+def _complex_projection_weights(n_hat, scene):
+    """(w_te, w_tm) from the complex far field d - (n.d) n of the rotating dipole."""
+    a = np.radians(scene.quant_axis_deg)
+    d_vec = (np.array([-np.sin(a), np.cos(a), 0.0]) + 1j * np.array([0.0, 0.0, 1.0])) / np.sqrt(2)
+    e_field = d_vec[None, :] - (n_hat @ d_vec)[:, None] * n_hat
+    w = np.radians(scene.nanowire_axis_deg)
+    s_raw = np.stack([n_hat[:, 1], -n_hat[:, 0], np.zeros(len(n_hat))], axis=1)
+    s_norm = np.linalg.norm(s_raw, axis=1, keepdims=True)
+    s_hat = np.where(s_norm < 1e-12, [-np.sin(w), np.cos(w), 0.0], s_raw / np.maximum(s_norm, 1e-300))
+    p_hat = np.cross(s_hat, n_hat)
+    te = np.abs(np.sum(e_field * s_hat, axis=1)) ** 2
+    tm = np.abs(np.sum(e_field * p_hat, axis=1)) ** 2
+    return te / (te + tm), tm / (te + tm)
+
+
+@pytest.mark.parametrize("quant_axis_deg", [0.0, 45.0, 90.0, 137.5])
+@pytest.mark.parametrize("nanowire_axis_deg", [0.0, 30.0, 90.0])
+def test_real_polarization_weights_match_complex_projection(quant_axis_deg, nanowire_axis_deg):
+    """The real-arithmetic weights equal the complex field projection, n = +/-z included."""
+    rng = np.random.default_rng(int(quant_axis_deg * 10 + nanowire_axis_deg))
+    random = rng.normal(size=(500, 3))
+    ring = np.radians(rng.uniform(0.0, 360.0, 20))
+    flat = np.stack([np.cos(ring), np.sin(ring), np.zeros(ring.size)], axis=1)
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    n_hat = np.concatenate([random, flat, poles])
+    n_hat /= np.linalg.norm(n_hat, axis=1, keepdims=True)
+    scene = DetectorScene(quant_axis_deg=quant_axis_deg, nanowire_axis_deg=nanowire_axis_deg)
+    w_te, w_tm, _, _ = _polarization_weights(n_hat, scene)
+    ref_te, ref_tm = _complex_projection_weights(n_hat, scene)
+    assert np.allclose(w_te, ref_te, rtol=0.0, atol=1e-12)
+    assert np.allclose(w_tm, ref_tm, rtol=0.0, atol=1e-12)
+    assert np.all(np.abs(w_te + w_tm - 1.0) < 1e-12)
+
+
 def _grid(lo, hi):
     """Strictly increasing grids of 2-6 points inside [lo, hi], both ends included."""
     inner = st.lists(st.floats(lo, hi), max_size=4, unique=True)

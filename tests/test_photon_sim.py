@@ -401,6 +401,18 @@ def test_stream_config_validation():
                             route_prob_a=0.7, route_prob_b=0.7)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", [
+    "emission_rate_s", "dead_time_s", "route_prob_a", "route_prob_b",
+    "background_rate_a_s", "background_rate_b_s", "delay_offset_b_s", "duration_s",
+])
+def test_stream_config_rejects_non_finite_fields(name, value):
+    """Construction only: a stream at an infinite rate would never finish drawing."""
+    good = dict(emission_rate_s=1e5, dead_time_s=1e-9, route_prob_a=0.5, route_prob_b=0.5)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        EmitterStreamConfig(**{**good, name: value})
+
+
 def test_background_only_streams_are_poisson():
     cfg = EmitterStreamConfig(
         emission_rate_s=0.0, dead_time_s=0.0, route_prob_a=0.0, route_prob_b=0.0,

@@ -1,6 +1,8 @@
 """Coincidence histogram estimation on simulated tag streams."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionreadout import (
     EmitterStreamConfig,
@@ -205,6 +207,40 @@ def test_blocked_pair_delays_are_every_pair_in_the_window():
     for max_delay in (0, 7, 40):
         got = np.concatenate(list(_pair_delays(a, b, max_delay, block=7)))
         assert np.array_equal(np.sort(got), np.sort(every[np.abs(every) <= max_delay]))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_pair_walk_yields_exactly_the_brute_force_pairs(data):
+    """Every block size yields the multiset of b - a with |b - a| <= max_delay.
+
+    The draws cover duplicate tags in both channels, B tags at exactly
+    +/- max_delay and +/- (max_delay + 1) from an A tag, A tags within
+    max_delay of 0, a B tag closing the stream, empty windows (B may be
+    empty) and max_delay 0.
+    """
+    max_delay = data.draw(st.sampled_from([0, 1, 5]) | st.integers(0, 60), label="max_delay")
+    tags = st.integers(0, 400)
+    a = data.draw(st.lists(tags, min_size=1, max_size=40), label="a")
+    a.append(data.draw(st.integers(0, max_delay), label="a_near_zero"))
+    a += a[: data.draw(st.integers(0, 3), label="a_dups")]
+    a = np.sort(np.array(a, dtype=np.int64))
+    b = data.draw(st.lists(tags, max_size=40), label="b")
+    b += b[: data.draw(st.integers(0, 3), label="b_dups")]
+    edges = st.tuples(st.integers(0, a.size - 1), st.sampled_from([-1, 1]), st.sampled_from([0, 1]))
+    for i, sign, past in data.draw(st.lists(edges, max_size=8), label="edges"):
+        b.append(a[i] + sign * (max_delay + past))
+    if data.draw(st.booleans(), label="b_last"):
+        b.append(a[-1] + data.draw(st.integers(0, max_delay + 1), label="b_last_delay"))
+    b = np.sort(np.array([t for t in b if t >= 0], dtype=np.int64))
+
+    every = (b[None, :] - a[:, None]).ravel()
+    want = np.sort(every[np.abs(every) <= max_delay])
+    for block in (1, 7, a.size + 1):
+        parts = list(_pair_delays(a, b, max_delay, block=block))
+        got = np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want), block
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
