@@ -83,18 +83,44 @@ _TRAJECTORY_DTYPE = np.dtype([("trial_id", np.int64), ("prepared", "S7"),
                               ("bin_index", np.int64), ("counts", np.int64)])
 
 
+def _digits(values: np.ndarray, top: int) -> np.ndarray:
+    """Non-negative integers of at most ``top`` as decimal byte strings."""
+    return values.astype(f"S{len(str(top))}")
+
+
+def _byte_rows(text: np.ndarray, end: bytes) -> np.ndarray:
+    """Byte strings, each followed by ``end``, as rows of zero-padded bytes
+    along one more axis at the end."""
+    text = np.char.add(text, end)
+    return text.view(np.uint8).reshape(*text.shape, text.itemsize)
+
+
 def write_trajectories_csv(path, trajs: Dataset | Sequence[Trajectory]) -> None:
-    """Long-format dump: one row per (trial, bin)."""
+    """Long-format dump: one row per (trial, bin).
+
+    The rows are assembled as bytes, a block of about 2^15 at a time:
+    each row is the trial's "id,label," head, the bin's "j," and the
+    count's "c\n", laid side by side as zero-padded byte tables, and one
+    pass drops the pad bytes.  A count's text is made once per distinct
+    count in the block.
+    """
     ds = as_dataset(trajs)
-    template = "".join([f"%s{j},%d\n" for j in range(ds.n_bins)])  # the rows of one trial
-    labels = _labels(ds.bright).tolist()
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(_TRAJECTORY_DTYPE.names) + "\n")
-        for lo in range(0, len(ds), 256):  # counts of a few records at a time, never all
-            for trial_id, bins in enumerate(ds[lo:lo + 256].counts.tolist(), lo):
-                values = [f"{trial_id},{labels[trial_id]},"] * (2 * len(bins))
-                values[1::2] = bins
-                fh.write(template % tuple(values))
+    labels = _byte_rows(np.array([DARK, BRIGHT], dtype="S"), b",")
+    bins = _byte_rows(_digits(np.arange(ds.n_bins), ds.n_bins), b",")
+    step = max(1, (1 << 15) // max(ds.n_bins, 1))  # trials per block
+    with open(path, "wb") as fh:
+        fh.write(",".join(_TRAJECTORY_DTYPE.names).encode() + b"\n")
+        for lo in range(0, len(ds) if ds.n_bins else 0, step):
+            hi = min(lo + step, len(ds))
+            head = np.concatenate([_byte_rows(_digits(np.arange(lo, hi), hi), b","),
+                                   labels[ds.bright[lo:hi].astype(np.intp)]], axis=1)
+            values, which = np.unique(ds[lo:hi].counts, return_inverse=True)
+            counts = _byte_rows(_digits(values, values[-1]), b"\n")[which.ravel()]
+            shape = (hi - lo, ds.n_bins)
+            rows = np.concatenate([np.broadcast_to(head[:, None], (*shape, head.shape[-1])),
+                                   np.broadcast_to(bins, (*shape, bins.shape[-1])),
+                                   counts.reshape(*shape, -1)], axis=2)
+            fh.write(rows[rows != 0].tobytes())
 
 
 def read_trajectories_csv(path, *, bin_width_us: float) -> Dataset:

@@ -17,6 +17,11 @@ Coordinates: x along the trap axis, y transverse in-plane, z up.  The
 electrode top plane is z = 0; the detector plane sits at z = -recess.
 Cells whose line of sight to the emitter crosses z = 0 outside the
 recess opening are excluded (the electrode edge blocks them).
+
+The detector grid does not depend on where the emitter sits, so a
+lateral sweep builds it once and traces only the sight lines per offset,
+with the function a single geometry uses.  Everything here runs on one
+thread: the per-offset arrays are too small to gain from more CPUs.
 """
 from __future__ import annotations
 
@@ -100,10 +105,13 @@ class APSurface:
         phi[phi == 360.0] = 0.0  # np.mod rounds a tiny negative phi up to 360
         i, t = _grid_cell(self.theta_deg, theta, "theta")
         j, u = _grid_cell(self.phi_deg, phi, "phi")
-        # one cell and one set of corner weights serve both tables
-        corners = ((i, j, (1 - t) * (1 - u)), (i, j + 1, (1 - t) * u),
-                   (i + 1, j, t * (1 - u)), (i + 1, j + 1, t * u))
-        return tuple(sum(table[a, b] * w for a, b, w in corners)
+        # one cell and one set of corner weights serve both tables, whose
+        # corners are gathered from flat indices into the raveled table
+        n_phi = self.phi_deg.size
+        k = i * n_phi + j
+        corners = ((k, (1 - t) * (1 - u)), (k + 1, (1 - t) * u),
+                   (k + n_phi, t * (1 - u)), (k + n_phi + 1, t * u))
+        return tuple(sum(table.ravel()[c] * w for c, w in corners)
                      for table in (self.ap_te, self.ap_tm))
 
 
@@ -176,17 +184,15 @@ def _dipole_weight(cos_tq):
     return 3.0 / (16.0 * np.pi) * (1.0 + cos_tq**2)
 
 
-def _visible_cells(scene: DetectorScene) -> tuple[np.ndarray, np.ndarray, int]:
-    """The detector cells the emitter sees, and the grid's cell count.
+def _detector_grid(scene: DetectorScene) -> tuple[np.ndarray, float]:
+    """Centres (N, 3) of the detector's grid cells and the area of one cell.
 
-    Returns the (N, 3) unit vectors from the emitter to each visible
-    cell and the fraction of all emission each one receives: its solid
-    angle times the dipole density toward it.
+    The grid does not depend on where the emitter sits.
     """
     nx = int(round(scene.detector_w_um / scene.grid_pitch_um))
     ny = int(round(scene.detector_h_um / scene.grid_pitch_um))
     if nx == 0 or ny == 0:
-        return np.empty((0, 3)), np.empty(0), 0
+        return np.empty((0, 3)), 0.0
     dx = scene.detector_w_um / nx
     dy = scene.detector_h_um / ny
     cx = -scene.detector_w_um / 2 + (np.arange(nx) + 0.5) * dx
@@ -195,25 +201,44 @@ def _visible_cells(scene: DetectorScene) -> tuple[np.ndarray, np.ndarray, int]:
     cells = np.stack(
         [xx.ravel(), yy.ravel(), np.full(xx.size, -scene.recess_um)], axis=1
     )
+    return cells, dx * dy
+
+
+def _sight_lines(
+    scene: DetectorScene, cells: np.ndarray, cell_area: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The grid cells the emitter at ``scene.lateral_um`` sees.
+
+    Returns the (N, 3) unit vectors from the emitter to each visible
+    cell and the fraction of all emission each one receives: its solid
+    angle times the dipole density toward it.
+    """
     ion = np.array([scene.lateral_um, 0.0, scene.ion_height_um])
     d = cells - ion
     r = np.linalg.norm(d, axis=1)
     n_hat = d / r[:, None]
     cos_inc = np.abs(d[:, 2]) / r
-    d_omega = dx * dy * cos_inc / r**2
+    d_omega = cell_area * cos_inc / r**2
     a = np.radians(scene.quant_axis_deg)
     dipole = _dipole_weight(n_hat @ np.array([np.cos(a), np.sin(a), 0.0]))
 
+    weight = d_omega * dipole
     if scene.ion_height_um > 0 and scene.recess_um > 0:
-        # where each sight line pierces the electrode top plane
+        # where each sight line pierces the electrode top plane (the ion sits at y = 0)
         f = scene.ion_height_um / (scene.ion_height_um + scene.recess_um)
-        cross = ion[None, :2] + f * (cells[:, :2] - ion[None, :2])
+        cross_x = scene.lateral_um + f * (cells[:, 0] - scene.lateral_um)
         half_w = scene.detector_w_um / 2 + scene.opening_margin_um
         half_h = scene.detector_h_um / 2 + scene.opening_margin_um
-        visible = (np.abs(cross[:, 0]) <= half_w) & (np.abs(cross[:, 1]) <= half_h)
-    else:
-        visible = np.ones(cells.shape[0], dtype=bool)
-    return n_hat[visible], d_omega[visible] * dipole[visible], xx.size
+        visible = (np.abs(cross_x) <= half_w) & (np.abs(f * cells[:, 1]) <= half_h)
+        if not visible.all():
+            return n_hat[visible], weight[visible]
+    return n_hat, weight
+
+
+def _visible_cells(scene: DetectorScene) -> tuple[np.ndarray, np.ndarray, int]:
+    """:func:`_sight_lines` on the scene's own grid, and the grid's cell count."""
+    cells, cell_area = _detector_grid(scene)
+    return (*_sight_lines(scene, cells, cell_area), cells.shape[0])
 
 
 def obscured_fraction(scene: DetectorScene) -> float:
@@ -266,15 +291,15 @@ def _polarization_weights(
 
 
 def _rates(
-    scene: DetectorScene, ap: APSurface, cal: CalibrationInputs
+    n_hat: np.ndarray, weight: np.ndarray,
+    scene: DetectorScene, ap: APSurface, cal: CalibrationInputs,
 ) -> tuple[float, float]:
     """Detection rates (1/s) with AP surface ``ap`` and with AP = 1.
 
     Both sum (decay_rate/2) * d_omega * dipole weight * IDE * AP over the
-    visible cells of one geometry; the first blends AP from its TE/TM
-    tables by the emitted intensity fractions.
+    visible cells ``(n_hat, weight)`` of one geometry; the first blends
+    AP from its TE/TM tables by the emitted intensity fractions.
     """
-    n_hat, weight, _ = _visible_cells(scene)
     w_te, w_tm, theta_deg, phi_deg = _polarization_weights(n_hat, scene)
     ap_te, ap_tm = ap.lookup(theta_deg, phi_deg)
     scale = 0.5 * cal.decay_rate_s * cal.internal_efficiency
@@ -286,7 +311,7 @@ def expected_rate(
     scene: DetectorScene, ap: APSurface, cal: CalibrationInputs
 ) -> float:
     """Saturated detection rate (1/s) implied by geometry, AP and IDE."""
-    return _rates(scene, ap, cal)[0]
+    return _rates(*_visible_cells(scene)[:2], scene, ap, cal)[0]
 
 
 @dataclass(frozen=True)
@@ -307,15 +332,17 @@ def rate_vs_position(
     """Sweep the emitter along the trap axis.
 
     Returns the normalized angle-dependent-AP curve together with a
-    constant-AP reference computed from the same geometry, which is
-    built once per offset.
+    constant-AP reference computed from the same sight lines.  The
+    detector grid is built once; only the sight lines are traced per
+    offset, by the same function :func:`expected_rate` uses.
     """
     offsets = np.asarray(lateral_offsets_um, dtype=float)
     if offsets.ndim != 1 or offsets.size < 1:
         raise ValueError("need at least one lateral offset")
     cal = cal or CalibrationInputs()
-    rates = np.array([_rates(replace(scene, lateral_um=float(off)), ap, cal)
-                      for off in offsets])
+    grid = _detector_grid(scene)
+    scenes = [replace(scene, lateral_um=float(off)) for off in offsets]
+    rates = np.array([_rates(*_sight_lines(at, *grid), at, ap, cal) for at in scenes])
     if rates[0, 0] <= 0 or rates[0, 1] <= 0:
         raise ValueError("rate at the first offset is zero; cannot normalize")
     return PositionSweep(

@@ -35,6 +35,10 @@ post-herald prefix sums, so no raw counts matrix is ever held; records
 already in memory are heralded by :func:`apply_herald_dataset` under the
 same rule.  A list of :class:`Trajectory` input records is stacked into
 one by :func:`as_dataset`.
+
+:func:`simulate_timetag_streams` draws both channels from one generator,
+channel A's draws first, and then sorts the two channels' tags at once on
+the CPUs the process may use; the streams do not depend on their number.
 """
 from __future__ import annotations
 
@@ -45,7 +49,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .timing import TimeTagStream
+from .timing import TimeTagStream, _map_on_cpus
 
 StateLabel = Literal["bright", "dark"]
 TransitionMode = Literal["exact", "bin-boundary"]
@@ -535,12 +539,9 @@ def simulate_timetag_streams(
     to_b = (~to_a) & (u < cfg.route_prob_a + cfg.route_prob_b)
     del u  # free the routing draw before the channels' buffers are built
 
-    duration_ns = int(round(cfg.duration_s * 1e9))
-    streams = []
-    for channel, routed, bg_rate, offset in (
-        ("A", to_a, cfg.background_rate_a_s, 0.0),
-        ("B", to_b, cfg.background_rate_b_s, cfg.delay_offset_b_s),
-    ):
+    ticks = []
+    for routed, bg_rate, offset in ((to_a, cfg.background_rate_a_s, 0.0),
+                                    (to_b, cfg.background_rate_b_s, cfg.delay_offset_b_s)):
         n_routed = int(np.count_nonzero(routed))
         t_s = np.empty(n_routed + rng.poisson(bg_rate * cfg.duration_s))
         np.compress(routed, emissions, out=t_s[:n_routed])
@@ -548,9 +549,12 @@ def simulate_timetag_streams(
         rng.random(out=t_s[n_routed:])
         t_s[n_routed:] *= cfg.duration_s
         t_s *= 1e9
-        ticks = np.rint(t_s, out=t_s).astype(np.int64)
+        ticks.append(np.rint(t_s, out=t_s).astype(np.int64))
         del t_s  # free the float buffer before the next channel's is drawn
-        ticks.sort()
-        inside = ticks[np.searchsorted(ticks, 0) : np.searchsorted(ticks, duration_ns)]
-        streams.append(TimeTagStream(channel=channel, t_ns=inside, duration_ns=duration_ns))
-    return streams[0], streams[1]
+    _map_on_cpus(np.ndarray.sort, ticks)  # both channels at once, each in place
+
+    duration_ns = int(round(cfg.duration_s * 1e9))
+    return tuple(
+        TimeTagStream(channel, t[np.searchsorted(t, 0) : np.searchsorted(t, duration_ns)],
+                      duration_ns)
+        for channel, t in zip("AB", ticks))

@@ -9,10 +9,18 @@ window on by one B tag, so the cost is one search per tag plus one step
 per qualifying pair rather than quadratic in the number of tags.  The
 working memory is one block's A tags and the B tags their windows reach,
 however many pairs the block holds.
+
+Channel A is split into one contiguous part per CPU the process may
+use, and the parts are walked on that many threads into one integer
+histogram each, which are then summed; integer sums are exact, so the
+estimate does not depend on the number of CPUs.  numpy releases the GIL
+in the searches and ufunc loops the walk spends its time in.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,6 +78,20 @@ class DipResult:
     excluded_bins: int
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _map_on_cpus(fn, items) -> list:
+    """[fn(item) for item in items], on one thread per CPU the process may use."""
+    with ThreadPoolExecutor(max_workers=_cpu_count()) as pool:
+        return list(pool.map(fn, items))
+
+
 def _pair_delays(a: np.ndarray, b: np.ndarray, max_delay: int, block: int = 1 << 15):
     """Yield arrays of delays t_b - t_a with |delay| <= max_delay.
 
@@ -121,14 +143,19 @@ def g2_estimate(
     if bin_width_ns < 1:
         raise ValueError("bin_width_ns must be >= 1 ns")
     w = int(bin_width_ns)
+    if not np.isfinite(max_delay_ns):
+        raise ValueError(f"max_delay_ns must be finite, got {max_delay_ns}")
     if max_delay_ns < bin_width_ns:
         raise ValueError("max_delay_ns must be at least one bin width")
     if stream_a.t_ns.size == 0 or stream_b.t_ns.size == 0:
         raise ValueError("empty tag stream")
     if stream_a.duration_ns != stream_b.duration_ns:
         raise ValueError("streams must share one observation window")
-    if exclude_ns is not None and exclude_ns[0] > exclude_ns[1]:
-        raise ValueError("exclusion window must satisfy lo <= hi")
+    if exclude_ns is not None:
+        if not np.all(np.isfinite(exclude_ns)):
+            raise ValueError(f"exclusion window bounds must be finite, got {exclude_ns}")
+        if exclude_ns[0] > exclude_ns[1]:
+            raise ValueError("exclusion window must satisfy lo <= hi")
 
     n_side = int(max_delay_ns // w)
     centers = np.arange(-n_side, n_side + 1, dtype=np.int64) * w
@@ -136,10 +163,14 @@ def g2_estimate(
     # Bin i covers [(i - n_side - 1/2) w, (i - n_side + 1/2) w), and the last
     # bin also takes its upper edge, so integer delays with |d| <= n_side w
     # + w // 2 are counted and d falls in bin (2d + w) // (2w) + n_side.
-    hist = np.zeros(centers.size, dtype=np.int64)
-    for delays in _pair_delays(stream_a.t_ns, stream_b.t_ns, n_side * w + w // 2):
-        idx = (2 * delays + w) // (2 * w) + n_side
-        hist += np.bincount(np.minimum(idx, 2 * n_side, out=idx), minlength=centers.size)
+    def histogram(a_part: np.ndarray) -> np.ndarray:
+        hist = np.zeros(centers.size, dtype=np.int64)
+        for delays in _pair_delays(a_part, stream_b.t_ns, n_side * w + w // 2):
+            idx = (2 * delays + w) // (2 * w) + n_side
+            hist += np.bincount(np.minimum(idx, 2 * n_side, out=idx), minlength=centers.size)
+        return hist
+
+    hist = sum(_map_on_cpus(histogram, np.array_split(stream_a.t_ns, _cpu_count())))
 
     duration = stream_a.duration_ns
     expected = stream_a.t_ns.size * stream_b.t_ns.size * w / duration

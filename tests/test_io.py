@@ -47,6 +47,21 @@ def test_trajectory_round_trip(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_trajectory_writer_matches_one_formatted_line_per_row(tmp_path):
+    """The byte-table writer gives the bytes of one f-string per row, across
+    blocks (2^15 rows hold 46 trials of 700 bins) and for wide counts."""
+    rng = np.random.default_rng(4)
+    counts = rng.poisson(3, size=(150, 700))
+    counts[3, 5] = 10**7
+    counts[140, 0] = 2**40
+    bright = rng.random(150) < 0.5
+    path = tmp_path / "trajs.csv"
+    iio.write_trajectories_csv(path, Dataset(counts, bright))
+    want = "".join(f"{i},{'bright' if bright[i] else 'dark'},{j},{c}\n"
+                   for i, row in enumerate(counts.tolist()) for j, c in enumerate(row))
+    assert path.read_bytes() == ("trial_id,prepared,bin_index,counts\n" + want).encode()
+
+
 def test_trajectory_read_needs_bin_width(tmp_path):
     path = tmp_path / "trajs.csv"
     iio.write_trajectories_csv(path, [Trajectory("bright", np.array([1, 2]))])

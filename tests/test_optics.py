@@ -252,20 +252,24 @@ def test_position_sweep_shape():
 
 
 def test_position_sweep_matches_per_offset_rates():
-    """The sweep's two curves are the per-offset expected_rate ratios."""
-    scene = DetectorScene(nanowire_axis_deg=20.0)
+    """The sweep's two curves are the per-offset expected_rate and
+    collection_fraction ratios, bit for bit: both trace the sight lines
+    of each offset with one function."""
     ap = APSurface.synthetic_placeholder()
     cal = CalibrationInputs(internal_efficiency=0.8)
     offsets = np.array([12.0, 0.0, 90.0, 200.0, 260.0, 300.0, 400.0])  # last two all blocked
-    sweep = rate_vs_position(scene, ap, offsets, cal)
-    rates = np.array([expected_rate(replace(scene, lateral_um=x), ap, cal) for x in offsets])
-    flat = np.array([expected_rate(replace(scene, lateral_um=x), APSurface.constant(1.0), cal)
-                     for x in offsets])
-    assert np.all(rates[-2:] == 0) and np.all(flat[-2:] == 0)
-    np.testing.assert_allclose(sweep.rel_rate, rates / rates[0], rtol=1e-12, atol=0)
-    np.testing.assert_allclose(sweep.rel_rate_const_ap, flat / flat[0], rtol=1e-12, atol=0)
-    with pytest.raises(ValueError, match="first offset is zero"):
-        rate_vs_position(scene, ap, offsets[::-1], cal)
+    for scene in (DetectorScene(nanowire_axis_deg=20.0),
+                  DetectorScene(nanowire_axis_deg=-35.0, quant_axis_deg=70.0, grid_pitch_um=0.5)):
+        assert 0.0 < obscured_fraction(replace(scene, lateral_um=200.0)) < 1.0
+        sweep = rate_vs_position(scene, ap, offsets, cal)
+        rates = np.array([expected_rate(replace(scene, lateral_um=x), ap, cal) for x in offsets])
+        flat = np.array([0.5 * cal.decay_rate_s * cal.internal_efficiency
+                         * collection_fraction(replace(scene, lateral_um=x)) for x in offsets])
+        assert np.all(rates[-2:] == 0) and np.all(flat[-2:] == 0)
+        np.testing.assert_array_equal(sweep.rel_rate, rates / rates[0])
+        np.testing.assert_array_equal(sweep.rel_rate_const_ap, flat / flat[0])
+        with pytest.raises(ValueError, match="first offset is zero"):
+            rate_vs_position(scene, ap, offsets[::-1], cal)
 
 
 def test_edge_blocking_far_from_detector():

@@ -456,6 +456,9 @@ def test_cli_g2_simulate_and_exclusion(tmp_path, capsys):
     for bad in ("1:2:3", "abc", "5"):
         assert main([*base, "--exclude-ns", bad]) == 1
         assert f"--exclude-ns must be LO:HI in ns, got {bad!r}" in capsys.readouterr().err
+    for window in ("nan:10", "-10:nan", "-inf:10"):
+        assert main([*base, f"--exclude-ns={window}"]) == 1
+        assert "error: exclusion window bounds must be finite" in capsys.readouterr().err
     assert main(["g2", "--simulate", "--in", "x.csv"]) == 1
     capsys.readouterr()
     assert main(["g2"]) == 1

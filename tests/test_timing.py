@@ -12,6 +12,7 @@ from ionreadout import (
     g2_estimate,
     simulate_timetag_streams,
 )
+from ionreadout import timing
 from ionreadout.timing import _pair_delays
 
 
@@ -184,6 +185,12 @@ def test_estimate_validation():
         g2_estimate(good, other, bin_width_ns=5, max_delay_ns=2)
     with pytest.raises(ValueError, match="exclusion"):
         g2_estimate(good, other, exclude_ns=(10.0, -10.0))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="max_delay_ns must be finite"):
+            g2_estimate(good, other, max_delay_ns=bad)
+    for window in ((float("nan"), 10.0), (-10.0, float("nan")), (-float("inf"), 10.0)):
+        with pytest.raises(ValueError, match="exclusion window bounds must be finite"):
+            g2_estimate(good, other, exclude_ns=window)
 
 
 def test_fractional_bin_width_is_rejected():
@@ -259,3 +266,47 @@ def test_integer_binning_matches_histogram_edges(width):
     ref = np.histogram((b[None, :] - a[:, None]).ravel(), bins=edges)[0]
     assert np.array_equal(est.n_pairs, ref)
     assert est.n_pairs[0] > 0 and est.n_pairs[-1] > 0
+
+
+def test_g2_and_streams_do_not_depend_on_the_cpu_count(monkeypatch):
+    """One CPU and four give the same streams and the same histogram, bit for bit.
+
+    At 4 parts each part of A's ~4 x 10^5 tags spans several of the
+    walk's 2^15-tag blocks.
+    """
+    cfg = EmitterStreamConfig(
+        emission_rate_s=8e5, dead_time_s=1e-9, route_prob_a=0.5, route_prob_b=0.5,
+        background_rate_a_s=2e5, background_rate_b_s=2e5,
+        delay_offset_b_s=28e-9, duration_s=0.5,
+    )
+    runs = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(timing.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                            raising=False)
+        assert timing._cpu_count() == cpus
+        a, b = simulate_timetag_streams(cfg, seed=3)
+        runs.append((a, b, g2_estimate(a, b, bin_width_ns=3, max_delay_ns=40)))
+    (a1, b1, est1), (a4, b4, est4) = runs
+    assert a1.t_ns.size > 4 * 2 * (1 << 15)
+    assert np.array_equal(a1.t_ns, a4.t_ns) and np.array_equal(b1.t_ns, b4.t_ns)
+    for name in ("delay_ns", "g2", "ci_low", "ci_high", "masked", "n_pairs"):
+        got1, got4 = getattr(est1, name), getattr(est4, name)
+        assert got1.dtype == got4.dtype and got1.tobytes() == got4.tobytes(), name
+
+    # brute force: every B tag against the A tags within reach of it
+    n_side, w = 40 // 3, 3
+    lo = np.searchsorted(a1.t_ns, b1.t_ns - (n_side * w + w // 2))
+    hi = np.searchsorted(a1.t_ns, b1.t_ns + (n_side * w + w // 2), side="right")
+    n = hi - lo
+    a_of_pair = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)
+    pairs = np.repeat(b1.t_ns, n) - a1.t_ns[a_of_pair]
+    edges = (np.arange(-n_side, n_side + 2) - 0.5) * w
+    assert np.array_equal(est1.n_pairs, np.histogram(pairs, bins=edges)[0])
+
+
+def test_cpu_count_falls_back_without_affinity(monkeypatch):
+    monkeypatch.delattr(timing.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(timing.os, "cpu_count", lambda: 3)
+    assert timing._cpu_count() == 3
+    monkeypatch.setattr(timing.os, "cpu_count", lambda: None)
+    assert timing._cpu_count() == 1
