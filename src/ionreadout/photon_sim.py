@@ -36,9 +36,14 @@ already in memory are heralded by :func:`apply_herald_dataset` under the
 same rule.  A list of :class:`Trajectory` input records is stacked into
 one by :func:`as_dataset`.
 
-:func:`simulate_timetag_streams` draws both channels from one generator,
-channel A's draws first, and then sorts the two channels' tags at once on
-the CPUs the process may use; the streams do not depend on their number.
+:func:`simulate_timetag_streams` draws every arrival process (the
+emitter and each channel's background) from its own child of the seed,
+as exponential gaps cumulated a fixed chunk at a time, so each
+channel's tags come out in time order and are rounded straight into
+its tick array; a channel with emitter and background tags merges two
+sorted arrays and none is sorted.  The streams are bitwise reproducible
+under the seed and depend neither on the chunk size nor on the number
+of CPUs.
 """
 from __future__ import annotations
 
@@ -49,7 +54,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .timing import TimeTagStream, _map_on_cpus
+from .timing import TimeTagStream
 
 StateLabel = Literal["bright", "dark"]
 TransitionMode = Literal["exact", "bin-boundary"]
@@ -301,8 +306,12 @@ class EmitterStreamConfig:
             raise ValueError("route_prob_a + route_prob_b must not exceed 1")
         if self.background_rate_a_s < 0 or self.background_rate_b_s < 0:
             raise ValueError("background rates must be >= 0")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        if not self.duration_s * 1e9 > 0.5:  # tags are whole ns in [0, round(duration))
+            raise ValueError(f"duration_s ({self.duration_s:g} s) must round to at least "
+                             "1 ns")
+        if (self.duration_s + abs(self.delay_offset_b_s)) * 1e9 >= 2.0**63:
+            raise ValueError("duration_s + |delay_offset_b_s| must stay below "
+                             f"{2.0**63 * 1e-9:.4g} s, the range of int64 ns tags")
 
 
 def _flip_prob(rate_per_ms: float, bin_width_us: float) -> float:
@@ -499,28 +508,53 @@ def apply_herald_dataset(
             _tally(bright, len(ds)))
 
 
-def _renewal_times_s(rng: np.random.Generator, cfg: EmitterStreamConfig) -> np.ndarray:
-    """Emission times (s) of the renewal process inside the window."""
-    lam = cfg.emission_rate_s
-    if lam <= 0:
-        return np.empty(0)
-    mean_gap = cfg.dead_time_s + 1.0 / lam
-    times: list[np.ndarray] = []
+# Arrivals drawn per chunk by simulate_timetag_streams: a chunk's gaps,
+# times and routing draws stay near 1 MB however long the window is.
+_TAG_CHUNK = 1 << 16
+
+
+def _arrival_chunks(rng: np.random.Generator, rate_s: float, dead_time_s: float,
+                    duration_s: float):
+    """Yield the arrival times (s) of a renewal process in [0, duration_s), in order.
+
+    Each gap is dead_time_s plus an exponential interval at rate_s.  Gaps
+    are drawn ``_TAG_CHUNK`` at a time, and each chunk's first gap is
+    added to the previous chunk's last time before the chunk is summed in
+    place, so the times are one sequential cumulative sum of one stream
+    of draws, whatever the chunk size.
+    """
+    if rate_s <= 0:
+        return
     t_last = 0.0
-    remaining = cfg.duration_s
-    while remaining > 0:
-        n_draw = int(remaining / mean_gap * 1.05) + int(4 * np.sqrt(remaining / mean_gap)) + 16
-        chunk = rng.exponential(1.0 / lam, size=n_draw)  # gaps, then times, in place
-        chunk += cfg.dead_time_s
-        np.cumsum(chunk, out=chunk)
-        chunk += t_last
-        inside = int(np.searchsorted(chunk, cfg.duration_s))  # times are sorted
-        times.append(chunk[:inside])
-        if inside < n_draw:
-            break
-        t_last = chunk[-1]
-        remaining = cfg.duration_s - t_last
-    return times[0] if len(times) == 1 else np.concatenate(times)
+    while True:
+        t = rng.exponential(1.0 / rate_s, _TAG_CHUNK)
+        t += dead_time_s
+        t[0] += t_last
+        np.cumsum(t, out=t)
+        inside = int(np.searchsorted(t, duration_s))
+        t_last = t[-1]
+        yield t[:inside]  # the caller may overwrite it
+        if inside < t.size:
+            return
+
+
+def _tag_capacity(mean: float) -> int:
+    """Tick slots for a count whose variance is at most its mean: 6 sigma above it."""
+    return int(mean + 6.0 * np.sqrt(mean)) + 64
+
+
+def _write_ticks(ticks: np.ndarray, n: int, t_ns: np.ndarray) -> tuple[np.ndarray, int]:
+    """Round the times t_ns (ns, in place) into ticks[n:]; return the array and its fill.
+
+    A full array is replaced by one twice as large holding its filled part.
+    """
+    end = n + t_ns.size
+    if end > ticks.size:
+        grown = np.empty(max(2 * ticks.size, end), dtype=np.int64)
+        grown[:n] = ticks[:n]
+        ticks = grown
+    ticks[n:end] = np.rint(t_ns, out=t_ns)
+    return ticks, end
 
 
 def simulate_timetag_streams(
@@ -531,30 +565,48 @@ def simulate_timetag_streams(
     Routing is exclusive, so a single emission never produces a tag in
     both channels; with no background and dead time tau_d, no A-B pair
     can have |delay - offset| < tau_d.
-    """
-    rng = np.random.default_rng(seed)
-    emissions = _renewal_times_s(rng, cfg)
-    u = rng.random(emissions.size)
-    to_a = u < cfg.route_prob_a
-    to_b = (~to_a) & (u < cfg.route_prob_a + cfg.route_prob_b)
-    del u  # free the routing draw before the channels' buffers are built
 
-    ticks = []
-    for routed, bg_rate, offset in ((to_a, cfg.background_rate_a_s, 0.0),
-                                    (to_b, cfg.background_rate_b_s, cfg.delay_offset_b_s)):
-        n_routed = int(np.count_nonzero(routed))
-        t_s = np.empty(n_routed + rng.poisson(bg_rate * cfg.duration_s))
-        np.compress(routed, emissions, out=t_s[:n_routed])
-        t_s[:n_routed] += offset
-        rng.random(out=t_s[n_routed:])
-        t_s[n_routed:] *= cfg.duration_s
-        t_s *= 1e9
-        ticks.append(np.rint(t_s, out=t_s).astype(np.int64))
-        del t_s  # free the float buffer before the next channel's is drawn
-    _map_on_cpus(np.ndarray.sort, ticks)  # both channels at once, each in place
+    The four child generators of ``np.random.SeedSequence(seed)`` draw
+    the emitter's gaps, its routing uniforms (one per emission), channel
+    A's background gaps and channel B's background gaps.  Each process
+    is the cumulative sum of its gaps, so its tags come out in time
+    order and are rounded straight into an int64 tick array allocated
+    at an upper bound (pages past the fill are never touched); channel
+    B's emissions are delayed by delay_offset_b_s first.  A channel with
+    emitter and background tags merges the two sorted arrays, and tags
+    outside [0, duration) are cut off.  The streams are bitwise
+    reproducible under the seed and do not depend on the chunk size.
+    """
+    emit_rng, route_rng, *bg_rngs = (np.random.default_rng(child)
+                                     for child in np.random.SeedSequence(seed).spawn(4))
+    n_emitted = cfg.emission_rate_s * cfg.duration_s / (1.0 + cfg.emission_rate_s
+                                                          * cfg.dead_time_s)
+    routes = (cfg.route_prob_a, cfg.route_prob_b)
+    offsets = (0.0, cfg.delay_offset_b_s)
+    emitted = [np.empty(_tag_capacity(p * n_emitted), dtype=np.int64) for p in routes]
+    fill = [0, 0]
+    for t in _arrival_chunks(emit_rng, cfg.emission_rate_s, cfg.dead_time_s, cfg.duration_s):
+        u = route_rng.random(t.size)
+        to_a = u < routes[0]
+        for c, routed in enumerate((to_a, ~to_a & (u < routes[0] + routes[1]))):
+            t_ns = t[routed]
+            t_ns += offsets[c]
+            t_ns *= 1e9
+            emitted[c], fill[c] = _write_ticks(emitted[c], fill[c], t_ns)
 
     duration_ns = int(round(cfg.duration_s * 1e9))
-    return tuple(
-        TimeTagStream(channel, t[np.searchsorted(t, 0) : np.searchsorted(t, duration_ns)],
-                      duration_ns)
-        for channel, t in zip("AB", ticks))
+    streams = []
+    for c, (rng, bg_rate) in enumerate(zip(bg_rngs, (cfg.background_rate_a_s,
+                                                      cfg.background_rate_b_s))):
+        ticks = emitted[c][:fill[c]]
+        if bg_rate > 0:
+            bg, n_bg = np.empty(_tag_capacity(bg_rate * cfg.duration_s), dtype=np.int64), 0
+            for t in _arrival_chunks(rng, bg_rate, 0.0, cfg.duration_s):
+                t *= 1e9
+                bg, n_bg = _write_ticks(bg, n_bg, t)
+            bg = bg[:n_bg]
+            ticks = np.insert(ticks, np.searchsorted(ticks, bg), bg) if ticks.size else bg
+            emitted[c] = None  # free the emitter ticks once merged
+        lo, hi = np.searchsorted(ticks, (0, duration_ns))
+        streams.append(TimeTagStream("AB"[c], ticks[lo:hi], duration_ns))
+    return tuple(streams)

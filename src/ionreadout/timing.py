@@ -147,8 +147,10 @@ def g2_estimate(
         raise ValueError(f"max_delay_ns must be finite, got {max_delay_ns}")
     if max_delay_ns < bin_width_ns:
         raise ValueError("max_delay_ns must be at least one bin width")
-    if stream_a.t_ns.size == 0 or stream_b.t_ns.size == 0:
-        raise ValueError("empty tag stream")
+    for stream in (stream_a, stream_b):
+        if stream.t_ns.size == 0:
+            raise ValueError(f"empty tag stream: channel {stream.channel!r} has no tags "
+                             f"in its {stream.duration_ns} ns window")
     if stream_a.duration_ns != stream_b.duration_ns:
         raise ValueError("streams must share one observation window")
     if exclude_ns is not None:

@@ -23,7 +23,8 @@ from ionreadout import (
     simulate_dataset,
     simulate_timetag_streams,
 )
-from ionreadout.photon_sim import _BLOCK_TRIALS, _renewal_times_s, _segments
+from ionreadout import photon_sim
+from ionreadout.photon_sim import _BLOCK_TRIALS, _TAG_CHUNK, _segments
 
 NOPUMP = RateParams(gamma_b=162.50, gamma_d=5.095)
 PUMPED = RateParams(gamma_b=162.50, gamma_d=5.095, gamma_dp=0.020, gamma_rp=0.0120)
@@ -401,6 +402,18 @@ def test_stream_config_validation():
                             route_prob_a=0.7, route_prob_b=0.7)
 
 
+def test_stream_config_names_a_window_off_the_ns_tick_range():
+    good = dict(emission_rate_s=1e5, dead_time_s=1e-9, route_prob_a=0.5, route_prob_b=0.5)
+    for duration_s in (0.0, -1.0, 1e-10, 5e-10):
+        with pytest.raises(ValueError, match=r"^duration_s \(.* s\) must round to at least 1 ns"):
+            EmitterStreamConfig(**good, duration_s=duration_s)
+    assert EmitterStreamConfig(**good, duration_s=6e-10).duration_s == 6e-10  # 1 ns
+    # an offset past the int64 range would wrap channel B's ticks
+    for offset in (1e291, -1e10):
+        with pytest.raises(ValueError, match=r"^duration_s \+ \|delay_offset_b_s\| must stay"):
+            EmitterStreamConfig(**good, delay_offset_b_s=offset)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("name", [
     "emission_rate_s", "dead_time_s", "route_prob_a", "route_prob_b",
@@ -411,18 +424,6 @@ def test_stream_config_rejects_non_finite_fields(name, value):
     good = dict(emission_rate_s=1e5, dead_time_s=1e-9, route_prob_a=0.5, route_prob_b=0.5)
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         EmitterStreamConfig(**{**good, name: value})
-
-
-def test_background_only_streams_are_poisson():
-    cfg = EmitterStreamConfig(
-        emission_rate_s=0.0, dead_time_s=0.0, route_prob_a=0.0, route_prob_b=0.0,
-        background_rate_a_s=2e5, background_rate_b_s=2e5, duration_s=0.5,
-    )
-    a, b = simulate_timetag_streams(cfg, seed=21)
-    for stream in (a, b):
-        assert stream.t_ns.size == pytest.approx(1e5, abs=4 * np.sqrt(1e5))
-        assert np.all(np.diff(stream.t_ns) >= 0)
-        assert stream.t_ns[0] >= 0 and stream.t_ns[-1] < stream.duration_ns
 
 
 def test_dead_time_forbids_pairs_near_offset():
@@ -442,37 +443,134 @@ def test_dead_time_forbids_pairs_near_offset():
 
 
 def _reference_streams(cfg, seed):
-    """Tag ticks by concatenate, rint, mask and sort, with the same draws."""
-    rng = np.random.default_rng(seed)
-    emissions = _renewal_times_s(rng, cfg)
-    u = rng.random(emissions.size)
+    """Tag ticks from one long draw per child generator: cumsum, route, rint, merge, trim."""
+    emit, route, bg_a, bg_b = (np.random.default_rng(child)
+                               for child in np.random.SeedSequence(seed).spawn(4))
+
+    def arrivals(rng, rate, dead_time):
+        t = np.cumsum(rng.exponential(1 / rate, int(2 * rate * cfg.duration_s) + 100)
+                      + dead_time)
+        assert t[-1] >= cfg.duration_s  # the draw runs past the window
+        return t[t < cfg.duration_s]
+
+    emissions = arrivals(emit, cfg.emission_rate_s, cfg.dead_time_s)
+    u = route.random(emissions.size)
     to_a = u < cfg.route_prob_a
-    to_b = (~to_a) & (u < cfg.route_prob_a + cfg.route_prob_b)
-    duration_ns = int(round(cfg.duration_s * 1e9))
+    to_b = ~to_a & (u < cfg.route_prob_a + cfg.route_prob_b)
+    duration_ns = round(cfg.duration_s * 1e9)
     out = []
-    for routed, bg_rate, offset in ((emissions[to_a], cfg.background_rate_a_s, 0.0),
-                                    (emissions[to_b], cfg.background_rate_b_s,
-                                     cfg.delay_offset_b_s)):
-        bg = rng.random(rng.poisson(bg_rate * cfg.duration_s)) * cfg.duration_s
-        ticks = np.rint(np.concatenate([routed + offset, bg]) * 1e9).astype(np.int64)
+    for routed, offset, rng, bg_rate in (
+            (to_a, 0.0, bg_a, cfg.background_rate_a_s),
+            (to_b, cfg.delay_offset_b_s, bg_b, cfg.background_rate_b_s)):
+        t_ns = np.concatenate([(emissions[routed] + offset) * 1e9,
+                               arrivals(rng, bg_rate, 0.0) * 1e9])
+        ticks = np.sort(np.rint(t_ns).astype(np.int64))
         inside = (ticks >= 0) & (ticks < duration_ns)
-        out.append((np.sort(ticks[inside]), int(np.count_nonzero(~inside))))
+        out.append((ticks[inside], int(np.count_nonzero(~inside))))
     return out
 
 
+# an emitter and both backgrounds; channel B's offset pushes tags below 0,
+# and the 75,000 emissions span two draw chunks
+MIXED = EmitterStreamConfig(
+    emission_rate_s=3e5, dead_time_s=2e-9, route_prob_a=0.35, route_prob_b=0.45,
+    background_rate_a_s=4e4, background_rate_b_s=7e4, delay_offset_b_s=-2e-4,
+    duration_s=0.25,
+)
+
+
 def test_timetag_streams_match_the_reference_assembly():
-    cfg = EmitterStreamConfig(
-        emission_rate_s=3e5, dead_time_s=2e-9, route_prob_a=0.35, route_prob_b=0.45,
-        background_rate_a_s=4e4, background_rate_b_s=7e4, delay_offset_b_s=-2e-4,
-        duration_s=0.02,
-    )
-    streams = simulate_timetag_streams(cfg, seed=3)
-    (ref_a, cut_a), (ref_b, cut_b) = _reference_streams(cfg, seed=3)
+    streams = simulate_timetag_streams(MIXED, seed=3)
+    (ref_a, cut_a), (ref_b, cut_b) = _reference_streams(MIXED, seed=3)
+    assert MIXED.emission_rate_s * MIXED.duration_s > _TAG_CHUNK
     assert cut_b > 0  # the negative channel-B offset pushes tags below 0
     for stream, ref in zip(streams, (ref_a, ref_b)):
         assert stream.t_ns.dtype == np.int64
         assert np.array_equal(stream.t_ns, ref)
-        assert stream.duration_ns == 20_000_000
+        assert stream.duration_ns == 250_000_000
+
+
+def test_timetag_streams_do_not_depend_on_the_chunk_size(monkeypatch):
+    whole = simulate_timetag_streams(MIXED, seed=4)
+    monkeypatch.setattr(photon_sim, "_TAG_CHUNK", 1000)
+    for stream, ref in zip(simulate_timetag_streams(MIXED, seed=4), whole):
+        assert np.array_equal(stream.t_ns, ref.t_ns)
+
+
+def test_tick_arrays_grow_past_their_capacity(monkeypatch):
+    whole = simulate_timetag_streams(MIXED, seed=5)
+    grew = []
+    write = photon_sim._write_ticks
+
+    def spy(ticks, n, t_ns):
+        out, end = write(ticks, n, t_ns)
+        grew.append(out.size > ticks.size)
+        return out, end
+
+    monkeypatch.setattr(photon_sim, "_tag_capacity", lambda mean: 1)
+    monkeypatch.setattr(photon_sim, "_write_ticks", spy)
+    for stream, ref in zip(simulate_timetag_streams(MIXED, seed=5), whole):
+        assert np.array_equal(stream.t_ns, ref.t_ns)
+    assert sum(grew) >= 4  # the first write of each of the four arrays at least
+
+
+def test_background_only_streams_are_poisson():
+    cfg = EmitterStreamConfig(
+        emission_rate_s=0.0, dead_time_s=0.0, route_prob_a=0.0, route_prob_b=0.0,
+        background_rate_a_s=2e5, background_rate_b_s=2e5, duration_s=0.5,
+    )
+    a, b = simulate_timetag_streams(cfg, seed=21)
+    for stream in (a, b):
+        n = stream.t_ns.size
+        assert n == pytest.approx(1e5, abs=4 * np.sqrt(1e5))
+        assert np.all(np.diff(stream.t_ns) >= 0)
+        assert stream.t_ns[0] >= 0 and stream.t_ns[-1] < stream.duration_ns
+        # uniform in time: counts in 20 equal slices
+        slices = np.bincount(stream.t_ns * 20 // stream.duration_ns, minlength=20)
+        assert stats.chisquare(slices).pvalue > 1e-3
+        # exponential gaps: variance = mean^2, within 5 sigma (sqrt(8 / n) relative)
+        gaps = np.diff(stream.t_ns)
+        assert gaps.var() / gaps.mean() ** 2 == pytest.approx(1.0, abs=5 * np.sqrt(8 / n))
+    assert not np.array_equal(a.t_ns[:100], b.t_ns[:100])  # independent channels
+
+
+def test_single_emitter_keeps_its_dead_time_and_routing():
+    cfg = EmitterStreamConfig(
+        emission_rate_s=8e5, dead_time_s=20e-9, route_prob_a=0.3, route_prob_b=0.5,
+        delay_offset_b_s=28e-9, duration_s=0.2,
+    )
+    a, b = simulate_timetag_streams(cfg, seed=8)
+    for stream in (a, b):
+        assert np.diff(stream.t_ns).min() >= 20 - 1  # rounding moves a tag by 0.5 ns
+    n = a.t_ns.size + b.t_ns.size
+    q = cfg.route_prob_a / (cfg.route_prob_a + cfg.route_prob_b)
+    assert n > 10**5
+    assert abs(a.t_ns.size - q * n) <= 5 * np.sqrt(n * q * (1 - q))
+
+
+def test_timetag_draw_holds_only_the_tick_arrays():
+    # ru_maxrss counts resident pages only, so a tick array allocated at its
+    # upper bound costs what its tags fill; a full-length float copy of one
+    # channel (16 MB at 2 x 10^6 tags) would break the bound
+    code = """if True:
+        import resource
+        from dataclasses import replace
+        import ionreadout
+        cfg = ionreadout.EmitterStreamConfig(
+            emission_rate_s=0.0, dead_time_s=0.0, route_prob_a=0.0, route_prob_b=0.0,
+            background_rate_a_s=2e6, background_rate_b_s=2e6, duration_s=1.0)
+        ionreadout.simulate_timetag_streams(replace(cfg, duration_s=1e-3), 2)  # first use
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        a, b = ionreadout.simulate_timetag_streams(cfg, 1)
+        rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+        print(rise * 1024, a.t_ns.nbytes + b.t_ns.nbytes)
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    rise, tick_bytes = map(int, done.stdout.split())
+    assert tick_bytes > 30 * 2**20  # about 4 x 10^6 int64 tags
+    assert rise <= tick_bytes + 8 * 2**20, f"rise {rise / 2**20:.1f} MiB"
 
 
 def test_binning_rows_in_chunks_keeps_the_stream(rates, monkeypatch):

@@ -470,6 +470,17 @@ def test_cli_g2_rejects_a_fractional_bin(capsys):
     assert "--bin" in capsys.readouterr().err
 
 
+def test_cli_g2_names_the_cause_of_an_empty_simulation(capsys):
+    # a window that rounds to 0 ns names the config field, not the stream's
+    assert main(["g2", "--simulate", "--duration-s", "1e-10"]) == 1
+    err = capsys.readouterr().err
+    assert "duration_s (1e-10 s) must round to at least 1 ns" in err
+    assert "duration_ns" not in err
+    # an offset longer than the window pushes every B tag out of it
+    assert main(["g2", "--simulate", "--duration-s", "0.01", "--offset-b-ns", "2e7"]) == 1
+    assert "empty tag stream: channel 'B' has no tags" in capsys.readouterr().err
+
+
 def test_cli_heating_numbers(capsys):
     code, kv, _ = _run_cli(
         capsys, "heating",
