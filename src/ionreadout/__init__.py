@@ -49,8 +49,6 @@ from .readout import (
     calibrate_rates,
     error_stats,
     optimize_threshold,
-    poisson_log_pmf,
-    poisson_pmf,
 )
 from .rfcircuit import (
     BiasCountCurve,
@@ -121,8 +119,6 @@ __all__ = [
     "obscured_fraction",
     "optimize_threshold",
     "pickup_from_solution",
-    "poisson_log_pmf",
-    "poisson_pmf",
     "predict_counts",
     "rate_vs_position",
     "reduced_current",

@@ -21,48 +21,20 @@ reached when |r| >= log(l / (1 - l)).
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .photon_sim import (
     Dataset,
     RateParams,
     Trajectory,
     _MS_PER_US,
+    _counts_dtype,
     _flip_prob,
     as_dataset,
 )
-
-_NEG_INF = float("-inf")
-
-
-def poisson_log_pmf(n, gamma_per_ms: float, bin_width_us: float):
-    """log P(n counts) for rate gamma_per_ms over a bin of bin_width_us.
-
-    Vectorized in n.  Stable for n up to at least 1e4.
-    """
-    if gamma_per_ms < 0:
-        raise ValueError("rate must be >= 0")
-    if bin_width_us <= 0:
-        raise ValueError("bin width must be positive")
-    n_arr = np.asarray(n)
-    if np.any(n_arr < 0) or not np.issubdtype(n_arr.dtype, np.integer):
-        raise ValueError("counts must be non-negative integers")
-    mu = gamma_per_ms * bin_width_us * _MS_PER_US
-    if mu == 0:
-        return np.where(n_arr == 0, 0.0, _NEG_INF) if n_arr.ndim else (0.0 if n == 0 else _NEG_INF)
-    out = n_arr * np.log(mu) - mu - gammaln(n_arr + 1.0)
-    return out if n_arr.ndim else float(out)
-
-
-def poisson_pmf(n, gamma_per_ms: float, bin_width_us: float):
-    """P(n counts) in one bin; see :func:`poisson_log_pmf`."""
-    return np.exp(poisson_log_pmf(n, gamma_per_ms, bin_width_us))
-
 
 def _transition_probs(rates: RateParams, bin_width_us: float) -> tuple[float, float]:
     """Per-bin flip probabilities 1 - exp(-gamma * t0) out of bright and dark."""
@@ -147,7 +119,7 @@ def adaptive_classify_batch(
 
     # bin, decision and confidence of each trial's stop, per sorted level;
     # every entry is written, at the stop or after the loop for open trials
-    stop_bin = np.empty((len(levels), n_trials), dtype=np.int64)
+    stop_bin = np.empty((len(levels), n_trials), dtype=_counts_dtype(n_bins))
     stop_bright = np.empty((len(levels), n_trials), dtype=bool)
     stop_conf = np.empty((len(levels), n_trials))
 
@@ -346,16 +318,35 @@ class CalibratedRates:
     gamma_rp_err: float
 
 
+def _golden_min(f, lo: float, hi: float, xatol: float) -> tuple[float, float]:
+    """Minimum of f on (lo, hi) by golden-section search (Kiefer 1953).
+
+    Shrinks the bracket by 1/phi per evaluation of f, never at lo or hi,
+    until it is at most xatol wide.  Returns (x, f(x)) at the lowest point.
+    """
+    step = (5**0.5 - 1) / 2
+    c, d = hi - step * (hi - lo), lo + step * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > xatol:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - step * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + step * (hi - lo)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
 def _fit_poisson_peak(totals: np.ndarray) -> float:
     """Mean of the dominant Poisson peak of an integer sample.
 
     Least-squares fit of amplitude * pmf(n; mu) to the histogram over a
     window around the mode, so that pumping tails (trials that switched
-    state mid-record) do not drag the estimate.
+    state mid-record) do not drag the estimate.  The amplitude is linear, so
+    golden-section search over mu minimises the residual at the best amplitude.
     """
-    from scipy.optimize import OptimizeWarning, curve_fit
-    from scipy.stats import poisson as _poisson
-
     m = int(totals.max())
     if m == 0:  # the exact mean; one histogram point cannot fit two parameters
         return 0.0
@@ -365,16 +356,17 @@ def _fit_poisson_peak(totals: np.ndarray) -> float:
     lo, hi = max(0, mode - half), min(m, mode + half)
     ns = np.arange(lo, hi + 1)
     obs = hist[lo : hi + 1]
+    # log(n! / lo!); constant factors of the pmf cancel in the residual
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(ns[1:]))])
 
-    def model(n, amp, mu):
-        return amp * _poisson.pmf(n, mu)
+    def sse(mu: float) -> float:
+        log_pmf = ns * np.log(mu) - log_fact
+        pmf = np.exp(log_pmf - log_pmf.max())
+        # summed from the residuals: obs.obs - (obs.pmf)^2 / pmf.pmf loses digits near the minimum
+        res = obs - (obs @ pmf) / (pmf @ pmf) * pmf
+        return res @ res
 
-    p0 = (float(totals.size), max(float(mode), 0.3))
-    with warnings.catch_warnings():
-        # only the point estimate is used; a singular covariance is fine
-        warnings.simplefilter("ignore", OptimizeWarning)
-        popt, _ = curve_fit(model, ns, obs, p0=p0, maxfev=20000)
-    return float(popt[1])
+    return _golden_min(sse, lo, hi, 1e-9)[0]
 
 
 def _mean_rate_slope(

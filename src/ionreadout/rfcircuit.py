@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+
+from .readout import _golden_min
 
 TWO_PI = 2.0 * np.pi
 DEFAULT_OMEGA_RF = TWO_PI * 67.03e6  # rad/s
@@ -84,12 +85,38 @@ class InducedCurrentSolution:
     residual: float
 
 
+def _solve_tridiagonal(diag: np.ndarray, off: complex, rhs: np.ndarray) -> np.ndarray:
+    """Solve T v = rhs, T tridiagonal with diagonal diag and all off-diagonal entries off.
+
+    Gaussian elimination with partial pivoting (Golub & Van Loan, Matrix Computations,
+    sec. 4.3; LAPACK gtsv), so a zero diagonal entry is harmless.  O(n).
+    """
+    rows = []  # rows of U with their right-hand sides: (pivot, u1, u2, y)
+    p, q, r = complex(diag[0]), off, complex(rhs[0])  # the row being eliminated
+    for d1, b1, u in zip(diag[1:].tolist(), rhs[1:].tolist(), [off] * (len(diag) - 2) + [0j]):
+        if abs(p) >= abs(off):  # keep the row; a zero p here has only zeros below it
+            f = off / p if p else 0j
+            rows.append((p, q, 0j, r))
+            p, q, r = d1 - f * q, u, b1 - f * r
+        else:  # swap in the next row, which fills U's second superdiagonal
+            f = p / off
+            rows.append((off, d1, u, b1))
+            p, q, r = q - f * d1, -f * u, r - f * b1
+    rows.append((p, 0j, 0j, r))
+    if any(row[0] == 0 for row in rows):
+        raise np.linalg.LinAlgError("singular pickup network: zero pivot in the nodal matrix")
+    v = [0j, 0j]  # back substitution, from the last node down
+    for piv, u1, u2, y in reversed(rows):
+        v.append((y - u1 * v[-1] - u2 * v[-2]) / piv)
+    return np.array(v[:1:-1])  # node 0 first, without the two padding zeros
+
+
 def solve_network(net: NanowireNetwork) -> InducedCurrentSolution:
     """Single-frequency complex nodal analysis of the pickup network.
 
     The ladder couples each node only to its neighbours, so the nodal
     admittance matrix is tridiagonal: it is assembled as its three
-    diagonals and solved as a banded system.
+    diagonals and solved in O(k) by a pivoting tridiagonal elimination.
     """
     k = net.k_segments
     omega = net.omega_rf
@@ -105,21 +132,14 @@ def solve_network(net: NanowireNetwork) -> InducedCurrentSolution:
             raise ValueError("lead branch impedance is zero; network is ill-posed")
         diag[node] = y_l + y_cl + 1.0 / z_lead
         rhs[node] = y_cl * net.v_rf
-    off = np.full(k + 1, -y_l)
-
-    bands = np.zeros((3, k + 2), dtype=complex)
-    bands[0, 1:] = off
-    bands[1] = diag
-    bands[2, :-1] = off
-    try:
-        v = solve_banded((1, 1), bands, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"singular pickup network: {exc}") from exc
+    if not (np.isfinite(diag).all() and np.isfinite(rhs).all()):
+        raise ValueError("network admittances and drive must be finite")
+    v = _solve_tridiagonal(diag, -y_l, rhs)
 
     currents = (v[:-1] - v[1:]) * y_l
     imbalance = diag * v - rhs
-    imbalance[:-1] += off * v[1:]
-    imbalance[1:] += off * v[:-1]
+    imbalance[:-1] -= y_l * v[1:]
+    imbalance[1:] -= y_l * v[:-1]
     scale = np.abs(rhs).max()
     residual = float(np.abs(imbalance).max() / scale) if scale > 0 else float(
         np.abs(imbalance).max()
@@ -342,11 +362,9 @@ def fit_pickup(
     delta_im_ua (the observed shift of the response edge), leaving one
     angle psi with I0 = delta * cos(psi), I1 = delta * sin(psi).  The
     angle is located by a coarse scan and polished by golden-section
-    search; uncertainties follow from the residual curvature at the
-    minimum.
+    search between the scan's neighbours of its best point, to 1e-5 rad;
+    uncertainties follow from the residual curvature at the minimum.
     """
-    from scipy.optimize import minimize_scalar
-
     if delta_im_ua < 0:
         raise ValueError("delta_im_ua must be >= 0")
     if delta_im_ua == 0:
@@ -375,15 +393,9 @@ def fit_pickup(
     i_best = int(np.argmin(costs))
     lo = psis[max(0, i_best - 1)]
     hi = psis[min(psis.size - 1, i_best + 1)]
-    if lo == hi:
-        psi_hat = float(psis[i_best])
-    else:
-        res = minimize_scalar(sse, bracket=None, bounds=(lo, hi), method="bounded")
-        psi_hat = float(res.x)
-        if sse(psi_hat) > costs[i_best]:
-            psi_hat = float(psis[i_best])
-
-    sse_min = sse(psi_hat)
+    psi_hat, sse_min = _golden_min(sse, lo, hi, 1e-5)
+    if sse_min > costs[i_best]:
+        psi_hat, sse_min = float(psis[i_best]), float(costs[i_best])
     h = np.pi / 2 / 256
     p_lo = np.clip(psi_hat - h, 0.0, np.pi / 2)
     p_hi = np.clip(psi_hat + h, 0.0, np.pi / 2)

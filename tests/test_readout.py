@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.stats import poisson
 
 from ionreadout import (
     BRIGHT,
@@ -18,8 +19,6 @@ from ionreadout import (
     calibrate_rates,
     error_stats,
     optimize_threshold,
-    poisson_log_pmf,
-    poisson_pmf,
     simulate_dataset,
 )
 from ionreadout import io as iio
@@ -35,18 +34,6 @@ def _traj(counts, prepared=BRIGHT, bin_width_us=1.0):
     )
 
 
-def test_poisson_pmf_reference_values():
-    assert poisson_pmf(0, 5.095, 1.0) == pytest.approx(np.exp(-0.005095), rel=1e-12)
-    assert poisson_pmf(0, 5.095, 1.0) == pytest.approx(0.994918, abs=5e-7)
-    # 0.1625 * exp(-0.1625)
-    assert poisson_pmf(1, 162.50, 1.0) == pytest.approx(0.13812761466, rel=1e-9)
-    assert poisson_pmf(0, 0.0, 1.0) == 1.0
-    assert poisson_pmf(3, 0.0, 1.0) == 0.0
-    assert poisson_log_pmf(4, 80.0, 2.0) == pytest.approx(
-        np.log(poisson_pmf(4, 80.0, 2.0)), rel=1e-12
-    )
-
-
 def _reference_filter(counts, rates, bin_width_us, level):
     """The forward filter on (log P(bright), log P(dark)) for one record.
 
@@ -56,8 +43,8 @@ def _reference_filter(counts, rates, bin_width_us, level):
     """
     p_dp, p_rp = _transition_probs(rates, bin_width_us)
     counts = np.asarray(counts, dtype=np.int64)
-    like_b = poisson_log_pmf(counts, rates.gamma_b, bin_width_us)
-    like_d = poisson_log_pmf(counts, rates.gamma_d, bin_width_us)
+    like_b = poisson.logpmf(counts, rates.gamma_b * bin_width_us * 1e-3)
+    like_d = poisson.logpmf(counts, rates.gamma_d * bin_width_us * 1e-3)
     with np.errstate(divide="ignore", invalid="ignore"):
         stay_b, stay_d = np.log1p(-p_dp), np.log1p(-p_rp)
         dp, rp = np.log(p_dp), np.log(p_rp)

@@ -48,10 +48,23 @@ def _dense_voltages(net: NanowireNetwork) -> np.ndarray:
     return np.linalg.solve(y, rhs)
 
 
-@pytest.mark.parametrize("k_segments", [40, 1200])
+def _resonant_lead(k_segments: int) -> NanowireNetwork:
+    """A valid network whose lead node's nodal diagonal is zero, up to rounding.
+
+    With no lead resistance and a shorted termination, c_lead cancels the
+    admittances of the first wire inductor and of the lead inductor.
+    """
+    net = NanowireNetwork(k_segments=k_segments, r_lead=0.0, z_term_left=0.0)
+    omega = net.omega_rf
+    return replace(net, c_lead=(1 / (omega * net.l_segment) + 1 / (omega * net.l_lead)) / omega)
+
+
+@pytest.mark.parametrize("k_segments", [4, 40, 1200])
 def test_banded_solve_matches_dense_nodal_solve(k_segments):
+    # the resonant lead needs row pivoting: without it the first pivot is zero or tiny
     for net in (NanowireNetwork(k_segments=k_segments),
-                NanowireNetwork(k_segments=k_segments, z_term_left=50.0, r_lead=0.0)):
+                NanowireNetwork(k_segments=k_segments, z_term_left=50.0, r_lead=0.0),
+                _resonant_lead(k_segments)):
         sol = solve_network(net)
         ref = _dense_voltages(net)
         assert np.abs(sol.node_voltages - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -69,6 +82,9 @@ def test_ill_posed_networks_are_rejected():
                                z_term_left=complex("inf"), z_term_right=complex("inf"))
     with pytest.raises(np.linalg.LinAlgError, match="singular pickup network"):
         solve_network(floating)
+    for bad in (replace(net, c_ground=float("inf")), replace(net, v_rf=float("nan"))):
+        with pytest.raises(ValueError, match="admittances and drive must be finite"):
+            solve_network(bad)
 
 
 def test_zero_drive_means_zero_current():
