@@ -36,7 +36,6 @@ from .photon_sim import (
     RateParams,
     ReadoutConfig,
     Trajectory,
-    apply_herald_dataset,
     as_dataset,
     simulate_dataset,
     simulate_timetag_streams,
@@ -100,7 +99,6 @@ __all__ = [
     "TimeTagStream",
     "Trajectory",
     "adaptive_classify_batch",
-    "apply_herald_dataset",
     "as_dataset",
     "calibrate_rates",
     "collection_fraction",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -243,17 +244,7 @@ def _cmd_rfmodel(args) -> int:
 # ---------------------------------------------------------------- optics
 
 def _cmd_optics(args) -> int:
-    scene = DetectorScene(
-        detector_w_um=args.detector_w_um,
-        detector_h_um=args.detector_h_um,
-        recess_um=args.recess_um,
-        ion_height_um=args.ion_height_um,
-        lateral_um=args.lateral_um,
-        quant_axis_deg=args.quant_axis_deg,
-        nanowire_axis_deg=args.nanowire_axis_deg,
-        grid_pitch_um=args.grid_pitch_um,
-        opening_margin_um=args.opening_margin_um,
-    )
+    scene = DetectorScene(**{f.name: getattr(args, f.name) for f in fields(DetectorScene)})
     if args.ap_constant is not None and args.ap_file:
         raise ConfigError("--ap-constant and --ap-file conflict; pick one AP source")
     if args.ap_constant is not None:
@@ -442,15 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rfmodel)
 
     p = sub.add_parser("optics", help="collection geometry and efficiency")
-    p.add_argument("--detector-w-um", type=float, default=22.0)
-    p.add_argument("--detector-h-um", type=float, default=20.0)
-    p.add_argument("--recess-um", type=float, default=6.0)
-    p.add_argument("--ion-height-um", type=float, default=29.0)
-    p.add_argument("--lateral-um", type=float, default=0.0)
-    p.add_argument("--quant-axis-deg", type=float, default=45.0)
-    p.add_argument("--nanowire-axis-deg", type=float, default=0.0)
-    p.add_argument("--grid-pitch-um", type=float, default=1.0)
-    p.add_argument("--opening-margin-um", type=float, default=30.0)
+    for f in fields(DetectorScene):  # one flag per scene field, with its default
+        p.add_argument("--" + f.name.replace("_", "-"), type=float, default=f.default)
     p.add_argument("--ap-constant", type=float, default=None,
                    help="angle-independent absorption probability")
     p.add_argument("--ap-file", default=None,

@@ -6,6 +6,7 @@ usual ion-electrode distance scaling of the noise, taken here as d^-4.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -18,12 +19,12 @@ class HeatingPoint:
     distance_um: float
 
     def __post_init__(self) -> None:
-        if self.rate_quanta_s < 0:
-            raise ValueError("rate_quanta_s must be >= 0")
-        if self.frequency_mhz <= 0:
-            raise ValueError("frequency_mhz must be positive")
-        if self.distance_um <= 0:
-            raise ValueError("distance_um must be positive")
+        if not math.isfinite(self.rate_quanta_s) or self.rate_quanta_s < 0:
+            raise ValueError(f"rate_quanta_s must be finite and >= 0, got {self.rate_quanta_s}")
+        for name in ("frequency_mhz", "distance_um"):
+            v = getattr(self, name)
+            if not math.isfinite(v) or v <= 0:
+                raise ValueError(f"{name} must be finite and positive, got {v}")
 
 
 def scale_heating(point: HeatingPoint, target_frequency_mhz: float, alpha: float) -> float:
@@ -32,8 +33,9 @@ def scale_heating(point: HeatingPoint, target_frequency_mhz: float, alpha: float
     Assumes S_E proportional to omega^-alpha, so the rate transforms as
     (f_target / f_source)^-alpha.
     """
-    if target_frequency_mhz <= 0:
-        raise ValueError("target frequency must be positive")
+    if not math.isfinite(target_frequency_mhz) or target_frequency_mhz <= 0:
+        raise ValueError(f"target frequency must be finite and positive, got "
+                         f"{target_frequency_mhz}")
     return point.rate_quanta_s * (target_frequency_mhz / point.frequency_mhz) ** (-alpha)
 
 

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .optics import APSurface
-from .photon_sim import BRIGHT, DARK, Dataset, Trajectory, as_dataset
+from .photon_sim import BRIGHT, DARK, Dataset
 from .rfcircuit import BiasCountCurve
 from .timing import G2Estimate, TimeTagStream
 
@@ -95,7 +95,7 @@ def _byte_rows(text: np.ndarray, end: bytes) -> np.ndarray:
     return text.view(np.uint8).reshape(*text.shape, text.itemsize)
 
 
-def write_trajectories_csv(path, trajs: Dataset | Sequence[Trajectory]) -> None:
+def write_trajectories_csv(path, ds: Dataset) -> None:
     """Long-format dump: one row per (trial, bin).
 
     The rows are assembled as bytes, a block of about 2^15 at a time:
@@ -104,7 +104,6 @@ def write_trajectories_csv(path, trajs: Dataset | Sequence[Trajectory]) -> None:
     pass drops the pad bytes.  A count's text is made once per distinct
     count in the block.
     """
-    ds = as_dataset(trajs)
     labels = _byte_rows(np.array([DARK, BRIGHT], dtype="S"), b",")
     bins = _byte_rows(_digits(np.arange(ds.n_bins), ds.n_bins), b",")
     step = max(1, (1 << 15) // max(ds.n_bins, 1))  # trials per block

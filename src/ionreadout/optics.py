@@ -25,7 +25,7 @@ thread: the per-offset arrays are too small to gain from more CPUs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -145,6 +145,10 @@ class DetectorScene:
     opening_margin_um: float = 30.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not np.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v}")
         if self.detector_w_um < 0 or self.detector_h_um < 0:
             raise ValueError("detector dimensions must be >= 0")
         if self.recess_um < 0:
@@ -165,8 +169,8 @@ class CalibrationInputs:
     internal_efficiency: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.decay_rate_s <= 0:
-            raise ValueError("decay_rate_s must be positive")
+        if not np.isfinite(self.decay_rate_s) or self.decay_rate_s <= 0:
+            raise ValueError(f"decay_rate_s must be finite and positive, got {self.decay_rate_s}")
         if not (0 <= self.internal_efficiency <= 1):
             raise ValueError("internal_efficiency must lie in [0, 1]")
 

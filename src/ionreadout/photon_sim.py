@@ -31,10 +31,10 @@ difference of columns j and j - 1, and the counts matrix is derived only
 on access.  Integers are stored in the narrowest of int16, int32 and
 int64 that holds them, never wrapped.  :func:`simulate_dataset` heralds
 each chunk of rows as it is drawn and writes only the retained rows'
-post-herald prefix sums, so no raw counts matrix is ever held; records
-already in memory are heralded by :func:`apply_herald_dataset` under the
-same rule.  A list of :class:`Trajectory` input records is stacked into
-one by :func:`as_dataset`.
+post-herald prefix sums, so no raw counts matrix is ever held.  A list
+of :class:`Trajectory` input records is stacked into one by
+:func:`as_dataset`; only :func:`readout.adaptive_classify_batch` still
+accepts such a list, for the benchmark's per-trial check.
 
 :func:`simulate_timetag_streams` draws every arrival process (the
 emitter and each channel's background) from its own child of the seed,
@@ -117,10 +117,19 @@ class ReadoutConfig:
 
     @property
     def herald_bins(self) -> int:
-        nb = self.herald_duration_us / self.bin_width_us
-        if abs(nb - round(nb)) > 1e-9:
-            raise ValueError("herald_duration_us must be a whole number of bins")
-        return int(round(nb))
+        return _whole_bins("herald_duration_us", self.herald_duration_us, self.bin_width_us)
+
+
+def _whole_bins(name: str, duration_us: float, bin_width_us: float) -> int:
+    """duration_us in whole bins of bin_width_us; errors call the duration ``name``."""
+    for what, v in (("bin_width_us", bin_width_us), (name, duration_us)):
+        if not np.isfinite(v):
+            raise ValueError(f"{what} must be finite, got {v}")
+    nb = duration_us / bin_width_us
+    if abs(nb - round(nb)) > 1e-9:
+        raise ValueError(f"{name} ({duration_us:g}) must be a whole number of "
+                         f"{bin_width_us:g} us bins")
+    return int(round(nb))
 
 
 def _counts_dtype(max_count: int):
@@ -168,21 +177,18 @@ class Dataset:
 
     ``Dataset(counts, bright, bin_width_us)`` takes an n_trials x n_bins
     counts matrix and keeps only ``prefix``, its running sum along each
-    record, in the narrowest integer type that holds ``max_count`` x
-    n_bins.  ``max_count`` bounds every count: the largest count of the
-    records the dataset was built, simulated or selected from.
-    ``counts`` is derived from ``prefix`` on each access (int16 unless
-    ``max_count`` does not fit).  ``bright`` is the label column: the
-    preparation, or after heralding the herald's verdict.  Trial i is
-    ``counts[i]`` with label ``bright[i]``.  ``len`` counts trials, and a
-    slice, boolean mask or index array selects trials as a Dataset; a
-    Dataset is not iterable and takes no integer index.
+    record, in the narrowest integer type that holds the largest count
+    x n_bins.  ``counts`` is derived from ``prefix`` on each access, in
+    the prefix's type.  ``bright`` is the label column: the preparation,
+    or after heralding the herald's verdict.  Trial i is ``counts[i]``
+    with label ``bright[i]``.  ``len`` counts trials, and a slice,
+    boolean mask or index array selects trials as a Dataset; a Dataset
+    is not iterable and takes no integer index.
     """
 
     prefix: np.ndarray
     bright: np.ndarray
     bin_width_us: float
-    max_count: int
 
     def __init__(self, counts, bright, bin_width_us: float = 1.0) -> None:
         if np.ndim(counts) != 2:
@@ -190,23 +196,22 @@ class Dataset:
         counts = _as_counts(counts)
         top = int(counts.max(initial=0))
         prefix = np.cumsum(counts, axis=1, dtype=_counts_dtype(top * counts.shape[1]))
-        self._hold(prefix, bright, bin_width_us, top)
+        self._hold(prefix, bright, bin_width_us)
 
     @classmethod
-    def _from_prefix(cls, prefix: np.ndarray, bright, bin_width_us: float,
-                     max_count: int) -> "Dataset":
+    def _from_prefix(cls, prefix: np.ndarray, bright, bin_width_us: float) -> "Dataset":
         ds = object.__new__(cls)
-        ds._hold(prefix, bright, bin_width_us, max_count)
+        ds._hold(prefix, bright, bin_width_us)
         return ds
 
-    def _hold(self, prefix, bright, bin_width_us, max_count) -> None:
+    def _hold(self, prefix, bright, bin_width_us) -> None:
         bright = np.asarray(bright)
         if bright.dtype != bool or bright.shape != prefix.shape[:1]:
             raise ValueError("bright must be a boolean array with one entry per trial")
-        if bin_width_us <= 0:
-            raise ValueError("bin_width_us must be positive")
+        if not np.isfinite(bin_width_us) or bin_width_us <= 0:
+            raise ValueError(f"bin_width_us must be finite and positive, got {bin_width_us}")
         for name, value in (("prefix", prefix), ("bright", bright),
-                            ("bin_width_us", bin_width_us), ("max_count", max_count)):
+                            ("bin_width_us", bin_width_us)):
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
@@ -218,8 +223,7 @@ class Dataset:
         if isinstance(key, (int, np.integer)):
             raise TypeError("a Dataset takes no integer index; trial i is "
                             "counts[i] with label bright[i]")
-        return Dataset._from_prefix(self.prefix[key], self.bright[key], self.bin_width_us,
-                                    self.max_count)
+        return Dataset._from_prefix(self.prefix[key], self.bright[key], self.bin_width_us)
 
     @property
     def n_bins(self) -> int:
@@ -228,16 +232,11 @@ class Dataset:
     @property
     def counts(self) -> np.ndarray:
         """The n_trials x n_bins counts matrix, derived from ``prefix`` on each access."""
-        counts = np.diff(self.prefix, axis=1, prepend=self.prefix.dtype.type(0))
-        return counts.astype(_counts_dtype(self.max_count), copy=False)
+        return np.diff(self.prefix, axis=1, prepend=self.prefix.dtype.type(0))
 
     def totals(self, duration_us: float) -> np.ndarray:
         """Counts in the first duration_us of every record."""
-        nb = duration_us / self.bin_width_us
-        if abs(nb - round(nb)) > 1e-9:
-            raise ValueError(f"duration_us ({duration_us:g}) must be a whole number of "
-                             f"{self.bin_width_us:g} us bins")
-        nb = int(round(nb))
+        nb = _whole_bins("duration_us", duration_us, self.bin_width_us)
         if nb < 1 or nb > self.n_bins:
             raise ValueError(f"duration ({duration_us:g} us) must cover between 1 bin and the "
                              f"whole record ({self.n_bins} bins of {self.bin_width_us:g} us)")
@@ -435,10 +434,13 @@ def simulate_dataset(
 ) -> tuple[Dataset, dict[HeraldOutcome, int]]:
     """Simulate trials_per_state bright then trials_per_state dark trials and herald them.
 
-    Returns the retained records and the outcome tally, exactly as
-    :func:`apply_herald_dataset` would give for the whole records; a
-    zero-length herald window retains every trial whole, labelled by
-    its preparation.  Each state's trials are drawn in blocks of
+    Returns the retained records and the outcome tally.  Zero counts in
+    the herald window (the first cfg.herald_duration_us of each record)
+    retain the trial as dark, at least cfg.herald_bright_min counts
+    retain it as bright, and anything in between discards it; retained
+    records carry the herald's label and only their post-herald bins.  A
+    zero-length herald window retains every trial whole, labelled by its
+    preparation.  Each state's trials are drawn in blocks of
     ``_BLOCK_TRIALS`` trials; block b of state s (0 bright, 1 dark)
     draws from the generator seeded by (seed, s, b).  The output is
     bitwise reproducible under the seed, and a block's rows do not
@@ -477,35 +479,8 @@ def simulate_dataset(
                 np.cumsum(rows, axis=1, dtype=prefix.dtype, out=prefix[kept:kept + len(rows)])
                 bright[kept:kept + len(rows)] = labels
                 kept += len(rows)
-    retained = Dataset._from_prefix(prefix[:kept], bright[:kept], cfg.bin_width_us, top)
+    retained = Dataset._from_prefix(prefix[:kept], bright[:kept], cfg.bin_width_us)
     return retained, _tally(retained.bright, n_trials)
-
-
-def apply_herald_dataset(
-    trajs: Dataset | Sequence[Trajectory], cfg: ReadoutConfig
-) -> tuple[Dataset, dict[HeraldOutcome, int]]:
-    """Herald every trial; return the retained records and outcome tallies.
-
-    The herald window is the first cfg.herald_duration_us of each record.
-    Zero counts in it retain the trial as dark, at least
-    cfg.herald_bright_min counts retain it as bright, and anything in
-    between discards it.  Retained records carry the herald's label and
-    only their post-herald bins.  A zero-length window retains every
-    trial unchanged.  This is for records already in memory;
-    :func:`simulate_dataset` heralds under the same rule as it draws.
-    """
-    ds = as_dataset(trajs)
-    hb = cfg.herald_bins
-    if hb and hb >= ds.n_bins:
-        raise ValueError("herald window must be shorter than the records")
-    if hb == 0:
-        return ds, _tally(ds.bright, len(ds))
-    keep, bright = _herald(ds.prefix[:, hb - 1], cfg)
-    post = ds.prefix[keep, hb:]
-    post -= ds.prefix[keep, hb - 1, None]
-    post = post.astype(_counts_dtype(ds.max_count * post.shape[1]), copy=False)
-    return (Dataset._from_prefix(post, bright, ds.bin_width_us, ds.max_count),
-            _tally(bright, len(ds)))
 
 
 # Arrivals drawn per chunk by simulate_timetag_streams: a chunk's gaps,

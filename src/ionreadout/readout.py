@@ -76,7 +76,9 @@ def adaptive_classify_batch(
     decides.  A record that never gets there is decided by its final
     posterior and reported with ``converged`` False.  A record that has
     reached the highest level has stopped at every lower one, so only
-    records still open at the highest level are stepped.
+    records still open at the highest level are stepped.  The records
+    come as a Dataset or as a list of :class:`Trajectory` records, the
+    form the benchmark's per-trial check passes.
     """
     levels = [float(l) for l in confidence_levels]
     if not levels:
@@ -98,12 +100,13 @@ def adaptive_classify_batch(
     p_dp, p_rp = _transition_probs(rates, bin_width_us)
     flips = p_dp > 0 or p_rp > 0
 
-    # log-likelihood ratio of one bin, tabulated over the observed counts;
-    # +inf for a count only the bright state can give, nan for one neither can;
-    # a difference of logs, since mu_b / mu_d overflows for a tiny mu_d
+    # log-likelihood ratio of one bin, tabulated up to the largest record
+    # total, which no bin count exceeds; +inf for a count only the bright
+    # state can give, nan for one neither can; a difference of logs, since
+    # mu_b / mu_d overflows for a tiny mu_d
     mu_b = rates.gamma_b * bin_width_us * _MS_PER_US
     mu_d = rates.gamma_d * bin_width_us * _MS_PER_US
-    n = np.arange(ds.max_count + 1)
+    n = np.arange(int(ds.prefix[:, -1].max()) + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         llr = np.where(n == 0, 0.0, n * (np.log(mu_b) - np.log(mu_d))) - (mu_b - mu_d)
 
@@ -182,26 +185,13 @@ def adaptive_classify_batch(
     return results
 
 
-def _wilson_interval(k: int, n: int, z: float = 1.0) -> tuple[float, float]:
-    """Wilson score interval; z = 1 gives a 68% band."""
-    if n == 0:
-        return (0.0, 1.0)
-    p = k / n
-    denom = 1 + z * z / n
-    center = (p + z * z / (2 * n)) / denom
-    half = z * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
-
-
 @dataclass(frozen=True)
 class ErrorStats:
-    """Classification error fractions with 68% Wilson intervals."""
+    """Classification error fractions and mean readout durations."""
 
     eps_bright: float
     eps_dark: float
     fidelity: float
-    eps_bright_ci: tuple[float, float]
-    eps_dark_ci: tuple[float, float]
     n_bright: int
     n_dark: int
     mean_duration_bright_us: float
@@ -230,8 +220,6 @@ def _stats_from_counts(
         eps_bright=eps_b,
         eps_dark=eps_d,
         fidelity=1.0 - 0.5 * (eps_b + eps_d),
-        eps_bright_ci=_wilson_interval(k_b, n_b),
-        eps_dark_ci=_wilson_interval(k_d, n_d),
         n_bright=n_b,
         n_dark=n_d,
         mean_duration_bright_us=dur_b,
@@ -273,15 +261,12 @@ def error_stats(
     return _stats_from_counts(k_b, n_b, k_d, n_d, dur_b, dur_d)
 
 
-def optimize_threshold(
-    trajs: Dataset | Sequence[Trajectory], duration_us: float
-) -> tuple[int, ErrorStats]:
+def optimize_threshold(ds: Dataset, duration_us: float) -> tuple[int, ErrorStats]:
     """Exhaustively scan integer thresholds and return the fidelity maximizer.
 
     Ties are broken toward the smallest threshold.  Labels are the
-    dataset's label column (each trajectory's ``prepared`` field).
+    dataset's label column.
     """
-    ds = as_dataset(trajs)
     if not len(ds):
         raise ValueError("empty dataset")
     totals = ds.totals(duration_us)
@@ -391,7 +376,7 @@ MIN_CALIBRATION_TRIALS = 100
 MIN_CALIBRATION_BINS = 3  # the pumping slope's error needs more bins than the line's 2 parameters
 
 
-def calibrate_rates(trajs: Dataset | Sequence[Trajectory]) -> CalibratedRates:
+def calibrate_rates(ds: Dataset) -> CalibratedRates:
     """Recover emitter rates from a labeled dataset.
 
     Count rates come from Poisson fits to the dominant histogram peak at
@@ -399,7 +384,6 @@ def calibrate_rates(trajs: Dataset | Sequence[Trajectory]) -> CalibratedRates:
     (growth) of the instantaneous ensemble mean rate of bright (dark)
     prepared trials over the full record.
     """
-    ds = as_dataset(trajs)
     n_bright = int(np.count_nonzero(ds.bright))
     n_dark = len(ds) - n_bright
     if n_bright < MIN_CALIBRATION_TRIALS or n_dark < MIN_CALIBRATION_TRIALS:

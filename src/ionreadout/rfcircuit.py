@@ -55,15 +55,15 @@ class NanowireNetwork:
     def __post_init__(self) -> None:
         if self.k_segments < 2 or self.k_segments % 2 != 0:
             raise ValueError("k_segments must be an even integer >= 2")
-        for name in ("l_wire_total", "c_ground", "c_drive", "c_lead", "l_lead", "r_lead"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for name in ("l_wire_total", "c_ground", "c_drive", "c_lead", "l_lead", "r_lead",
+                     "omega_rf", "v_rf"):
+            v = getattr(self, name)
+            if not np.isfinite(v) or v < 0:
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
         if self.l_wire_total <= 0:
             raise ValueError("l_wire_total must be positive")
         if self.omega_rf <= 0:
             raise ValueError("omega_rf must be positive")
-        if self.v_rf < 0:
-            raise ValueError("v_rf must be >= 0")
 
     @property
     def l_segment(self) -> float:
@@ -185,8 +185,10 @@ class PickupModel:
     omega_rf: float = DEFAULT_OMEGA_RF
 
     def __post_init__(self) -> None:
-        if self.i0_ua < 0 or self.i1_ua < 0:
-            raise ValueError("pickup amplitudes must be >= 0")
+        for name in ("i0_ua", "i1_ua", "omega_rf"):
+            v = getattr(self, name)
+            if not np.isfinite(v) or v < 0:
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
         if self.k_segments < 2 or self.k_segments % 2 != 0:
             raise ValueError("k_segments must be an even integer >= 2")
         if self.omega_rf <= 0:
@@ -354,7 +356,6 @@ def fit_pickup(
     delta_im_ua: float,
     k_segments: int = 40,
     omega_rf: float = DEFAULT_OMEGA_RF,
-    n_phase: int = 256,
 ) -> PickupFit:
     """Fit (I0, I1) to an rf-on bias curve, given the rf-off curve.
 
@@ -385,7 +386,7 @@ def fit_pickup(
         model = PickupModel(
             delta_im_ua * np.cos(psi), delta_im_ua * np.sin(psi), k_segments, omega_rf
         )
-        pred = predict_counts(model, rf_off_curve, bias, n_phase)
+        pred = predict_counts(model, rf_off_curve, bias)
         return float(np.sum((pred - target) ** 2))
 
     psis = np.linspace(0.0, np.pi / 2, 65)

@@ -58,8 +58,8 @@ def parse_duration_sweep(text: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in text.split(":"))
     except ValueError as exc:
         raise ConfigError(f"bad sweep {text!r}; expected lo:hi:step") from exc
-    if step <= 0 or hi < lo:
-        raise ConfigError(f"bad sweep {text!r}; need hi >= lo and step > 0")
+    if not np.isfinite([lo, hi, step]).all() or step <= 0 or hi < lo:
+        raise ConfigError(f"bad sweep {text!r}; need finite bounds, hi >= lo and step > 0")
     n = int(round((hi - lo) / step))
     grid = lo + step * np.arange(n + 1)
     return grid[grid <= hi + 1e-9]

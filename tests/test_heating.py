@@ -73,3 +73,13 @@ def test_validation():
         scale_heating(REFERENCE, -1.0, ALPHA)
     with pytest.raises(ValueError):
         kick_heating_rate(-0.1, 10.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["rate_quanta_s", "frequency_mhz", "distance_um"])
+def test_point_rejects_non_finite_fields(name, value):
+    fields = {"rate_quanta_s": 63.0, "frequency_mhz": 2.0, "distance_um": 39.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        HeatingPoint(**fields)
+    with pytest.raises(ValueError, match="^target frequency must be finite"):
+        scale_heating(REFERENCE, value, ALPHA)

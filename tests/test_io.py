@@ -17,7 +17,6 @@ from ionreadout import (
     G2Estimate,
     PositionSweep,
     TimeTagStream,
-    Trajectory,
 )
 from ionreadout import io as iio
 from ionreadout.cli import main
@@ -28,19 +27,16 @@ def _read_lines(path):
 
 
 def test_trajectory_round_trip(tmp_path):
-    trajs = [
-        Trajectory(prepared="bright", bins=np.array([3, 0, 2, 1], dtype=np.int16)),
-        Trajectory(prepared="dark", bins=np.array([0, 0, 1, 0], dtype=np.int16)),
-    ]
+    counts = np.array([[3, 0, 2, 1], [0, 0, 1, 0]], dtype=np.int16)
     path = tmp_path / "trajs.csv"
-    iio.write_trajectories_csv(path, trajs)
+    iio.write_trajectories_csv(path, Dataset(counts, np.array([True, False])))
     assert _read_lines(path)[:3] == ["trial_id,prepared,bin_index,counts",
                                      "0,bright,0,3", "0,bright,1,0"]
     back = iio.read_trajectories_csv(path, bin_width_us=0.5)
     assert isinstance(back, Dataset)
     assert back.bin_width_us == 0.5
     assert back.bright.tolist() == [True, False]
-    assert np.array_equal(back.counts, np.stack([t.bins for t in trajs]))
+    assert np.array_equal(back.counts, counts)
 
     again = tmp_path / "trajs2.csv"
     iio.write_trajectories_csv(again, back)
@@ -64,7 +60,7 @@ def test_trajectory_writer_matches_one_formatted_line_per_row(tmp_path):
 
 def test_trajectory_read_needs_bin_width(tmp_path):
     path = tmp_path / "trajs.csv"
-    iio.write_trajectories_csv(path, [Trajectory("bright", np.array([1, 2]))])
+    iio.write_trajectories_csv(path, Dataset(np.array([[1, 2]]), np.array([True])))
     with pytest.raises(TypeError):
         iio.read_trajectories_csv(path)
     with pytest.raises(TypeError):
@@ -73,7 +69,7 @@ def test_trajectory_read_needs_bin_width(tmp_path):
 
 def test_trajectory_read_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
-    iio.write_trajectories_csv(path, [])
+    iio.write_trajectories_csv(path, Dataset(np.zeros((0, 0), dtype=int), np.zeros(0, bool)))
     back = iio.read_trajectories_csv(path, bin_width_us=2.0)
     assert len(back) == 0 and back.bin_width_us == 2.0
 
@@ -133,11 +129,6 @@ def test_trajectory_read_rejects_ragged_trials(tmp_path):
     with pytest.raises(ValueError, match=r"different lengths \(trial 0 has 3 bins, "
                                          r"trial 1 has 2\)"):
         iio.read_trajectories_csv(path, bin_width_us=1.0)
-    # the writer holds its records as one matrix too, so it writes no ragged file
-    with pytest.raises(ValueError, match="equal length"):
-        iio.write_trajectories_csv(tmp_path / "w.csv", [Trajectory("bright", np.array([3, 0, 2])),
-                                                        Trajectory("dark", np.array([0, 1]))])
-    assert not (tmp_path / "w.csv").exists()
 
 
 def test_trajectory_read_accepts_rows_in_any_order(tmp_path):

@@ -321,6 +321,24 @@ def test_no_rf_extrapolation_reference():
     assert capped == 0.60
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", [
+    "detector_w_um", "detector_h_um", "recess_um", "ion_height_um", "lateral_um",
+    "quant_axis_deg", "nanowire_axis_deg", "grid_pitch_um", "opening_margin_um",
+])
+def test_scene_rejects_non_finite_fields(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        DetectorScene(**{name: value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_calibration_and_sweep_reject_non_finite_values(value):
+    with pytest.raises(ValueError, match="^decay_rate_s must be finite"):
+        CalibrationInputs(decay_rate_s=value)
+    with pytest.raises(ValueError, match="^lateral_um must be finite"):
+        rate_vs_position(DetectorScene(), APSurface.constant(1.0), [0.0, value])
+
+
 def test_scene_validation():
     with pytest.raises(ValueError):
         DetectorScene(ion_height_um=-10.0, recess_um=5.0)

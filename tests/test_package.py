@@ -7,7 +7,7 @@ import types
 import ionreadout
 
 RETIRED = ("simulate_trial", "apply_herald", "threshold_classify", "threshold_error_vs_duration",
-           "poisson_pmf", "poisson_log_pmf")
+           "poisson_pmf", "poisson_log_pmf", "apply_herald_dataset")
 
 
 def test_every_exported_name_resolves():

@@ -18,13 +18,12 @@ from ionreadout import (
     RateParams,
     ReadoutConfig,
     Trajectory,
-    apply_herald_dataset,
     as_dataset,
     simulate_dataset,
     simulate_timetag_streams,
 )
 from ionreadout import photon_sim
-from ionreadout.photon_sim import _BLOCK_TRIALS, _TAG_CHUNK, _segments
+from ionreadout.photon_sim import _BLOCK_TRIALS, _TAG_CHUNK, _counts_dtype, _herald, _segments
 
 NOPUMP = RateParams(gamma_b=162.50, gamma_d=5.095)
 PUMPED = RateParams(gamma_b=162.50, gamma_d=5.095, gamma_dp=0.020, gamma_rp=0.0120)
@@ -226,6 +225,18 @@ def test_herald_window_must_be_shorter_than_record():
     assert ReadoutConfig(1.0, 50, 49.0).herald_bins == 49
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_whole_bins_rule_names_a_non_finite_duration_or_width(value):
+    with pytest.raises(ValueError, match="^herald_duration_us must be"):
+        ReadoutConfig(herald_duration_us=value)
+    with pytest.raises(ValueError, match="^bin_width_us must be"):
+        ReadoutConfig(bin_width_us=value)
+    with pytest.raises(ValueError, match="^duration_us must be finite"):
+        Dataset(np.ones((1, 4), dtype=int), np.array([True])).totals(value)
+    with pytest.raises(ValueError, match="^bin_width_us must be"):
+        Dataset(np.ones((1, 4), dtype=int), np.array([True]), value)
+
+
 def test_dataset_indexes_like_a_list_of_records(rates):
     # slices, masks and index arrays select trials as a Dataset; a trial is
     # one row of counts plus one entry of bright, so there is no record view
@@ -271,50 +282,29 @@ def test_dataset_window_totals(rates):
         Dataset(np.array([[1, 1]]), np.array(["bright"]))
 
 
-def _one_trial(counts, bright):
-    """A one-trial Dataset of 1 us bins."""
-    return Dataset(np.asarray(counts)[None, :], np.array([bright]))
-
-
+# the herald rule on hand-made window counts (config: at least 8 counts is bright)
 def test_herald_zero_counts_keeps_dark(config):
-    retained, tally = apply_herald_dataset(_one_trial(np.zeros(500, dtype=np.int64), False),
-                                           config)
-    assert tally[HeraldOutcome.RETAINED_DARK] == 1
-    assert list(retained.bright) == [False]
-    assert retained.counts.shape == (1, 450)
+    keep, bright = _herald(np.array([0]), config)
+    assert keep.tolist() == [0] and bright.tolist() == [False]
 
 
 def test_herald_seven_counts_discards(config):
-    bins = np.zeros(500, dtype=np.int64)
-    bins[:7] = 1  # one shy of the bright minimum
-    retained, tally = apply_herald_dataset(_one_trial(bins, True), config)
-    assert tally[HeraldOutcome.DISCARDED] == 1
-    assert len(retained) == 0
+    keep, bright = _herald(np.array([7]), config)  # one shy of the bright minimum
+    assert keep.size == 0 and bright.size == 0
 
 
 def test_herald_relabels_by_counts(config):
-    bins = np.zeros(500, dtype=np.int64)
-    bins[2] = 9
-    bins[200] = 3
-    retained, tally = apply_herald_dataset(_one_trial(bins, False), config)
-    assert tally[HeraldOutcome.RETAINED_BRIGHT] == 1
-    assert list(retained.bright) == [True]
-    assert np.array_equal(retained.counts[0], bins[50:])
-
-
-def test_herald_as_long_as_the_record_is_rejected():
-    with pytest.raises(ValueError, match="herald window must be shorter than the records"):
-        apply_herald_dataset(_one_trial(np.ones(50, int), True), ReadoutConfig(1.0, 60, 50.0))
+    keep, bright = _herald(np.array([3, 0, 9, 8, 1, 0]), config)  # 8: the bright minimum
+    assert keep.tolist() == [1, 2, 3, 5]
+    assert bright.tolist() == [False, True, True, False]
 
 
 def test_zero_length_herald_retains_everything(rates):
     cfg = ReadoutConfig(n_bins=40, herald_duration_us=0.0)
-    ds, _ = simulate_dataset(rates, cfg, trials_per_state=20, seed=2)
-    retained, tally = apply_herald_dataset(ds, cfg)
-    assert len(retained) == 40
+    ds, tally = simulate_dataset(rates, cfg, trials_per_state=20, seed=2)
+    assert len(ds) == 40 and ds.n_bins == 40
     assert tally[HeraldOutcome.DISCARDED] == 0
-    assert np.array_equal(retained.bright, ds.bright)
-    assert np.array_equal(retained.counts, ds.counts)
+    assert ds.bright.tolist() == [True] * 20 + [False] * 20
 
 
 def test_discard_fraction_matches_poisson_prediction():
@@ -333,12 +323,20 @@ def _assert_one_pass_matches_simulate_then_herald(rates, cfg, n, mode, seed):
     raw, raw_tally = simulate_dataset(rates, replace(cfg, herald_duration_us=0.0), n, seed,
                                       mode=mode)
     assert raw_tally[HeraldOutcome.DISCARDED] == 0 and raw.n_bins == cfg.n_bins
-    two, two_tally = apply_herald_dataset(raw, cfg)
-    assert tally == two_tally and sum(tally.values()) == 2 * n
-    assert np.array_equal(one.bright, two.bright)
-    assert one.counts.dtype == two.counts.dtype and np.array_equal(one.counts, two.counts)
-    assert one.prefix.dtype == two.prefix.dtype and np.array_equal(one.prefix, two.prefix)
-    assert one.max_count == two.max_count
+    # the herald written out on the unheralded counts
+    hb, counts = cfg.herald_bins, raw.counts.astype(np.int64)
+    window = counts[:, :hb].sum(axis=1)
+    keep = (window == 0) | (window >= cfg.herald_bright_min) if hb else np.ones(2 * n, bool)
+    bright = window[keep] >= cfg.herald_bright_min if hb else raw.bright
+    post = counts[keep, hb:]
+    assert tally == {HeraldOutcome.RETAINED_BRIGHT: int(bright.sum()),
+                     HeraldOutcome.RETAINED_DARK: int((~bright).sum()),
+                     HeraldOutcome.DISCARDED: int((~keep).sum())}
+    assert np.array_equal(one.bright, bright)
+    assert np.array_equal(one.counts, post) and np.array_equal(one.prefix, post.cumsum(axis=1))
+    # the prefix type holds the largest count drawn, discarded rows included, x the bins kept
+    assert one.prefix.dtype == _counts_dtype(int(counts.max()) * post.shape[1])
+    assert one.counts.dtype == one.prefix.dtype
     return one, raw
 
 
@@ -366,7 +364,7 @@ def test_prefix_widening_mid_simulation_keeps_the_written_rows(mode, monkeypatch
                                                              mode, seed=6)
     n_post, limit = cfg.n_bins - cfg.herald_bins, np.iinfo(np.int16).max
     # the first row fits int16 prefix sums, a later one does not
-    assert raw.counts[0].max() * n_post <= limit < one.max_count * n_post
+    assert raw.counts[0].max() * n_post <= limit < raw.counts.max() * n_post
     assert one.prefix.dtype == np.int32
 
 

@@ -82,7 +82,8 @@ def test_ill_posed_networks_are_rejected():
                                z_term_left=complex("inf"), z_term_right=complex("inf"))
     with pytest.raises(np.linalg.LinAlgError, match="singular pickup network"):
         solve_network(floating)
-    for bad in (replace(net, c_ground=float("inf")), replace(net, v_rf=float("nan"))):
+    # finite fields whose admittances overflow (non-finite fields fail at construction)
+    for bad in (replace(net, c_ground=1e300), replace(net, c_drive=1e300)):
         with pytest.raises(ValueError, match="admittances and drive must be finite"):
             solve_network(bad)
 
@@ -146,6 +147,15 @@ def test_network_validation():
         NanowireNetwork(l_wire_total=0.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", [
+    "l_wire_total", "c_ground", "c_drive", "c_lead", "l_lead", "r_lead", "omega_rf", "v_rf",
+])
+def test_network_rejects_non_finite_fields(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        NanowireNetwork(**{name: value})
+
+
 def test_reduced_current_closed_forms():
     m = PickupModel(0.9, 3.5)
     t_quarter = (TWO_PI / 4) / m.omega_rf
@@ -179,6 +189,13 @@ def test_pickup_model_validation():
         PickupModel(1.0, 1.0, k_segments=3)
     with pytest.raises(ValueError):
         reduced_current(PickupModel(1.0, 1.0), 41, 0.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["i0_ua", "i1_ua", "omega_rf"])
+def test_pickup_model_rejects_non_finite_fields(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        PickupModel(**{"i0_ua": 1.0, "i1_ua": 1.0, name: value})
 
 
 def test_bias_curve_validation_and_interp():
@@ -380,8 +397,6 @@ def test_predict_counts_compares_the_rounded_sum_with_the_knots():
         _brute_predict(model, curve, bias, 256), abs=1e-12 * 900.0)
 
 
-def test_fit_rejects_a_coarse_phase_grid(ramp_curve):
-    bias = np.linspace(0.5, 8.5, 9)
-    rf_on = BiasCountCurve(bias, predict_counts(PickupModel(0.9, 3.5), ramp_curve, bias))
+def test_predict_counts_rejects_a_coarse_phase_grid(ramp_curve):
     with pytest.raises(ValueError, match="n_phase"):
-        fit_pickup(rf_on, ramp_curve, delta_im_ua=float(np.hypot(0.9, 3.5)), n_phase=4)
+        predict_counts(PickupModel(0.9, 3.5), ramp_curve, np.linspace(0.5, 8.5, 9), n_phase=4)

@@ -5,6 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ionreadout import (
+    APSurface,
+    CalibrationInputs,
+    Dataset,
+    DetectorScene,
+    collection_fraction,
+    expected_rate,
+    obscured_fraction,
+)
 from ionreadout import io as iio
 from ionreadout.cli import main
 from ionreadout.scenario import (
@@ -58,7 +67,7 @@ def test_duration_sweep_grid():
     assert np.array_equal(grid, np.arange(25.0, 451.0, 25.0))
     assert grid[0] == 25.0 and grid[-1] == 450.0  # inclusive on both ends
     assert np.array_equal(parse_duration_sweep("10:10:1"), [10.0])
-    for bad in ("5", "10:5:1", "0:10:0", "a:b:c"):
+    for bad in ("5", "10:5:1", "0:10:0", "a:b:c", "0:nan:8", "0:inf:8", "-inf:0:1", "0:10:inf"):
         with pytest.raises(ConfigError):
             parse_duration_sweep(bad)
 
@@ -210,6 +219,15 @@ def test_accepted_config_runs_or_names_its_key(tmp_path, overrides, key):
             run_scenario(cfg)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("herald_duration_us", "nan"), ("bin_width_us", "inf"), ("threshold_sweep_us", "25:nan:25"),
+])
+def test_non_finite_config_value_names_its_key(tmp_path, key, value):
+    cfg = _write_minimal_cfg(tmp_path / "s.cfg", tmp_path / "out", **{key: value})
+    with pytest.raises(ConfigError, match=rf"s\.cfg: .*{key}.* finite"):
+        run_scenario(cfg)
+
+
 def test_paper_scenario_reproduces_shipped_outputs(tmp_path):
     golden = SCENARIO_DIR.parent / "out" / "paper"
     text = (SCENARIO_DIR / "paper.cfg").read_text()
@@ -354,7 +372,7 @@ def test_cli_classify_duration_outside_the_record_names_the_flag(small_csv, caps
 
 def test_cli_classify_names_an_empty_file(tmp_path, capsys):
     path = tmp_path / "empty.csv"
-    iio.write_trajectories_csv(path, [])
+    iio.write_trajectories_csv(path, Dataset(np.zeros((0, 0), dtype=int), np.zeros(0, bool)))
     for method in (["--threshold"], ["--threshold", "--threshold-counts", "3"], ["--bayes"]):
         assert main(["classify", "--in", str(path), "--bin-width-us", "1", *method]) == 1
         assert capsys.readouterr().err == f"error: {path}: empty dataset\n"
@@ -436,6 +454,40 @@ def test_cli_optics_summary_and_sweep(tmp_path, capsys):
     capsys.readouterr()
     assert main(["optics", "--scene", "bogus"]) == 1
     capsys.readouterr()
+
+
+def test_cli_optics_flags_are_the_scene_fields(capsys):
+    code, kv, _ = _run_cli(capsys, "optics")
+    assert code == 0
+    assert kv == {"collection_fraction": "0.020217775", "obscured_fraction": "0",
+                  "expected_rate_s": "792147.31"}
+    # every flag changed at once; putting any one back changes the printed values
+    changed = dict(detector_w_um=30.0, detector_h_um=10.0, recess_um=3.0, ion_height_um=40.0,
+                   lateral_um=50.0, quant_axis_deg=0.0, nanowire_axis_deg=30.0,
+                   grid_pitch_um=0.5, opening_margin_um=0.0)
+    code, kv, _ = _run_cli(capsys, "optics", *(arg for name, value in changed.items()
+                                               for arg in ("--" + name.replace("_", "-"),
+                                                           str(value))))
+    assert code == 0
+    scene = DetectorScene(**changed)
+    rate = expected_rate(scene, APSurface.synthetic_placeholder(), CalibrationInputs())
+    assert kv == {"collection_fraction": f"{collection_fraction(scene):.8g}",
+                  "obscured_fraction": f"{obscured_fraction(scene):.8g}",
+                  "expected_rate_s": f"{rate:.8g}"}
+
+
+@pytest.mark.parametrize("argv, problem", [
+    (["optics", "--ion-height-um", "nan"], "ion_height_um must be finite"),
+    (["optics", "--sweep-lateral", "0:nan:8", "--out", "sweep.csv"], "need finite bounds"),
+    (["heating", "--rate-quanta-s", "nan", "--freq-mhz", "2", "--distance-um", "39",
+      "--target-freq-mhz", "5.3"], "rate_quanta_s must be finite"),
+    (["heating", "--rate-quanta-s", "63", "--freq-mhz", "2", "--distance-um", "39",
+      "--target-freq-mhz", "inf"], "target frequency must be finite"),
+])
+def test_cli_names_a_non_finite_value(tmp_path, monkeypatch, capsys, argv, problem):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert problem in capsys.readouterr().err
 
 
 def test_cli_g2_simulate_and_exclusion(tmp_path, capsys):
