@@ -255,6 +255,13 @@ def _cmd_optics(args) -> int:
         ap = APSurface.synthetic_placeholder()
 
     cal = CalibrationInputs(internal_efficiency=args.internal_efficiency)
+    offsets = None
+    if args.sweep_lateral:  # a bad sweep fails before any output
+        if not args.out:
+            raise ConfigError("--sweep-lateral needs --out for the CSV")
+        offsets = parse_duration_sweep(args.sweep_lateral)
+    elif args.out:
+        raise ConfigError("--out needs --sweep-lateral")
     pairs = [
         ("collection_fraction", collection_fraction(scene)),
         ("obscured_fraction", obscured_fraction(scene)),
@@ -264,15 +271,9 @@ def _cmd_optics(args) -> int:
         pairs.append(("sde", sde_calibrate(args.measured_rate_s, scene, cal)))
     _print_kv(pairs)
 
-    if args.sweep_lateral:
-        if not args.out:
-            raise ConfigError("--sweep-lateral needs --out for the CSV")
-        offsets = parse_duration_sweep(args.sweep_lateral)
-        sweep = rate_vs_position(scene, ap, offsets, cal)
-        _io.write_position_sweep_csv(args.out, sweep)
+    if offsets is not None:
+        _io.write_position_sweep_csv(args.out, rate_vs_position(scene, ap, offsets, cal))
         print(f"out = {args.out}")
-    elif args.out:
-        raise ConfigError("--out needs --sweep-lateral")
     return 0
 
 

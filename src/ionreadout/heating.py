@@ -36,6 +36,8 @@ def scale_heating(point: HeatingPoint, target_frequency_mhz: float, alpha: float
     if not math.isfinite(target_frequency_mhz) or target_frequency_mhz <= 0:
         raise ValueError(f"target frequency must be finite and positive, got "
                          f"{target_frequency_mhz}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     return point.rate_quanta_s * (target_frequency_mhz / point.frequency_mhz) ** (-alpha)
 
 
@@ -50,6 +52,8 @@ def field_noise_ratio(
     level.  The distance exponent defaults to 4 (far-field patch noise)
     and is a parameter only so its influence can be probed.
     """
+    if not math.isfinite(distance_exponent):
+        raise ValueError(f"distance_exponent must be finite, got {distance_exponent}")
     predicted = scale_heating(a, b.frequency_mhz, alpha) * (
         a.distance_um / b.distance_um
     ) ** distance_exponent
@@ -60,6 +64,7 @@ def field_noise_ratio(
 
 def kick_heating_rate(quanta_per_count: float, count_rate_s: float) -> float:
     """Heating from photon-detection recoil kicks: quanta per absorbed count."""
-    if quanta_per_count < 0 or count_rate_s < 0:
-        raise ValueError("inputs must be >= 0")
+    for name, v in (("quanta_per_count", quanta_per_count), ("count_rate_s", count_rate_s)):
+        if not math.isfinite(v) or v < 0:
+            raise ValueError(f"{name} must be finite and >= 0, got {v}")
     return quanta_per_count * count_rate_s

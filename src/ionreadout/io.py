@@ -5,26 +5,31 @@ rule set by each column's dtype: booleans as 'true' / 'false', floats
 via repr so values round-trip, anything else via str.  Plain comma
 separation and '\n' line endings make the bytes deterministic.  States
 are booleans (True = bright) until they become 'bright' / 'dark' here.
-Every reader checks the header, then reads the file in one
-``np.loadtxt`` pass; a missing column, a short row or a field that does
-not parse raises ValueError naming the file.
+Every reader checks the header, then parses the rows with
+``np.loadtxt``; a missing column, a short row or a field that does not
+parse raises ValueError naming the file.  The side formats are read in
+one pass over the whole file.
 
 The trajectory file is long format, one row per (trial, bin), and does
 not record the bin width: its reader takes the width as a required
 keyword and returns a :class:`Dataset`, so every trial must have the
-same length.
+same length.  It parses the file a block of about 16,000 rows at a time
+and scatters each block straight into the Dataset's matrix, so beyond
+the returned Dataset it holds one block and a few numbers per trial.
 """
 from __future__ import annotations
 
 import csv
+import os
 import warnings
 from pathlib import Path
+from stat import S_ISREG
 from typing import Sequence
 
 import numpy as np
 
 from .optics import APSurface
-from .photon_sim import BRIGHT, DARK, Dataset
+from .photon_sim import BRIGHT, DARK, Dataset, _counts_dtype
 from .rfcircuit import BiasCountCurve
 from .timing import G2Estimate, TimeTagStream
 
@@ -56,25 +61,45 @@ def _labels(bright) -> np.ndarray:
     return np.where(bright, BRIGHT, DARK)
 
 
-def _read_table(path, dtype) -> np.ndarray:
-    """The columns named by a structured dtype, in file order: a header check, one loadtxt pass.
+def _read_rows(path, dtype, block_chars: int | None = None):
+    """The columns named by a structured dtype, in file order: a header check,
+    then one loadtxt pass over the whole file, or one over each block of whole
+    lines of about ``block_chars`` characters.
 
     The file is read as latin-1, so every byte loads; a quoted field
     reads as the csv module reads it.
     """
     dtype = np.dtype(dtype)
-    with open(path, newline="", encoding="latin-1") as fh:
+    with open(path, encoding="latin-1") as fh:
         header = next(csv.reader(fh), [])
-    if not set(dtype.names).issubset(header):
-        raise ValueError(f"{path}: expected columns {sorted(dtype.names)}")
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        try:
-            return np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1,
-                              usecols=[header.index(c) for c in dtype.names], comments=None,
-                              ndmin=1, encoding="latin-1", quotechar='"')
-        except ValueError as exc:  # a short row or a field that does not parse
-            raise ValueError(f"{path}: {exc}") from exc
+        if not set(dtype.names).issubset(header):
+            raise ValueError(f"{path}: expected columns {sorted(dtype.names)}")
+        usecols = [header.index(c) for c in dtype.names]
+
+        def load(source, skiprows=0, before=0):
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                try:
+                    return np.loadtxt(source, dtype=dtype, delimiter=",", skiprows=skiprows,
+                                      usecols=usecols, comments=None, ndmin=1,
+                                      encoding="latin-1", quotechar='"')
+                except ValueError as exc:  # a short row or a field that does not parse
+                    after = f"after {before} rows, " if before else ""
+                    raise ValueError(f"{path}: {after}{exc}") from exc
+
+        if block_chars is None:  # loadtxt reads a named file in large chunks
+            yield load(path, skiprows=1)
+            return
+        before = 0
+        while text := fh.read(block_chars):
+            rows = load((text + fh.readline()).split("\n"), before=before)
+            before += rows.size
+            yield rows
+
+
+def _read_table(path, dtype) -> np.ndarray:
+    """The columns named by a structured dtype, in file order, read in one pass."""
+    return next(_read_rows(path, dtype))
 
 
 # One field per column.  Labels stay bytes: the file is read as latin-1, so
@@ -122,53 +147,161 @@ def write_trajectories_csv(path, ds: Dataset) -> None:
             fh.write(rows[rows != 0].tobytes())
 
 
+# Characters of whole lines the trajectory reader parses at a time: about
+# 16,000 rows of a written file, so a block's lines and columns stay near 1 MB.
+_BLOCK_CHARS = 1 << 18
+
+# A trajectory row is at least "0,dark,0,0" and a line end, so a regular
+# file of s bytes holds fewer than s // 10 rows, and a valid one fills as
+# many cells.
+_MIN_ROW_BYTES = 10
+
+
+class _Trials:
+    """Per-trial state of a trajectory file read a block at a time.
+
+    Trials take matrix rows in order of first appearance.  Per row it
+    keeps the trial id and, in ``stat``, the rows read, the bright rows,
+    and the lowest and highest bin.  Lookups search the ids as they are
+    while they ascend, as in a written file, and a sorted copy otherwise.
+    """
+
+    def __init__(self) -> None:
+        self.n = 0
+        self.ids = np.empty(0, dtype=np.int64)
+        self.stat = np.empty((0, 4), dtype=np.int64)
+        self.order = None  # the rows in id order, once the ids stop ascending
+        self._sorted_ids = None
+
+    def rows(self, uid: np.ndarray) -> np.ndarray:
+        """The matrix rows of the ascending ids ``uid``; an unseen id takes a new row."""
+        n = self.n
+        keys = self.ids[:n] if self.order is None else self._sorted_ids
+        pos = np.searchsorted(keys, uid).clip(max=max(n - 1, 0))
+        seen = keys[pos] == uid if n else np.zeros(uid.size, dtype=bool)
+        rows = pos if self.order is None else self.order[pos]
+        if seen.all():
+            return rows
+        fresh = uid[~seen]
+        ascending = self.order is None and (not n or fresh[0] > self.ids[n - 1])
+        self.n += fresh.size
+        if self.n > self.ids.size:
+            self.ids = np.resize(self.ids, 2 * self.n)
+            self.stat = np.resize(self.stat, (2 * self.n, 4))
+        self.ids[n:self.n] = fresh
+        self.stat[n:self.n] = (0, 0, np.iinfo(np.int64).max, np.iinfo(np.int64).min)
+        rows[~seen] = np.arange(n, self.n)
+        if not ascending:
+            self.order = np.argsort(self.ids[:self.n], kind="stable")
+            self._sorted_ids = self.ids[self.order]
+        return rows
+
+
 def read_trajectories_csv(path, *, bin_width_us: float) -> Dataset:
     """Read a long-format dump into a Dataset; rows may come in any order.
 
     The file does not record the bin width, so the caller supplies it.
     Trials come in ascending trial_id order; each trial's bins must run
     0..n-1, and every trial must have the same n.
-    """
-    rows = _read_table(path, _TRAJECTORY_DTYPE)
-    if not rows.size:
-        return Dataset(np.zeros((0, 0), dtype=np.int16), np.zeros(0, dtype=bool), bin_width_us)
-    tid, label, bin_index = rows["trial_id"], rows["prepared"], rows["bin_index"]
-    bright = label == BRIGHT.encode()
-    bad = ~bright & (label != DARK.encode())
-    if bad.any():
-        first = int(np.argmax(bad))
-        shown = label[first].decode("utf-8", "replace")
-        raise ValueError(f"{path}: trial {tid[first]} has label {shown!r}; "
-                         "expected 'bright' or 'dark'")
 
-    # ids 0..T-1 in row order, as written, need no sort: every step is 0 or 1
-    # (a negative step reads as a huge unsigned one)
-    if tid[0] == 0 and (np.diff(tid).view(np.uint64) <= 1).all():
-        trial_ids, trial = np.arange(tid[-1] + 1), tid
-    else:
-        trial_ids, trial = np.unique(tid, return_inverse=True)
-    n_rows = np.bincount(trial)
-    n_bright = np.bincount(trial[bright], minlength=trial_ids.size)
+    The file is parsed a block of rows at a time, and each block is
+    scattered into one trials x bins matrix of counts, -1 where no row
+    has landed, in the narrowest integer type that holds its prefix sums.
+    Between blocks only a few numbers per trial are kept (see
+    :class:`_Trials`).  A trial is whole when its bins lie in [0, rows)
+    and fill as many cells as it has rows.  The matrix is allocated for
+    the most cells the file's size allows, so its pages past the trials
+    read are never touched, never resident, and it becomes the Dataset's
+    prefix in place; a file of unknown size, such as a pipe, doubles it
+    as it fills.  Trials whose first rows are not in ascending id order
+    cost one copy of the matrix at the end.
+    """
+    info = os.stat(path)
+    cap = info.st_size // _MIN_ROW_BYTES if S_ISREG(info.st_mode) else None
+    trials = _Trials()
+    cells = np.empty(0, dtype=np.int16)  # the matrix, row-major; None once it cannot fit
+    width = top = 0  # matrix width, largest count
+    for rows in _read_rows(path, _TRAJECTORY_DTYPE, _BLOCK_CHARS):
+        if not rows.size:  # a block of blank lines
+            continue
+        tid, label, b, c = (rows[name] for name in _TRAJECTORY_DTYPE.names)
+        bright = label == BRIGHT.encode()
+        if not (bright | (label == DARK.encode())).all():
+            first = int(np.argmax(~bright & (label != DARK.encode())))
+            shown = label[first].decode("utf-8", "replace")
+            raise ValueError(f"{path}: trial {tid[first]} has label {shown!r}; "
+                             "expected 'bright' or 'dark'")
+        if c.min() < 0:
+            first = int(np.argmax(c < 0))
+            raise ValueError(f"{path}: trial {tid[first]} has a negative count "
+                             f"({c[first]}) in bin {b[first]}")
+        step = np.diff(tid)
+        if (step < 0).any():  # ids went backwards: gather each trial's rows
+            order = np.argsort(tid, kind="stable")
+            tid, bright, b, c = tid[order], bright[order], b[order], c[order]
+            step = np.diff(tid)
+        start = np.concatenate([[0], np.flatnonzero(step != 0) + 1])
+        was = trials.n
+        slot = trials.rows(tid[start])
+        length = np.diff(start, append=tid.size)
+        lo, hi = np.minimum.reduceat(b, start), np.maximum.reduceat(b, start)
+        stat = trials.stat[slot]
+        stat[:, 0] += length
+        stat[:, 1] += np.add.reduceat(bright, start, dtype=np.int64)
+        np.minimum(stat[:, 2], lo, out=stat[:, 2])
+        np.maximum(stat[:, 3], hi, out=stat[:, 3])
+        trials.stat[slot] = stat
+
+        if cells is None:
+            continue
+        wide = max(width, int(hi.max()) + 1)
+        need = trials.n * wide
+        if cap is not None and need > cap:  # more cells than the file has rows: a trial is short
+            cells = None
+            continue
+        top = max(top, int(c.max()))
+        dtype = _counts_dtype(top * wide)
+        if wide > width or dtype != cells.dtype or need > cells.size:
+            # lay the trials read so far out again
+            wider = np.empty(2 * need if cap is None else cap, dtype=dtype)
+            kept = wider[:was * wide].reshape(was, wide)
+            kept[:, :width] = cells[:was * width].reshape(was, width)
+            kept[:, width:] = -1
+            cells, width = wider, wide
+        cells[was * width:trials.n * width] = -1
+        cell = np.repeat(slot * width, length) + b
+        if lo.min() < 0:  # a negative bin lands nowhere; its trial is not whole
+            cell, c = cell[b >= 0], c[b >= 0]
+        cells[cell] = c.astype(cells.dtype)
+
+    n = trials.n
+    if not n:
+        return Dataset(np.zeros((0, 0), dtype=np.int16), np.zeros(0, dtype=bool), bin_width_us)
+    ids, (n_rows, n_bright, lo, hi) = trials.ids[:n], trials.stat[:n].T
     mixed = (n_bright > 0) & (n_bright < n_rows)
     if mixed.any():
-        raise ValueError(f"{path}: trial {trial_ids[np.argmax(mixed)]} has inconsistent labels")
-    # a trial of n rows is whole when its bins fill its slots 0..n-1 once each
-    inside = (bin_index >= 0) & (bin_index < n_rows[trial])
-    slot = np.where(inside, (np.cumsum(n_rows) - n_rows)[trial] + bin_index, -1)
-    hits = np.bincount(slot[inside], minlength=rows.size)
-    whole = np.ones(trial_ids.size, dtype=bool)
-    whole[trial[~inside | (hits[slot] != 1)]] = False
+        raise ValueError(f"{path}: trial {ids[mixed].min()} has inconsistent labels")
+    whole = (lo >= 0) & (hi < n_rows)
+    if cells is not None:
+        grid = cells[:n * width].reshape(n, width)
+        chunk = 1 + (1 << 20) // width  # trials per pass, so the mask stays near 1 MB
+        whole &= np.concatenate([np.count_nonzero(grid[i:i + chunk] >= 0, axis=1)
+                                 for i in range(0, n, chunk)]) == n_rows
     if not whole.all():
-        raise ValueError(
-            f"{path}: trial {trial_ids[np.argmin(whole)]} has missing or duplicate bins")
-    ragged = n_rows != n_rows[0]
-    if ragged.any():
-        k = int(np.argmax(ragged))
-        raise ValueError(f"{path}: trials have different lengths (trial {trial_ids[0]} has "
-                         f"{n_rows[0]} bins, trial {trial_ids[k]} has {n_rows[k]})")
-    counts = np.empty(rows.size, dtype=np.int64)
-    counts[slot] = rows["counts"]
-    return Dataset(counts.reshape(trial_ids.size, n_rows[0]), n_bright > 0, bin_width_us)
+        raise ValueError(f"{path}: trial {ids[~whole].min()} has missing or duplicate bins")
+    # Past here a matrix that could not fit always fails: its trials are whole,
+    # so their lengths differ, or they would fill no more cells than the file has rows.
+    first = int(np.argmin(ids))
+    ragged = np.flatnonzero(n_rows != n_rows[first])
+    if ragged.size:
+        k = ragged[np.argmin(ids[ragged])]
+        raise ValueError(f"{path}: trials have different lengths (trial {ids[first]} has "
+                         f"{n_rows[first]} bins, trial {ids[k]} has {n_rows[k]})")
+    bright = n_bright > 0
+    if trials.order is not None:
+        grid, bright = grid[trials.order], bright[trials.order]
+    np.cumsum(grid, axis=1, out=grid)
+    return Dataset._from_prefix(grid, bright, bin_width_us)
 
 
 def write_timetags_csv(path, streams: Sequence[TimeTagStream]) -> None:

@@ -100,13 +100,15 @@ def adaptive_classify_batch(
     p_dp, p_rp = _transition_probs(rates, bin_width_us)
     flips = p_dp > 0 or p_rp > 0
 
-    # log-likelihood ratio of one bin, tabulated up to the largest record
-    # total, which no bin count exceeds; +inf for a count only the bright
+    # log-likelihood ratio of one bin, tabulated up to a bound on the largest
+    # bin count: bin j holds at most the column maximum of the prefix sums at
+    # j less their column minimum at j - 1; +inf for a count only the bright
     # state can give, nan for one neither can; a difference of logs, since
     # mu_b / mu_d overflows for a tiny mu_d
     mu_b = rates.gamma_b * bin_width_us * _MS_PER_US
     mu_d = rates.gamma_d * bin_width_us * _MS_PER_US
-    n = np.arange(int(ds.prefix[:, -1].max()) + 1)
+    top, low = ds.prefix.max(axis=0), ds.prefix.min(axis=0)
+    n = np.arange(int(max(top[0], (top[1:] - low[:-1]).max(initial=0))) + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         llr = np.where(n == 0, 0.0, n * (np.log(mu_b) - np.log(mu_d))) - (mu_b - mu_d)
 

@@ -83,3 +83,17 @@ def test_point_rejects_non_finite_fields(name, value):
         HeatingPoint(**fields)
     with pytest.raises(ValueError, match="^target frequency must be finite"):
         scale_heating(REFERENCE, value, ALPHA)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_exponents_and_kick_inputs_reject_non_finite_values(value):
+    with pytest.raises(ValueError, match="^alpha must be finite"):
+        scale_heating(REFERENCE, 5.3, value)
+    with pytest.raises(ValueError, match="^alpha must be finite"):
+        field_noise_ratio(REFERENCE, DETECTOR, value)
+    with pytest.raises(ValueError, match="^distance_exponent must be finite"):
+        field_noise_ratio(REFERENCE, DETECTOR, ALPHA, distance_exponent=value)
+    with pytest.raises(ValueError, match="^quanta_per_count must be finite"):
+        kick_heating_rate(value, 1000.0)
+    with pytest.raises(ValueError, match="^count_rate_s must be finite"):
+        kick_heating_rate(0.009, value)

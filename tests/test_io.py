@@ -1,7 +1,10 @@
 """CSV interchange: round trips, deterministic bytes, format validation."""
+import os
 import re
 import runpy
+import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +173,131 @@ def test_trajectory_read_rejects_unknown_label(tmp_path):
         with pytest.raises(ValueError, match=f"trial 1 has label '{shown}'; "
                                              "expected 'bright' or 'dark'"):
             iio.read_trajectories_csv(path, bin_width_us=1.0)
+
+
+def _outcome(path):
+    """What reading a trajectory file gives: the Dataset's fields, or the error."""
+    try:
+        ds = iio.read_trajectories_csv(path, bin_width_us=0.5)
+    except ValueError as exc:
+        return str(exc)
+    return ds.prefix.dtype, ds.prefix.tolist(), ds.bright.tolist(), ds.bin_width_us
+
+
+_WRITTEN = ["0,bright,0,3", "0,bright,1,0", "0,bright,2,2", "0,bright,3,1",
+            "1,dark,0,0", "1,dark,1,0", "1,dark,2,1", "1,dark,3,0"]
+
+
+@pytest.mark.parametrize("rows", [
+    _WRITTEN,
+    [_WRITTEN[i] for i in np.random.default_rng(0).permutation(len(_WRITTEN))],
+    ["9,bright,1,2", "5,dark,0,0", "9,bright,0,1", "5,dark,1,3"],
+    ["0,dark,0,4", "0,dark,1,0", "2,bright,0,1", "2,bright,1,6"],
+    ["0,dark,0,4", "1,bright,0,1", "0,dark,1,0", "1,bright,1,6"],
+    ["-3,dark,1,4", "7,bright,0,1", "-3,dark,0,0", "7,bright,1,70000"],
+    ["0,bright,0,4", "0,bright,2,1"],
+    ["0,dark,0,4", "0,dark,1,1", "3,dark,0,2", "3,dark,0,1"],
+    ["0,bright,0,4", "0,dark,1,1"],
+    ["0,bright,0,3", "0,bright,1,0", "0,bright,2,2", "1,dark,0,0", "1,dark,1,1"],
+    ["0,bright,0,4", "1,dim,0,1"],
+    ["0,bright,0,4", "1,bright-and-more,0,1"],
+    ["0,bright,0,4", "0,bright,1,-2"],
+])
+def test_trajectory_read_in_tiny_blocks_gives_the_same_outcome(tmp_path, monkeypatch, rows):
+    path = tmp_path / "trajs.csv"
+    _write_trajectory_rows(path, *rows)
+    whole = _outcome(path)
+    for chars in (1, 16, 40):  # blocks of one row, one or two, about three
+        monkeypatch.setattr(iio, "_BLOCK_CHARS", chars)
+        assert _outcome(path) == whole
+
+
+def test_trajectory_read_joins_trials_across_blocks(tmp_path, monkeypatch):
+    rng = np.random.default_rng(8)
+    ds = Dataset(rng.poisson(3, (7, 5)), rng.random(7) < 0.5, 0.5)
+    path = tmp_path / "trajs.csv"
+    iio.write_trajectories_csv(path, ds)
+    header, *rows = _read_lines(path)
+    monkeypatch.setattr(iio, "_BLOCK_CHARS", 1)  # one row per block
+    back = iio.read_trajectories_csv(path, bin_width_us=0.5)
+    assert back.prefix.dtype == ds.prefix.dtype
+    assert np.array_equal(back.prefix, ds.prefix) and np.array_equal(back.bright, ds.bright)
+
+    label = {i: "bright" if ds.bright[i] else "dark" for i in range(7)}
+    for last, problem in [
+        (f"3,{label[3]},2,9", "trial 3 has missing or duplicate bins"),
+        ("6,dim,0,1", "trial 6 has label 'dim'; expected 'bright' or 'dark'"),
+        (f"6,{label[6]},4,-1", "trial 6 has a negative count (-1) in bin 4"),
+        (f"6,{label[6]},4,x", f"after {len(rows)} rows, could not convert string 'x'"),
+    ]:
+        _write_trajectory_rows(path, *rows, last)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(problem)):
+            iio.read_trajectories_csv(path, bin_width_us=0.5)
+
+
+def test_trajectory_read_names_what_cannot_fit(tmp_path):
+    # more cells than the file has rows: the reader stops filling its matrix
+    # and still names the defect
+    path = tmp_path / "trajs.csv"
+    _write_trajectory_rows(path, "0,dark,0,1", "0,dark,1,1",
+                           *(f"1,bright,{j},2" for j in range(100)))
+    with pytest.raises(ValueError, match=r"different lengths \(trial 0 has 2 bins, "
+                                         r"trial 1 has 100\)"):
+        iio.read_trajectories_csv(path, bin_width_us=1.0)
+    _write_trajectory_rows(path, "0,dark,0,1", f"0,dark,{10**15},2")
+    with pytest.raises(ValueError, match="trial 0 has missing or duplicate bins"):
+        iio.read_trajectories_csv(path, bin_width_us=1.0)
+
+
+def test_trajectory_read_from_a_pipe(tmp_path, monkeypatch):
+    # a pipe has no size to bound the matrix by, so the matrix grows as it fills
+    rng = np.random.default_rng(9)
+    ds = Dataset(rng.poisson(3, (40, 30)), rng.random(40) < 0.5, 0.5)
+    path, fifo = tmp_path / "trajs.csv", tmp_path / "fifo"
+    iio.write_trajectories_csv(path, ds)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
+    writer.start()
+    monkeypatch.setattr(iio, "_BLOCK_CHARS", 64)  # a few rows per block
+    back = iio.read_trajectories_csv(fifo, bin_width_us=0.5)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert back.prefix.dtype == ds.prefix.dtype
+    assert np.array_equal(back.prefix, ds.prefix) and np.array_equal(back.bright, ds.bright)
+
+
+def test_cli_names_the_file_and_trial_of_a_negative_count(tmp_path, capsys):
+    path = tmp_path / "neg.csv"
+    _write_trajectory_rows(path, "0,bright,0,1", "0,bright,1,-3")
+    assert main(["calibrate", "--in", str(path), "--bin-width-us", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: trial 0 has a negative count (-3) in bin 1\n"
+
+
+def test_trajectory_read_holds_only_the_matrix(tmp_path):
+    # ru_maxrss counts resident pages only, so the matrix allocated for the
+    # file's size costs what its trials fill; holding the parsed rows (about
+    # 60 bytes each at 2 x 10^6 rows) would break the bound
+    rng = np.random.default_rng(5)
+    ds = Dataset(rng.poisson(0.3, (4445, 450)), rng.random(4445) < 0.5, 1.0)
+    big, small = tmp_path / "big.csv", tmp_path / "small.csv"
+    iio.write_trajectories_csv(big, ds)
+    iio.write_trajectories_csv(small, ds[:30])
+    code = f"""if True:
+        import resource
+        from ionreadout import io
+        io.read_trajectories_csv({str(small)!r}, bin_width_us=1.0)  # first-use allocations
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        ds = io.read_trajectories_csv({str(big)!r}, bin_width_us=1.0)
+        rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+        print(rise * 1024, ds.prefix.nbytes, ds.n_bins * len(ds))
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    rise, prefix_bytes, rows = map(int, done.stdout.split())
+    assert rows == 2_000_250 and prefix_bytes == 2 * rows  # int16 prefix sums
+    assert rise <= prefix_bytes + 4 * 2**20, f"rise {rise / 2**20:.1f} MiB"
 
 
 def test_timetag_round_trip(tmp_path):

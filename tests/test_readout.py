@@ -1,4 +1,5 @@
 """State discrimination: Bayesian filter, thresholding, rate recovery."""
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -214,6 +215,22 @@ def test_adaptive_level_validation():
         _classify([0], 0.5)
     with pytest.raises(ValueError):
         _classify([0], 1.0)
+
+
+def test_adaptive_table_follows_the_largest_bin_count():
+    # records of about 2 x 10^6 counts, none above about 10^4 in one bin: a
+    # table to the largest record total would hold 16 MB of float64 entries
+    rng = np.random.default_rng(3)
+    ds = Dataset(rng.poisson(2000, (50, 1000)), rng.random(50) < 0.5, 1.0)
+    rates = RateParams(gamma_b=2.1e6, gamma_d=1.9e6)
+    tracemalloc.start()
+    try:
+        res, = adaptive_classify_batch(ds, rates, 1.0, [0.9999])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    _assert_matches_reference(res, ds.counts[:5], rates, 1.0)
 
 
 @pytest.fixture(scope="module")

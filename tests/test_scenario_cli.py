@@ -483,11 +483,25 @@ def test_cli_optics_flags_are_the_scene_fields(capsys):
       "--target-freq-mhz", "5.3"], "rate_quanta_s must be finite"),
     (["heating", "--rate-quanta-s", "63", "--freq-mhz", "2", "--distance-um", "39",
       "--target-freq-mhz", "inf"], "target frequency must be finite"),
+    (["heating", "--rate-quanta-s", "63", "--freq-mhz", "2", "--distance-um", "39",
+      "--target-freq-mhz", "5.3", "--alpha", "nan"], "alpha must be finite"),
+    (["heating", "--quanta-per-count", "nan", "--count-rate-s", "1000"],
+     "quanta_per_count must be finite"),
 ])
 def test_cli_names_a_non_finite_value(tmp_path, monkeypatch, capsys, argv, problem):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
     assert problem in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--sweep-lateral", "0:nan:8", "--out", "sweep.csv"],
+                                  ["--sweep-lateral", "0:16:8"], ["--out", "sweep.csv"]])
+def test_cli_optics_checks_the_sweep_before_printing(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(["optics", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_cli_g2_simulate_and_exclusion(tmp_path, capsys):
