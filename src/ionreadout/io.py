@@ -6,9 +6,9 @@ via repr so values round-trip, anything else via str.  Plain comma
 separation and '\n' line endings make the bytes deterministic.  States
 are booleans (True = bright) until they become 'bright' / 'dark' here.
 Every reader checks the header, then parses the rows with
-``np.loadtxt``; a missing column, a short row or a field that does not
-parse raises ValueError naming the file.  The side formats are read in
-one pass over the whole file.
+``np.loadtxt``, a block of about 256 KB of whole lines at a time; a
+missing column, a short row or a field that does not parse raises
+ValueError naming the file.  A quoted field may hold a newline.
 
 The trajectory file is long format, one row per (trial, bin), and does
 not record the bin width: its reader takes the width as a required
@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import os
 import warnings
+from io import StringIO
 from pathlib import Path
 from stat import S_ISREG
 from typing import Sequence
@@ -61,13 +62,18 @@ def _labels(bright) -> np.ndarray:
     return np.where(bright, BRIGHT, DARK)
 
 
-def _read_rows(path, dtype, block_chars: int | None = None):
+# Characters of whole lines a reader parses at a time: about 16,000 rows of a
+# written trajectory file, so a block's lines and columns stay near 1 MB.
+_BLOCK_CHARS = 1 << 18
+
+
+def _read_rows(path, dtype):
     """The columns named by a structured dtype, in file order: a header check,
-    then one loadtxt pass over the whole file, or one over each block of whole
-    lines of about ``block_chars`` characters.
+    then one loadtxt pass over each block of whole lines of about
+    ``_BLOCK_CHARS`` characters.
 
     The file is read as latin-1, so every byte loads; a quoted field
-    reads as the csv module reads it.
+    reads as the csv module reads it, newlines included.
     """
     dtype = np.dtype(dtype)
     with open(path, encoding="latin-1") as fh:
@@ -75,31 +81,30 @@ def _read_rows(path, dtype, block_chars: int | None = None):
         if not set(dtype.names).issubset(header):
             raise ValueError(f"{path}: expected columns {sorted(dtype.names)}")
         usecols = [header.index(c) for c in dtype.names]
-
-        def load(source, skiprows=0, before=0):
+        before = 0
+        while text := fh.read(_BLOCK_CHARS):
+            text += fh.readline()
+            quotes = text.count('"')
+            while quotes % 2 and (line := fh.readline()):  # end the block outside quotes
+                text += line
+                quotes += line.count('"')
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                try:
-                    return np.loadtxt(source, dtype=dtype, delimiter=",", skiprows=skiprows,
-                                      usecols=usecols, comments=None, ndmin=1,
-                                      encoding="latin-1", quotechar='"')
+                try:  # split lines parse faster, but only a stream keeps a quoted newline
+                    rows = np.loadtxt(StringIO(text) if quotes else text.split("\n"),
+                                      dtype=dtype, delimiter=",", usecols=usecols,
+                                      comments=None, ndmin=1, encoding="latin-1",
+                                      quotechar='"')
                 except ValueError as exc:  # a short row or a field that does not parse
                     after = f"after {before} rows, " if before else ""
                     raise ValueError(f"{path}: {after}{exc}") from exc
-
-        if block_chars is None:  # loadtxt reads a named file in large chunks
-            yield load(path, skiprows=1)
-            return
-        before = 0
-        while text := fh.read(block_chars):
-            rows = load((text + fh.readline()).split("\n"), before=before)
             before += rows.size
             yield rows
 
 
 def _read_table(path, dtype) -> np.ndarray:
-    """The columns named by a structured dtype, in file order, read in one pass."""
-    return next(_read_rows(path, dtype))
+    """The columns named by a structured dtype, in file order."""
+    return np.concatenate([np.empty(0, dtype), *_read_rows(path, dtype)])
 
 
 # One field per column.  Labels stay bytes: the file is read as latin-1, so
@@ -146,10 +151,6 @@ def write_trajectories_csv(path, ds: Dataset) -> None:
                                    counts.reshape(*shape, -1)], axis=2)
             fh.write(rows[rows != 0].tobytes())
 
-
-# Characters of whole lines the trajectory reader parses at a time: about
-# 16,000 rows of a written file, so a block's lines and columns stay near 1 MB.
-_BLOCK_CHARS = 1 << 18
 
 # A trajectory row is at least "0,dark,0,0" and a line end, so a regular
 # file of s bytes holds fewer than s // 10 rows, and a valid one fills as
@@ -221,7 +222,7 @@ def read_trajectories_csv(path, *, bin_width_us: float) -> Dataset:
     trials = _Trials()
     cells = np.empty(0, dtype=np.int16)  # the matrix, row-major; None once it cannot fit
     width = top = 0  # matrix width, largest count
-    for rows in _read_rows(path, _TRAJECTORY_DTYPE, _BLOCK_CHARS):
+    for rows in _read_rows(path, _TRAJECTORY_DTYPE):
         if not rows.size:  # a block of blank lines
             continue
         tid, label, b, c = (rows[name] for name in _TRAJECTORY_DTYPE.names)
@@ -313,16 +314,24 @@ def write_timetags_csv(path, streams: Sequence[TimeTagStream]) -> None:
 
 
 def read_timetags_csv(path, duration_ns: int | None = None) -> list[TimeTagStream]:
-    """One stream per channel, in channel-name order; rows may come in any order."""
-    rows = _read_table(path, [("channel", object), ("t_ns", np.int64)])
-    if not rows.size:
+    """One stream per channel, in channel-name order; rows may come in any order.
+    Each block's tags are grouped by channel, and each channel sorted once."""
+    parts: dict[str, list[np.ndarray]] = {}
+    for rows in _read_rows(path, [("channel", object), ("t_ns", np.int64)]):
+        names, channel = np.unique(rows["channel"], return_inverse=True)
+        for k, name in enumerate(names):
+            parts.setdefault(name, []).append(rows["t_ns"][channel == k])
+    ticks = {}
+    for name in sorted(parts):  # sorted in place: a sorted copy would raise the peak
+        ticks[name] = np.concatenate(parts.pop(name))
+        ticks[name].sort()
+    if not ticks:
         raise ValueError(f"{path}: no tags found")
     if duration_ns is None:
-        duration_ns = int(rows["t_ns"].max()) + 1
-    channels, channel = np.unique(rows["channel"], return_inverse=True)
+        duration_ns = max(int(t[-1]) for t in ticks.values()) + 1
     # names were written as UTF-8 and read as latin-1
-    return [TimeTagStream(name.encode("latin-1").decode(), np.sort(rows["t_ns"][channel == k]),
-                          duration_ns) for k, name in enumerate(channels)]
+    return [TimeTagStream(name.encode("latin-1").decode(), t, duration_ns)
+            for name, t in ticks.items()]
 
 
 def write_results_csv(path, bright, decided_bright, durations_us, confidence=None) -> None:

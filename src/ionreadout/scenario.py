@@ -7,7 +7,7 @@ every run writes back an ``effective_config.cfg`` carrying all keys
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -82,50 +82,55 @@ def parse_level_sweep(text: str) -> np.ndarray:
     return 1.0 - np.geomspace(1.0 - lo, 1.0 - hi, n)
 
 
-# key -> (type tag, required, default-as-string)
-_SCHEMA: dict[str, tuple[str, bool, str | None]] = {
-    "name": ("str", False, "scenario"),
-    "seed": ("int", True, None),
-    "trials_per_state": ("int", True, None),
-    "transition_mode": ("mode", False, "exact"),
-    "gamma_b_per_ms": ("float", True, None),
-    "gamma_d_per_ms": ("float", True, None),
-    "gamma_dp_per_ms": ("float", False, "0.0"),
-    "gamma_rp_per_ms": ("float", False, "0.0"),
-    "bin_width_us": ("float", False, "1.0"),
-    "n_bins": ("int", True, None),
-    "herald_duration_us": ("float", False, "50.0"),
-    "herald_bright_min": ("int", False, "8"),
-    "threshold_duration_us": ("float", False, "125.0"),
-    "threshold_sweep_us": ("sweep", False, ""),
-    "bayes_levels": ("levels", False, "0.9:0.9999:16"),
-    "write_trajectories": ("bool", False, "false"),
-    "write_results": ("bool", False, "true"),
-    "out_dir": ("str", True, None),
-}
+def _bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return text.lower() == "true"
 
 
-def _convert(key: str, value: str, kind: str, source: str):
-    try:
-        if kind == "int":
-            return int(value)
-        if kind == "float":
-            return float(value)
-        if kind == "bool":
-            if value.lower() in ("true", "false"):
-                return value.lower() == "true"
-            raise ValueError("expected true or false")
-        if kind == "mode":
-            if value in ("exact", "bin-boundary"):
-                return value
-            raise ValueError("expected exact or bin-boundary")
-        if kind == "sweep":
-            return parse_duration_sweep(value) if value else None
-        if kind == "levels":
-            return parse_level_sweep(value)
+def _mode(text: str) -> str:
+    if text not in ("exact", "bin-boundary"):
+        raise ValueError("expected exact or bin-boundary")
+    return text
+
+
+def _int_at_least(low: int):
+    """A parser of integers of at least ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
         return value
-    except ValueError as exc:
-        raise ConfigError(f"{source}: key {key!r}: {exc}") from exc
+    return parse
+
+
+def _out_dir(text: str) -> Path:
+    if not text:
+        raise ValueError("expected a directory path")
+    return Path(text)
+
+
+# key -> (parser of its text, default text or None if required)
+_SCHEMA = {
+    "name": (str, "scenario"),
+    "seed": (_int_at_least(0), None),
+    "trials_per_state": (_int_at_least(1), None),
+    "transition_mode": (_mode, "exact"),
+    "gamma_b_per_ms": (float, None),
+    "gamma_d_per_ms": (float, None),
+    "gamma_dp_per_ms": (float, "0.0"),
+    "gamma_rp_per_ms": (float, "0.0"),
+    "bin_width_us": (float, "1.0"),
+    "n_bins": (int, None),
+    "herald_duration_us": (float, "50.0"),
+    "herald_bright_min": (int, "8"),
+    "threshold_duration_us": (float, "125.0"),
+    "threshold_sweep_us": (lambda text: parse_duration_sweep(text) if text else None, ""),
+    "bayes_levels": (parse_level_sweep, "0.9:0.9999:16"),
+    "write_trajectories": (_bool, "false"),
+    "write_results": (_bool, "true"),
+    "out_dir": (_out_dir, None),
+}
 
 
 @dataclass(frozen=True)
@@ -153,52 +158,26 @@ def load_scenario(path) -> Scenario:
         raise ConfigError(f"{source}: unknown key(s): {', '.join(unknown)}")
     values: dict[str, object] = {}
     filled: dict[str, str] = {}
-    for key, (kind, required, default) in _SCHEMA.items():
-        if key in raw:
-            text = raw[key]
-        elif required:
+    for key, (parse, default) in _SCHEMA.items():
+        if key not in raw and default is None:
             raise ConfigError(f"{source}: missing required key {key!r}")
-        else:
-            text = default
-        filled[key] = text
-        values[key] = _convert(key, text, kind, source)
+        filled[key] = raw.get(key, default)
+        try:
+            values[key] = parse(filled[key])
+        except ValueError as exc:
+            raise ConfigError(f"{source}: key {key!r}: {exc}") from exc
 
     try:
-        rates = RateParams(
-            gamma_b=values["gamma_b_per_ms"],
-            gamma_d=values["gamma_d_per_ms"],
-            gamma_dp=values["gamma_dp_per_ms"],
-            gamma_rp=values["gamma_rp_per_ms"],
-        )
-        readout = ReadoutConfig(
-            bin_width_us=values["bin_width_us"],
-            n_bins=values["n_bins"],
-            herald_duration_us=values["herald_duration_us"],
-            herald_bright_min=values["herald_bright_min"],
-        )
+        rates = RateParams(**{f.name: values[f"{f.name}_per_ms"] for f in fields(RateParams)})
+        readout = ReadoutConfig(**{f.name: values[f.name] for f in fields(ReadoutConfig)})
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
     record_bins = readout.n_bins - readout.herald_bins
     if record_bins < MIN_CALIBRATION_BINS:
         raise ConfigError(f"{source}: keys 'n_bins' and 'herald_duration_us' leave {record_bins} "
                           f"bin(s) after the herald; calibration needs {MIN_CALIBRATION_BINS}")
-    if values["trials_per_state"] < 1:
-        raise ConfigError(f"{source}: trials_per_state must be >= 1")
-    return Scenario(
-        name=values["name"],
-        seed=values["seed"],
-        trials_per_state=values["trials_per_state"],
-        transition_mode=values["transition_mode"],
-        rates=rates,
-        readout=readout,
-        threshold_duration_us=values["threshold_duration_us"],
-        threshold_sweep_us=values["threshold_sweep_us"],
-        bayes_levels=values["bayes_levels"],
-        write_trajectories=values["write_trajectories"],
-        write_results=values["write_results"],
-        out_dir=Path(values["out_dir"]),
-        raw=filled,
-    )
+    return Scenario(**{f.name: values[f.name] for f in fields(Scenario) if f.name in values},
+                    rates=rates, readout=readout, raw=filled)
 
 
 def _write_effective_config(scn: Scenario, path: Path) -> None:

@@ -266,6 +266,17 @@ def test_trajectory_read_from_a_pipe(tmp_path, monkeypatch):
     assert np.array_equal(back.prefix, ds.prefix) and np.array_equal(back.bright, ds.bright)
 
 
+def test_trajectory_read_keeps_a_quoted_newline_in_its_label(tmp_path, monkeypatch):
+    # split into lines, the label's two halves would join into "bright"
+    path = tmp_path / "trajs.csv"
+    _write_trajectory_rows(path, '0,"bri\nght",0,4', "1,dark,0,2")
+    for chars in (iio._BLOCK_CHARS, 1, 8, 40):
+        monkeypatch.setattr(iio, "_BLOCK_CHARS", chars)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: trial 0 has label 'bri\\nght'; "
+                                                       "expected 'bright' or 'dark'")):
+            iio.read_trajectories_csv(path, bin_width_us=1.0)
+
+
 def test_cli_names_the_file_and_trial_of_a_negative_count(tmp_path, capsys):
     path = tmp_path / "neg.csv"
     _write_trajectory_rows(path, "0,bright,0,1", "0,bright,1,-3")
@@ -298,6 +309,40 @@ def test_trajectory_read_holds_only_the_matrix(tmp_path):
     rise, prefix_bytes, rows = map(int, done.stdout.split())
     assert rows == 2_000_250 and prefix_bytes == 2 * rows  # int16 prefix sums
     assert rise <= prefix_bytes + 4 * 2**20, f"rise {rise / 2**20:.1f} MiB"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
+def test_timetag_read_holds_only_the_ticks(tmp_path):
+    # one Python string per row for the channel column (about 50 bytes at
+    # 10^6 rows) would break the bound; blocks grouped by channel do not.
+    # The child reads its own VmHWM: its ru_maxrss would start at this
+    # process's peak, since the kernel carries that across fork and exec.
+    rng = np.random.default_rng(6)
+    streams = [TimeTagStream(name, np.sort(rng.integers(0, 10**12, 500_000)), 10**12)
+               for name in ("A", "B")]
+    big, small = tmp_path / "big.csv", tmp_path / "small.csv"
+    iio.write_timetags_csv(big, streams)
+    iio.write_timetags_csv(small, [TimeTagStream(s.channel, s.t_ns[:100], 10**12)
+                                   for s in streams])
+    code = f"""if True:
+        from ionreadout import io
+
+        def peak():  # bytes
+            with open("/proc/self/status") as fh:
+                return 1024 * next(int(line.split()[1]) for line in fh
+                                   if line.startswith("VmHWM:"))
+
+        io.read_timetags_csv({str(small)!r})  # first-use allocations
+        before = peak()
+        streams = io.read_timetags_csv({str(big)!r})
+        print(peak() - before, sum(s.t_ns.nbytes for s in streams))
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    rise, tick_bytes = map(int, done.stdout.split())
+    assert tick_bytes == 8 * 10**6
+    assert 0 < rise <= 4 * tick_bytes, f"rise {rise / 2**20:.1f} MiB"
 
 
 def test_timetag_round_trip(tmp_path):
@@ -477,6 +522,57 @@ def test_timetag_round_trip_property(tmp_path_factory, data, names):
         for orig, rt in zip(streams, back):
             assert np.array_equal(rt.t_ns, orig.t_ns) and rt.duration_ns == duration_ns
         again = path.with_name("again.csv")
+        iio.write_timetags_csv(again, back)
+        assert again.read_bytes() == path.read_bytes()
+
+
+def _side_outcome(read, path):
+    """What reading a side-format file gives: its arrays as lists, or the error."""
+    try:
+        got = read(path)
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(got, list):  # time-tag streams
+        return [(s.channel, s.t_ns.tolist(), s.duration_ns) for s in got]
+    return {name: value.tolist() for name, value in vars(got).items()}
+
+
+_AP_ROWS = ["TE,0.0,0.0,0.5", "TE,0.0,90.0,0.25", "TE,45.0,0.0,0.4", "TE,45.0,90.0,0.1",
+            "TM,0.0,0.0,0.5", "TM,0.0,90.0,0.75", "TM,45.0,0.0,0.3", "TM,45.0,90.0,1.0"]
+
+
+@pytest.mark.parametrize("read, header, rows", [
+    (iio.read_timetags_csv, "channel,t_ns",
+     ["B,40", "A,3", "B,5", "A,99", "B,1", "A,17"]),  # channels interleaved across blocks
+    (iio.read_timetags_csv, "channel,t_ns", ["A,5", "B,3", "A,-1"]),
+    (iio.read_bias_curve_csv, "bias_ua,counts", ["0.0,0.0", "2.5,10.0", "5.0,950.37"]),
+    (iio.read_bias_curve_csv, "bias_ua,counts", ["0.0,0.0", "2.5,10.0", "5.0,-1.0"]),
+    (iio.read_ap_surface_csv, "polarization,theta_deg,phi_deg,ap",
+     [_AP_ROWS[i] for i in (4, 0, 6, 1, 3, 5, 2, 7)]),
+    (iio.read_ap_surface_csv, "polarization,theta_deg,phi_deg,ap", _AP_ROWS[:-1]),
+    (iio.read_ap_surface_csv, "polarization,theta_deg,phi_deg,ap", [*_AP_ROWS, "TM,80,0,0.9"]),
+])
+def test_side_formats_read_in_tiny_blocks_give_the_same_outcome(tmp_path, monkeypatch,
+                                                                  read, header, rows):
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    whole = _side_outcome(read, path)
+    for chars in (1, 16, 40):  # blocks of one row, one or two, about three
+        monkeypatch.setattr(iio, "_BLOCK_CHARS", chars)
+        assert _side_outcome(read, path) == whole
+
+
+def test_timetag_channel_holding_a_newline_round_trips_in_tiny_blocks(tmp_path, monkeypatch):
+    streams = [TimeTagStream("a\nb", np.array([1, 5, 9], dtype=np.int64), 100),
+               TimeTagStream("c", np.array([2, 3], dtype=np.int64), 100)]
+    path = tmp_path / "tags.csv"
+    iio.write_timetags_csv(path, streams)
+    for chars in (1, 4, 16):  # a block boundary may fall inside the quoted name
+        monkeypatch.setattr(iio, "_BLOCK_CHARS", chars)
+        back = iio.read_timetags_csv(path, duration_ns=100)
+        assert [s.channel for s in back] == ["a\nb", "c"]
+        assert [s.t_ns.tolist() for s in back] == [[1, 5, 9], [2, 3]]
+        again = tmp_path / "again.csv"
         iio.write_timetags_csv(again, back)
         assert again.read_bytes() == path.read_bytes()
 

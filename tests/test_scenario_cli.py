@@ -209,9 +209,13 @@ def test_readout_duration_outside_the_record_names_its_key(tmp_path, key, value,
                  id="one-class-herald"),
     pytest.param({"bayes_levels": "0.9:1.5:3"}, "bayes_levels", id="bad-levels"),
     pytest.param({"threshold_sweep_us": "10:5:1"}, "threshold_sweep_us", id="bad-sweep"),
+    pytest.param({"seed": -1}, "seed", id="negative-seed"),
+    pytest.param({"trials_per_state": 0}, "trials_per_state", id="no-trials"),
+    pytest.param({"out_dir": ""}, "out_dir", id="empty-out-dir"),
 ])
-def test_accepted_config_runs_or_names_its_key(tmp_path, overrides, key):
-    cfg = _write_minimal_cfg(tmp_path / "s.cfg", tmp_path / "out", **overrides)
+def test_accepted_config_runs_or_names_its_key(tmp_path, monkeypatch, overrides, key):
+    monkeypatch.chdir(tmp_path)  # an empty out_dir would write here
+    cfg = _write_minimal_cfg(tmp_path / "s.cfg", **{"out_dir": tmp_path / "out", **overrides})
     if key is None:
         assert run_scenario(cfg)["threshold_mean_error"] < 0.05
     else:
@@ -285,6 +289,17 @@ def small_csv(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seed", "-1", "--out", "never.csv"],
+    ["g2", "--simulate", "--seed", "-1"],
+])
+def test_cli_negative_seed_names_the_flag(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not (tmp_path / "never.csv").exists()
 
 
 def test_cli_classify_compares_methods(small_csv, capsys):
