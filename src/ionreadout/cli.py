@@ -218,6 +218,11 @@ def _cmd_rfmodel(args) -> int:
         ])
         return 0
 
+    # read and check every input before the first line of output
+    if args.rf_off:
+        curve = _io.read_bias_curve_csv(args.rf_off)
+    elif args.bias_ua is not None or args.out:
+        raise ConfigError("--bias-ua/--out need --rf-off to supply the drive-off curve")
     sol = solve_network(net)
     model = pickup_from_solution(sol)
     dec = decompose_currents(sol)
@@ -229,15 +234,12 @@ def _cmd_rfmodel(args) -> int:
         ("solver_residual", sol.residual),
     ])
     if args.rf_off:
-        curve = _io.read_bias_curve_csv(args.rf_off)
         if args.bias_ua is not None:
             print(f"predicted_counts = {predict_counts(model, curve, args.bias_ua):.8g}")
         if args.out:
             on = BiasCountCurve(curve.bias_ua.copy(), predict_counts(model, curve, curve.bias_ua))
             _io.write_bias_curve_csv(args.out, on)
             print(f"out = {args.out}")
-    elif args.bias_ua is not None or args.out:
-        raise ConfigError("--bias-ua/--out need --rf-off to supply the drive-off curve")
     return 0
 
 

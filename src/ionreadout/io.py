@@ -7,8 +7,9 @@ separation and '\n' line endings make the bytes deterministic.  States
 are booleans (True = bright) until they become 'bright' / 'dark' here.
 Every reader checks the header, then parses the rows with
 ``np.loadtxt``, a block of about 256 KB of whole lines at a time; a
-missing column, a short row or a field that does not parse raises
-ValueError naming the file.  A quoted field may hold a newline.
+missing column, a short row, a field that does not parse or a value out
+of range raises ValueError naming the file.  A quoted field may hold a
+newline.
 
 The trajectory file is long format, one row per (trial, bin), and does
 not record the bin width: its reader takes the width as a required
@@ -163,14 +164,15 @@ class _Trials:
 
     Trials take matrix rows in order of first appearance.  Per row it
     keeps the trial id and, in ``stat``, the rows read, the bright rows,
-    and the lowest and highest bin.  Lookups search the ids as they are
-    while they ascend, as in a written file, and a sorted copy otherwise.
+    the lowest and highest bin, and the counts read.  Lookups search the
+    ids as they are while they ascend, as in a written file, and a sorted
+    copy otherwise.
     """
 
     def __init__(self) -> None:
         self.n = 0
         self.ids = np.empty(0, dtype=np.int64)
-        self.stat = np.empty((0, 4), dtype=np.int64)
+        self.stat = np.empty((0, 5), dtype=np.int64)
         self.order = None  # the rows in id order, once the ids stop ascending
         self._sorted_ids = None
 
@@ -188,9 +190,9 @@ class _Trials:
         self.n += fresh.size
         if self.n > self.ids.size:
             self.ids = np.resize(self.ids, 2 * self.n)
-            self.stat = np.resize(self.stat, (2 * self.n, 4))
+            self.stat = np.resize(self.stat, (2 * self.n, 5))
         self.ids[n:self.n] = fresh
-        self.stat[n:self.n] = (0, 0, np.iinfo(np.int64).max, np.iinfo(np.int64).min)
+        self.stat[n:self.n] = (0, 0, np.iinfo(np.int64).max, np.iinfo(np.int64).min, 0)
         rows[~seen] = np.arange(n, self.n)
         if not ascending:
             self.order = np.argsort(self.ids[:self.n], kind="stable")
@@ -207,7 +209,8 @@ def read_trajectories_csv(path, *, bin_width_us: float) -> Dataset:
 
     The file is parsed a block of rows at a time, and each block is
     scattered into one trials x bins matrix of counts, -1 where no row
-    has landed, in the narrowest integer type that holds its prefix sums.
+    has landed, in the narrowest signed type that holds the largest
+    trial's running total of counts, so it holds every prefix sum.
     Between blocks only a few numbers per trial are kept (see
     :class:`_Trials`).  A trial is whole when its bins lie in [0, rows)
     and fill as many cells as it has rows.  The matrix is allocated for
@@ -220,8 +223,8 @@ def read_trajectories_csv(path, *, bin_width_us: float) -> Dataset:
     info = os.stat(path)
     cap = info.st_size // _MIN_ROW_BYTES if S_ISREG(info.st_mode) else None
     trials = _Trials()
-    cells = np.empty(0, dtype=np.int16)  # the matrix, row-major; None once it cannot fit
-    width = top = 0  # matrix width, largest count
+    cells = np.empty(0, dtype=np.int8)  # the matrix, row-major; None once it cannot fit
+    width = top = 0  # matrix width, largest trial total
     for rows in _read_rows(path, _TRAJECTORY_DTYPE):
         if not rows.size:  # a block of blank lines
             continue
@@ -251,6 +254,11 @@ def read_trajectories_csv(path, *, bin_width_us: float) -> Dataset:
         stat[:, 1] += np.add.reduceat(bright, start, dtype=np.int64)
         np.minimum(stat[:, 2], lo, out=stat[:, 2])
         np.maximum(stat[:, 3], hi, out=stat[:, 3])
+        total = stat[:, 4] + np.add.reduceat(c, start, dtype=float)  # exact below 2**53
+        if total.max() >= 2.0**63:
+            raise ValueError(f"{path}: trial {tid[start[np.argmax(total)]]} has counts "
+                             "totalling more than about 9.2e18, the range of int64")
+        stat[:, 4] = total
         trials.stat[slot] = stat
 
         if cells is None:
@@ -260,8 +268,8 @@ def read_trajectories_csv(path, *, bin_width_us: float) -> Dataset:
         if cap is not None and need > cap:  # more cells than the file has rows: a trial is short
             cells = None
             continue
-        top = max(top, int(c.max()))
-        dtype = _counts_dtype(top * wide)
+        top = max(top, int(stat[:, 4].max()))
+        dtype = _counts_dtype(top)
         if wide > width or dtype != cells.dtype or need > cells.size:
             # lay the trials read so far out again
             wider = np.empty(2 * need if cap is None else cap, dtype=dtype)
@@ -277,8 +285,8 @@ def read_trajectories_csv(path, *, bin_width_us: float) -> Dataset:
 
     n = trials.n
     if not n:
-        return Dataset(np.zeros((0, 0), dtype=np.int16), np.zeros(0, dtype=bool), bin_width_us)
-    ids, (n_rows, n_bright, lo, hi) = trials.ids[:n], trials.stat[:n].T
+        return Dataset(np.zeros((0, 0), dtype=np.int8), np.zeros(0, dtype=bool), bin_width_us)
+    ids, (n_rows, n_bright, lo, hi, _) = trials.ids[:n], trials.stat[:n].T
     mixed = (n_bright > 0) & (n_bright < n_rows)
     if mixed.any():
         raise ValueError(f"{path}: trial {ids[mixed].min()} has inconsistent labels")
@@ -329,9 +337,11 @@ def read_timetags_csv(path, duration_ns: int | None = None) -> list[TimeTagStrea
         raise ValueError(f"{path}: no tags found")
     if duration_ns is None:
         duration_ns = max(int(t[-1]) for t in ticks.values()) + 1
-    # names were written as UTF-8 and read as latin-1
-    return [TimeTagStream(name.encode("latin-1").decode(), t, duration_ns)
-            for name, t in ticks.items()]
+    try:  # names were written as UTF-8 and read as latin-1
+        return [TimeTagStream(name.encode("latin-1").decode(), t, duration_ns)
+                for name, t in ticks.items()]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_results_csv(path, bright, decided_bright, durations_us, confidence=None) -> None:
@@ -353,7 +363,10 @@ def write_bias_curve_csv(path, curve: BiasCountCurve) -> None:
 
 def read_bias_curve_csv(path) -> BiasCountCurve:
     rows = _read_table(path, [("bias_ua", float), ("counts", float)])
-    return BiasCountCurve(rows["bias_ua"], rows["counts"])
+    try:
+        return BiasCountCurve(rows["bias_ua"], rows["counts"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_ap_surface_csv(path, surface: APSurface) -> None:

@@ -28,11 +28,12 @@ Records are held as a :class:`Dataset`: one prefix-sum matrix (trials x
 bins, the counts of bins 0..j of each record in column j) with a boolean
 label column.  A readout total is one column, bin j's counts are the
 difference of columns j and j - 1, and the counts matrix is derived only
-on access.  Integers are stored in the narrowest of int16, int32 and
-int64 that holds them, never wrapped.  :func:`simulate_dataset` heralds
-each chunk of rows as it is drawn and writes only the retained rows'
-post-herald prefix sums, so no raw counts matrix is ever held.  A list
-of :class:`Trajectory` input records is stacked into one by
+on access.  The prefix is stored in the narrowest of int8, int16, int32
+and int64 that holds its largest record total, so no sum wraps; at the
+paper's rates that is int8.  :func:`simulate_dataset` heralds each chunk
+of rows as it is drawn and writes only the retained rows' post-herald
+prefix sums, so no raw counts matrix is ever held.  A list of
+:class:`Trajectory` input records is stacked into one by
 :func:`as_dataset`; only :func:`readout.adaptive_classify_batch` still
 accepts such a list, for the benchmark's per-trial check.
 
@@ -133,18 +134,18 @@ def _whole_bins(name: str, duration_us: float, bin_width_us: float) -> int:
 
 
 def _counts_dtype(max_count: int):
-    """The narrowest of int16, int32 and int64 that holds max_count."""
-    for dtype in (np.int16, np.int32):
+    """The narrowest of int8, int16, int32 and int64 that holds max_count."""
+    for dtype in (np.int8, np.int16, np.int32):
         if max_count <= np.iinfo(dtype).max:
             return dtype
     return np.int64
 
 
 def _as_counts(values) -> np.ndarray:
-    """Non-negative integer counts, narrowed to int16 unless a count would wrap."""
+    """Non-negative integer counts in the narrowest type that holds the largest."""
     arr = np.asarray(values)
     if not arr.size:
-        return arr.astype(np.int16)
+        return arr.astype(np.int8)
     if not np.issubdtype(arr.dtype, np.integer) or arr.min() < 0:
         raise ValueError("bins must be non-negative integers")
     return arr.astype(_counts_dtype(int(arr.max())), copy=False)
@@ -177,13 +178,14 @@ class Dataset:
 
     ``Dataset(counts, bright, bin_width_us)`` takes an n_trials x n_bins
     counts matrix and keeps only ``prefix``, its running sum along each
-    record, in the narrowest integer type that holds the largest count
-    x n_bins.  ``counts`` is derived from ``prefix`` on each access, in
-    the prefix's type.  ``bright`` is the label column: the preparation,
-    or after heralding the herald's verdict.  Trial i is ``counts[i]``
-    with label ``bright[i]``.  ``len`` counts trials, and a slice,
-    boolean mask or index array selects trials as a Dataset; a Dataset
-    is not iterable and takes no integer index.
+    record, in the narrowest integer type that holds the largest record
+    total (see :func:`_counts_dtype`).  ``counts`` is derived from
+    ``prefix`` on each access, in the prefix's type.  ``bright`` is the
+    label column: the preparation, or after heralding the herald's
+    verdict.  Trial i is ``counts[i]`` with label ``bright[i]``.  ``len``
+    counts trials, and a slice, boolean mask or index array selects
+    trials as a Dataset; a Dataset is not iterable and takes no integer
+    index.
     """
 
     prefix: np.ndarray
@@ -194,8 +196,11 @@ class Dataset:
         if np.ndim(counts) != 2:
             raise ValueError("counts must be a trials x bins matrix")
         counts = _as_counts(counts)
-        top = int(counts.max(initial=0))
-        prefix = np.cumsum(counts, axis=1, dtype=_counts_dtype(top * counts.shape[1]))
+        top = counts.sum(axis=1, dtype=float).max(initial=0)  # exact below 2**53
+        if top >= 2.0**63:
+            raise ValueError("a record's total count must stay below about 9.2e18, the "
+                             "range of int64")
+        prefix = np.cumsum(counts, axis=1, dtype=_counts_dtype(int(top)))
         self._hold(prefix, bright, bin_width_us)
 
     @classmethod
@@ -252,7 +257,7 @@ def as_dataset(trajs: Dataset | Sequence[Trajectory]) -> Dataset:
         return trajs
     trajs = list(trajs)
     if not trajs:
-        return Dataset(np.zeros((0, 0), dtype=np.int16), np.zeros(0, dtype=bool))
+        return Dataset(np.zeros((0, 0), dtype=np.int8), np.zeros(0, dtype=bool))
     n_bins, width = trajs[0].bins.size, trajs[0].bin_width_us
     if any(t.bins.size != n_bins for t in trajs):
         raise ValueError("all trajectories must have equal length")
@@ -448,6 +453,8 @@ def simulate_dataset(
     rows is heralded as it is binned, and only the retained rows' prefix
     sums are written, into one matrix allocated at the upper bound: its
     pages past the retained rows are never touched, so never resident.
+    The matrix starts as int8 and is widened, with the rows written so
+    far, when a retained record's total would not fit.
     """
     if trials_per_state < 1:
         raise ValueError("trials_per_state must be >= 1")
@@ -456,25 +463,25 @@ def simulate_dataset(
     _check_slow_pumping(rates, cfg.bin_width_us)
     hb = cfg.herald_bins
     n_trials, n_post = 2 * trials_per_state, cfg.n_bins - hb
-    prefix = np.empty((n_trials, n_post), dtype=np.int16)
+    prefix = np.empty((n_trials, n_post), dtype=np.int8)
     bright = np.empty(n_trials, dtype=bool)
-    kept = top = 0  # rows written; the largest count drawn
+    kept = top = 0  # rows written; the largest retained record total
     for s, prepared in enumerate((True, False)):
         for b, lo in enumerate(range(0, trials_per_state, _BLOCK_TRIALS)):
             n = min(_BLOCK_TRIALS, trials_per_state - lo)
             rng = np.random.default_rng((seed, s, b))
             segments = _segments(rng, rates, cfg, prepared, mode, n)
             for rows in _binned_counts(rng, rates, cfg, prepared, segments):
-                top = max(top, int(rows.max()))
-                dtype = _counts_dtype(top * n_post)
-                if dtype != prefix.dtype:  # widen only the rows written so far
-                    wider = np.empty(prefix.shape, dtype)
-                    wider[:kept] = prefix[:kept]
-                    prefix = wider
                 labels = prepared
                 if hb:
                     keep, labels = _herald(rows[:, :hb].sum(axis=1), cfg)
                     rows = rows[keep, hb:]
+                top = max(top, int(rows.sum(axis=1).max(initial=0)))
+                dtype = _counts_dtype(top)
+                if dtype != prefix.dtype:  # widen only the rows written so far
+                    wider = np.empty(prefix.shape, dtype)
+                    wider[:kept] = prefix[:kept]
+                    prefix = wider
                 # exact in the narrow type, which holds every sum
                 np.cumsum(rows, axis=1, dtype=prefix.dtype, out=prefix[kept:kept + len(rows)])
                 bright[kept:kept + len(rows)] = labels

@@ -85,7 +85,8 @@ def test_trajectory_read_empty_file(tmp_path):
 )
 @settings(max_examples=60, deadline=None)
 def test_trajectory_round_trip_property(tmp_path_factory, counts, data, bin_width_us):
-    # int16 counts, and counts past 32767 that come back as int32
+    # small records come back as int8 or int16 and counts past 32767 as int32,
+    # each in the type Dataset(counts) picks from the largest record total
     bright = data.draw(arrays(bool, counts.shape[0]))
     ds = Dataset(counts, bright, bin_width_us)
     path = tmp_path_factory.mktemp("rt") / "trajs.csv"
@@ -117,6 +118,10 @@ def test_trajectory_read_validation(tmp_path):
 
     _write_trajectory_rows(path, "0,bright,0,4", "0,dark,1,1")
     with pytest.raises(ValueError, match="trial 0 has inconsistent labels"):
+        iio.read_trajectories_csv(path, bin_width_us=1.0)
+
+    _write_trajectory_rows(path, "0,dark,0,0", f"5,bright,0,{2**62}", f"5,bright,1,{2**62}")
+    with pytest.raises(ValueError, match="trial 5 has counts totalling more than about 9.2e18"):
         iio.read_trajectories_csv(path, bin_width_us=1.0)
 
     path.write_text("trial,counts\n0,1\n")
@@ -202,6 +207,7 @@ _WRITTEN = ["0,bright,0,3", "0,bright,1,0", "0,bright,2,2", "0,bright,3,1",
     ["0,bright,0,4", "1,dim,0,1"],
     ["0,bright,0,4", "1,bright-and-more,0,1"],
     ["0,bright,0,4", "0,bright,1,-2"],
+    ["0,dark,0,0", f"5,bright,0,{2**62}", f"5,bright,1,{2**62}"],
 ])
 def test_trajectory_read_in_tiny_blocks_gives_the_same_outcome(tmp_path, monkeypatch, rows):
     path = tmp_path / "trajs.csv"
@@ -233,6 +239,26 @@ def test_trajectory_read_joins_trials_across_blocks(tmp_path, monkeypatch):
         _write_trajectory_rows(path, *rows, last)
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(problem)):
             iio.read_trajectories_csv(path, bin_width_us=0.5)
+
+
+@pytest.mark.parametrize("last, dtype", [(0, np.int8), (1, np.int16)])
+def test_trajectory_read_types_the_matrix_by_the_largest_record_total(tmp_path, monkeypatch,
+                                                                       last, dtype):
+    # trial 1 totals 127, which int8 holds, or 128, which it does not; in small
+    # blocks the total crosses 127 only after trial 1's first rows are stored
+    ds = Dataset(np.array([[3, 0, 2], [120, 7, last]]), np.array([False, True]), 0.5)
+    assert ds.prefix.dtype == dtype and ds.prefix[1, -1] == 127 + last
+    path, backwards = tmp_path / "trajs.csv", tmp_path / "backwards.csv"
+    iio.write_trajectories_csv(path, ds)
+    header, *rows = _read_lines(path)
+    _write_trajectory_rows(backwards, *rows[::-1])
+    for chars in (iio._BLOCK_CHARS, 1, 16, 40):
+        monkeypatch.setattr(iio, "_BLOCK_CHARS", chars)
+        for source in (path, backwards):
+            back = iio.read_trajectories_csv(source, bin_width_us=0.5)
+            assert back.prefix.dtype == dtype
+            assert np.array_equal(back.prefix, ds.prefix)
+            assert np.array_equal(back.bright, ds.bright)
 
 
 def test_trajectory_read_names_what_cannot_fit(tmp_path):
@@ -624,26 +650,35 @@ def test_ap_surface_round_trip_property(tmp_path_factory, thetas, phis, data):
 
 # ------------------------------------------- malformed files: input errors
 
-# reader, CLI command that reads the file, header, one good row
+# reader, CLI command that reads the file, header, one good row, and rows
+# that parse, and with the good row make a valid table but for one value
+# out of range
 _READERS = {
     "trajectories": (lambda p: iio.read_trajectories_csv(p, bin_width_us=1.0),
                      ["classify", "--bin-width-us", "1", "--threshold", "--in"],
-                     "trial_id,prepared,bin_index,counts", "0,bright,0,4"),
-    "timetags": (iio.read_timetags_csv, ["g2", "--in"], "channel,t_ns", "A,5"),
-    "bias_curve": (iio.read_bias_curve_csv, ["rfmodel", "--rf-off"], "bias_ua,counts", "1.5,10.0"),
+                     "trial_id,prepared,bin_index,counts", "0,bright,0,4", "0,bright,1,-4"),
+    "timetags": (iio.read_timetags_csv, ["g2", "--in"], "channel,t_ns", "A,5", "A,-1"),
+    "bias_curve": (iio.read_bias_curve_csv, ["rfmodel", "--rf-off"], "bias_ua,counts",
+                   "1.5,10.0", "2.5,-1.0"),
     "ap_surface": (iio.read_ap_surface_csv, ["optics", "--ap-file"],
-                   "polarization,theta_deg,phi_deg,ap", "TE,0.0,0.0,0.5"),
+                   "polarization,theta_deg,phi_deg,ap", "TE,0.0,0.0,0.5",
+                   "\n".join(f"{pol},{theta},{phi},{ap}" for pol, theta, phi, ap in [
+                       ("TE", 0.0, 90.0, 0.5), ("TE", 90.0, 0.0, 0.5), ("TE", 90.0, 90.0, 0.5),
+                       ("TM", 0.0, 0.0, 0.5), ("TM", 0.0, 90.0, 0.5), ("TM", 90.0, 0.0, 0.5),
+                       ("TM", 90.0, 90.0, 1.5)])),
 }
 
 
 @pytest.mark.parametrize("fmt", list(_READERS))
-@pytest.mark.parametrize("defect", ["short row", "non-numeric field", "missing column"])
+@pytest.mark.parametrize("defect", ["short row", "non-numeric field", "missing column",
+                                    "value out of range"])
 def test_malformed_files_are_input_errors(tmp_path, capsys, fmt, defect):
-    read, command, header, row = _READERS[fmt]
+    read, command, header, row, out_of_range = _READERS[fmt]
     *first, last = row.split(",")
     lines = {"short row": [header, row, ",".join(first)],
              "non-numeric field": [header, row, ",".join([*first, "x"])],
-             "missing column": [header.rsplit(",", 1)[0], ",".join(first)]}[defect]
+             "missing column": [header.rsplit(",", 1)[0], ",".join(first)],
+             "value out of range": [header, row, out_of_range]}[defect]
     path = tmp_path / f"{fmt}.csv"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}: ")):

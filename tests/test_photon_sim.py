@@ -208,13 +208,26 @@ def test_large_counts_widen_instead_of_wrapping():
     assert ds.counts.dtype == np.int32
     assert Trajectory(prepared=BRIGHT, bins=np.array([70_000, 0])).bins[0] == 70_000
     assert Dataset(np.array([[70_000]]), np.array([True])).counts[0, 0] == 70_000
+    with pytest.raises(ValueError, match="total count must stay below about 9.2e18"):
+        Dataset(np.array([[2**62, 2**62]]), np.array([True]))
 
 
-def test_small_counts_are_stored_as_int16(rates):
+def test_small_counts_are_stored_as_int8(rates):
     ds, _ = simulate_dataset(rates, ReadoutConfig(n_bins=20, herald_duration_us=0.0), 5, seed=3)
-    assert ds.counts.dtype == np.int16
-    assert Trajectory(BRIGHT, np.array([1, 2], dtype=np.int64)).bins.dtype == np.int16
-    assert Dataset(np.array([[1, 2]], dtype=np.int64), np.array([True])).counts.dtype == np.int16
+    assert ds.counts.dtype == np.int8
+    assert Trajectory(BRIGHT, np.array([1, 2], dtype=np.int64)).bins.dtype == np.int8
+    assert Dataset(np.array([[1, 2]], dtype=np.int64), np.array([True])).counts.dtype == np.int8
+
+
+@pytest.mark.parametrize("seed, total, dtype", [(26, 127, np.int8), (1, 128, np.int16)])
+def test_prefix_type_is_set_by_the_largest_record_total(seed, total, dtype):
+    # one bright record of 100 bins at 1.275 counts each, one dark record of none
+    ds, _ = simulate_dataset(RateParams(1275.0, 0.0), ReadoutConfig(1.0, 100, 0.0), 1, seed)
+    assert ds.prefix[:, -1].tolist() == [total, 0] and ds.prefix.dtype == dtype
+    counts = ds.counts.astype(np.int64)
+    assert np.array_equal(ds.prefix, counts.cumsum(axis=1))
+    again = Dataset(counts, ds.bright)
+    assert again.prefix.dtype == dtype and np.array_equal(again.prefix, ds.prefix)
 
 
 def test_herald_window_must_be_shorter_than_record():
@@ -334,8 +347,8 @@ def _assert_one_pass_matches_simulate_then_herald(rates, cfg, n, mode, seed):
                      HeraldOutcome.DISCARDED: int((~keep).sum())}
     assert np.array_equal(one.bright, bright)
     assert np.array_equal(one.counts, post) and np.array_equal(one.prefix, post.cumsum(axis=1))
-    # the prefix type holds the largest count drawn, discarded rows included, x the bins kept
-    assert one.prefix.dtype == _counts_dtype(int(counts.max()) * post.shape[1])
+    # the prefix type is the narrowest that holds the largest retained record total
+    assert one.prefix.dtype == _counts_dtype(int(post.sum(axis=1).max(initial=0)))
     assert one.counts.dtype == one.prefix.dtype
     return one, raw
 
@@ -359,36 +372,49 @@ def test_one_pass_herald_equals_simulate_then_herald(rates, cfg, n, mode):
 @pytest.mark.parametrize("mode", ["exact", "bin-boundary"])
 def test_prefix_widening_mid_simulation_keeps_the_written_rows(mode, monkeypatch):
     monkeypatch.setattr("ionreadout.photon_sim._PLACE_BUDGET", 1)  # one row per chunk
-    cfg = ReadoutConfig(1.0, 520, 10.0, 8)
-    one, raw = _assert_one_pass_matches_simulate_then_herald(RateParams(4e4, 1.0), cfg, 40,
-                                                             mode, seed=6)
-    n_post, limit = cfg.n_bins - cfg.herald_bins, np.iinfo(np.int16).max
-    # the first row fits int16 prefix sums, a later one does not
-    assert raw.counts[0].max() * n_post <= limit < raw.counts.max() * n_post
-    assert one.prefix.dtype == np.int32
+    cfg = ReadoutConfig(1.0, 130, 10.0, 8)
+    one, _ = _assert_one_pass_matches_simulate_then_herald(RateParams(1000.0, 1.0), cfg, 40,
+                                                           mode, seed=6)
+    # the first retained record's total fits int8, a later one's does not
+    totals = one.prefix[:, -1]
+    assert totals[0] <= np.iinfo(np.int8).max < totals.max()
+    assert one.prefix.dtype == np.int16
 
 
-def test_one_pass_simulation_holds_only_the_retained_prefix():
-    # ru_maxrss counts resident pages only, so the matrix allocated at the
-    # upper bound costs what its retained rows fill (tracemalloc would not see that)
-    paper = Path(__file__).resolve().parent.parent / "scenarios" / "paper.cfg"
-    code = f"""if True:
-        import resource
-        import ionreadout
-        from ionreadout.scenario import load_scenario
-        scn = load_scenario({str(paper)!r})
-        ionreadout.simulate_dataset(scn.rates, scn.readout, 10, seed=2)  # first-use allocations
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        ds, _ = ionreadout.simulate_dataset(scn.rates, scn.readout, 10_000, seed=1)
-        rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
-        print(rise * 1024, ds.prefix.nbytes)
+def _peak_rise(setup: str, first_use: str, call: str, result: str) -> list[int]:
+    """Run setup, first_use, then call in a child process; return the rise of
+    the child's peak resident set (bytes) over the call, then result's ints.
+
+    The child reads its own VmHWM: its ru_maxrss would start at this
+    process's peak, since the kernel carries that across fork and exec.
+    VmHWM counts resident pages only, so an array allocated at an upper
+    bound costs what its filled rows touch (tracemalloc would not see that).
     """
+    code = "\n".join([
+        "def peak():  # bytes",
+        "    with open('/proc/self/status') as fh:",
+        "        return 1024 * next(int(line.split()[1]) for line in fh",
+        "                           if line.startswith('VmHWM:'))",
+        setup, first_use, "before = peak()", call, f"print(peak() - before, {result})",
+    ])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    rise, prefix_bytes = map(int, done.stdout.split())
-    assert prefix_bytes > 10 * 2**20  # about 13,000 retained rows of 450 int16 sums
-    assert rise <= prefix_bytes + 8 * 2**20, f"rise {rise / 2**20:.1f} MiB"
+    return list(map(int, done.stdout.split()))
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
+def test_one_pass_simulation_holds_only_the_retained_prefix():
+    paper = Path(__file__).resolve().parent.parent / "scenarios" / "paper.cfg"
+    rise, prefix_bytes = _peak_rise(
+        "import ionreadout\n"
+        "from ionreadout.scenario import load_scenario\n"
+        f"scn = load_scenario({str(paper)!r})",
+        "ionreadout.simulate_dataset(scn.rates, scn.readout, 10, seed=2)",
+        "ds, _ = ionreadout.simulate_dataset(scn.rates, scn.readout, 10_000, seed=1)",
+        "ds.prefix.nbytes")
+    assert prefix_bytes > 5 * 2**20  # about 13,000 retained rows of 450 int8 sums
+    assert 0 < rise <= prefix_bytes + 8 * 2**20, f"rise {rise / 2**20:.1f} MiB"
 
 
 def test_stream_config_validation():
@@ -546,29 +572,22 @@ def test_single_emitter_keeps_its_dead_time_and_routing():
     assert abs(a.t_ns.size - q * n) <= 5 * np.sqrt(n * q * (1 - q))
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
 def test_timetag_draw_holds_only_the_tick_arrays():
-    # ru_maxrss counts resident pages only, so a tick array allocated at its
-    # upper bound costs what its tags fill; a full-length float copy of one
-    # channel (16 MB at 2 x 10^6 tags) would break the bound
-    code = """if True:
-        import resource
-        from dataclasses import replace
-        import ionreadout
-        cfg = ionreadout.EmitterStreamConfig(
-            emission_rate_s=0.0, dead_time_s=0.0, route_prob_a=0.0, route_prob_b=0.0,
-            background_rate_a_s=2e6, background_rate_b_s=2e6, duration_s=1.0)
-        ionreadout.simulate_timetag_streams(replace(cfg, duration_s=1e-3), 2)  # first use
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        a, b = ionreadout.simulate_timetag_streams(cfg, 1)
-        rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
-        print(rise * 1024, a.t_ns.nbytes + b.t_ns.nbytes)
-    """
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    rise, tick_bytes = map(int, done.stdout.split())
+    # a tick array allocated at its upper bound costs what its tags fill; a
+    # full-length float copy of one channel (16 MB at 2 x 10^6 tags) would
+    # break the bound
+    rise, tick_bytes = _peak_rise(
+        "from dataclasses import replace\n"
+        "import ionreadout\n"
+        "cfg = ionreadout.EmitterStreamConfig(\n"
+        "    emission_rate_s=0.0, dead_time_s=0.0, route_prob_a=0.0, route_prob_b=0.0,\n"
+        "    background_rate_a_s=2e6, background_rate_b_s=2e6, duration_s=1.0)",
+        "ionreadout.simulate_timetag_streams(replace(cfg, duration_s=1e-3), 2)",
+        "a, b = ionreadout.simulate_timetag_streams(cfg, 1)",
+        "a.t_ns.nbytes + b.t_ns.nbytes")
     assert tick_bytes > 30 * 2**20  # about 4 x 10^6 int64 tags
-    assert rise <= tick_bytes + 8 * 2**20, f"rise {rise / 2**20:.1f} MiB"
+    assert 0 < rise <= tick_bytes + 8 * 2**20, f"rise {rise / 2**20:.1f} MiB"
 
 
 def test_binning_rows_in_chunks_keeps_the_stream(rates, monkeypatch):

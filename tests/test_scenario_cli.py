@@ -232,15 +232,19 @@ def test_non_finite_config_value_names_its_key(tmp_path, key, value):
         run_scenario(cfg)
 
 
-def test_paper_scenario_reproduces_shipped_outputs(tmp_path):
+def test_paper_scenario_reproduces_shipped_outputs(tmp_path, monkeypatch):
+    # the shipped config as it is, run from tmp_path: its relative out_dir
+    # lands there, and effective_config.cfg names it as the shipped one does
     golden = SCENARIO_DIR.parent / "out" / "paper"
-    text = (SCENARIO_DIR / "paper.cfg").read_text()
-    assert "out_dir = out/paper\n" in text
-    cfg = tmp_path / "paper.cfg"
-    cfg.write_text(text.replace("out_dir = out/paper\n", f"out_dir = {tmp_path / 'paper'}\n"))
-    run_scenario(cfg)
-    for name in ("summary.txt", "bayes_sweep.csv", "threshold_sweep.csv"):
-        assert (tmp_path / "paper" / name).read_bytes() == (golden / name).read_bytes(), name
+    monkeypatch.chdir(tmp_path)
+    run_scenario(SCENARIO_DIR / "paper.cfg")
+    written = tmp_path / "out" / "paper"
+    names = sorted(p.name for p in golden.iterdir())
+    assert names == ["bayes_sweep.csv", "effective_config.cfg", "summary.txt",
+                     "threshold_sweep.csv"]
+    assert sorted(p.name for p in written.iterdir()) == names
+    for name in names:
+        assert (written / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 def test_shipped_scenario_config_loads():
@@ -517,6 +521,17 @@ def test_cli_optics_checks_the_sweep_before_printing(tmp_path, monkeypatch, caps
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["--rf-off", "off.csv"], ["--rf-off", "off.csv", "--bias-ua", "6"],
+                                  ["--bias-ua", "6"], ["--out", "on.csv"]])
+def test_cli_rfmodel_checks_its_inputs_before_printing(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "off.csv").write_text("bias_ua,counts\n1.5,10.0\n2.5,-1.0\n")
+    assert main(["rfmodel", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert not (tmp_path / "on.csv").exists()
 
 
 def test_cli_g2_simulate_and_exclusion(tmp_path, capsys):
