@@ -61,7 +61,6 @@ from .rfcircuit import (
     max_induced,
     pickup_from_solution,
     predict_counts,
-    reduced_current,
     solve_network,
 )
 from .scenario import ConfigError, Scenario, load_scenario, run_scenario
@@ -119,7 +118,6 @@ __all__ = [
     "pickup_from_solution",
     "predict_counts",
     "rate_vs_position",
-    "reduced_current",
     "run_scenario",
     "saturation_extrapolate",
     "scale_heating",

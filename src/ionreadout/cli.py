@@ -226,20 +226,23 @@ def _cmd_rfmodel(args) -> int:
     sol = solve_network(net)
     model = pickup_from_solution(sol)
     dec = decompose_currents(sol)
-    _print_kv([
+    pairs = [
         ("i0_ua", model.i0_ua),
         ("i1_ua", model.i1_ua),
         ("max_induced_ua", max_induced(model)),
         ("linear_r_squared", dec.r_squared),
         ("solver_residual", sol.residual),
-    ])
+    ]
     if args.rf_off:
+        on = predict_counts(model, curve, curve.bias_ua)  # the curve --out writes
+        if curve.counts.max() > 0:  # the drive's loss of peak counts
+            pairs.append(("plateau_deficit", 1.0 - on.max() / curve.counts.max()))
         if args.bias_ua is not None:
-            print(f"predicted_counts = {predict_counts(model, curve, args.bias_ua):.8g}")
-        if args.out:
-            on = BiasCountCurve(curve.bias_ua.copy(), predict_counts(model, curve, curve.bias_ua))
-            _io.write_bias_curve_csv(args.out, on)
-            print(f"out = {args.out}")
+            pairs.append(("predicted_counts", predict_counts(model, curve, args.bias_ua)))
+    _print_kv(pairs)
+    if args.out:  # --out has --rf-off, checked above
+        _io.write_bias_curve_csv(args.out, BiasCountCurve(curve.bias_ua.copy(), on))
+        print(f"out = {args.out}")
     return 0
 
 

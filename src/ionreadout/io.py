@@ -1,4 +1,4 @@
-"""CSV interchange formats shared by the CLI, scripts and tests.
+"""CSV interchange formats shared by the CLI, the scenario runner and tests.
 
 Every table is written from its columns by :func:`write_table` under one
 rule set by each column's dtype: booleans as 'true' / 'false', floats
@@ -6,7 +6,7 @@ via repr so values round-trip, anything else via str.  Plain comma
 separation and '\n' line endings make the bytes deterministic.  States
 are booleans (True = bright) until they become 'bright' / 'dark' here.
 Every reader checks the header, then parses the rows with
-``np.loadtxt``, a block of about 256 KB of whole lines at a time; a
+``np.loadtxt``, a block of about 128 KB of whole lines at a time; a
 missing column, a short row, a field that does not parse or a value out
 of range raises ValueError naming the file.  A quoted field may hold a
 newline.
@@ -14,7 +14,7 @@ newline.
 The trajectory file is long format, one row per (trial, bin), and does
 not record the bin width: its reader takes the width as a required
 keyword and returns a :class:`Dataset`, so every trial must have the
-same length.  It parses the file a block of about 16,000 rows at a time
+same length.  It parses the file a block of about 8,000 rows at a time
 and scatters each block straight into the Dataset's matrix, so beyond
 the returned Dataset it holds one block and a few numbers per trial.
 """
@@ -24,7 +24,6 @@ import csv
 import os
 import warnings
 from io import StringIO
-from pathlib import Path
 from stat import S_ISREG
 from typing import Sequence
 
@@ -63,9 +62,10 @@ def _labels(bright) -> np.ndarray:
     return np.where(bright, BRIGHT, DARK)
 
 
-# Characters of whole lines a reader parses at a time: about 16,000 rows of a
-# written trajectory file, so a block's lines and columns stay near 1 MB.
-_BLOCK_CHARS = 1 << 18
+# Characters of whole lines a reader parses at a time: about 8,000 rows of a
+# written trajectory file, so a block's lines, their Python strings and the
+# parsed columns stay near 1 MB.
+_BLOCK_CHARS = 1 << 17
 
 
 def _read_rows(path, dtype):
@@ -180,7 +180,7 @@ class _Trials:
         """The matrix rows of the ascending ids ``uid``; an unseen id takes a new row."""
         n = self.n
         keys = self.ids[:n] if self.order is None else self._sorted_ids
-        pos = np.searchsorted(keys, uid).clip(max=max(n - 1, 0))
+        pos = np.minimum(np.searchsorted(keys, uid), max(n - 1, 0))
         seen = keys[pos] == uid if n else np.zeros(uid.size, dtype=bool)
         rows = pos if self.order is None else self.order[pos]
         if seen.all():
@@ -239,15 +239,13 @@ def read_trajectories_csv(path, *, bin_width_us: float) -> Dataset:
             first = int(np.argmax(c < 0))
             raise ValueError(f"{path}: trial {tid[first]} has a negative count "
                              f"({c[first]}) in bin {b[first]}")
-        step = np.diff(tid)
-        if (step < 0).any():  # ids went backwards: gather each trial's rows
+        if (tid[1:] < tid[:-1]).any():  # ids went backwards: gather each trial's rows
             order = np.argsort(tid, kind="stable")
             tid, bright, b, c = tid[order], bright[order], b[order], c[order]
-            step = np.diff(tid)
-        start = np.concatenate([[0], np.flatnonzero(step != 0) + 1])
+        start = np.flatnonzero(np.concatenate([[True], tid[1:] != tid[:-1]]))
         was = trials.n
         slot = trials.rows(tid[start])
-        length = np.diff(start, append=tid.size)
+        length = np.concatenate([start[1:], [tid.size]]) - start
         lo, hi = np.minimum.reduceat(b, start), np.maximum.reduceat(b, start)
         stat = trials.stat[slot]
         stat[:, 0] += length
@@ -293,7 +291,7 @@ def read_trajectories_csv(path, *, bin_width_us: float) -> Dataset:
     whole = (lo >= 0) & (hi < n_rows)
     if cells is not None:
         grid = cells[:n * width].reshape(n, width)
-        chunk = 1 + (1 << 20) // width  # trials per pass, so the mask stays near 1 MB
+        chunk = 1 + (1 << 16) // width  # trials per pass, so the mask stays near 64 KB
         whole &= np.concatenate([np.count_nonzero(grid[i:i + chunk] >= 0, axis=1)
                                  for i in range(0, n, chunk)]) == n_rows
     if not whole.all():
@@ -380,7 +378,8 @@ def write_ap_surface_csv(path, surface: APSurface) -> None:
 
 
 def read_ap_surface_csv(path) -> APSurface:
-    """TE and TM tables on the grid of the TE rows' distinct angles, in ascending order."""
+    """TE and TM tables on the grid of the TE rows' distinct angles, in ascending order;
+    each table takes one row per grid point."""
     rows = _read_table(path, [("polarization", object), ("theta_deg", float),
                               ("phi_deg", float), ("ap", float)])
     pol = np.char.upper(rows["polarization"].astype(str))
@@ -401,6 +400,12 @@ def read_ap_surface_csv(path) -> APSurface:
             stray = mine[np.argmin(on)]
             raise ValueError(f"{path}: row ({name}, theta={stray['theta_deg']}, "
                              f"phi={stray['phi_deg']}) lies off the TE grid")
+        repeat = np.ones(mine.size, dtype=bool)
+        repeat[np.unique(i * phis.size + j, return_index=True)[1]] = False
+        if repeat.any():  # the last value would win silently
+            again = mine[np.argmax(repeat)]
+            raise ValueError(f"{path}: row ({name}, theta={again['theta_deg']}, "
+                             f"phi={again['phi_deg']}, ap={again['ap']}) repeats a grid point")
         table = np.empty((thetas.size, phis.size))
         table[i, j] = mine["ap"]
         filled = np.zeros(table.shape, dtype=bool)
@@ -424,9 +429,3 @@ def write_g2_csv(path, est: G2Estimate) -> None:
 def write_position_sweep_csv(path, sweep) -> None:
     write_table(path, ["lateral_um", "rel_rate", "rel_rate_const_ap"],
                 [sweep.lateral_um, sweep.rel_rate, sweep.rel_rate_const_ap])
-
-
-def ensure_dir(path) -> Path:
-    p = Path(path)
-    p.mkdir(parents=True, exist_ok=True)
-    return p

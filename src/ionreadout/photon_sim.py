@@ -32,9 +32,10 @@ on access.  The prefix is stored in the narrowest of int8, int16, int32
 and int64 that holds its largest record total, so no sum wraps; at the
 paper's rates that is int8.  :func:`simulate_dataset` heralds each chunk
 of rows as it is drawn and writes only the retained rows' post-herald
-prefix sums, so no raw counts matrix is ever held.  A list of
-:class:`Trajectory` input records is stacked into one by
-:func:`as_dataset`; only :func:`readout.adaptive_classify_batch` still
+prefix sums, so no raw counts matrix is ever held.  Every record
+carries its bin width; none is assumed.  A list of :class:`Trajectory`
+input records is stacked into one by :func:`as_dataset`, which checks
+the records once; only :func:`readout.adaptive_classify_batch` still
 accepts such a list, for the benchmark's per-trial check.
 
 :func:`simulate_timetag_streams` draws every arrival process (the
@@ -113,10 +114,6 @@ class ReadoutConfig:
             )
 
     @property
-    def duration_us(self) -> float:
-        return self.n_bins * self.bin_width_us
-
-    @property
     def herald_bins(self) -> int:
         return _whole_bins("herald_duration_us", self.herald_duration_us, self.bin_width_us)
 
@@ -133,6 +130,16 @@ def _whole_bins(name: str, duration_us: float, bin_width_us: float) -> int:
     return int(round(nb))
 
 
+def _readout_bins(duration_us: float, bin_width_us: float, n_bins: int) -> int:
+    """The first duration_us of a record of n_bins bins of bin_width_us, in
+    whole bins: at least 1 and at most the whole record."""
+    nb = _whole_bins("duration_us", duration_us, bin_width_us)
+    if nb < 1 or nb > n_bins:
+        raise ValueError(f"duration ({duration_us:g} us) must cover between 1 bin and the "
+                         f"whole record ({n_bins} bins of {bin_width_us:g} us)")
+    return nb
+
+
 def _counts_dtype(max_count: int):
     """The narrowest of int8, int16, int32 and int64 that holds max_count."""
     for dtype in (np.int8, np.int16, np.int32):
@@ -141,35 +148,17 @@ def _counts_dtype(max_count: int):
     return np.int64
 
 
-def _as_counts(values) -> np.ndarray:
-    """Non-negative integer counts in the narrowest type that holds the largest."""
-    arr = np.asarray(values)
-    if not arr.size:
-        return arr.astype(np.int8)
-    if not np.issubdtype(arr.dtype, np.integer) or arr.min() < 0:
-        raise ValueError("bins must be non-negative integers")
-    return arr.astype(_counts_dtype(int(arr.max())), copy=False)
-
-
 @dataclass(frozen=True)
 class Trajectory:
-    """Binned counts of one trial, as an input record for :func:`as_dataset`.
+    """Binned counts of one trial, as an input record for :func:`as_dataset`,
+    which checks it.
 
     ``prepared`` is the label ('bright' or 'dark').
     """
 
     prepared: StateLabel
     bins: np.ndarray
-    bin_width_us: float = 1.0
-
-    def __post_init__(self) -> None:
-        if np.ndim(self.bins) != 1:
-            raise ValueError("bins must be one-dimensional")
-        object.__setattr__(self, "bins", _as_counts(self.bins))
-        if self.prepared not in (BRIGHT, DARK):
-            raise ValueError(f"prepared must be 'bright' or 'dark', got {self.prepared!r}")
-        if self.bin_width_us <= 0:
-            raise ValueError("bin_width_us must be positive")
+    bin_width_us: float
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -192,10 +181,12 @@ class Dataset:
     bright: np.ndarray
     bin_width_us: float
 
-    def __init__(self, counts, bright, bin_width_us: float = 1.0) -> None:
-        if np.ndim(counts) != 2:
+    def __init__(self, counts, bright, bin_width_us: float) -> None:
+        counts = np.asarray(counts)
+        if counts.ndim != 2:
             raise ValueError("counts must be a trials x bins matrix")
-        counts = _as_counts(counts)
+        if counts.size and (not np.issubdtype(counts.dtype, np.integer) or counts.min() < 0):
+            raise ValueError("counts must be non-negative integers")
         top = counts.sum(axis=1, dtype=float).max(initial=0)  # exact below 2**53
         if top >= 2.0**63:
             raise ValueError("a record's total count must stay below about 9.2e18, the "
@@ -241,33 +232,31 @@ class Dataset:
 
     def totals(self, duration_us: float) -> np.ndarray:
         """Counts in the first duration_us of every record."""
-        nb = _whole_bins("duration_us", duration_us, self.bin_width_us)
-        if nb < 1 or nb > self.n_bins:
-            raise ValueError(f"duration ({duration_us:g} us) must cover between 1 bin and the "
-                             f"whole record ({self.n_bins} bins of {self.bin_width_us:g} us)")
-        return self.prefix[:, nb - 1]
+        return self.prefix[:, _readout_bins(duration_us, self.bin_width_us, self.n_bins) - 1]
 
 
 def as_dataset(trajs: Dataset | Sequence[Trajectory]) -> Dataset:
     """The records as a :class:`Dataset`; a sequence of records is stacked.
 
-    Records of a sequence must have equal length and bin width.
+    A sequence must hold at least one record, each labelled 'bright' or
+    'dark', all of equal length and bin width; the stacked counts and
+    width are checked as every Dataset's are.
     """
     if isinstance(trajs, Dataset):
         return trajs
     trajs = list(trajs)
     if not trajs:
-        return Dataset(np.zeros((0, 0), dtype=np.int8), np.zeros(0, dtype=bool))
-    n_bins, width = trajs[0].bins.size, trajs[0].bin_width_us
-    if any(t.bins.size != n_bins for t in trajs):
+        raise ValueError("no records to stack")
+    labels = [t.prepared for t in trajs]
+    stray = next((label for label in labels if label not in (BRIGHT, DARK)), None)
+    if stray is not None:
+        raise ValueError(f"prepared must be 'bright' or 'dark', got {stray!r}")
+    if len({np.shape(t.bins) for t in trajs}) > 1:
         raise ValueError("all trajectories must have equal length")
-    if any(t.bin_width_us != width for t in trajs):
+    if len({t.bin_width_us for t in trajs}) > 1:
         raise ValueError("all trajectories must share one bin width")
-    return Dataset(
-        np.stack([t.bins for t in trajs]),
-        np.array([t.prepared == BRIGHT for t in trajs], dtype=bool),
-        width,
-    )
+    return Dataset(np.stack([t.bins for t in trajs]),
+                   np.array(labels) == BRIGHT, trajs[0].bin_width_us)
 
 
 class HeraldOutcome(Enum):

@@ -206,15 +206,6 @@ def pickup_from_solution(sol: InducedCurrentSolution) -> PickupModel:
     )
 
 
-def reduced_current(model: PickupModel, k: int, t_s: float) -> float:
-    """Pickup current (uA) in segment k at time t."""
-    if not (0 <= k <= model.k_segments):
-        raise ValueError(f"segment index must lie in [0, {model.k_segments}]")
-    u = (k - model.k_segments / 2) / (model.k_segments / 2)
-    wt = model.omega_rf * t_s
-    return model.i0_ua * np.sin(wt) + model.i1_ua * u * np.cos(wt)
-
-
 def max_induced(model: PickupModel) -> float:
     """Largest instantaneous pickup amplitude over segments and phase (uA).
 
@@ -347,7 +338,6 @@ class PickupFit:
     i0_err_ua: float
     i1_err_ua: float
     residual_norm: float
-    n_points: int
 
 
 def fit_pickup(
@@ -374,7 +364,6 @@ def fit_pickup(
             i0_err_ua=0.0,
             i1_err_ua=0.0,
             residual_norm=0.0,
-            n_points=rf_on_curve.bias_ua.size,
         )
     if np.ptp(rf_off_curve.counts) == 0 or np.ptp(rf_on_curve.counts) == 0:
         raise ValueError("flat count curves cannot constrain the pickup fit")
@@ -416,5 +405,4 @@ def fit_pickup(
         i0_err_ua=abs(delta_im_ua * np.sin(psi_hat)) * psi_err,
         i1_err_ua=abs(delta_im_ua * np.cos(psi_hat)) * psi_err,
         residual_norm=float(np.sqrt(sse_min)),
-        n_points=bias.size,
     )

@@ -17,6 +17,7 @@ from .photon_sim import (
     HeraldOutcome,
     RateParams,
     ReadoutConfig,
+    _readout_bins,
     simulate_dataset,
 )
 from .readout import (
@@ -176,6 +177,13 @@ def load_scenario(path) -> Scenario:
     if record_bins < MIN_CALIBRATION_BINS:
         raise ConfigError(f"{source}: keys 'n_bins' and 'herald_duration_us' leave {record_bins} "
                           f"bin(s) after the herald; calibration needs {MIN_CALIBRATION_BINS}")
+    sweep = () if values["threshold_sweep_us"] is None else values["threshold_sweep_us"]
+    for key, d in [("threshold_duration_us", values["threshold_duration_us"]),
+                   *(("threshold_sweep_us", d) for d in sweep)]:
+        try:  # the readout must fit the post-herald record
+            _readout_bins(float(d), readout.bin_width_us, record_bins)
+        except ValueError as exc:
+            raise ConfigError(f"{source}: key {key!r}: {exc}") from exc
     return Scenario(**{f.name: values[f.name] for f in fields(Scenario) if f.name in values},
                     rates=rates, readout=readout, raw=filled)
 
@@ -195,22 +203,16 @@ def _stat_columns(stats, names: list[str]) -> list[list[float]]:
 def run_scenario(path) -> dict:
     """Simulate, herald, classify both ways, calibrate, and write reports.
 
-    Returns a summary dict (also rendered to out_dir/summary.txt).
+    Returns a summary dict (also rendered to out_dir/summary.txt).  The
+    config is checked whole before the simulation, and out_dir is made
+    only once the herald has kept enough trials to calibrate.
     """
     scn = load_scenario(path)
-    out = _io.ensure_dir(scn.out_dir)
     t0 = scn.readout.bin_width_us
 
     retained, tally = simulate_dataset(
         scn.rates, scn.readout, scn.trials_per_state, scn.seed, mode=scn.transition_mode
     )
-    sweep = () if scn.threshold_sweep_us is None else scn.threshold_sweep_us
-    for key, d in [("threshold_duration_us", scn.threshold_duration_us),
-                   *(("threshold_sweep_us", d) for d in sweep)]:
-        try:
-            retained.totals(float(d))  # the readout must fit the post-herald record
-        except ValueError as exc:
-            raise ConfigError(f"{path}: key {key!r}: {exc}") from exc
     for outcome, state in ((HeraldOutcome.RETAINED_BRIGHT, "bright"),
                            (HeraldOutcome.RETAINED_DARK, "dark")):
         if tally[outcome] < MIN_CALIBRATION_TRIALS:
@@ -218,6 +220,8 @@ def run_scenario(path) -> dict:
                 f"{path}: heralding retained {tally[outcome]} {state} trials; calibration needs "
                 f"{MIN_CALIBRATION_TRIALS} per state; check keys 'trials_per_state', "
                 "'herald_duration_us' and 'herald_bright_min'")
+    out = scn.out_dir
+    out.mkdir(parents=True, exist_ok=True)
     if scn.write_trajectories:
         _io.write_trajectories_csv(out / "trajectories.csv", retained)
 

@@ -75,7 +75,6 @@ class G2Estimate:
 class DipResult:
     delay_ns: float
     g2_min: float
-    excluded_bins: int
 
 
 def _cpu_count() -> int:
@@ -208,8 +207,4 @@ def find_dip(estimate: G2Estimate) -> DipResult:
     at_min = np.flatnonzero(g2 == g2_min)
     order = np.lexsort((delays[at_min], np.abs(delays[at_min])))
     pick = at_min[order[0]]
-    return DipResult(
-        delay_ns=float(delays[pick]),
-        g2_min=float(g2_min),
-        excluded_bins=int(np.count_nonzero(estimate.masked)),
-    )
+    return DipResult(delay_ns=float(delays[pick]), g2_min=float(g2_min))

@@ -4,6 +4,11 @@ The big heralded dataset (10^5 + 10^5 trials at the reference rates,
 master seed 42) is built once per session and shared between the module
 tests and the acceptance tests.  Everything downstream of it is deterministic.
 """
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -65,3 +70,33 @@ def plateau_curve():
     return BiasCountCurve(
         np.array([0.0, 2.0, 5.0, 8.9]), np.array([0.0, 0.0, 1000.0, 1000.0])
     )
+
+
+def _peak_rise(setup: str, first_use: str, call: str, result: str) -> list[int]:
+    """Run setup, first_use, then call in a child process; return the rise of
+    the child's peak resident set (bytes) over the call, then result's ints.
+
+    The child reads its own VmHWM: its ru_maxrss would start at this
+    process's peak, since the kernel carries that across fork and exec.
+    VmHWM counts resident pages only, so an array allocated at an upper
+    bound costs what its filled rows touch (tracemalloc would not see that).
+    """
+    code = "\n".join([
+        "def peak():  # bytes",
+        "    with open('/proc/self/status') as fh:",
+        "        return 1024 * next(int(line.split()[1]) for line in fh",
+        "                           if line.startswith('VmHWM:'))",
+        setup, first_use, "before = peak()", call, f"print(peak() - before, {result})",
+    ])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    return list(map(int, done.stdout.split()))
+
+
+@pytest.fixture()
+def peak_rise():
+    """The child-process peak-memory probe :func:`_peak_rise`; skips without VmHWM."""
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs Linux VmHWM")
+    return _peak_rise

@@ -1,7 +1,4 @@
 """Emitter Monte Carlo: count statistics, heralding, time-tag streams."""
-import os
-import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -120,7 +117,7 @@ def test_depump_frequency_matches_rate(rates, config):
     )
     # dark at the start of some bin, as the state path records it
     hits = np.unique(trial[(flipped == 1) & (np.ceil(start) < end)]).size
-    p = rates.gamma_dp * config.duration_us * 1e-3
+    p = rates.gamma_dp * config.n_bins * config.bin_width_us * 1e-3
     sd = np.sqrt(p * (1 - p) / n)
     assert hits / n == pytest.approx(p, abs=2 * sd)
 
@@ -188,12 +185,19 @@ def test_invalid_inputs_rejected(rates):
         RateParams(gamma_b=-1.0, gamma_d=0.0)
     with pytest.raises(ValueError):
         ReadoutConfig(bin_width_us=0.0)
-    with pytest.raises(ValueError):
-        Trajectory(prepared="dim", bins=np.zeros(5, dtype=np.int64))
-    with pytest.raises(ValueError):
-        Trajectory(prepared=BRIGHT, bins=np.array([1, -2, 0]))
-    with pytest.raises(ValueError):
-        Trajectory(prepared=BRIGHT, bins=np.array([0.5, 1.0]))
+    # as_dataset checks the records once, as it stacks them
+    with pytest.raises(ValueError, match="prepared must be 'bright' or 'dark', got 'dim'"):
+        as_dataset([Trajectory(prepared="dim", bins=np.zeros(5, dtype=np.int64), bin_width_us=1.0)])
+    with pytest.raises(ValueError, match="non-negative integers"):
+        as_dataset([Trajectory(prepared=BRIGHT, bins=np.array([1, -2, 0]), bin_width_us=1.0)])
+    with pytest.raises(ValueError, match="non-negative integers"):
+        as_dataset([Trajectory(prepared=BRIGHT, bins=np.array([0.5, 1.0]), bin_width_us=1.0)])
+    with pytest.raises(ValueError, match="trials x bins matrix"):
+        as_dataset([Trajectory(prepared=BRIGHT, bins=np.ones((2, 2), dtype=int), bin_width_us=1.0)])
+    with pytest.raises(ValueError, match="^bin_width_us must be finite and positive"):
+        as_dataset([Trajectory(prepared=BRIGHT, bins=np.ones(2, dtype=int), bin_width_us=0.0)])
+    with pytest.raises(TypeError):
+        Trajectory(prepared=BRIGHT, bins=np.ones(2, dtype=int))  # no width is assumed
     cfg = ReadoutConfig(n_bins=10, herald_duration_us=0.0)
     with pytest.raises(ValueError, match="transition mode"):
         simulate_dataset(rates, cfg, trials_per_state=1, seed=0, mode="jump")
@@ -206,17 +210,18 @@ def test_large_counts_widen_instead_of_wrapping():
     assert np.all(ds.totals(3000.0)[:2] > 3 * 40_000)
     assert ds.counts[2:].max() < 100
     assert ds.counts.dtype == np.int32
-    assert Trajectory(prepared=BRIGHT, bins=np.array([70_000, 0])).bins[0] == 70_000
-    assert Dataset(np.array([[70_000]]), np.array([True])).counts[0, 0] == 70_000
+    assert as_dataset([Trajectory(BRIGHT, np.array([70_000, 0]), 1.0)]).counts[0, 0] == 70_000
+    assert Dataset(np.array([[70_000]]), np.array([True]), 1.0).counts[0, 0] == 70_000
     with pytest.raises(ValueError, match="total count must stay below about 9.2e18"):
-        Dataset(np.array([[2**62, 2**62]]), np.array([True]))
+        Dataset(np.array([[2**62, 2**62]]), np.array([True]), 1.0)
 
 
 def test_small_counts_are_stored_as_int8(rates):
     ds, _ = simulate_dataset(rates, ReadoutConfig(n_bins=20, herald_duration_us=0.0), 5, seed=3)
     assert ds.counts.dtype == np.int8
-    assert Trajectory(BRIGHT, np.array([1, 2], dtype=np.int64)).bins.dtype == np.int8
-    assert Dataset(np.array([[1, 2]], dtype=np.int64), np.array([True])).counts.dtype == np.int8
+    wide = np.array([1, 2], dtype=np.int64)
+    assert as_dataset([Trajectory(BRIGHT, wide, 1.0)]).counts.dtype == np.int8
+    assert Dataset(wide[None], np.array([True]), 1.0).counts.dtype == np.int8
 
 
 @pytest.mark.parametrize("seed, total, dtype", [(26, 127, np.int8), (1, 128, np.int16)])
@@ -226,7 +231,7 @@ def test_prefix_type_is_set_by_the_largest_record_total(seed, total, dtype):
     assert ds.prefix[:, -1].tolist() == [total, 0] and ds.prefix.dtype == dtype
     counts = ds.counts.astype(np.int64)
     assert np.array_equal(ds.prefix, counts.cumsum(axis=1))
-    again = Dataset(counts, ds.bright)
+    again = Dataset(counts, ds.bright, ds.bin_width_us)
     assert again.prefix.dtype == dtype and np.array_equal(again.prefix, ds.prefix)
 
 
@@ -245,7 +250,7 @@ def test_whole_bins_rule_names_a_non_finite_duration_or_width(value):
     with pytest.raises(ValueError, match="^bin_width_us must be"):
         ReadoutConfig(bin_width_us=value)
     with pytest.raises(ValueError, match="^duration_us must be finite"):
-        Dataset(np.ones((1, 4), dtype=int), np.array([True])).totals(value)
+        Dataset(np.ones((1, 4), dtype=int), np.array([True]), 1.0).totals(value)
     with pytest.raises(ValueError, match="^bin_width_us must be"):
         Dataset(np.ones((1, 4), dtype=int), np.array([True]), value)
 
@@ -279,7 +284,13 @@ def test_dataset_indexes_like_a_list_of_records(rates):
     assert np.array_equal(again.bright, ds.bright)
     assert as_dataset(ds) is ds
     with pytest.raises(ValueError, match="equal length"):
-        as_dataset([records[0], Trajectory(BRIGHT, ds.counts[1, :10])])
+        as_dataset([records[0], Trajectory(BRIGHT, ds.counts[1, :10], ds.bin_width_us)])
+    with pytest.raises(ValueError, match="one bin width"):
+        as_dataset([records[0], Trajectory(BRIGHT, ds.counts[1], 2 * ds.bin_width_us)])
+    with pytest.raises(ValueError, match="no records"):
+        as_dataset([])  # no width to give an empty Dataset
+    with pytest.raises(TypeError):
+        Dataset(ds.counts, ds.bright)  # no width is assumed
 
 
 def test_dataset_window_totals(rates):
@@ -290,9 +301,9 @@ def test_dataset_window_totals(rates):
         with pytest.raises(ValueError):
             ds.totals(bad)
     with pytest.raises(ValueError):
-        Dataset(np.array([[1, -1]]), np.array([True]))
+        Dataset(np.array([[1, -1]]), np.array([True]), 1.0)
     with pytest.raises(ValueError):
-        Dataset(np.array([[1, 1]]), np.array(["bright"]))
+        Dataset(np.array([[1, 1]]), np.array(["bright"]), 1.0)
 
 
 # the herald rule on hand-made window counts (config: at least 8 counts is bright)
@@ -381,32 +392,9 @@ def test_prefix_widening_mid_simulation_keeps_the_written_rows(mode, monkeypatch
     assert one.prefix.dtype == np.int16
 
 
-def _peak_rise(setup: str, first_use: str, call: str, result: str) -> list[int]:
-    """Run setup, first_use, then call in a child process; return the rise of
-    the child's peak resident set (bytes) over the call, then result's ints.
-
-    The child reads its own VmHWM: its ru_maxrss would start at this
-    process's peak, since the kernel carries that across fork and exec.
-    VmHWM counts resident pages only, so an array allocated at an upper
-    bound costs what its filled rows touch (tracemalloc would not see that).
-    """
-    code = "\n".join([
-        "def peak():  # bytes",
-        "    with open('/proc/self/status') as fh:",
-        "        return 1024 * next(int(line.split()[1]) for line in fh",
-        "                           if line.startswith('VmHWM:'))",
-        setup, first_use, "before = peak()", call, f"print(peak() - before, {result})",
-    ])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    return list(map(int, done.stdout.split()))
-
-
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
-def test_one_pass_simulation_holds_only_the_retained_prefix():
+def test_one_pass_simulation_holds_only_the_retained_prefix(peak_rise):
     paper = Path(__file__).resolve().parent.parent / "scenarios" / "paper.cfg"
-    rise, prefix_bytes = _peak_rise(
+    rise, prefix_bytes = peak_rise(
         "import ionreadout\n"
         "from ionreadout.scenario import load_scenario\n"
         f"scn = load_scenario({str(paper)!r})",
@@ -572,12 +560,11 @@ def test_single_emitter_keeps_its_dead_time_and_routing():
     assert abs(a.t_ns.size - q * n) <= 5 * np.sqrt(n * q * (1 - q))
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
-def test_timetag_draw_holds_only_the_tick_arrays():
+def test_timetag_draw_holds_only_the_tick_arrays(peak_rise):
     # a tick array allocated at its upper bound costs what its tags fill; a
     # full-length float copy of one channel (16 MB at 2 x 10^6 tags) would
     # break the bound
-    rise, tick_bytes = _peak_rise(
+    rise, tick_bytes = peak_rise(
         "from dataclasses import replace\n"
         "import ionreadout\n"
         "cfg = ionreadout.EmitterStreamConfig(\n"

@@ -298,16 +298,16 @@ def test_batch_levels_in_any_order(small_dataset):
 
 
 def test_threshold_duration_must_be_whole_bins():
-    ds = Dataset(np.array([[1, 2, 3], [0, 0, 0]]), np.array([True, False]))
+    ds = Dataset(np.array([[1, 2, 3], [0, 0, 0]]), np.array([True, False]), 1.0)
     with pytest.raises(ValueError, match="whole number"):
         ds.totals(1.5)
     with pytest.raises(ValueError, match="whole number"):
-        optimize_threshold(Dataset(np.array([[1, 2], [0, 0]]), np.array([True, False])), 0.7)
+        optimize_threshold(Dataset(np.array([[1, 2], [0, 0]]), np.array([True, False]), 1.0), 0.7)
 
 
 def test_optimizer_finds_gap_and_smallest_threshold():
     totals = np.array([[20], [21], [22], [23], [24], [0], [0], [0], [0], [0]])
-    thr, st_ = optimize_threshold(Dataset(totals, np.arange(10) < 5), 1.0)
+    thr, st_ = optimize_threshold(Dataset(totals, np.arange(10) < 5, 1.0), 1.0)
     assert st_.fidelity == 1.0
     assert thr == 1  # smallest integer separating the classes
 
@@ -319,7 +319,7 @@ def test_optimizer_finds_gap_and_smallest_threshold():
 @settings(max_examples=100, deadline=None)
 def test_threshold_optimality_is_exhaustive(bright_totals, dark_totals):
     ds = Dataset(np.array(bright_totals + dark_totals)[:, None],
-                 np.arange(len(bright_totals) + len(dark_totals)) < len(bright_totals))
+                 np.arange(len(bright_totals) + len(dark_totals)) < len(bright_totals), 1.0)
     thr, st_ = optimize_threshold(ds, 1.0)
 
     def fidelity_at(threshold):

@@ -14,7 +14,6 @@ from ionreadout import (
     max_induced,
     pickup_from_solution,
     predict_counts,
-    reduced_current,
     solve_network,
 )
 
@@ -156,18 +155,6 @@ def test_network_rejects_non_finite_fields(name, value):
         NanowireNetwork(**{name: value})
 
 
-def test_reduced_current_closed_forms():
-    m = PickupModel(0.9, 3.5)
-    t_quarter = (TWO_PI / 4) / m.omega_rf
-    assert reduced_current(m, 20, t_quarter) == pytest.approx(0.9, rel=1e-12)
-    assert reduced_current(m, 0, 0.0) == pytest.approx(-3.5, rel=1e-12)
-    for t in np.linspace(0, TWO_PI / m.omega_rf, 7):
-        k_mid = m.k_segments // 2
-        assert reduced_current(m, k_mid, t) == pytest.approx(
-            0.9 * np.sin(m.omega_rf * t), abs=1e-12
-        )
-
-
 def test_max_induced_values_and_grid_consistency():
     assert max_induced(PickupModel(0.0, 2.7)) == pytest.approx(2.7, rel=1e-12)
     assert max_induced(PickupModel(2.7, 0.0)) == pytest.approx(2.7, rel=1e-12)
@@ -187,8 +174,6 @@ def test_pickup_model_validation():
         PickupModel(-0.1, 1.0)
     with pytest.raises(ValueError):
         PickupModel(1.0, 1.0, k_segments=3)
-    with pytest.raises(ValueError):
-        reduced_current(PickupModel(1.0, 1.0), 41, 0.0)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -272,7 +257,6 @@ def test_fit_recovers_generating_amplitudes(ramp_curve):
     fit = fit_pickup(rf_on, ramp_curve, delta_im_ua=float(np.hypot(0.9, 3.5)))
     assert fit.model.i0_ua == pytest.approx(0.9, rel=0.05)
     assert fit.model.i1_ua == pytest.approx(3.5, rel=0.05)
-    assert fit.n_points == 33
 
 
 def test_fit_zero_shift_returns_zero_model(ramp_curve):

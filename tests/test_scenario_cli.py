@@ -7,6 +7,7 @@ import pytest
 
 from ionreadout import (
     APSurface,
+    BiasCountCurve,
     CalibrationInputs,
     Dataset,
     DetectorScene,
@@ -192,11 +193,15 @@ def test_herald_as_long_as_record_is_a_config_error(tmp_path):
     ("threshold_sweep_us", "12.5:37.5:12.5", "whole number"),
 ])
 def test_readout_duration_outside_the_record_names_its_key(tmp_path, key, value, problem):
-    # 150 bins less a 50 us herald leave 100 us of record to read out
+    # 150 bins less a 50 us herald leave 100 us of record to read out; the
+    # config alone shows it, so the run stops before simulating or writing
     cfg = _write_minimal_cfg(tmp_path / "s.cfg", tmp_path / "out", trials_per_state=50,
                              herald_duration_us=50.0, **{key: value})
     with pytest.raises(ConfigError, match=rf"s\.cfg: key '{key}': .*{problem}"):
+        load_scenario(cfg)
+    with pytest.raises(ConfigError, match=rf"s\.cfg: key '{key}': .*{problem}"):
         run_scenario(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("overrides, key", [
@@ -221,6 +226,7 @@ def test_accepted_config_runs_or_names_its_key(tmp_path, monkeypatch, overrides,
     else:
         with pytest.raises(ConfigError, match=rf"s\.cfg: .*'{key}'"):
             run_scenario(cfg)
+        assert not (tmp_path / "out").exists()  # a failed run writes nothing
 
 
 @pytest.mark.parametrize("key, value", [
@@ -391,7 +397,7 @@ def test_cli_classify_duration_outside_the_record_names_the_flag(small_csv, caps
 
 def test_cli_classify_names_an_empty_file(tmp_path, capsys):
     path = tmp_path / "empty.csv"
-    iio.write_trajectories_csv(path, Dataset(np.zeros((0, 0), dtype=int), np.zeros(0, bool)))
+    iio.write_trajectories_csv(path, Dataset(np.zeros((0, 0), dtype=int), np.zeros(0, bool), 1.0))
     for method in (["--threshold"], ["--threshold", "--threshold-counts", "3"], ["--bayes"]):
         assert main(["classify", "--in", str(path), "--bin-width-us", "1", *method]) == 1
         assert capsys.readouterr().err == f"error: {path}: empty dataset\n"
@@ -424,16 +430,13 @@ def test_cli_rfmodel_default_network(capsys):
     assert float(kv["max_induced_ua"]) == pytest.approx(3.614, abs=0.002)
     assert float(kv["linear_r_squared"]) > 0.999
     assert float(kv["solver_residual"]) < 1e-9
+    assert "plateau_deficit" not in kv  # no rf-off curve, no plateau
 
 
 def test_cli_rfmodel_prediction_flow(tmp_path, capsys):
     curve = tmp_path / "off.csv"
-    iio.write_bias_curve_csv(
-        curve,
-        __import__("ionreadout").BiasCountCurve(
-            np.array([0.0, 2.0, 5.0, 8.9]), np.array([0.0, 0.0, 1000.0, 1000.0])
-        ),
-    )
+    iio.write_bias_curve_csv(curve, BiasCountCurve(np.array([0.0, 2.0, 5.0, 8.9]),
+                                                   np.array([0.0, 0.0, 1000.0, 1000.0])))
     code, kv, _ = _run_cli(
         capsys, "rfmodel", "--rf-off", str(curve),
         "--bias-ua", "6.0", "--out", str(tmp_path / "on.csv"),
@@ -443,6 +446,14 @@ def test_cli_rfmodel_prediction_flow(tmp_path, capsys):
     on = iio.read_bias_curve_csv(tmp_path / "on.csv")
     assert on.bias_ua.size == 4
     assert np.all(on.counts <= 1000.0)
+    # the drive's loss of peak counts, over the curve --out writes
+    assert float(kv["plateau_deficit"]) == pytest.approx(1.0 - on.counts.max() / 1000.0,
+                                                         rel=1e-7)
+    assert float(kv["plateau_deficit"]) > 0.0
+
+    iio.write_bias_curve_csv(curve, BiasCountCurve(np.array([0.0, 1.0]), np.zeros(2)))
+    code, kv, _ = _run_cli(capsys, "rfmodel", "--rf-off", str(curve))
+    assert code == 0 and "plateau_deficit" not in kv  # no counts, no plateau
 
     code = main(["rfmodel", "--bias-ua", "5.0"])
     assert code == 1
