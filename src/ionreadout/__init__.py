@@ -15,7 +15,6 @@ from .heating import HeatingPoint, field_noise_ratio, kick_heating_rate, scale_h
 from .optics import (
     APCoverageError,
     APSurface,
-    CalibrationInputs,
     DetectorScene,
     PositionSweep,
     collection_fraction,
@@ -75,7 +74,6 @@ __all__ = [
     "BRIGHT",
     "BiasCountCurve",
     "CalibratedRates",
-    "CalibrationInputs",
     "ConfigError",
     "DARK",
     "Dataset",

@@ -17,7 +17,6 @@ import numpy as np
 from . import io as _io
 from .optics import (
     APSurface,
-    CalibrationInputs,
     DetectorScene,
     collection_fraction,
     expected_rate,
@@ -33,6 +32,7 @@ from .photon_sim import (
     simulate_timetag_streams,
 )
 from .readout import (
+    CalibratedRates,
     adaptive_classify_batch,
     calibrate_rates,
     error_stats,
@@ -152,7 +152,6 @@ def _cmd_classify(args) -> int:
         decisions = totals >= thr
         stats = error_stats(ds.bright, decisions, np.full(len(ds), args.duration_us))
         rows.append(("threshold", stats))
-        print(f"threshold_counts = {thr}")
         if args.out and not args.bayes:
             _io.write_results_csv(args.out, ds.bright, decisions, args.duration_us)
 
@@ -165,6 +164,8 @@ def _cmd_classify(args) -> int:
         if args.out and not args.threshold:
             _io.write_results_csv(args.out, ds.bright, res.decisions, durations, res.confidence)
 
+    if args.threshold:
+        print(f"threshold_counts = {thr}")
     print(f"{'method':<10} {'eps_bright':>12} {'eps_dark':>12} "
           f"{'mean_error':>12} {'fidelity':>12} {'mean_dur_us':>15}")
     for name, stats in rows:
@@ -176,11 +177,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     cal = calibrate_rates(_io.read_trajectories_csv(args.infile, bin_width_us=args.bin_width_us))
-    _print_kv(
-        (field, getattr(cal, field))
-        for field in ("gamma_b", "gamma_b_err", "gamma_d", "gamma_d_err",
-                      "gamma_dp", "gamma_dp_err", "gamma_rp", "gamma_rp_err")
-    )
+    _print_kv((f.name, getattr(cal, f.name)) for f in fields(CalibratedRates))
     return 0
 
 
@@ -208,7 +205,6 @@ def _cmd_rfmodel(args) -> int:
             _io.read_bias_curve_csv(args.rf_off),
             args.delta_im_ua,
             k_segments=args.k_segments,
-            omega_rf=net.omega_rf,
         )
         _print_kv([
             ("i0_ua", fit.model.i0_ua), ("i0_err_ua", fit.i0_err_ua),
@@ -239,10 +235,10 @@ def _cmd_rfmodel(args) -> int:
             pairs.append(("plateau_deficit", 1.0 - on.max() / curve.counts.max()))
         if args.bias_ua is not None:
             pairs.append(("predicted_counts", predict_counts(model, curve, args.bias_ua)))
-    _print_kv(pairs)
     if args.out:  # --out has --rf-off, checked above
         _io.write_bias_curve_csv(args.out, BiasCountCurve(curve.bias_ua.copy(), on))
-        print(f"out = {args.out}")
+        pairs.append(("out", args.out))
+    _print_kv(pairs)
     return 0
 
 
@@ -259,7 +255,6 @@ def _cmd_optics(args) -> int:
     else:
         ap = APSurface.synthetic_placeholder()
 
-    cal = CalibrationInputs(internal_efficiency=args.internal_efficiency)
     offsets = None
     if args.sweep_lateral:  # a bad sweep fails before any output
         if not args.out:
@@ -270,15 +265,14 @@ def _cmd_optics(args) -> int:
     pairs = [
         ("collection_fraction", collection_fraction(scene)),
         ("obscured_fraction", obscured_fraction(scene)),
-        ("expected_rate_s", expected_rate(scene, ap, cal)),
+        ("expected_rate_s", expected_rate(scene, ap, args.internal_efficiency)),
     ]
     if args.measured_rate_s is not None:
-        pairs.append(("sde", sde_calibrate(args.measured_rate_s, scene, cal)))
-    _print_kv(pairs)
-
+        pairs.append(("sde", sde_calibrate(args.measured_rate_s, scene)))
     if offsets is not None:
-        _io.write_position_sweep_csv(args.out, rate_vs_position(scene, ap, offsets, cal))
-        print(f"out = {args.out}")
+        _io.write_position_sweep_csv(args.out, rate_vs_position(scene, ap, offsets))
+        pairs.append(("out", args.out))
+    _print_kv(pairs)
     return 0
 
 
@@ -320,13 +314,14 @@ def _cmd_g2(args) -> int:
     est = g2_estimate(a, b, bin_width_ns=int(args.bin_width_ns),
                       max_delay_ns=args.max_delay_ns, exclude_ns=exclude)
     dip = find_dip(est)
-    _print_kv([
+    pairs = [
         ("n_tags_a", a.t_ns.size), ("n_tags_b", b.t_ns.size),
         ("dip_delay_ns", dip.delay_ns), ("dip_g2", dip.g2_min),
-    ])
+    ]
     if args.out:
         _io.write_g2_csv(args.out, est)
-        print(f"out = {args.out}")
+        pairs.append(("out", args.out))
+    _print_kv(pairs)
     return 0
 
 
@@ -335,31 +330,29 @@ def _cmd_g2(args) -> int:
 def _cmd_heating(args) -> int:
     from .heating import HeatingPoint, field_noise_ratio, kick_heating_rate, scale_heating
 
-    did_something = False
+    pairs = []
     if args.rate_quanta_s is not None:
         if args.freq_mhz is None or args.distance_um is None:
             raise ConfigError("a source point needs --rate-quanta-s, --freq-mhz, --distance-um")
         src = HeatingPoint(args.rate_quanta_s, args.freq_mhz, args.distance_um)
         if args.target_freq_mhz is not None:
-            print(f"scaled_rate_quanta_s = "
-                  f"{scale_heating(src, args.target_freq_mhz, args.alpha):.8g}")
-            did_something = True
+            pairs.append(("scaled_rate_quanta_s",
+                          scale_heating(src, args.target_freq_mhz, args.alpha)))
         if args.rate2_quanta_s is not None:
             if args.freq2_mhz is None or args.distance2_um is None:
                 raise ConfigError(
                     "a comparison point needs --rate2-quanta-s, --freq2-mhz, --distance2-um"
                 )
             other = HeatingPoint(args.rate2_quanta_s, args.freq2_mhz, args.distance2_um)
-            print(f"field_noise_ratio = {field_noise_ratio(src, other, args.alpha):.8g}")
-            did_something = True
+            pairs.append(("field_noise_ratio", field_noise_ratio(src, other, args.alpha)))
     if args.quanta_per_count is not None:
         if args.count_rate_s is None:
             raise ConfigError("--quanta-per-count needs --count-rate-s")
-        print(f"kick_heating_quanta_s = "
-              f"{kick_heating_rate(args.quanta_per_count, args.count_rate_s):.8g}")
-        did_something = True
-    if not did_something:
+        pairs.append(("kick_heating_quanta_s",
+                      kick_heating_rate(args.quanta_per_count, args.count_rate_s)))
+    if not pairs:
         raise ConfigError("nothing to compute; see ionreadout heating --help")
+    _print_kv(pairs)
     return 0
 
 

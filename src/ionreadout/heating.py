@@ -2,7 +2,8 @@
 
 Electric-field noise with a power-law frequency spectrum heats an ion at
 a rate proportional to S_E(omega); comparing two zones also requires the
-usual ion-electrode distance scaling of the noise, taken here as d^-4.
+usual ion-electrode distance scaling of the noise, fixed here at d^-4
+(far-field patch noise).
 """
 from __future__ import annotations
 
@@ -41,22 +42,16 @@ def scale_heating(point: HeatingPoint, target_frequency_mhz: float, alpha: float
     return point.rate_quanta_s * (target_frequency_mhz / point.frequency_mhz) ** (-alpha)
 
 
-def field_noise_ratio(
-    a: HeatingPoint, b: HeatingPoint, alpha: float, distance_exponent: float = 4.0
-) -> float:
+def field_noise_ratio(a: HeatingPoint, b: HeatingPoint, alpha: float) -> float:
     """Excess field noise at b relative to a.
 
     Scales a's rate to b's frequency (omega^-alpha) and to b's
-    ion-electrode distance (d^-distance_exponent), then returns b's rate
-    over that prediction.  A ratio of 1 means both zones share one noise
-    level.  The distance exponent defaults to 4 (far-field patch noise)
-    and is a parameter only so its influence can be probed.
+    ion-electrode distance (d^-4), then returns b's rate over that
+    prediction.  A ratio of 1 means both zones share one noise level.
     """
-    if not math.isfinite(distance_exponent):
-        raise ValueError(f"distance_exponent must be finite, got {distance_exponent}")
     predicted = scale_heating(a, b.frequency_mhz, alpha) * (
         a.distance_um / b.distance_um
-    ) ** distance_exponent
+    ) ** 4.0
     if predicted <= 0:
         raise ValueError("predicted rate is zero; cannot form a ratio")
     return b.rate_quanta_s / predicted

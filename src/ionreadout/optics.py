@@ -22,6 +22,9 @@ The detector grid does not depend on where the emitter sits, so a
 lateral sweep builds it once and traces only the sight lines per offset,
 with the function a single geometry uses.  Everything here runs on one
 thread: the per-offset arrays are too small to gain from more CPUs.
+
+Absolute rates take the excited-state decay rate as the fixed constant
+``DECAY_RATE_S`` = 1 / 8.850 ns.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ import numpy as np
 
 from .rfcircuit import BiasCountCurve
 
-DEFAULT_DECAY_RATE_S = 1.0 / 8.850e-9  # excited-state decay rate, 1/s
+DECAY_RATE_S = 1.0 / 8.850e-9  # excited-state decay rate, 1/s
 
 
 class APCoverageError(ValueError):
@@ -161,20 +164,6 @@ class DetectorScene:
             raise ValueError("opening_margin_um must be >= 0")
 
 
-@dataclass(frozen=True)
-class CalibrationInputs:
-    """Constants tying geometry to absolute detection rates."""
-
-    decay_rate_s: float = DEFAULT_DECAY_RATE_S
-    internal_efficiency: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.decay_rate_s) or self.decay_rate_s <= 0:
-            raise ValueError(f"decay_rate_s must be finite and positive, got {self.decay_rate_s}")
-        if not (0 <= self.internal_efficiency <= 1):
-            raise ValueError("internal_efficiency must lie in [0, 1]")
-
-
 def dipole_intensity(theta_q) -> np.ndarray:
     """Angular emission density (1/sr) of the rotating dipole.
 
@@ -295,8 +284,8 @@ def _polarization_weights(
 
 
 def _rates(
-    n_hat: np.ndarray, weight: np.ndarray,
-    scene: DetectorScene, ap: APSurface, cal: CalibrationInputs,
+    n_hat: np.ndarray, weight: np.ndarray, scene: DetectorScene, ap: APSurface,
+    internal_efficiency: float = 1.0,
 ) -> tuple[float, float]:
     """Detection rates (1/s) with AP surface ``ap`` and with AP = 1.
 
@@ -306,16 +295,18 @@ def _rates(
     """
     w_te, w_tm, theta_deg, phi_deg = _polarization_weights(n_hat, scene)
     ap_te, ap_tm = ap.lookup(theta_deg, phi_deg)
-    scale = 0.5 * cal.decay_rate_s * cal.internal_efficiency
+    scale = 0.5 * DECAY_RATE_S * internal_efficiency
     return (float(scale * np.sum(weight * (w_te * ap_te + w_tm * ap_tm))),
             float(scale * weight.sum()))
 
 
 def expected_rate(
-    scene: DetectorScene, ap: APSurface, cal: CalibrationInputs
+    scene: DetectorScene, ap: APSurface, internal_efficiency: float = 1.0
 ) -> float:
     """Saturated detection rate (1/s) implied by geometry, AP and IDE."""
-    return _rates(*_visible_cells(scene)[:2], scene, ap, cal)[0]
+    if not (0 <= internal_efficiency <= 1):
+        raise ValueError("internal_efficiency must lie in [0, 1]")
+    return _rates(*_visible_cells(scene)[:2], scene, ap, internal_efficiency)[0]
 
 
 @dataclass(frozen=True)
@@ -331,22 +322,22 @@ def rate_vs_position(
     scene: DetectorScene,
     ap: APSurface,
     lateral_offsets_um,
-    cal: CalibrationInputs | None = None,
 ) -> PositionSweep:
     """Sweep the emitter along the trap axis.
 
     Returns the normalized angle-dependent-AP curve together with a
     constant-AP reference computed from the same sight lines.  The
     detector grid is built once; only the sight lines are traced per
-    offset, by the same function :func:`expected_rate` uses.
+    offset, by the same function :func:`expected_rate` uses.  Both
+    curves are ratios, so the decay rate and the internal efficiency
+    cancel.
     """
     offsets = np.asarray(lateral_offsets_um, dtype=float)
     if offsets.ndim != 1 or offsets.size < 1:
         raise ValueError("need at least one lateral offset")
-    cal = cal or CalibrationInputs()
     grid = _detector_grid(scene)
     scenes = [replace(scene, lateral_um=float(off)) for off in offsets]
-    rates = np.array([_rates(*_sight_lines(at, *grid), at, ap, cal) for at in scenes])
+    rates = np.array([_rates(*_sight_lines(at, *grid), at, ap) for at in scenes])
     if rates[0, 0] <= 0 or rates[0, 1] <= 0:
         raise ValueError("rate at the first offset is zero; cannot normalize")
     return PositionSweep(
@@ -382,9 +373,7 @@ def saturation_extrapolate(points) -> tuple[float, float]:
     return r_inf, err
 
 
-def sde_calibrate(
-    measured_rate_s: float, scene: DetectorScene, cal: CalibrationInputs
-) -> float:
+def sde_calibrate(measured_rate_s: float, scene: DetectorScene) -> float:
     """System detection efficiency from a measured saturated count rate.
 
     SDE = rate / ((decay_rate/2) * collection_fraction): the fraction of
@@ -395,7 +384,7 @@ def sde_calibrate(
     frac = collection_fraction(scene)
     if frac <= 0:
         raise ValueError("collection fraction is zero for this scene")
-    return measured_rate_s / (0.5 * cal.decay_rate_s * frac)
+    return measured_rate_s / (0.5 * DECAY_RATE_S * frac)
 
 
 def extrapolate_sde_no_rf(

@@ -232,12 +232,13 @@ def _stats_from_counts(
 def error_stats(
     bright: np.ndarray,
     decided_bright: np.ndarray,
-    durations_us: Sequence[float] | None = None,
+    durations_us: Sequence[float],
 ) -> ErrorStats:
     """Per-state error fractions; fidelity is 1 - (eps_b + eps_d)/2.
 
     ``bright`` and ``decided_bright`` are boolean arrays, True meaning
-    bright: the prepared and the decided state of each trial.
+    bright: the prepared and the decided state of each trial, which
+    lasted ``durations_us``.
     """
     bright = np.asarray(bright)
     decided_bright = np.asarray(decided_bright)
@@ -254,13 +255,9 @@ def error_stats(
         raise ValueError("need at least one trial of each state")
     k_b = int(np.count_nonzero(bright & ~decided_bright))
     k_d = int(np.count_nonzero(~bright & decided_bright))
-    if durations_us is None:
-        dur_b = dur_d = float("nan")
-    else:
-        durations_us = np.asarray(durations_us, dtype=float)
-        dur_b = float(durations_us[bright].mean())
-        dur_d = float(durations_us[~bright].mean())
-    return _stats_from_counts(k_b, n_b, k_d, n_d, dur_b, dur_d)
+    durations_us = np.asarray(durations_us, dtype=float)
+    return _stats_from_counts(k_b, n_b, k_d, n_d, float(durations_us[bright].mean()),
+                              float(durations_us[~bright].mean()))
 
 
 def optimize_threshold(ds: Dataset, duration_us: float) -> tuple[int, ErrorStats]:

@@ -17,7 +17,8 @@ dwarf the wire inductance the solution collapses onto a two-term form:
 with the uniform term in phase with the drive and the position-linear
 term in quadrature.  ``PickupModel`` captures that reduced description;
 ``predict_counts`` pushes it through a measured counts-versus-bias curve
-to predict detector response with the drive on.
+to predict detector response with the drive on, averaged over a fixed
+grid of ``_N_PHASE`` = 256 drive phases.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import numpy as np
 from .readout import _golden_min
 
 TWO_PI = 2.0 * np.pi
-DEFAULT_OMEGA_RF = TWO_PI * 67.03e6  # rad/s
+_N_PHASE = 256  # drive phases predict_counts averages over
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class NanowireNetwork:
     r_lead: float = 5.0
     z_term_left: complex = 0.0
     z_term_right: complex = 50.0
-    omega_rf: float = DEFAULT_OMEGA_RF
+    omega_rf: float = TWO_PI * 67.03e6  # rad/s
     v_rf: float = 8.8
 
     def __post_init__(self) -> None:
@@ -182,17 +183,14 @@ class PickupModel:
     i0_ua: float
     i1_ua: float
     k_segments: int = 40
-    omega_rf: float = DEFAULT_OMEGA_RF
 
     def __post_init__(self) -> None:
-        for name in ("i0_ua", "i1_ua", "omega_rf"):
+        for name in ("i0_ua", "i1_ua"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
         if self.k_segments < 2 or self.k_segments % 2 != 0:
             raise ValueError("k_segments must be an even integer >= 2")
-        if self.omega_rf <= 0:
-            raise ValueError("omega_rf must be positive")
 
 
 def pickup_from_solution(sol: InducedCurrentSolution) -> PickupModel:
@@ -202,7 +200,6 @@ def pickup_from_solution(sol: InducedCurrentSolution) -> PickupModel:
         i0_ua=float(np.abs(dec.uniform)) * 1e6,
         i1_ua=float(np.abs(dec.linear)) * 1e6,
         k_segments=sol.network.k_segments,
-        omega_rf=sol.network.omega_rf,
     )
 
 
@@ -275,12 +272,11 @@ def predict_counts(
     model: PickupModel,
     rf_off_curve: BiasCountCurve,
     bias_ua,
-    n_phase: int = 256,
 ) -> float | np.ndarray:
     """Mean counts with the drive on, at dc bias bias_ua (scalar or array).
 
-    Averages rf_off_curve(|bias + I(k, t)|) over n_phase equally spaced
-    drive phases and all K+1 segments: each patch of wire sees the dc
+    Averages rf_off_curve(|bias + I(k, t)|) over _N_PHASE = 256 equally
+    spaced drive phases and all K+1 segments: each patch of wire sees the dc
     bias plus its local instantaneous pickup current.  The currents are
     built and sorted once per call.  For every bias, the points on each
     side of bias + I = 0 are split at the curve's knots exactly as the
@@ -290,12 +286,10 @@ def predict_counts(
     of the sorted currents.  Returns a float for a scalar bias, else an
     array of the bias's shape.
     """
-    if n_phase < 8:
-        raise ValueError("n_phase must be >= 8")
     bias = np.asarray(bias_ua, dtype=float)
     if not np.all(np.isfinite(bias)):
         raise ValueError("bias_ua must be finite")
-    phases = (np.arange(n_phase) + 0.5) * (TWO_PI / n_phase)
+    phases = (np.arange(_N_PHASE) + 0.5) * (TWO_PI / _N_PHASE)
     u = (np.arange(model.k_segments + 1) - model.k_segments / 2) / (model.k_segments / 2)
     inst = model.i0_ua * np.sin(phases)[None, :] + (
         model.i1_ua * u[:, None] * np.cos(phases)[None, :]
@@ -345,7 +339,6 @@ def fit_pickup(
     rf_off_curve: BiasCountCurve,
     delta_im_ua: float,
     k_segments: int = 40,
-    omega_rf: float = DEFAULT_OMEGA_RF,
 ) -> PickupFit:
     """Fit (I0, I1) to an rf-on bias curve, given the rf-off curve.
 
@@ -360,7 +353,7 @@ def fit_pickup(
         raise ValueError("delta_im_ua must be >= 0")
     if delta_im_ua == 0:
         return PickupFit(
-            model=PickupModel(0.0, 0.0, k_segments, omega_rf),
+            model=PickupModel(0.0, 0.0, k_segments),
             i0_err_ua=0.0,
             i1_err_ua=0.0,
             residual_norm=0.0,
@@ -372,9 +365,7 @@ def fit_pickup(
     target = rf_on_curve.counts
 
     def sse(psi: float) -> float:
-        model = PickupModel(
-            delta_im_ua * np.cos(psi), delta_im_ua * np.sin(psi), k_segments, omega_rf
-        )
+        model = PickupModel(delta_im_ua * np.cos(psi), delta_im_ua * np.sin(psi), k_segments)
         pred = predict_counts(model, rf_off_curve, bias)
         return float(np.sum((pred - target) ** 2))
 
@@ -394,12 +385,7 @@ def fit_pickup(
     s2 = sse_min / dof
     psi_err = float(np.sqrt(2 * s2 / curv)) if curv > 0 else float("inf")
 
-    model = PickupModel(
-        delta_im_ua * np.cos(psi_hat),
-        delta_im_ua * np.sin(psi_hat),
-        k_segments,
-        omega_rf,
-    )
+    model = PickupModel(delta_im_ua * np.cos(psi_hat), delta_im_ua * np.sin(psi_hat), k_segments)
     return PickupFit(
         model=model,
         i0_err_ua=abs(delta_im_ua * np.sin(psi_hat)) * psi_err,

@@ -23,6 +23,7 @@ from .photon_sim import (
 from .readout import (
     MIN_CALIBRATION_BINS,
     MIN_CALIBRATION_TRIALS,
+    CalibratedRates,
     adaptive_classify_batch,
     calibrate_rates,
     error_stats,
@@ -241,9 +242,9 @@ def run_scenario(path) -> dict:
     batch = adaptive_classify_batch(retained, scn.rates, t0, scn.bayes_levels)
     per_level = [error_stats(retained.bright, res.decisions, res.bins_consumed * t0)
                  for res in batch]
-    fields = [*errors, "mean_duration_us", "mean_duration_bright_us", "mean_duration_dark_us"]
-    _io.write_table(out / "bayes_sweep.csv", ["confidence_level", *fields, "n_converged"],
-                    [[res.confidence_level for res in batch], *_stat_columns(per_level, fields),
+    columns = [*errors, "mean_duration_us", "mean_duration_bright_us", "mean_duration_dark_us"]
+    _io.write_table(out / "bayes_sweep.csv", ["confidence_level", *columns, "n_converged"],
+                    [[res.confidence_level for res in batch], *_stat_columns(per_level, columns),
                      [np.count_nonzero(res.converged) for res in batch]])
     best_idx = int(np.argmin([st.mean_error for st in per_level]))
     best_stats = per_level[best_idx]
@@ -274,14 +275,7 @@ def run_scenario(path) -> dict:
         "bayes_best_mean_duration_us": best_stats.mean_duration_us,
         "bayes_best_mean_duration_bright_us": best_stats.mean_duration_bright_us,
         "bayes_best_mean_duration_dark_us": best_stats.mean_duration_dark_us,
-        "calibrated_gamma_b": cal.gamma_b,
-        "calibrated_gamma_b_err": cal.gamma_b_err,
-        "calibrated_gamma_d": cal.gamma_d,
-        "calibrated_gamma_d_err": cal.gamma_d_err,
-        "calibrated_gamma_dp": cal.gamma_dp,
-        "calibrated_gamma_dp_err": cal.gamma_dp_err,
-        "calibrated_gamma_rp": cal.gamma_rp,
-        "calibrated_gamma_rp_err": cal.gamma_rp_err,
+        **{f"calibrated_{f.name}": getattr(cal, f.name) for f in fields(CalibratedRates)},
     }
 
     lines = [f"scenario summary: {scn.name}", ""]

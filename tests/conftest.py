@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ionreadout
 from ionreadout import (
     BiasCountCurve,
     RateParams,
@@ -80,6 +81,8 @@ def _peak_rise(setup: str, first_use: str, call: str, result: str) -> list[int]:
     process's peak, since the kernel carries that across fork and exec.
     VmHWM counts resident pages only, so an array allocated at an upper
     bound costs what its filled rows touch (tracemalloc would not see that).
+    The child's path holds only the directory of the imported package: a
+    longer path moves the measured rise by about 1 MiB.
     """
     code = "\n".join([
         "def peak():  # bytes",
@@ -88,7 +91,7 @@ def _peak_rise(setup: str, first_use: str, call: str, result: str) -> list[int]:
         "                           if line.startswith('VmHWM:'))",
         setup, first_use, "before = peak()", call, f"print(peak() - before, {result})",
     ])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env = {**os.environ, "PYTHONPATH": str(Path(ionreadout.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     return list(map(int, done.stdout.split()))

@@ -15,7 +15,6 @@ import numpy as np
 from ionreadout import (
     APSurface,
     BiasCountCurve,
-    CalibrationInputs,
     DetectorScene,
     EmitterStreamConfig,
     HeatingPoint,
@@ -237,12 +236,11 @@ def test_criterion_6_collection_geometry():
 def test_criterion_7_efficiency_calibration():
     """SDE round trip, reference operating point, drive-off extrapolation."""
     scene = DetectorScene()
-    cal = CalibrationInputs()
 
-    rate = expected_rate(scene, APSurface.constant(0.5), cal)
-    round_trip = sde_calibrate(rate, scene, cal)
+    rate = expected_rate(scene, APSurface.constant(0.5))
+    round_trip = sde_calibrate(rate, scene)
 
-    sde_on = sde_calibrate(5.42e5, scene, cal)
+    sde_on = sde_calibrate(5.42e5, scene)
 
     rf_off = BiasCountCurve(np.array([0.0, 2.0, 5.0, 8.9]),
                             np.array([0.0, 0.0, 1300.0, 1300.0]))

@@ -46,16 +46,6 @@ def test_ratio_inverts_when_zones_swap():
     assert fwd * rev == pytest.approx(1.0, rel=1e-12)
 
 
-def test_distance_exponent_zero_drops_distance_scaling():
-    got = field_noise_ratio(REFERENCE, DETECTOR, ALPHA, distance_exponent=0.0)
-    want = DETECTOR.rate_quanta_s / scale_heating(REFERENCE, 5.3, ALPHA)
-    assert got == pytest.approx(want, rel=1e-12)
-    # the detector zone is closer, so a steeper distance law predicts a
-    # higher rate there and attributes less of it to excess noise
-    steeper = field_noise_ratio(REFERENCE, DETECTOR, ALPHA, distance_exponent=6.0)
-    assert steeper < field_noise_ratio(REFERENCE, DETECTOR, ALPHA)
-
-
 def test_recoil_kick_rate():
     assert kick_heating_rate(0.009, 1000.0) == pytest.approx(9.0, rel=1e-12)
     assert kick_heating_rate(0.0, 1000.0) == 0.0
@@ -91,8 +81,6 @@ def test_exponents_and_kick_inputs_reject_non_finite_values(value):
         scale_heating(REFERENCE, 5.3, value)
     with pytest.raises(ValueError, match="^alpha must be finite"):
         field_noise_ratio(REFERENCE, DETECTOR, value)
-    with pytest.raises(ValueError, match="^distance_exponent must be finite"):
-        field_noise_ratio(REFERENCE, DETECTOR, ALPHA, distance_exponent=value)
     with pytest.raises(ValueError, match="^quanta_per_count must be finite"):
         kick_heating_rate(value, 1000.0)
     with pytest.raises(ValueError, match="^count_rate_s must be finite"):

@@ -14,7 +14,6 @@ from ionreadout import (
     APCoverageError,
     APSurface,
     BiasCountCurve,
-    CalibrationInputs,
     DetectorScene,
     collection_fraction,
     dipole_intensity,
@@ -25,9 +24,9 @@ from ionreadout import (
     saturation_extrapolate,
     sde_calibrate,
 )
-from ionreadout.optics import DEFAULT_DECAY_RATE_S, _polarization_weights, _visible_cells
+from ionreadout.optics import DECAY_RATE_S, _polarization_weights, _visible_cells
 
-HALF_DECAY = 0.5 * DEFAULT_DECAY_RATE_S  # photons/s into 4pi, per saturation limit
+HALF_DECAY = 0.5 * DECAY_RATE_S  # photons/s into 4pi, per saturation limit
 
 
 def oracle_collection_fraction(lateral_um: float, pitch_um: float = 0.25) -> float:
@@ -178,7 +177,7 @@ def test_ap_surface_validation_and_lookup(thetas, phis, coef, data):
     # a far-offset emitter needs incidence angles past the tabulated edge
     far = replace(DetectorScene(), lateral_um=132.0)
     with pytest.raises(APCoverageError):
-        expected_rate(far, narrow, CalibrationInputs())
+        expected_rate(far, narrow)
 
     # bilinear interpolation is exact for a + b*theta + c*phi + d*theta*phi
     a, b, c, d = coef
@@ -227,13 +226,18 @@ def test_ap_surface_validation_and_lookup(thetas, phis, coef, data):
 
 def test_expected_rate_bounds_and_reference():
     scene = DetectorScene()
-    cal = CalibrationInputs()
     kappa = collection_fraction(scene)
-    full = expected_rate(scene, APSurface.constant(1.0), cal)
+    full = expected_rate(scene, APSurface.constant(1.0))
     assert full == pytest.approx(HALF_DECAY * kappa, rel=1e-9)
     assert full == pytest.approx(1.13e6, rel=0.02)
-    synthetic = expected_rate(scene, APSurface.synthetic_placeholder(), cal)
+    assert expected_rate(scene, APSurface.constant(1.0), 0.8) == pytest.approx(0.8 * full,
+                                                                               rel=1e-12)
+    assert expected_rate(scene, APSurface.constant(1.0), 0.0) == 0.0
+    synthetic = expected_rate(scene, APSurface.synthetic_placeholder())
     assert 0.0 < synthetic <= full
+    for bad in (-0.1, 1.1):
+        with pytest.raises(ValueError, match="^internal_efficiency must lie in"):
+            expected_rate(scene, APSurface.constant(1.0), bad)
 
 
 def test_position_sweep_shape():
@@ -256,20 +260,19 @@ def test_position_sweep_matches_per_offset_rates():
     collection_fraction ratios, bit for bit: both trace the sight lines
     of each offset with one function."""
     ap = APSurface.synthetic_placeholder()
-    cal = CalibrationInputs(internal_efficiency=0.8)
     offsets = np.array([12.0, 0.0, 90.0, 200.0, 260.0, 300.0, 400.0])  # last two all blocked
     for scene in (DetectorScene(nanowire_axis_deg=20.0),
                   DetectorScene(nanowire_axis_deg=-35.0, quant_axis_deg=70.0, grid_pitch_um=0.5)):
         assert 0.0 < obscured_fraction(replace(scene, lateral_um=200.0)) < 1.0
-        sweep = rate_vs_position(scene, ap, offsets, cal)
-        rates = np.array([expected_rate(replace(scene, lateral_um=x), ap, cal) for x in offsets])
-        flat = np.array([0.5 * cal.decay_rate_s * cal.internal_efficiency
-                         * collection_fraction(replace(scene, lateral_um=x)) for x in offsets])
+        sweep = rate_vs_position(scene, ap, offsets)
+        rates = np.array([expected_rate(replace(scene, lateral_um=x), ap) for x in offsets])
+        flat = np.array([HALF_DECAY * collection_fraction(replace(scene, lateral_um=x))
+                         for x in offsets])
         assert np.all(rates[-2:] == 0) and np.all(flat[-2:] == 0)
         np.testing.assert_array_equal(sweep.rel_rate, rates / rates[0])
         np.testing.assert_array_equal(sweep.rel_rate_const_ap, flat / flat[0])
         with pytest.raises(ValueError, match="first offset is zero"):
-            rate_vs_position(scene, ap, offsets[::-1], cal)
+            rate_vs_position(scene, ap, offsets[::-1])
 
 
 def test_edge_blocking_far_from_detector():
@@ -296,13 +299,12 @@ def test_saturation_fit_reference_points():
 
 def test_sde_calibrate_reference_and_round_trip():
     scene = DetectorScene()
-    cal = CalibrationInputs()
-    sde = sde_calibrate(5.42e5, scene, cal)
+    sde = sde_calibrate(5.42e5, scene)
     assert sde == pytest.approx(0.48, abs=0.02)
-    assert sde_calibrate(0.0, scene, cal) == 0.0
+    assert sde_calibrate(0.0, scene) == 0.0
     for c in (0.1, 0.5, 1.0):
-        rate = expected_rate(scene, APSurface.constant(c), cal)
-        assert sde_calibrate(rate, scene, cal) == pytest.approx(c, abs=1e-9)
+        rate = expected_rate(scene, APSurface.constant(c))
+        assert sde_calibrate(rate, scene) == pytest.approx(c, abs=1e-9)
 
 
 def test_no_rf_extrapolation_reference():
@@ -333,8 +335,8 @@ def test_scene_rejects_non_finite_fields(name, value):
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_calibration_and_sweep_reject_non_finite_values(value):
-    with pytest.raises(ValueError, match="^decay_rate_s must be finite"):
-        CalibrationInputs(decay_rate_s=value)
+    with pytest.raises(ValueError, match="^internal_efficiency must lie in"):
+        expected_rate(DetectorScene(), APSurface.constant(1.0), value)
     with pytest.raises(ValueError, match="^lateral_um must be finite"):
         rate_vs_position(DetectorScene(), APSurface.constant(1.0), [0.0, value])
 

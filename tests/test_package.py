@@ -8,7 +8,7 @@ import ionreadout
 
 RETIRED = ("simulate_trial", "apply_herald", "threshold_classify", "threshold_error_vs_duration",
            "poisson_pmf", "poisson_log_pmf", "apply_herald_dataset", "reduced_current",
-           "ensure_dir")
+           "ensure_dir", "CalibrationInputs")
 
 
 def test_every_exported_name_resolves():
@@ -35,6 +35,7 @@ def test_retired_names_are_gone():
         assert not hasattr(ionreadout, name)
         assert not hasattr(ionreadout.photon_sim, name)
         assert not hasattr(ionreadout.readout, name)
+        assert not hasattr(ionreadout.optics, name)
         assert not hasattr(ionreadout.rfcircuit, name)
         assert not hasattr(ionreadout.io, name)
 

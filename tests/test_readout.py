@@ -348,26 +348,29 @@ def test_error_stats_reference_points():
     decided_bright = bright.copy()
     decided_bright[:61] = False  # 61 / 1e5 bright errors
     decided_bright[100_000:100_119] = True  # 119 / 1e5 dark errors
-    st_ = error_stats(bright, decided_bright)
+    durations = np.where(bright, 40.0, 90.0)
+    st_ = error_stats(bright, decided_bright, durations)
     assert st_.eps_bright == pytest.approx(6.1e-4, rel=1e-12)
     assert st_.eps_dark == pytest.approx(11.9e-4, rel=1e-12)
     assert st_.fidelity == pytest.approx(0.9991, abs=1e-12)
+    assert (st_.mean_duration_bright_us, st_.mean_duration_dark_us) == (40.0, 90.0)
+    assert st_.mean_duration_us == 65.0
 
-    perfect = error_stats(bright, bright)
+    perfect = error_stats(bright, bright, durations)
     assert perfect.fidelity == 1.0
-    assert error_stats(bright, ~bright).fidelity == 0.0
+    assert error_stats(bright, ~bright, durations).fidelity == 0.0
 
 
 def test_error_stats_validation():
     with pytest.raises(ValueError, match="empty inputs"):
-        error_stats([], [])
+        error_stats([], [], [])
     with pytest.raises(ValueError, match="one trial of each state"):
-        error_stats([True, True], [True, False])  # only one true state
+        error_stats([True, True], [True, False], [1.0, 1.0])  # only one true state
     # labels are not states: "dark" must not read as a true (bright) entry
     for bright, decided in [([BRIGHT, DARK], [BRIGHT, DARK]), ([True, False], [BRIGHT, DARK]),
                             ([1, 0], [1, 0]), ([True, False], [1.0, 0.0])]:
         with pytest.raises(ValueError, match="boolean arrays"):
-            error_stats(bright, decided)
+            error_stats(bright, decided, [1.0, 1.0])
 
 
 def test_error_curve_minimum_sits_near_125us(heralded):

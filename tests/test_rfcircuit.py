@@ -16,6 +16,7 @@ from ionreadout import (
     predict_counts,
     solve_network,
 )
+from ionreadout.rfcircuit import _N_PHASE
 
 TWO_PI = 2.0 * np.pi
 
@@ -161,10 +162,9 @@ def test_max_induced_values_and_grid_consistency():
     m = PickupModel(0.9, 3.5)
     closed = max_induced(m)
     assert closed == pytest.approx(3.614, abs=0.001)
-    t = np.linspace(0.0, TWO_PI / m.omega_rf, 1_000_001)
+    wt = TWO_PI * np.linspace(0.0, 1.0, 1_000_001)  # one unit drive period
     numeric = max(
-        np.abs(m.i0_ua * np.sin(m.omega_rf * t) + m.i1_ua * u * np.cos(m.omega_rf * t)).max()
-        for u in (-1.0, 1.0)
+        np.abs(m.i0_ua * np.sin(wt) + m.i1_ua * u * np.cos(wt)).max() for u in (-1.0, 1.0)
     )
     assert numeric == pytest.approx(closed, rel=1e-9)
 
@@ -177,7 +177,7 @@ def test_pickup_model_validation():
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-@pytest.mark.parametrize("name", ["i0_ua", "i1_ua", "omega_rf"])
+@pytest.mark.parametrize("name", ["i0_ua", "i1_ua"])
 def test_pickup_model_rejects_non_finite_fields(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         PickupModel(**{"i0_ua": 1.0, "i1_ua": 1.0, name: value})
@@ -218,24 +218,25 @@ def test_predict_counts_below_onset_is_zero(plateau_curve):
 
 
 def test_predict_counts_grid_doubling(plateau_curve):
+    """The fixed phase grid agrees with one twice as fine."""
     m = PickupModel(0.9, 3.5)
     for bias in (3.0, 5.0, 6.25, 8.0):
-        a = predict_counts(m, plateau_curve, bias, n_phase=256)
-        b = predict_counts(m, plateau_curve, bias, n_phase=512)
+        a = predict_counts(m, plateau_curve, bias)
+        b = _brute_predict(m, plateau_curve, bias, 2 * _N_PHASE)
         assert b == pytest.approx(a, rel=1e-3)
 
 
 def test_predict_counts_sign_reversal_symmetry(plateau_curve):
     """Averaging |bias + I| is blind to the signs of the two amplitudes."""
-    i0, i1, k, bias, n_phase = 0.9, 3.5, 40, 5.5, 256
-    phases = (np.arange(n_phase) + 0.5) * (TWO_PI / n_phase)
+    i0, i1, k, bias = 0.9, 3.5, 40, 5.5
+    phases = (np.arange(_N_PHASE) + 0.5) * (TWO_PI / _N_PHASE)
     u = (np.arange(k + 1) - k / 2) / (k / 2)
 
     def brute(s0, s1):
         inst = s0 * i0 * np.sin(phases)[None, :] + s1 * i1 * u[:, None] * np.cos(phases)[None, :]
         return float(np.mean(plateau_curve(np.abs(bias + inst))))
 
-    reference = predict_counts(PickupModel(i0, i1, k), plateau_curve, bias, n_phase)
+    reference = predict_counts(PickupModel(i0, i1, k), plateau_curve, bias)
     for s0, s1 in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
         assert brute(s0, s1) == pytest.approx(reference, rel=1e-12)
 
@@ -324,21 +325,19 @@ _amplitude = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=6.0))
     i0=_amplitude,
     i1=_amplitude,
     k_segments=st.sampled_from([2, 8, 40]),
-    n_phase=st.sampled_from([8, 64, 256]),
     free=st.lists(st.floats(min_value=-14.0, max_value=14.0), max_size=4),
     data=st.data(),
 )
 @settings(max_examples=150, deadline=None)
-def test_predict_counts_matches_pointwise_interpolation(curve, i0, i1, k_segments, n_phase,
-                                                        free, data):
+def test_predict_counts_matches_pointwise_interpolation(curve, i0, i1, k_segments, free, data):
     model = PickupModel(i0, i1, k_segments)
     knots = curve.bias_ua
     on_knots = data.draw(st.lists(st.sampled_from(np.concatenate([knots, -knots]).tolist()),
                                   min_size=1, max_size=4))
     bias = np.array(on_knots + free)
-    ref = np.array([_brute_predict(model, curve, b, n_phase) for b in bias])
-    got = predict_counts(model, curve, bias, n_phase)
-    one_by_one = np.array([predict_counts(model, curve, b, n_phase) for b in bias])
+    ref = np.array([_brute_predict(model, curve, b, _N_PHASE) for b in bias])
+    got = predict_counts(model, curve, bias)
+    one_by_one = np.array([predict_counts(model, curve, b) for b in bias])
     tol = 1e-12 * max(curve.counts.max(), 1e-300)
     assert got.shape == bias.shape
     assert np.abs(got - ref).max() <= tol
@@ -358,7 +357,7 @@ def test_predict_counts_at_the_curve_ends():
     grid = predict_counts(PickupModel(0.7, 2.1), curve, np.array([[0.5, 2.0], [4.0, 6.0]]))
     assert grid.shape == (2, 2)
     for b, got in zip(np.array([0.5, 2.0, 4.0, 6.0]), grid.ravel()):
-        assert got == pytest.approx(_brute_predict(PickupModel(0.7, 2.1), curve, b, 256),
+        assert got == pytest.approx(_brute_predict(PickupModel(0.7, 2.1), curve, b, _N_PHASE),
                                     abs=1e-12 * 700.0)
     with pytest.raises(ValueError, match="bias_ua must be finite"):
         predict_counts(still, curve, np.array([1.0, np.nan]))
@@ -372,15 +371,10 @@ def test_predict_counts_compares_the_rounded_sum_with_the_knots():
     comparing the current with knot - bias would drop those points.
     """
     model, bias = PickupModel(0.9, 3.5), 1.7
-    x = _currents(model, 256).ravel()
+    x = _currents(model, _N_PHASE).ravel()
     z = bias + x
     first = z[(z > 1.0) & (z < 2.5) & (z - bias > x)].min()
     last = z[(z > 3.0) & (z < 5.0) & (z - bias < x)].max()
     curve = BiasCountCurve(np.array([first, 2.8, last]), np.array([400.0, 900.0, 600.0]))
     assert predict_counts(model, curve, bias) == pytest.approx(
-        _brute_predict(model, curve, bias, 256), abs=1e-12 * 900.0)
-
-
-def test_predict_counts_rejects_a_coarse_phase_grid(ramp_curve):
-    with pytest.raises(ValueError, match="n_phase"):
-        predict_counts(PickupModel(0.9, 3.5), ramp_curve, np.linspace(0.5, 8.5, 9), n_phase=4)
+        _brute_predict(model, curve, bias, _N_PHASE), abs=1e-12 * 900.0)

@@ -8,7 +8,6 @@ import pytest
 from ionreadout import (
     APSurface,
     BiasCountCurve,
-    CalibrationInputs,
     Dataset,
     DetectorScene,
     collection_fraction,
@@ -500,7 +499,7 @@ def test_cli_optics_flags_are_the_scene_fields(capsys):
                                                            str(value))))
     assert code == 0
     scene = DetectorScene(**changed)
-    rate = expected_rate(scene, APSurface.synthetic_placeholder(), CalibrationInputs())
+    rate = expected_rate(scene, APSurface.synthetic_placeholder())
     assert kv == {"collection_fraction": f"{collection_fraction(scene):.8g}",
                   "obscured_fraction": f"{obscured_fraction(scene):.8g}",
                   "expected_rate_s": f"{rate:.8g}"}
@@ -543,6 +542,41 @@ def test_cli_rfmodel_checks_its_inputs_before_printing(tmp_path, monkeypatch, ca
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
     assert not (tmp_path / "on.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["optics", "--ap-file", "ap30.csv", "--sweep-lateral", "0:160:8", "--out", "out.csv"],
+    ["optics", "--sweep-lateral", "0:16:8", "--out", "missing/out.csv"],
+    ["g2", "--simulate", "--duration-s", "0.01", "--out", "missing/out.csv"],
+    ["rfmodel", "--rf-off", "off.csv", "--out", "missing/out.csv"],
+    ["heating", "--rate-quanta-s", "63", "--freq-mhz", "2", "--distance-um", "39",
+     "--target-freq-mhz", "5.3", "--rate2-quanta-s", "200"],
+    ["classify", "--in", "data.csv", "--bin-width-us", "1", "--threshold", "--bayes",
+     "--level", "1.5"],
+])
+def test_cli_prints_nothing_when_a_later_step_fails(small_csv, monkeypatch, capsys, argv):
+    """Every value is computed and --out written before the first line of output."""
+    tmp_path = small_csv.parent
+    monkeypatch.chdir(tmp_path)
+    # an AP table that covers only theta <= 30 deg, which the far offsets exceed
+    (tmp_path / "ap30.csv").write_text("polarization,theta_deg,phi_deg,ap\n" + "".join(
+        f"{pol},{theta},{phi},0.5\n" for pol in ("TE", "TM") for theta in (0, 30)
+        for phi in (0, 360)))
+    (tmp_path / "off.csv").write_text("bias_ua,counts\n0,0\n2,0\n5,1000\n8.9,1000\n")
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "missing").exists()
+
+
+def test_cli_optics_sweep_ignores_the_internal_efficiency(tmp_path, capsys):
+    """The sweep is a ratio to its first offset, so even a zero efficiency sweeps."""
+    for eff in ("1", "0"):
+        code = main(["optics", "--internal-efficiency", eff, "--sweep-lateral", "0:16:8",
+                     "--out", str(tmp_path / f"sweep{eff}.csv")])
+        capsys.readouterr()
+        assert code == 0
+    assert (tmp_path / "sweep0.csv").read_bytes() == (tmp_path / "sweep1.csv").read_bytes()
 
 
 def test_cli_g2_simulate_and_exclusion(tmp_path, capsys):
