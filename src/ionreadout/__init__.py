@@ -31,7 +31,6 @@ from .photon_sim import (
     DARK,
     Dataset,
     EmitterStreamConfig,
-    HeraldOutcome,
     RateParams,
     ReadoutConfig,
     Trajectory,
@@ -83,7 +82,6 @@ __all__ = [
     "ErrorStats",
     "G2Estimate",
     "HeatingPoint",
-    "HeraldOutcome",
     "InducedCurrentSolution",
     "NanowireNetwork",
     "PickupDecomposition",

@@ -106,12 +106,15 @@ def _cmd_simulate(args) -> int:
         herald_duration_us=args.herald_duration_us if args.herald else 0.0,
         herald_bright_min=args.herald_bright_min,
     )
-    trajs, tally = simulate_dataset(
+    trajs = simulate_dataset(
         _rates_from(args), cfg, args.trials_per_state, args.seed, mode=args.mode
     )
     pairs = [("trials_per_state", args.trials_per_state), ("seed", args.seed)]
     if args.herald:
-        pairs += [(f"herald_{outcome.name.lower()}", n) for outcome, n in tally.items()]
+        n_bright = int(np.count_nonzero(trajs.bright))
+        pairs += [("herald_retained_bright", n_bright),
+                  ("herald_retained_dark", len(trajs) - n_bright),
+                  ("herald_discarded", 2 * args.trials_per_state - len(trajs))]
     _io.write_trajectories_csv(args.out, trajs)
     pairs.append(("trials_written", len(trajs)))
     pairs.append(("out", args.out))

@@ -17,7 +17,8 @@ Two transition models are provided:
 
 Both are simulated at the event level: each trial is cut at its flips
 into constant-rate segments, each segment's Poisson total is placed
-uniformly inside it, and the placed counts are binned.
+uniformly inside it, and the placed counts are binned.  A pumping rate
+of one expected flip per bin or more (gamma * t0 >= 1) is rejected.
 
 Reproducibility contract: trials are drawn in fixed-size blocks of one
 prepared state, each block from its own generator seeded by
@@ -32,11 +33,13 @@ on access.  The prefix is stored in the narrowest of int8, int16, int32
 and int64 that holds its largest record total, so no sum wraps; at the
 paper's rates that is int8.  :func:`simulate_dataset` heralds each chunk
 of rows as it is drawn and writes only the retained rows' post-herald
-prefix sums, so no raw counts matrix is ever held.  Every record
-carries its bin width; none is assumed.  A list of :class:`Trajectory`
-input records is stacked into one by :func:`as_dataset`, which checks
-the records once; only :func:`readout.adaptive_classify_batch` still
-accepts such a list, for the benchmark's per-trial check.
+prefix sums, so no raw counts matrix is ever held; it returns those
+records alone, and the herald tally is read off their labels.  Every
+record carries its bin width; none is assumed.  A list of
+:class:`Trajectory` input records is stacked into one by
+:func:`as_dataset`, which checks the records once; only
+:func:`readout.adaptive_classify_batch` still accepts such a list, for
+the benchmark's per-trial check.
 
 :func:`simulate_timetag_streams` draws every arrival process (the
 emitter and each channel's background) from its own child of the seed,
@@ -51,7 +54,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, fields
-from enum import Enum
 from typing import Literal, Sequence
 
 import numpy as np
@@ -259,12 +261,6 @@ def as_dataset(trajs: Dataset | Sequence[Trajectory]) -> Dataset:
                    np.array(labels) == BRIGHT, trajs[0].bin_width_us)
 
 
-class HeraldOutcome(Enum):
-    RETAINED_BRIGHT = "retained-as-bright"
-    RETAINED_DARK = "retained-as-dark"
-    DISCARDED = "discarded"
-
-
 @dataclass(frozen=True)
 class EmitterStreamConfig:
     """Renewal-process emitter feeding two detection channels (SI units).
@@ -307,19 +303,17 @@ class EmitterStreamConfig:
                              f"{2.0**63 * 1e-9:.4g} s, the range of int64 ns tags")
 
 
-def _flip_prob(rate_per_ms: float, bin_width_us: float) -> float:
-    """Probability that a state left at rate_per_ms is left within one bin."""
-    return float(-np.expm1(-rate_per_ms * bin_width_us * _MS_PER_US))
-
-
-def _check_slow_pumping(rates: RateParams, bin_width_us: float) -> None:
-    p = bin_width_us * _MS_PER_US * max(rates.gamma_dp, rates.gamma_rp)
-    if p > 0.01:
-        warnings.warn(
-            f"bin width times pumping rate = {p:.3g} is not small; "
-            "bin-resolution artifacts likely",
-            stacklevel=3,
-        )
+def _flip_probs(rates: RateParams, bin_width_us: float) -> tuple[float, float]:
+    """Per-bin flip probabilities (p_dp, p_rp) = 1 - exp(-gamma * t0), the one
+    pumping rule of the simulator and the filter: gamma * t0 must stay below 1."""
+    probs = []
+    for name in ("gamma_dp", "gamma_rp"):
+        flips = getattr(rates, name) * bin_width_us * _MS_PER_US
+        if flips >= 1:
+            raise ValueError(f"{name} times the bin width is {flips:g} expected flips per "
+                             "bin; binned records need fewer than 1")
+        probs.append(float(-np.expm1(-flips)))
+    return tuple(probs)
 
 
 # Trials per block of simulate_dataset, and the bins plus photons of the
@@ -343,17 +337,18 @@ def _segments(
     geometric number of bin boundaries (``"bin-boundary"``).
     """
     t0, n_bins = cfg.bin_width_us, cfg.n_bins
-    flip_rates = (rates.gamma_dp, rates.gamma_rp) if bright else (rates.gamma_rp, rates.gamma_dp)
+    flips = list(zip((rates.gamma_dp, rates.gamma_rp), _flip_probs(rates, t0)))
+    flips = flips if bright else flips[::-1]  # (rate, per-bin probability) out of each state
     trial, start, flipped = [np.arange(n)], [np.zeros(n)], [np.zeros(n, dtype=np.intp)]
     open_, t, k = trial[0], start[0], 0  # k: flips so far of every open trial
     while open_.size:
-        rate = flip_rates[k % 2]
+        rate, p = flips[k % 2]
         if rate <= 0:
             break
         if mode == "exact":
             t = t + rng.exponential(1.0 / (rate * t0 * _MS_PER_US), open_.size)
         else:
-            t = t + rng.geometric(_flip_prob(rate, t0), open_.size)
+            t = t + rng.geometric(p, open_.size)
         inside = t < n_bins
         open_, t, k = open_[inside], t[inside], k + 1
         trial.append(open_)
@@ -411,45 +406,42 @@ def _herald(window: np.ndarray, cfg: ReadoutConfig) -> tuple[np.ndarray, np.ndar
     return keep, bright[keep]
 
 
-def _tally(bright: np.ndarray, n_trials: int) -> dict[HeraldOutcome, int]:
-    """Outcome tally of n_trials heralded trials whose retained labels are ``bright``."""
-    n_bright = int(np.count_nonzero(bright))
-    return {HeraldOutcome.RETAINED_BRIGHT: n_bright,
-            HeraldOutcome.RETAINED_DARK: len(bright) - n_bright,
-            HeraldOutcome.DISCARDED: n_trials - len(bright)}
-
-
 def simulate_dataset(
     rates: RateParams,
     cfg: ReadoutConfig,
     trials_per_state: int,
     seed: int,
     mode: TransitionMode = "exact",
-) -> tuple[Dataset, dict[HeraldOutcome, int]]:
+) -> Dataset:
     """Simulate trials_per_state bright then trials_per_state dark trials and herald them.
 
-    Returns the retained records and the outcome tally.  Zero counts in
-    the herald window (the first cfg.herald_duration_us of each record)
-    retain the trial as dark, at least cfg.herald_bright_min counts
-    retain it as bright, and anything in between discards it; retained
-    records carry the herald's label and only their post-herald bins.  A
-    zero-length herald window retains every trial whole, labelled by its
-    preparation.  Each state's trials are drawn in blocks of
-    ``_BLOCK_TRIALS`` trials; block b of state s (0 bright, 1 dark)
-    draws from the generator seeded by (seed, s, b).  The output is
-    bitwise reproducible under the seed, and a block's rows do not
+    Returns the retained records.  Zero counts in the herald window (the
+    first cfg.herald_duration_us of each record) retain the trial as dark,
+    at least cfg.herald_bright_min counts retain it as bright, and anything
+    in between discards it; retained records carry the herald's label and
+    only their post-herald bins.  A zero-length herald window retains every
+    trial whole, labelled by its preparation.  The tally is read off the
+    labels; 2 * trials_per_state - len(records) were discarded.  The pumping
+    rates are checked before anything is drawn.  Each state's trials are
+    drawn in blocks of ``_BLOCK_TRIALS`` trials; block b of state s (0
+    bright, 1 dark) draws from the generator seeded by (seed, s, b).  The
+    output is bitwise reproducible under the seed, and a block's rows do not
     change when trials_per_state grows beyond that block.  Each chunk of
     rows is heralded as it is binned, and only the retained rows' prefix
     sums are written, into one matrix allocated at the upper bound: its
-    pages past the retained rows are never touched, so never resident.
-    The matrix starts as int8 and is widened, with the rows written so
-    far, when a retained record's total would not fit.
+    pages past the retained rows are never touched, so never resident.  The
+    matrix starts as int8 and is widened, with the rows written so far, when
+    a retained record's total would not fit.
     """
     if trials_per_state < 1:
         raise ValueError("trials_per_state must be >= 1")
     if mode not in ("exact", "bin-boundary"):
         raise ValueError(f"unknown transition mode {mode!r}")
-    _check_slow_pumping(rates, cfg.bin_width_us)
+    _flip_probs(rates, cfg.bin_width_us)
+    p = cfg.bin_width_us * _MS_PER_US * max(rates.gamma_dp, rates.gamma_rp)
+    if p > 0.01:
+        warnings.warn(f"bin width times pumping rate = {p:.3g} is not small; "
+                      "bin-resolution artifacts likely", stacklevel=2)
     hb = cfg.herald_bins
     n_trials, n_post = 2 * trials_per_state, cfg.n_bins - hb
     prefix = np.empty((n_trials, n_post), dtype=np.int8)
@@ -475,8 +467,7 @@ def simulate_dataset(
                 np.cumsum(rows, axis=1, dtype=prefix.dtype, out=prefix[kept:kept + len(rows)])
                 bright[kept:kept + len(rows)] = labels
                 kept += len(rows)
-    retained = Dataset._from_prefix(prefix[:kept], bright[:kept], cfg.bin_width_us)
-    return retained, _tally(retained.bright, n_trials)
+    return Dataset._from_prefix(prefix[:kept], bright[:kept], cfg.bin_width_us)
 
 
 # Arrivals drawn per chunk by simulate_timetag_streams: a chunk's gaps,

@@ -32,18 +32,9 @@ from .photon_sim import (
     Trajectory,
     _MS_PER_US,
     _counts_dtype,
-    _flip_prob,
+    _flip_probs,
     as_dataset,
 )
-
-def _transition_probs(rates: RateParams, bin_width_us: float) -> tuple[float, float]:
-    """Per-bin flip probabilities 1 - exp(-gamma * t0) out of bright and dark."""
-    p_dp = _flip_prob(rates.gamma_dp, bin_width_us)
-    p_rp = _flip_prob(rates.gamma_rp, bin_width_us)
-    if p_dp >= 1 or p_rp >= 1:
-        raise ValueError("pumping rate times bin width is too large: the per-bin flip "
-                         "probability rounds to 1")
-    return p_dp, p_rp
 
 
 @dataclass
@@ -97,20 +88,16 @@ def adaptive_classify_batch(
             f"bin_width_us ({bin_width_us}) does not match the records' bin width "
             f"({ds.bin_width_us})"
         )
-    p_dp, p_rp = _transition_probs(rates, bin_width_us)
+    p_dp, p_rp = _flip_probs(rates, bin_width_us)
     flips = p_dp > 0 or p_rp > 0
 
-    # log-likelihood ratio of one bin, tabulated up to a bound on the largest
-    # bin count: bin j holds at most the column maximum of the prefix sums at
-    # j less their column minimum at j - 1; +inf for a count only the bright
-    # state can give, nan for one neither can; a difference of logs, since
-    # mu_b / mu_d overflows for a tiny mu_d
+    # a bin of k counts has log-likelihood ratio k * a - c: +inf for a count
+    # only the bright state can give, nan for one neither can; a is a
+    # difference of logs, since mu_b / mu_d overflows for a tiny mu_d
     mu_b = rates.gamma_b * bin_width_us * _MS_PER_US
     mu_d = rates.gamma_d * bin_width_us * _MS_PER_US
-    top, low = ds.prefix.max(axis=0), ds.prefix.min(axis=0)
-    n = np.arange(int(max(top[0], (top[1:] - low[:-1]).max(initial=0))) + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        llr = np.where(n == 0, 0.0, n * (np.log(mu_b) - np.log(mu_d))) - (mu_b - mu_d)
+        a, c = np.log(mu_b) - np.log(mu_d), mu_b - mu_d
 
     # A trial's stopped levels are always the lowest ones, so per trial
     # one count of stopped levels (in ascending order) tracks them all.
@@ -137,7 +124,9 @@ def adaptive_classify_batch(
             x = np.exp(r)
             r = np.log(((1.0 - p_dp) * x + p_rp) / (p_dp * x + (1.0 - p_rp)))
         through = ds.prefix[active, i]
-        r += llr[through - before]
+        k = through - before
+        with np.errstate(invalid="ignore"):  # 0 * inf, discarded by the where
+            r += np.where(k > 0, k * a, 0.0) - c
         before = through
         mag = np.abs(r)
         new = np.flatnonzero(mag >= low[n_stopped])  # nan stops nothing

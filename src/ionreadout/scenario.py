@@ -14,9 +14,9 @@ import numpy as np
 
 from . import io as _io
 from .photon_sim import (
-    HeraldOutcome,
     RateParams,
     ReadoutConfig,
+    _flip_probs,
     _readout_bins,
     simulate_dataset,
 )
@@ -172,6 +172,7 @@ def load_scenario(path) -> Scenario:
     try:
         rates = RateParams(**{f.name: values[f"{f.name}_per_ms"] for f in fields(RateParams)})
         readout = ReadoutConfig(**{f.name: values[f.name] for f in fields(ReadoutConfig)})
+        _flip_probs(rates, readout.bin_width_us)
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
     record_bins = readout.n_bins - readout.herald_bins
@@ -211,14 +212,14 @@ def run_scenario(path) -> dict:
     scn = load_scenario(path)
     t0 = scn.readout.bin_width_us
 
-    retained, tally = simulate_dataset(
+    retained = simulate_dataset(
         scn.rates, scn.readout, scn.trials_per_state, scn.seed, mode=scn.transition_mode
     )
-    for outcome, state in ((HeraldOutcome.RETAINED_BRIGHT, "bright"),
-                           (HeraldOutcome.RETAINED_DARK, "dark")):
-        if tally[outcome] < MIN_CALIBRATION_TRIALS:
+    n_bright = int(np.count_nonzero(retained.bright))
+    for n, state in ((n_bright, "bright"), (len(retained) - n_bright, "dark")):
+        if n < MIN_CALIBRATION_TRIALS:
             raise ConfigError(
-                f"{path}: heralding retained {tally[outcome]} {state} trials; calibration needs "
+                f"{path}: heralding retained {n} {state} trials; calibration needs "
                 f"{MIN_CALIBRATION_TRIALS} per state; check keys 'trials_per_state', "
                 "'herald_duration_us' and 'herald_bright_min'")
     out = scn.out_dir
@@ -260,9 +261,9 @@ def run_scenario(path) -> dict:
         "name": scn.name,
         "seed": scn.seed,
         "trials_per_state": scn.trials_per_state,
-        "retained_bright": tally[HeraldOutcome.RETAINED_BRIGHT],
-        "retained_dark": tally[HeraldOutcome.RETAINED_DARK],
-        "discarded": tally[HeraldOutcome.DISCARDED],
+        "retained_bright": n_bright,
+        "retained_dark": len(retained) - n_bright,
+        "discarded": 2 * scn.trials_per_state - len(retained),
         "threshold_duration_us": scn.threshold_duration_us,
         "threshold": threshold,
         "threshold_eps_bright": thr_stats.eps_bright,

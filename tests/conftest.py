@@ -41,7 +41,7 @@ def config():
 
 @pytest.fixture(scope="session")
 def heralded(rates, config):
-    """(retained post-herald records, outcome tally), simulated and heralded in one pass."""
+    """The retained post-herald records, simulated and heralded in one pass."""
     return simulate_dataset(rates, config, trials_per_state=TRIALS_PER_STATE, seed=SEED)
 
 
@@ -53,16 +53,14 @@ def levels16():
 
 @pytest.fixture(scope="session")
 def bayes16(heralded, rates, levels16):
-    """Adaptive classification of the retained records at all 16 levels."""
-    retained, _ = heralded
-    return adaptive_classify_batch(retained, rates, 1.0, levels16)
+    """Adaptive classification of the heralded records at all 16 levels."""
+    return adaptive_classify_batch(heralded, rates, 1.0, levels16)
 
 
 @pytest.fixture(scope="session")
 def threshold125(heralded):
     """(best threshold, error stats) at the 125 us readout duration."""
-    retained, _ = heralded
-    return optimize_threshold(retained, 125.0)
+    return optimize_threshold(heralded, 125.0)
 
 
 @pytest.fixture()

@@ -56,7 +56,7 @@ def _phase_from_inphase_deg(z: complex) -> float:
 def test_criterion_1_threshold_error(rates, config):
     """10^5 + 10^5 heralded trials; optimal-threshold error at 125 us."""
     start = time.perf_counter()
-    retained, _ = simulate_dataset(rates, config, trials_per_state=100_000, seed=42)
+    retained = simulate_dataset(rates, config, trials_per_state=100_000, seed=42)
     threshold, stats = optimize_threshold(retained, 125.0)
     elapsed = time.perf_counter() - start
     err = stats.mean_error
@@ -72,19 +72,18 @@ def test_criterion_1_threshold_error(rates, config):
 def test_criterion_2_adaptive_beats_threshold(heralded, bayes16):
     """Adaptive stopping: low error, short records, never worse than a
     fixed threshold at the same mean duration."""
-    retained, _ = heralded
-    n_bins = retained.n_bins
+    n_bins = heralded.n_bins
 
     per_level = []
     for res in bayes16:
-        stats = error_stats(retained.bright, res.decisions, res.bins_consumed * 1.0)
+        stats = error_stats(heralded.bright, res.decisions, res.bins_consumed * 1.0)
         per_level.append(stats)
 
     best = min(per_level, key=lambda s: s.mean_error)
     dominated = True
     for stats in per_level:
         matched = int(np.clip(round(stats.mean_duration_us), 1, n_bins))
-        _, thr_stats = optimize_threshold(retained, float(matched))
+        _, thr_stats = optimize_threshold(heralded, float(matched))
         if stats.mean_error > thr_stats.mean_error:
             dominated = False
             break
@@ -108,8 +107,7 @@ def test_criterion_2_adaptive_beats_threshold(heralded, bayes16):
 
 def test_criterion_3_rate_calibration(heralded, rates):
     """Rates fitted from the heralded records land near generating values."""
-    retained, _ = heralded
-    cal = calibrate_rates(retained)
+    cal = calibrate_rates(heralded)
     rel = {
         "gamma_b": abs(cal.gamma_b - rates.gamma_b) / rates.gamma_b,
         "gamma_d": abs(cal.gamma_d - rates.gamma_d) / rates.gamma_d,

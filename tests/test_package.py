@@ -8,7 +8,7 @@ import ionreadout
 
 RETIRED = ("simulate_trial", "apply_herald", "threshold_classify", "threshold_error_vs_duration",
            "poisson_pmf", "poisson_log_pmf", "apply_herald_dataset", "reduced_current",
-           "ensure_dir", "CalibrationInputs")
+           "ensure_dir", "CalibrationInputs", "HeraldOutcome", "_transition_probs")
 
 
 def test_every_exported_name_resolves():

@@ -11,7 +11,6 @@ from ionreadout import (
     DARK,
     Dataset,
     EmitterStreamConfig,
-    HeraldOutcome,
     RateParams,
     ReadoutConfig,
     Trajectory,
@@ -30,13 +29,13 @@ PUMPED = RateParams(gamma_b=162.50, gamma_d=5.095, gamma_dp=0.020, gamma_rp=0.01
 def pure_dataset():
     """10^5 + 10^5 pumping-free trials of 125 bins: iid Poisson counts."""
     cfg = ReadoutConfig(bin_width_us=1.0, n_bins=125, herald_duration_us=0.0)
-    return simulate_dataset(NOPUMP, cfg, trials_per_state=100_000, seed=42)[0]
+    return simulate_dataset(NOPUMP, cfg, trials_per_state=100_000, seed=42)
 
 
 def test_dark_without_emission_gives_all_zero_bins():
     r = RateParams(gamma_b=100.0, gamma_d=0.0)
     cfg = ReadoutConfig(n_bins=200, herald_duration_us=0.0)
-    ds, _ = simulate_dataset(r, cfg, trials_per_state=1, seed=1)
+    ds = simulate_dataset(r, cfg, trials_per_state=1, seed=1)
     assert list(ds.bright) == [True, False]
     assert not ds.counts[1].any()
 
@@ -44,7 +43,7 @@ def test_dark_without_emission_gives_all_zero_bins():
 def test_equal_rates_make_states_indistinguishable():
     r = RateParams(gamma_b=50.0, gamma_d=50.0)
     cfg = ReadoutConfig(n_bins=50, herald_duration_us=0.0)
-    ds, _ = simulate_dataset(r, cfg, trials_per_state=2000, seed=3)
+    ds = simulate_dataset(r, cfg, trials_per_state=2000, seed=3)
     totals = ds.totals(50.0).astype(float)
     tb, td = totals[:2000], totals[2000:]
     se = np.sqrt(tb.var() / tb.size + td.var() / td.size)
@@ -81,8 +80,8 @@ def test_per_bin_counts_are_poisson(pure_dataset):
 
 def test_same_seed_reproduces_dataset_bitwise(rates, config):
     small = ReadoutConfig(n_bins=60, herald_duration_us=0.0)
-    a, _ = simulate_dataset(rates, small, trials_per_state=50, seed=7)
-    b, _ = simulate_dataset(rates, small, trials_per_state=50, seed=7)
+    a = simulate_dataset(rates, small, trials_per_state=50, seed=7)
+    b = simulate_dataset(rates, small, trials_per_state=50, seed=7)
     assert len(a) == len(b) == 100
     assert np.array_equal(a.bright, b.bright)
     assert np.array_equal(a.counts, b.counts) and a.counts.dtype == b.counts.dtype
@@ -93,17 +92,17 @@ def test_block_rows_do_not_depend_on_later_trials(rates):
     # seed, and a full block's rows are the same when more trials follow it
     small = ReadoutConfig(n_bins=60, herald_duration_us=0.0)
     block = _BLOCK_TRIALS
-    a, _ = simulate_dataset(rates, small, trials_per_state=block + 7, seed=19)
-    assert np.array_equal(a.counts, simulate_dataset(rates, small, block + 7, seed=19)[0].counts)
-    b, _ = simulate_dataset(rates, small, trials_per_state=2 * block + 3, seed=19)
+    a = simulate_dataset(rates, small, trials_per_state=block + 7, seed=19)
+    assert np.array_equal(a.counts, simulate_dataset(rates, small, block + 7, seed=19).counts)
+    b = simulate_dataset(rates, small, trials_per_state=2 * block + 3, seed=19)
     assert np.array_equal(a.counts[:block], b.counts[:block])
     assert np.array_equal(a.counts[block + 7:2 * block + 7], b.counts[2 * block + 3:3 * block + 3])
-    assert not np.array_equal(a.counts[:block], simulate_dataset(rates, small, block, 20)[0].counts[:block])
+    assert not np.array_equal(a.counts[:block], simulate_dataset(rates, small, block, 20).counts[:block])
 
 
 def test_single_trial_per_state_labels(rates):
     cfg = ReadoutConfig(n_bins=10, herald_duration_us=0.0)
-    ds, _ = simulate_dataset(rates, cfg, trials_per_state=1, seed=4)
+    ds = simulate_dataset(rates, cfg, trials_per_state=1, seed=4)
     assert ds.bright.tolist() == [True, False]
     assert ds.counts.shape == (2, 10)
 
@@ -150,7 +149,7 @@ def test_mean_count_profile_matches_two_state_model(mode):
     cfg = ReadoutConfig(bin_width_us=10.0, n_bins=20, herald_duration_us=0.0)
     n = 20_000
     with pytest.warns(UserWarning):
-        ds, _ = simulate_dataset(r, cfg, trials_per_state=n, seed=3, mode=mode)
+        ds = simulate_dataset(r, cfg, trials_per_state=n, seed=3, mode=mode)
     for rows, bright in ((slice(0, n), True), (slice(n, 2 * n), False)):
         counts = ds.counts[rows].astype(float)
         z = (counts.mean(axis=0) - _two_state_mean_counts(r, cfg, bright, mode)) \
@@ -164,7 +163,7 @@ def test_transition_modes_match_the_analytic_mean_totals(rates, mode):
     # dark totals (rare flips) enters the standard error once, not twice
     cfg = ReadoutConfig(n_bins=500, herald_duration_us=0.0)
     n = 10_000
-    ds, _ = simulate_dataset(rates, cfg, trials_per_state=n, seed=11, mode=mode)
+    ds = simulate_dataset(rates, cfg, trials_per_state=n, seed=11, mode=mode)
     for rows, bright in ((slice(0, n), True), (slice(n, 2 * n), False)):
         totals = ds.counts[rows].sum(axis=1, dtype=np.int64).astype(float)
         expected = _two_state_mean_counts(rates, cfg, bright, mode).sum()
@@ -205,7 +204,7 @@ def test_invalid_inputs_rejected(rates):
 
 def test_large_counts_widen_instead_of_wrapping():
     # 5e4 counts per bin do not fit int16; they must not wrap negative
-    ds, _ = simulate_dataset(RateParams(5e4, 1.0), ReadoutConfig(1000.0, 3, 0.0), 2, seed=1)
+    ds = simulate_dataset(RateParams(5e4, 1.0), ReadoutConfig(1000.0, 3, 0.0), 2, seed=1)
     assert np.all(np.abs(ds.counts[:2].astype(np.int64) - 50_000) < 5 * np.sqrt(50_000))
     assert np.all(ds.totals(3000.0)[:2] > 3 * 40_000)
     assert ds.counts[2:].max() < 100
@@ -217,7 +216,7 @@ def test_large_counts_widen_instead_of_wrapping():
 
 
 def test_small_counts_are_stored_as_int8(rates):
-    ds, _ = simulate_dataset(rates, ReadoutConfig(n_bins=20, herald_duration_us=0.0), 5, seed=3)
+    ds = simulate_dataset(rates, ReadoutConfig(n_bins=20, herald_duration_us=0.0), 5, seed=3)
     assert ds.counts.dtype == np.int8
     wide = np.array([1, 2], dtype=np.int64)
     assert as_dataset([Trajectory(BRIGHT, wide, 1.0)]).counts.dtype == np.int8
@@ -227,7 +226,7 @@ def test_small_counts_are_stored_as_int8(rates):
 @pytest.mark.parametrize("seed, total, dtype", [(26, 127, np.int8), (1, 128, np.int16)])
 def test_prefix_type_is_set_by_the_largest_record_total(seed, total, dtype):
     # one bright record of 100 bins at 1.275 counts each, one dark record of none
-    ds, _ = simulate_dataset(RateParams(1275.0, 0.0), ReadoutConfig(1.0, 100, 0.0), 1, seed)
+    ds = simulate_dataset(RateParams(1275.0, 0.0), ReadoutConfig(1.0, 100, 0.0), 1, seed)
     assert ds.prefix[:, -1].tolist() == [total, 0] and ds.prefix.dtype == dtype
     counts = ds.counts.astype(np.int64)
     assert np.array_equal(ds.prefix, counts.cumsum(axis=1))
@@ -259,7 +258,7 @@ def test_dataset_indexes_like_a_list_of_records(rates):
     # slices, masks and index arrays select trials as a Dataset; a trial is
     # one row of counts plus one entry of bright, so there is no record view
     cfg = ReadoutConfig(n_bins=30, herald_duration_us=0.0)
-    ds, _ = simulate_dataset(rates, cfg, trials_per_state=4, seed=8)
+    ds = simulate_dataset(rates, cfg, trials_per_state=4, seed=8)
     assert len(ds) == 8
     assert ds.bright.tolist() == [True] * 4 + [False] * 4
     for key in (slice(2, 6), np.arange(8) % 4 < 2, np.array([2, 3, 4, 5])):
@@ -325,37 +324,36 @@ def test_herald_relabels_by_counts(config):
 
 def test_zero_length_herald_retains_everything(rates):
     cfg = ReadoutConfig(n_bins=40, herald_duration_us=0.0)
-    ds, tally = simulate_dataset(rates, cfg, trials_per_state=20, seed=2)
-    assert len(ds) == 40 and ds.n_bins == 40
-    assert tally[HeraldOutcome.DISCARDED] == 0
+    ds = simulate_dataset(rates, cfg, trials_per_state=20, seed=2)
+    assert len(ds) == 40 and ds.n_bins == 40  # none discarded
     assert ds.bright.tolist() == [True] * 20 + [False] * 20
 
 
 def test_discard_fraction_matches_poisson_prediction():
     cfg = ReadoutConfig(n_bins=60, herald_duration_us=50.0, herald_bright_min=8)
-    _, tally = simulate_dataset(NOPUMP, cfg, trials_per_state=20_000, seed=5)
+    discarded = 2 * 20_000 - len(simulate_dataset(NOPUMP, cfg, trials_per_state=20_000, seed=5))
     mu_b, mu_d = 162.50 * 0.05, 5.095 * 0.05
     p_b = stats.poisson.cdf(7, mu_b) - stats.poisson.pmf(0, mu_b)
     p_d = stats.poisson.cdf(7, mu_d) - stats.poisson.pmf(0, mu_d)
     predicted = 20_000 * (p_b + p_d)
     sd = np.sqrt(20_000 * (p_b * (1 - p_b) + p_d * (1 - p_d)))
-    assert tally[HeraldOutcome.DISCARDED] == pytest.approx(predicted, abs=4 * sd)
+    assert discarded == pytest.approx(predicted, abs=4 * sd)
 
 
 def _assert_one_pass_matches_simulate_then_herald(rates, cfg, n, mode, seed):
-    one, tally = simulate_dataset(rates, cfg, n, seed, mode=mode)
-    raw, raw_tally = simulate_dataset(rates, replace(cfg, herald_duration_us=0.0), n, seed,
-                                      mode=mode)
-    assert raw_tally[HeraldOutcome.DISCARDED] == 0 and raw.n_bins == cfg.n_bins
+    one = simulate_dataset(rates, cfg, n, seed, mode=mode)
+    raw = simulate_dataset(rates, replace(cfg, herald_duration_us=0.0), n, seed, mode=mode)
+    assert len(raw) == 2 * n and raw.n_bins == cfg.n_bins
     # the herald written out on the unheralded counts
     hb, counts = cfg.herald_bins, raw.counts.astype(np.int64)
     window = counts[:, :hb].sum(axis=1)
     keep = (window == 0) | (window >= cfg.herald_bright_min) if hb else np.ones(2 * n, bool)
     bright = window[keep] >= cfg.herald_bright_min if hb else raw.bright
     post = counts[keep, hb:]
-    assert tally == {HeraldOutcome.RETAINED_BRIGHT: int(bright.sum()),
-                     HeraldOutcome.RETAINED_DARK: int((~bright).sum()),
-                     HeraldOutcome.DISCARDED: int((~keep).sum())}
+    # the tally read off the records
+    n_bright = np.count_nonzero(one.bright)
+    assert (n_bright, len(one) - n_bright, 2 * n - len(one)) == \
+        (int(bright.sum()), int((~bright).sum()), int((~keep).sum()))
     assert np.array_equal(one.bright, bright)
     assert np.array_equal(one.counts, post) and np.array_equal(one.prefix, post.cumsum(axis=1))
     # the prefix type is the narrowest that holds the largest retained record total
@@ -399,7 +397,7 @@ def test_one_pass_simulation_holds_only_the_retained_prefix(peak_rise):
         "from ionreadout.scenario import load_scenario\n"
         f"scn = load_scenario({str(paper)!r})",
         "ionreadout.simulate_dataset(scn.rates, scn.readout, 10, seed=2)",
-        "ds, _ = ionreadout.simulate_dataset(scn.rates, scn.readout, 10_000, seed=1)",
+        "ds = ionreadout.simulate_dataset(scn.rates, scn.readout, 10_000, seed=1)",
         "ds.prefix.nbytes")
     assert prefix_bytes > 5 * 2**20  # about 13,000 retained rows of 450 int8 sums
     assert 0 < rise <= prefix_bytes + 8 * 2**20, f"rise {rise / 2**20:.1f} MiB"
@@ -579,6 +577,6 @@ def test_timetag_draw_holds_only_the_tick_arrays(peak_rise):
 
 def test_binning_rows_in_chunks_keeps_the_stream(rates, monkeypatch):
     cfg = ReadoutConfig(n_bins=80, herald_duration_us=0.0)
-    whole, _ = simulate_dataset(rates, cfg, trials_per_state=300, seed=6)
+    whole = simulate_dataset(rates, cfg, trials_per_state=300, seed=6)
     monkeypatch.setattr("ionreadout.photon_sim._PLACE_BUDGET", 100)
-    assert np.array_equal(simulate_dataset(rates, cfg, 300, seed=6)[0].counts, whole.counts)
+    assert np.array_equal(simulate_dataset(rates, cfg, 300, seed=6).counts, whole.counts)

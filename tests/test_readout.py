@@ -22,7 +22,7 @@ from ionreadout import (
     optimize_threshold,
     simulate_dataset,
 )
-from ionreadout.readout import _transition_probs
+from ionreadout.photon_sim import _flip_probs
 
 NOPUMP = RateParams(gamma_b=162.50, gamma_d=5.095)
 
@@ -41,7 +41,7 @@ def _reference_filter(counts, rates, bin_width_us, level):
     reweights it by the two Poisson likelihoods and renormalises, one bin
     at a time.  Returns (bright, bins_consumed, confidence, converged).
     """
-    p_dp, p_rp = _transition_probs(rates, bin_width_us)
+    p_dp, p_rp = _flip_probs(rates, bin_width_us)
     counts = np.asarray(counts, dtype=np.int64)
     like_b = poisson.logpmf(counts, rates.gamma_b * bin_width_us * 1e-3)
     like_d = poisson.logpmf(counts, rates.gamma_d * bin_width_us * 1e-3)
@@ -217,9 +217,10 @@ def test_adaptive_level_validation():
         _classify([0], 1.0)
 
 
-def test_adaptive_table_follows_the_largest_bin_count():
-    # records of about 2 x 10^6 counts, none above about 10^4 in one bin: a
-    # table to the largest record total would hold 16 MB of float64 entries
+def test_adaptive_memory_follows_the_trials_not_the_counts():
+    # records of about 2 x 10^6 counts, about 2 x 10^3 in each bin: each bin's
+    # log-likelihood ratio is computed from its count, and no table to the
+    # largest bin count or record total (16 MB of float64 entries) is built
     rng = np.random.default_rng(3)
     ds = Dataset(rng.poisson(2000, (50, 1000)), rng.random(50) < 0.5, 1.0)
     rates = RateParams(gamma_b=2.1e6, gamma_d=1.9e6)
@@ -237,7 +238,7 @@ def test_adaptive_table_follows_the_largest_bin_count():
 def small_dataset():
     rates = RateParams(162.50, 5.095, 0.020, 0.0120)
     cfg = ReadoutConfig(n_bins=200, herald_duration_us=0.0)
-    return rates, simulate_dataset(rates, cfg, trials_per_state=250, seed=17)[0]
+    return rates, simulate_dataset(rates, cfg, trials_per_state=250, seed=17)
 
 
 def test_batch_classifier_matches_single_trial_path(small_dataset):
@@ -258,7 +259,7 @@ def test_batch_confidence_invariant(small_dataset):
 def test_stages_agree_on_dataset_and_record_list(rates, config):
     # the adaptive stage alone takes a record list, built here the way the
     # benchmark's offline check builds it
-    retained, _ = simulate_dataset(rates, config, trials_per_state=300, seed=31)
+    retained = simulate_dataset(rates, config, trials_per_state=300, seed=31)
     w = retained.bin_width_us
     records = [Trajectory(prepared="bright" if b else "dark", bins=row, bin_width_us=w)
                for b, row in zip(retained.bright, retained.counts)]
@@ -278,11 +279,11 @@ def test_batch_rejects_a_bin_width_other_than_the_records(small_dataset):
 
 
 def test_transition_probability_is_exact_per_bin():
-    p_dp, p_rp = _transition_probs(RateParams(1000, 1, 999, 0), 1.0)
+    p_dp, p_rp = _flip_probs(RateParams(1000, 1, 999, 0), 1.0)
     assert p_dp == pytest.approx(1 - np.exp(-0.999), rel=1e-12)
     assert p_rp == 0.0
-    with pytest.raises(ValueError, match="flip probability"):
-        _transition_probs(RateParams(1e6, 1, 1e5, 0), 1.0)
+    with pytest.raises(ValueError, match="gamma_dp times the bin width is 100 expected flips"):
+        _flip_probs(RateParams(1e6, 1, 1e5, 0), 1.0)
 
 
 def test_batch_levels_in_any_order(small_dataset):
@@ -338,7 +339,7 @@ def test_threshold_optimality_is_exhaustive(bright_totals, dark_totals):
 def test_equal_rate_dataset_has_coin_flip_fidelity():
     r = RateParams(40.0, 40.0)
     cfg = ReadoutConfig(n_bins=25, herald_duration_us=0.0)
-    ds, _ = simulate_dataset(r, cfg, trials_per_state=2000, seed=23)
+    ds = simulate_dataset(r, cfg, trials_per_state=2000, seed=23)
     _, st_ = optimize_threshold(ds, 25.0)
     assert st_.fidelity == pytest.approx(0.5, abs=0.03)
 
@@ -374,15 +375,13 @@ def test_error_stats_validation():
 
 
 def test_error_curve_minimum_sits_near_125us(heralded):
-    retained, _ = heralded
     durations = np.arange(25.0, 451.0, 25.0)
-    errors = np.array([optimize_threshold(retained, d)[1].mean_error for d in durations])
+    errors = np.array([optimize_threshold(heralded, d)[1].mean_error for d in durations])
     assert durations[int(np.argmin(errors))] == pytest.approx(125.0, abs=75.0)
 
 
 def test_bright_decisions_come_faster_than_dark(bayes16, heralded):
-    retained, _ = heralded
-    is_bright = retained.bright
+    is_bright = heralded.bright
     for res in bayes16:
         dur_b = res.bins_consumed[is_bright].mean()
         dur_d = res.bins_consumed[~is_bright].mean()
@@ -391,7 +390,7 @@ def test_bright_decisions_come_faster_than_dark(bayes16, heralded):
 
 def test_calibration_recovers_zero_depump():
     cfg = ReadoutConfig(n_bins=300, herald_duration_us=0.0)
-    ds, _ = simulate_dataset(NOPUMP, cfg, trials_per_state=5000, seed=9)
+    ds = simulate_dataset(NOPUMP, cfg, trials_per_state=5000, seed=9)
     cal = calibrate_rates(ds)
     assert abs(cal.gamma_dp) <= 3 * cal.gamma_dp_err
     assert abs(cal.gamma_rp) <= 3 * cal.gamma_rp_err
@@ -403,7 +402,7 @@ def test_calibration_with_no_dark_counts():
     # every dark total is 0 in every window: the peak is exactly 0, and a
     # one-point histogram must not reach the two-parameter fit
     cfg = ReadoutConfig(n_bins=50, herald_duration_us=0.0)
-    ds, _ = simulate_dataset(RateParams(162.50, 0.0), cfg, trials_per_state=150, seed=4)
+    ds = simulate_dataset(RateParams(162.50, 0.0), cfg, trials_per_state=150, seed=4)
     assert not ds.counts[~ds.bright].any()
     cal = calibrate_rates(ds)
     assert cal.gamma_d == 0.0 and cal.gamma_d_err == 0.0
@@ -412,12 +411,12 @@ def test_calibration_with_no_dark_counts():
 
 def test_calibration_needs_enough_trials():
     cfg = ReadoutConfig(n_bins=50, herald_duration_us=0.0)
-    ds, _ = simulate_dataset(NOPUMP, cfg, trials_per_state=50, seed=1)
+    ds = simulate_dataset(NOPUMP, cfg, trials_per_state=50, seed=1)
     with pytest.raises(ValueError, match="at least"):
         calibrate_rates(ds)
     # and enough bins for the pumping slopes' errors, or it fails inside the line fit
     for n_bins in (1, 2):
-        ds, _ = simulate_dataset(NOPUMP, ReadoutConfig(n_bins=n_bins, herald_duration_us=0.0),
-                                 trials_per_state=150, seed=1)
+        ds = simulate_dataset(NOPUMP, ReadoutConfig(n_bins=n_bins, herald_duration_us=0.0),
+                              trials_per_state=150, seed=1)
         with pytest.raises(ValueError, match=f"records of at least 3 bins; got {n_bins}"):
             calibrate_rates(ds)

@@ -10,11 +10,16 @@ from ionreadout import (
     BiasCountCurve,
     Dataset,
     DetectorScene,
+    RateParams,
+    ReadoutConfig,
+    adaptive_classify_batch,
     collection_fraction,
     expected_rate,
     obscured_fraction,
+    simulate_dataset,
 )
 from ionreadout import io as iio
+from ionreadout import photon_sim
 from ionreadout.cli import main
 from ionreadout.scenario import (
     ConfigError,
@@ -237,6 +242,37 @@ def test_non_finite_config_value_names_its_key(tmp_path, key, value):
         run_scenario(cfg)
 
 
+def test_one_expected_flip_per_bin_is_rejected_everywhere(tmp_path, monkeypatch, capsys):
+    # gamma * t0 >= 1 fails by name in the simulator, the scenario loader,
+    # the simulate command and the adaptive filter; just below 1 still runs
+    def no_draws(*args):
+        raise AssertionError("drew trials")
+
+    fast, cfg = RateParams(1000.0, 1.0, 0.0, 1e4), ReadoutConfig(n_bins=100)
+    with monkeypatch.context() as m:
+        m.setattr(photon_sim, "_segments", no_draws)
+        with pytest.raises(ValueError, match="gamma_rp times the bin width is 10 "):
+            simulate_dataset(fast, cfg, trials_per_state=10**6, seed=1)
+    cfg_path = _write_minimal_cfg(tmp_path / "s.cfg", tmp_path / "out", gamma_dp_per_ms="1e4")
+    code, _, err = _run_cli(capsys, "run", "--config", str(cfg_path))
+    assert code == 1 and re.search(r"s\.cfg: gamma_dp times the bin width", err), err
+    assert not (tmp_path / "out").exists()
+    code, kv, err = _run_cli(capsys, "simulate", "--gamma-dp-per-ms", "1e4", "--n-bins", "100",
+                             "--out", str(tmp_path / "x.csv"))
+    assert code == 1 and "gamma_dp times the bin width" in err and not kv
+    assert not (tmp_path / "x.csv").exists()
+
+    ds = Dataset(np.ones((2, 5), dtype=np.int64), np.array([True, False]), 1.0)
+    with pytest.raises(ValueError, match="gamma_dp times the bin width is 1 "):
+        adaptive_classify_batch(ds, RateParams(1000.0, 1.0, 1000.0), 1.0, [0.9])
+    res, = adaptive_classify_batch(ds, RateParams(1000.0, 1.0, 999.0), 1.0, [0.9])
+    assert res.decisions.tolist() == [True, True]
+    with pytest.warns(UserWarning, match="not small"):
+        edge = simulate_dataset(RateParams(1000.0, 1.0, 999.0, 999.0),
+                                ReadoutConfig(n_bins=20, herald_duration_us=0.0), 5, seed=1)
+    assert len(edge) == 10
+
+
 def test_paper_scenario_reproduces_shipped_outputs(tmp_path, monkeypatch):
     # the shipped config as it is, run from tmp_path: its relative out_dir
     # lands there, and effective_config.cfg names it as the shipped one does
@@ -282,6 +318,8 @@ def test_cli_simulate_is_deterministic(tmp_path, capsys):
     )
     assert tally == 100
     assert int(kv["trials_written"]) == 100 - int(kv["herald_discarded"])
+    written = iio.read_trajectories_csv(tmp_path / "a.csv", bin_width_us=1.0)
+    assert int(kv["herald_retained_bright"]) == np.count_nonzero(written.bright)
 
     code, _, _ = _run_cli(capsys, *args, "--out", str(tmp_path / "b.csv"))
     assert code == 0
