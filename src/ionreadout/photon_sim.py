@@ -24,6 +24,9 @@ Reproducibility contract: trials are drawn in fixed-size blocks of one
 prepared state, each block from its own generator seeded by
 ``(master_seed, state, block)``.  Output is bitwise reproducible under
 the seed, and a block's rows do not depend on how many trials follow it.
+A block is drawn and binned in sub-batches of trials sized by the rates
+and the record length alone, so that their flip segments stay bounded at
+fast pumping; at slow pumping a sub-batch is the whole block.
 
 Records are held as a :class:`Dataset`: one prefix-sum matrix (trials x
 bins, the counts of bins 0..j of each record in column j) with a boolean
@@ -316,10 +319,12 @@ def _flip_probs(rates: RateParams, bin_width_us: float) -> tuple[float, float]:
     return tuple(probs)
 
 
-# Trials per block of simulate_dataset, and the bins plus photons of the
-# rows binned at a time (one row at least): a block's scratch stays near
-# 1 MB at any rate and record length unless one row alone is larger.
+# Trials per block of simulate_dataset, the expected segments of the trials
+# drawn at a time, and the bins plus photons of the rows binned at a time
+# (one row at least): a block's working memory stays within a few MB at any
+# rate and record length unless one trial alone is larger.
 _BLOCK_TRIALS = 4096
+_SEGMENT_BUDGET = 1 << 17
 _PLACE_BUDGET = 1 << 17
 
 
@@ -426,12 +431,14 @@ def simulate_dataset(
     drawn in blocks of ``_BLOCK_TRIALS`` trials; block b of state s (0
     bright, 1 dark) draws from the generator seeded by (seed, s, b).  The
     output is bitwise reproducible under the seed, and a block's rows do not
-    change when trials_per_state grows beyond that block.  Each chunk of
-    rows is heralded as it is binned, and only the retained rows' prefix
-    sums are written, into one matrix allocated at the upper bound: its
-    pages past the retained rows are never touched, so never resident.  The
-    matrix starts as int8 and is widened, with the rows written so far, when
-    a retained record's total would not fit.
+    change when trials_per_state grows beyond that block.  A block's trials
+    are drawn and binned in sub-batches whose expected flip segments stay
+    near ``_SEGMENT_BUDGET``.  Each chunk of rows is heralded as it is
+    binned, and only the retained rows' prefix sums are written, into one
+    matrix allocated at the upper bound: its pages past the retained rows
+    are never touched, so never resident.  The matrix starts as int8 and is
+    widened, with the rows written so far, when a retained record's total
+    would not fit.
     """
     if trials_per_state < 1:
         raise ValueError("trials_per_state must be >= 1")
@@ -442,6 +449,10 @@ def simulate_dataset(
     if p > 0.01:
         warnings.warn(f"bin width times pumping rate = {p:.3g} is not small; "
                       "bin-resolution artifacts likely", stacklevel=2)
+    # trials per sub-batch (a trial has one segment more than its flips); set
+    # by the rates and the record alone, so a block's rows still do not
+    # depend on later trials
+    batch = max(1, int(_SEGMENT_BUDGET // (1 + cfg.n_bins * p)))
     hb = cfg.herald_bins
     n_trials, n_post = 2 * trials_per_state, cfg.n_bins - hb
     prefix = np.empty((n_trials, n_post), dtype=np.int8)
@@ -451,22 +462,24 @@ def simulate_dataset(
         for b, lo in enumerate(range(0, trials_per_state, _BLOCK_TRIALS)):
             n = min(_BLOCK_TRIALS, trials_per_state - lo)
             rng = np.random.default_rng((seed, s, b))
-            segments = _segments(rng, rates, cfg, prepared, mode, n)
-            for rows in _binned_counts(rng, rates, cfg, prepared, segments):
-                labels = prepared
-                if hb:
-                    keep, labels = _herald(rows[:, :hb].sum(axis=1), cfg)
-                    rows = rows[keep, hb:]
-                top = max(top, int(rows.sum(axis=1).max(initial=0)))
-                dtype = _counts_dtype(top)
-                if dtype != prefix.dtype:  # widen only the rows written so far
-                    wider = np.empty(prefix.shape, dtype)
-                    wider[:kept] = prefix[:kept]
-                    prefix = wider
-                # exact in the narrow type, which holds every sum
-                np.cumsum(rows, axis=1, dtype=prefix.dtype, out=prefix[kept:kept + len(rows)])
-                bright[kept:kept + len(rows)] = labels
-                kept += len(rows)
+            for m in range(0, n, batch):
+                segments = _segments(rng, rates, cfg, prepared, mode, min(batch, n - m))
+                for rows in _binned_counts(rng, rates, cfg, prepared, segments):
+                    labels = prepared
+                    if hb:
+                        keep, labels = _herald(rows[:, :hb].sum(axis=1), cfg)
+                        rows = rows[keep, hb:]
+                    top = max(top, int(rows.sum(axis=1).max(initial=0)))
+                    dtype = _counts_dtype(top)
+                    if dtype != prefix.dtype:  # widen only the rows written so far
+                        wider = np.empty(prefix.shape, dtype)
+                        wider[:kept] = prefix[:kept]
+                        prefix = wider
+                    # exact in the narrow type, which holds every sum
+                    np.cumsum(rows, axis=1, dtype=prefix.dtype,
+                              out=prefix[kept:kept + len(rows)])
+                    bright[kept:kept + len(rows)] = labels
+                    kept += len(rows)
     return Dataset._from_prefix(prefix[:kept], bright[:kept], cfg.bin_width_us)
 
 

@@ -18,9 +18,17 @@ then adds the bin's log-likelihood ratio n log(mu_b / mu_d) - (mu_b - mu_d)
 for n counts and mean counts mu_b, mu_d, as in Wald's sequential test.
 The posterior of the more likely state is sigma(|r|), so a level l is
 reached when |r| >= log(l / (1 - l)).
+
+Every record with no count yet holds the same odds, those of the
+all-zero record, so the batch filter steps those odds once, as one extra
+lane, and a record is stepped on its own only from its first count.
+With no counts the odds settle at the fixed point r* of the zero-count
+step, so no record without counts stops at a level at or above
+sigma(|r*|); the filter warns of such a level.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,6 +61,52 @@ def _confidence(log_odds):
     return 1.0 / (1.0 + np.exp(-np.abs(log_odds)))
 
 
+def _first_count_bins(prefix: np.ndarray) -> np.ndarray:
+    """Each record's first bin with a count, or its length if it has none.
+
+    A prefix row never decreases, so the bins before the first count are
+    the bins where it is 0; they are counted by bisection, one probe of
+    every row per halving of the record.
+    """
+    n_trials, n_bins = prefix.shape
+    rows = np.arange(n_trials)
+    first = np.zeros(n_trials, dtype=np.intp)
+    step = 1 << (n_bins.bit_length() - 1)
+    while step:
+        ahead = first + step
+        quiet = prefix[rows, np.minimum(ahead, n_bins) - 1] == 0
+        first += step * ((ahead <= n_bins) & quiet)
+        step >>= 1
+    return first
+
+
+def _zero_count_cap(p_dp: float, p_rp: float, c: float) -> float:
+    """The posterior sigma(|r*|) that the odds of a record with no counts approach.
+
+    r* is the fixed point of the zero-count step: x = e^{r*} is the root
+    x >= 0 of p_dp x^2 + (1 - p_rp - e^{-c} (1 - p_dp)) x - e^{-c} p_rp = 0.
+    While p_dp + p_rp < 1 the step is increasing in r, so the odds move
+    from 0 toward r* without passing it and no level at or above the cap
+    is reached; otherwise they may overshoot, and 1 is returned.  The cap
+    is also 1 where the odds grow without bound (x = 0 or infinite).
+    """
+    if p_dp + p_rp >= 1:
+        return 1.0
+    e = np.exp(-c)
+    a, b, q = p_dp, 1.0 - p_rp - e * (1.0 - p_dp), e * p_rp
+    with np.errstate(over="ignore"):  # a root past the float range is no cap
+        disc = np.sqrt(b * b + 4.0 * a * q)
+        if b > 0:
+            x = 2.0 * q / (b + disc)  # the positive root, with no cancellation
+        elif a > 0:
+            x = (disc - b) / (2.0 * a)
+        elif q > 0:
+            x = np.inf  # only the dark-to-bright flip acts: the odds grow without bound
+        else:
+            x = 1.0  # equal rates and no pumping: the odds stay even
+    return float(max(x, 1.0) / (1.0 + x)) if np.isfinite(x) else 1.0
+
+
 def adaptive_classify_batch(
     trajs: Dataset | Sequence[Trajectory],
     rates: RateParams,
@@ -67,9 +121,18 @@ def adaptive_classify_batch(
     decides.  A record that never gets there is decided by its final
     posterior and reported with ``converged`` False.  A record that has
     reached the highest level has stopped at every lower one, so only
-    records still open at the highest level are stepped.  The records
-    come as a Dataset or as a list of :class:`Trajectory` records, the
-    form the benchmark's per-trial check passes.
+    records still open at the highest level are stepped.  Records that
+    have had no count yet all hold the odds of the all-zero record, so
+    one lane steps those odds for all of them: a record joins the stepped
+    records at its first count, with the lane's odds and stopped levels;
+    a record still waiting when the lane passes a level stops there with
+    the lane, and one still waiting at the end of the record takes the
+    lane's final odds.  The results are those of stepping every record.
+    The odds of a record with no counts approach a cap below 1 (see
+    :func:`_zero_count_cap`); levels at or above it draw a warning,
+    since no such record stops there.  The records come as a Dataset or
+    as a list of :class:`Trajectory` records, the form the benchmark's
+    per-trial check passes.
     """
     levels = [float(l) for l in confidence_levels]
     if not levels:
@@ -98,6 +161,13 @@ def adaptive_classify_batch(
     mu_d = rates.gamma_d * bin_width_us * _MS_PER_US
     with np.errstate(divide="ignore", invalid="ignore"):
         a, c = np.log(mu_b) - np.log(mu_d), mu_b - mu_d
+    cap = _zero_count_cap(p_dp, p_rp, c)
+    capped = [l for l in levels if l >= cap]
+    if capped:
+        warnings.warn(
+            f"confidence level(s) {', '.join(f'{l:g}' for l in capped)} at or above "
+            f"{cap:.6f}, the posterior a record with no counts approaches at these rates: "
+            "no such record stops there", stacklevel=2)
 
     # A trial's stopped levels are always the lowest ones, so per trial
     # one count of stopped levels (in ascending order) tracks them all.
@@ -115,16 +185,38 @@ def adaptive_classify_batch(
     stop_bright = np.empty((len(levels), n_trials), dtype=bool)
     stop_conf = np.empty((len(levels), n_trials))
 
-    active = np.arange(n_trials)  # trials still open at the highest level
-    n_stopped = np.zeros(n_trials, dtype=np.intp)
-    r = np.zeros(n_trials)  # log posterior odds, bright over dark
-    before = np.zeros(n_trials, dtype=ds.prefix.dtype)  # counts before bin i
+    # join_order[join_at[i]:join_at[i + 1]] are the trials whose first count
+    # is in bin i; join_order[join_at[i + 1]:] have no count up to bin i
+    first = _first_count_bins(ds.prefix)
+    join_order = np.argsort(first, kind="stable")
+    join_at = np.searchsorted(first[join_order], np.arange(n_bins + 1))
+
+    # stepped trials, open at the highest level; while ``lane`` holds,
+    # position 0 is the lane, whose trial entry is a placeholder
+    active = np.zeros(1, dtype=np.intp)
+    n_stopped = np.zeros(1, dtype=np.intp)
+    r = np.zeros(1)  # log posterior odds, bright over dark
+    before = np.zeros(1, dtype=ds.prefix.dtype)  # counts before bin i
+    lane = True
     for i in range(n_bins):
+        if lane:  # trials join at their first count; the lane goes once none waits
+            joining = join_order[join_at[i]:join_at[i + 1]]
+            lane = bool(join_at[i + 1] < n_trials)
+            if joining.size or not lane:
+                kept, nj = slice(0 if lane else 1, None), joining.size
+                active = np.concatenate([active[kept], joining])
+                n_stopped = np.concatenate([n_stopped[kept], np.full(nj, n_stopped[0])])
+                r = np.concatenate([r[kept], np.full(nj, r[0])])
+                before = np.concatenate([before[kept], np.zeros(nj, before.dtype)])
+                if not active.size:
+                    break
         if flips:  # propagate the odds through one bin of state flips
             x = np.exp(r)
             r = np.log(((1.0 - p_dp) * x + p_rp) / (p_dp * x + (1.0 - p_rp)))
         through = ds.prefix[active, i]
         k = through - before
+        if lane:
+            k[0] = 0
         with np.errstate(invalid="ignore"):  # 0 * inf, discarded by the where
             r += np.where(k > 0, k * a, 0.0) - c
         before = through
@@ -139,6 +231,13 @@ def adaptive_classify_batch(
         if not moved.any():
             continue
         new, conf, lo, hi = new[moved], conf[moved], lo[moved], hi[moved]
+        n_stopped[new] = hi
+        if lane and new[0] == 0:  # so does every trial with no count yet
+            waiting = join_order[join_at[i + 1]:]
+            stop_bin[lo[0]:hi[0], waiting] = i + 1
+            stop_bright[lo[0]:hi[0], waiting] = r[0] >= 0
+            stop_conf[lo[0]:hi[0], waiting] = conf[0]
+            new, conf, lo, hi = new[1:], conf[1:], lo[1:], hi[1:]
         # one entry per (trial, level passed in this bin): trial e passes lo[e] .. hi[e] - 1
         passed = hi - lo
         e = np.repeat(np.arange(new.size), passed)
@@ -147,13 +246,18 @@ def adaptive_classify_batch(
         stop_bin[k, rows] = i + 1
         stop_bright[k, rows] = (r[new] >= 0)[e]
         stop_conf[k, rows] = conf[e]
-        n_stopped[new] = hi
         still_open = n_stopped < len(levels)
+        lane = lane and bool(still_open[0])
         active, n_stopped, r = active[still_open], n_stopped[still_open], r[still_open]
         before = before[still_open]
         if not active.size:
             break
 
+    if lane:  # trials with no count at all hold the lane's final odds
+        waiting = join_order[join_at[n_bins]:]
+        active = np.concatenate([waiting, active[1:]])
+        n_stopped = np.concatenate([np.full(waiting.size, n_stopped[0]), n_stopped[1:]])
+        r = np.concatenate([np.full(waiting.size, r[0]), r[1:]])
     # trials open at a level keep the whole record and their final posterior;
     # they are the trials still active that stopped at fewer levels
     final_bright, final_conf = r >= 0, _confidence(r)
@@ -362,6 +466,7 @@ def _mean_rate_slope(
 _DURATION_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 MIN_CALIBRATION_TRIALS = 100
 MIN_CALIBRATION_BINS = 3  # the pumping slope's error needs more bins than the line's 2 parameters
+_SUM_BLOCK_BYTES = 1 << 20  # prefix rows summed at a time by calibrate_rates
 
 
 def calibrate_rates(ds: Dataset) -> CalibratedRates:
@@ -384,6 +489,7 @@ def calibrate_rates(ds: Dataset) -> CalibratedRates:
                          f"got {ds.n_bins}")
     t0 = ds.bin_width_us
     n_bins = ds.n_bins
+    rows_per_block = max(1, _SUM_BLOCK_BYTES // (n_bins * ds.prefix.itemsize))
 
     def peak_rate(mask: np.ndarray) -> tuple[float, float]:
         estimates = []
@@ -397,8 +503,12 @@ def calibrate_rates(ds: Dataset) -> CalibratedRates:
 
     def mean_counts(mask: np.ndarray, n: int) -> np.ndarray:
         # integer sums are exact, so the differences of the prefix column sums
-        # equal counts[mask].sum(axis=0), and this counts[mask].mean(axis=0)
-        through = ds.prefix.sum(axis=0, dtype=np.int64, where=mask[:, None])
+        # equal counts[mask].sum(axis=0), and this counts[mask].mean(axis=0);
+        # the masked rows are copied a block at a time, not all at once
+        through = np.zeros(n_bins, dtype=np.int64)
+        for lo in range(0, len(ds), rows_per_block):
+            block = slice(lo, lo + rows_per_block)
+            through += ds.prefix[block][mask[block]].sum(axis=0, dtype=np.int64)
         return np.diff(through, prepend=0) / n
 
     dark = ~ds.bright

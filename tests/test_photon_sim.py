@@ -90,6 +90,16 @@ def test_same_seed_reproduces_dataset_bitwise(rates, config):
 def test_block_rows_do_not_depend_on_later_trials(rates):
     # the stream is keyed on (seed, state, block): reproducible under the
     # seed, and a full block's rows are the same when more trials follow it
+    _assert_block_rows_do_not_depend_on_later_trials(rates)
+
+
+def test_block_rows_do_not_depend_on_later_trials_in_sub_batches(rates, monkeypatch):
+    # the same where a block is drawn and binned in sub-batches of 998 trials
+    monkeypatch.setattr("ionreadout.photon_sim._SEGMENT_BUDGET", 1000)
+    _assert_block_rows_do_not_depend_on_later_trials(rates)
+
+
+def _assert_block_rows_do_not_depend_on_later_trials(rates):
     small = ReadoutConfig(n_bins=60, herald_duration_us=0.0)
     block = _BLOCK_TRIALS
     a = simulate_dataset(rates, small, trials_per_state=block + 7, seed=19)
@@ -401,6 +411,23 @@ def test_one_pass_simulation_holds_only_the_retained_prefix(peak_rise):
         "ds.prefix.nbytes")
     assert prefix_bytes > 5 * 2**20  # about 13,000 retained rows of 450 int8 sums
     assert 0 < rise <= prefix_bytes + 8 * 2**20, f"rise {rise / 2**20:.1f} MiB"
+
+
+def test_fast_pumping_draws_a_block_in_sub_batches(peak_rise):
+    # about 500 flips per trial: one segment per flip for a whole 4,096-trial
+    # block would raise the peak by about 200 MB
+    rise, prefix_bytes = peak_rise(
+        "import warnings\n"
+        "import ionreadout\n"
+        "warnings.simplefilter('ignore')\n"
+        "fast = ionreadout.RateParams(1000.0, 1.0, 999.0, 999.0)\n"
+        "cfg = ionreadout.ReadoutConfig(n_bins=500, herald_duration_us=0.0)",
+        "ionreadout.simulate_dataset(fast, ionreadout.ReadoutConfig(n_bins=20, "
+        "herald_duration_us=0.0), 5, seed=1)",
+        "ds = ionreadout.simulate_dataset(fast, cfg, 4096, seed=1)",
+        "ds.prefix.nbytes")
+    assert prefix_bytes == 2 * 4096 * 500 * 2  # int16 sums, two blocks of 4,096 trials
+    assert 0 < rise < 64 * 2**20, f"rise {rise / 2**20:.1f} MiB"
 
 
 def test_stream_config_validation():

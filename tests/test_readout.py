@@ -22,7 +22,8 @@ from ionreadout import (
     optimize_threshold,
     simulate_dataset,
 )
-from ionreadout.photon_sim import _flip_probs
+from ionreadout.photon_sim import _MS_PER_US, _counts_dtype, _flip_probs
+from ionreadout.readout import _confidence, _zero_count_cap
 
 NOPUMP = RateParams(gamma_b=162.50, gamma_d=5.095)
 
@@ -59,6 +60,88 @@ def _reference_filter(counts, rates, bin_width_us, level):
     return lb >= ld, counts.size, np.exp(max(lb, ld)), False
 
 
+def _every_record_loop(ds, rates, bin_width_us, levels):
+    """The batch filter that steps every record still open at the top level,
+    with no lane for the records that have no count yet: the reference
+    :func:`adaptive_classify_batch` must match bit for bit.  Returns
+    (decisions, bins_consumed, confidence, converged) per level, in order.
+    """
+    n_trials, n_bins = len(ds), ds.n_bins
+    p_dp, p_rp = _flip_probs(rates, bin_width_us)
+    flips = p_dp > 0 or p_rp > 0
+    mu_b = rates.gamma_b * bin_width_us * _MS_PER_US
+    mu_d = rates.gamma_d * bin_width_us * _MS_PER_US
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, c = np.log(mu_b) - np.log(mu_d), mu_b - mu_d
+    order = np.argsort(levels, kind="stable")
+    sorted_levels = np.asarray(levels)[order]
+    q = sorted_levels - 16 * np.spacing(sorted_levels)
+    low = np.log(q) - np.log1p(-q)
+    low -= 1e-12 * (1.0 + np.abs(low))
+    stop_bin = np.empty((len(levels), n_trials), dtype=_counts_dtype(n_bins))
+    stop_bright = np.empty((len(levels), n_trials), dtype=bool)
+    stop_conf = np.empty((len(levels), n_trials))
+    active = np.arange(n_trials)
+    n_stopped = np.zeros(n_trials, dtype=np.intp)
+    r = np.zeros(n_trials)
+    before = np.zeros(n_trials, dtype=ds.prefix.dtype)
+    for i in range(n_bins):
+        if flips:
+            x = np.exp(r)
+            r = np.log(((1.0 - p_dp) * x + p_rp) / (p_dp * x + (1.0 - p_rp)))
+        through = ds.prefix[active, i]
+        k = through - before
+        with np.errstate(invalid="ignore"):
+            r += np.where(k > 0, k * a, 0.0) - c
+        before = through
+        mag = np.abs(r)
+        new = np.flatnonzero(mag >= low[n_stopped])
+        if not new.size:
+            continue
+        conf = _confidence(mag[new])
+        hi = np.searchsorted(sorted_levels, conf, side="right")
+        lo = n_stopped[new]
+        moved = hi > lo
+        if not moved.any():
+            continue
+        new, conf, lo, hi = new[moved], conf[moved], lo[moved], hi[moved]
+        passed = hi - lo
+        e = np.repeat(np.arange(new.size), passed)
+        k = np.arange(e.size) - (np.cumsum(passed) - passed - lo)[e]
+        rows = active[new][e]
+        stop_bin[k, rows] = i + 1
+        stop_bright[k, rows] = (r[new] >= 0)[e]
+        stop_conf[k, rows] = conf[e]
+        n_stopped[new] = hi
+        still_open = n_stopped < len(levels)
+        active, n_stopped, r = active[still_open], n_stopped[still_open], r[still_open]
+        before = before[still_open]
+        if not active.size:
+            break
+    final_bright, final_conf = r >= 0, _confidence(r)
+    results = [None] * len(levels)
+    for k, j in enumerate(order):
+        open_ = n_stopped <= k
+        rows = active[open_]
+        stop_bin[k, rows] = n_bins
+        stop_bright[k, rows] = final_bright[open_]
+        stop_conf[k, rows] = final_conf[open_]
+        converged = np.ones(n_trials, dtype=bool)
+        converged[rows] = False
+        results[j] = (stop_bright[k], stop_bin[k], stop_conf[k], converged)
+    return results
+
+
+def _assert_same_as_every_record_loop(results, ds, rates, bin_width_us):
+    levels = [res.confidence_level for res in results]
+    for res, ref in zip(results, _every_record_loop(ds, rates, bin_width_us, levels)):
+        got = (res.decisions, res.bins_consumed, res.confidence, res.converged)
+        for name, g, want in zip(("decisions", "bins_consumed", "confidence", "converged"),
+                                 got, ref):
+            assert g.dtype == want.dtype and g.tobytes() == want.tobytes(), \
+                f"{name} differs at level {res.confidence_level}"
+
+
 def _classify(counts, level, rates=NOPUMP):
     """The batch filter on a single record at a single level."""
     return adaptive_classify_batch([_traj(counts)], rates, 1.0, [level])[0]
@@ -78,6 +161,7 @@ def _assert_matches_reference(res, records, rates, bin_width_us):
 @given(
     records=arrays(np.int64, st.tuples(st.integers(1, 6), st.integers(1, 30)),
                    elements=st.integers(0, 12)),
+    quiet=arrays(np.int64, 6, elements=st.integers(0, 31)),
     gamma_d=st.sampled_from([0.0, 5.095]) | st.floats(min_value=0.0, max_value=50.0),
     spread=st.sampled_from([0.0, 157.405]) | st.floats(min_value=0.0, max_value=200.0),
     gamma_dp=st.floats(min_value=0.0, max_value=0.05),
@@ -86,17 +170,23 @@ def _assert_matches_reference(res, records, rates, bin_width_us):
     levels=st.lists(st.floats(min_value=0.51, max_value=1 - 1e-9), min_size=1, max_size=3),
 )
 @settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("ignore:confidence level")
 def test_batch_filter_matches_log_domain_reference(
-    records, gamma_d, spread, gamma_dp, gamma_rp, bin_width_us, levels
+    records, quiet, gamma_d, spread, gamma_dp, gamma_rp, bin_width_us, levels
 ):
     # includes gamma_d = 0 (a count decides bright outright), gamma_b = gamma_d
-    # (the odds only drift) and gamma_b = gamma_d = 0 (a count stops nothing)
+    # (the odds only drift) and gamma_b = gamma_d = 0 (a count stops nothing);
+    # record j has no count in its first quiet[j] bins, so many have none at all
+    records = np.where(np.arange(records.shape[1]) < quiet[:len(records), None], 0, records)
     rates = RateParams(gamma_d + spread, gamma_d, gamma_dp, gamma_rp)
     trajs = [_traj(c, bin_width_us=bin_width_us) for c in records]
-    for res in adaptive_classify_batch(trajs, rates, bin_width_us, levels):
+    results = adaptive_classify_batch(trajs, rates, bin_width_us, levels)
+    for res in results:
         _assert_matches_reference(res, records, rates, bin_width_us)
         conf = res.confidence[~np.isnan(res.confidence)]
         assert np.all((conf >= 0.5) & (conf <= 1.0))
+    ds = Dataset(records, np.ones(len(records), dtype=bool), bin_width_us)
+    _assert_same_as_every_record_loop(results, ds, rates, bin_width_us)
 
 
 def test_bayes_step_zero_count_from_uniform_prior():
@@ -107,12 +197,14 @@ def test_bayes_step_zero_count_from_uniform_prior():
     assert 1.0 - res.confidence[0] == pytest.approx(0.46073, abs=5e-6)
 
 
+@pytest.mark.filterwarnings("ignore:confidence level")  # levels above the zero-count cap
 def test_bayes_step_equal_rates_leaves_prior():
     res = _classify([4, 0, 7], 0.9, RateParams(gamma_b=30.0, gamma_d=30.0))
     assert res.confidence[0] == 0.5
     assert not res.converged[0]
 
 
+@pytest.mark.filterwarnings("ignore:confidence level")  # levels above the zero-count cap
 def test_count_impossible_when_dark_decides_bright_with_certainty():
     res = adaptive_classify_batch([_traj([0, 0, 1, 0])], RateParams(30.0, 0.0, 0.02, 0.01),
                                   1.0, [0.9, np.nextafter(1.0, 0.0)])
@@ -146,6 +238,7 @@ def test_merged_bins_are_sufficient_without_pumping(counts):
         assert merged.confidence[0] == pytest.approx(res.confidence[0], abs=1e-10)
 
 
+@pytest.mark.filterwarnings("ignore:confidence level")  # levels above the zero-count cap
 @given(
     counts=st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=6),
     idx=st.integers(min_value=0, max_value=5),
@@ -190,6 +283,7 @@ def test_five_counts_decide_bright_in_one_bin():
     assert res.bins_consumed[0] == 1
 
 
+@pytest.mark.filterwarnings("ignore:confidence level")  # levels above the zero-count cap
 def test_confidence_meets_level_when_converged():
     counts = np.zeros(100, dtype=np.int64)
     counts[0] = 5
@@ -232,6 +326,110 @@ def test_adaptive_memory_follows_the_trials_not_the_counts():
         tracemalloc.stop()
     assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     _assert_matches_reference(res, ds.counts[:5], rates, 1.0)
+
+
+OFFLINE = RateParams(60.0, 2.0, 0.020, 0.0120)  # the offline CSV workload's emitter
+
+
+@pytest.fixture(scope="module")
+def offline_records():
+    # the offline CSV workload's records: 0.5 us bins, flips at bin boundaries
+    # and a 100 us herald of at least 3 counts
+    cfg = ReadoutConfig(bin_width_us=0.5, n_bins=1000, herald_duration_us=100.0,
+                        herald_bright_min=3)
+    return simulate_dataset(OFFLINE, cfg, trials_per_state=300, seed=1, mode="bin-boundary")
+
+
+def test_lane_matches_every_record_loop_on_the_heralded_records(heralded, rates, bayes16):
+    # about 40 % of the records have no count before the all-zero record has
+    # stopped at all 16 levels, so they never join the stepped records
+    _assert_same_as_every_record_loop(bayes16, heralded, rates, 1.0)
+
+
+@pytest.mark.parametrize("levels", [[0.9999], list(1.0 - np.geomspace(0.1, 1e-4, 16))])
+def test_lane_matches_every_record_loop_on_offline_records(offline_records, levels):
+    # the all-zero record never reaches 0.9999 here, so the lane runs to the
+    # end of the record, and the records with no count take its final odds
+    quiet = offline_records.prefix[:, -1] == 0
+    assert quiet.any()
+    with pytest.warns(UserWarning, match=r"0\.9999 at or above 0\.999796"):
+        res = adaptive_classify_batch(offline_records, OFFLINE, 0.5, levels)
+    top = res[-1]
+    assert not top.converged[quiet].any()
+    assert np.all(top.bins_consumed[quiet] == offline_records.n_bins)
+    _assert_same_as_every_record_loop(res, offline_records, OFFLINE, 0.5)
+
+
+def test_lane_matches_every_record_loop_with_and_without_all_zero_records(rates, levels16):
+    rng = np.random.default_rng(8)
+    counts = rng.poisson(0.05, (60, 120))
+    counts[:, -1] += 1  # every record has a count, most of them late
+    ds = Dataset(counts, np.arange(60) < 30, 1.0)
+    _assert_same_as_every_record_loop(adaptive_classify_batch(ds, rates, 1.0, levels16), ds,
+                                      rates, 1.0)
+    zeros = Dataset(np.zeros((40, 120), dtype=np.int64), np.arange(40) < 20, 1.0)
+    res = adaptive_classify_batch(zeros, rates, 1.0, levels16)
+    _assert_same_as_every_record_loop(res, zeros, rates, 1.0)
+    # the all-zero records all stop with the lane, 14 bins in at 0.9
+    assert np.all(res[0].bins_consumed == 14) and res[-1].converged.all()
+
+
+def test_lane_matches_every_record_loop_on_records_shorter_than_its_last_stop(
+        rates, levels16):
+    # the all-zero record passes the top level at bin 67; these records end at 40
+    ds = simulate_dataset(rates, ReadoutConfig(n_bins=90, herald_duration_us=50.0), 2000,
+                          seed=5)
+    res = adaptive_classify_batch(ds, rates, 1.0, levels16)
+    quiet = ds.prefix[:, -1] == 0
+    assert quiet.any() and not res[-1].converged[quiet].any()
+    assert res[0].converged[quiet].all()  # the all-zero record stops at 0.9 after 14 bins
+    _assert_same_as_every_record_loop(res, ds, rates, 1.0)
+
+
+def _settled_confidence(p_dp, p_rp, c, n_bins=3000):
+    """sigma(|r|) after n_bins zero-count steps of the filter from even odds."""
+    r = np.zeros(1)
+    with np.errstate(divide="ignore", over="ignore"):
+        for _ in range(n_bins):
+            x = np.exp(r)
+            r = np.log(((1.0 - p_dp) * x + p_rp) / (p_dp * x + (1.0 - p_rp))) - c
+    return float(_confidence(r)[0])
+
+
+@pytest.mark.parametrize("p_dp, p_rp, c", [
+    (2.0e-5, 1.2e-5, 0.157405),  # the paper's rates at 1 us bins
+    (1.0e-5, 6.0e-6, 0.029),  # the offline rates at 0.5 us bins
+    (0.0, 1.2e-5, 0.157405),  # no bright-to-dark flips
+    (2.0e-5, 0.0, 0.157405),  # dark is absorbing: the odds fall without bound
+    (0.0, 0.0, 0.157405),  # no pumping
+    (0.0, 0.0, 0.0),  # equal rates and no pumping: the odds stay even
+    (0.0, 0.01, 0.001),  # flips into bright outrun the evidence: the odds grow
+    (0.3, 0.2, 0.0),  # equal rates: the odds settle at the flips' balance
+])
+def test_zero_count_cap_is_where_the_odds_of_a_record_without_counts_settle(p_dp, p_rp, c):
+    cap = _zero_count_cap(p_dp, p_rp, c)
+    settled = _settled_confidence(p_dp, p_rp, c)
+    if cap < 1.0:
+        assert settled <= cap + 1e-15 and settled == pytest.approx(cap, abs=1e-12)
+    else:
+        assert settled > 1.0 - 1e-6
+
+
+def test_levels_at_or_above_the_zero_count_cap_warn_once_naming_them():
+    ds = Dataset(np.array([[0, 3, 0, 0], [0, 0, 0, 0]]), np.array([True, False]), 0.5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        adaptive_classify_batch(ds, OFFLINE, 0.5, [0.99, 0.9999, 0.99985, 0.9997])
+    assert [str(w.message) for w in caught] == [
+        "confidence level(s) 0.9999, 0.99985 at or above 0.999796, the posterior a record "
+        "with no counts approaches at these rates: no such record stops there"]
+    assert caught[0].category is UserWarning and caught[0].filename == __file__
+    # the paper's rates and levels: the cap, 0.999930, is above the top level 0.9999
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        adaptive_classify_batch(Dataset(ds.counts, ds.bright, 1.0),
+                                RateParams(162.50, 5.095, 0.020, 0.0120), 1.0,
+                                1.0 - np.geomspace(0.1, 1e-4, 16))
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 """Flat-config scenarios and the command-line front end."""
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -278,7 +279,9 @@ def test_paper_scenario_reproduces_shipped_outputs(tmp_path, monkeypatch):
     # lands there, and effective_config.cfg names it as the shipped one does
     golden = SCENARIO_DIR.parent / "out" / "paper"
     monkeypatch.chdir(tmp_path)
-    run_scenario(SCENARIO_DIR / "paper.cfg")
+    with warnings.catch_warnings():  # the top level, 0.9999, is below the zero-count cap
+        warnings.simplefilter("error")
+        run_scenario(SCENARIO_DIR / "paper.cfg")
     written = tmp_path / "out" / "paper"
     names = sorted(p.name for p in golden.iterdir())
     assert names == ["bayes_sweep.csv", "effective_config.cfg", "summary.txt",
@@ -363,6 +366,28 @@ def test_cli_classify_compares_methods(small_csv, capsys):
     assert "bayes@0.99" in rows[1]
     header = [l for l in out.splitlines() if l.startswith("method")]
     assert header and "mean_error" in header[0] and "fidelity" in header[0]
+
+
+def test_cli_classify_warns_of_a_level_above_the_zero_count_cap(tmp_path, capsys):
+    # the offline CSV workload's operating point: at 0.5 us bins a record with
+    # no counts approaches 0.999796, so it never stops at 0.9999
+    path = tmp_path / "offline.csv"
+    width = ["--bin-width-us", "0.5"]
+    rates = ["--gamma-b-per-ms", "60", "--gamma-d-per-ms", "2", "--gamma-dp-per-ms", "0.02",
+             "--gamma-rp-per-ms", "0.012"]
+    assert main(["simulate", "--seed", "1", "--trials-per-state", "100", "--n-bins", "400",
+                 "--mode", "bin-boundary", "--herald", "--herald-duration-us", "100",
+                 "--herald-bright-min", "3", "--out", str(path), *width, *rates]) == 0
+    capsys.readouterr()
+    argv = ["classify", "--in", str(path), "--bayes", "--level", "0.9999", *width, *rates]
+    with pytest.warns(UserWarning, match=r"^confidence level\(s\) 0\.9999 at or above 0\.999796"):
+        assert main(argv) == 0
+    warned = capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(argv) == 0
+    assert warned.out == capsys.readouterr().out
+    assert [l.split()[0] for l in warned.out.splitlines()] == ["method", "bayes@0.9999"]
 
 
 def test_cli_classify_flag_conflicts(small_csv, tmp_path, capsys):
