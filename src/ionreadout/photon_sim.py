@@ -24,7 +24,7 @@ Reproducibility contract: trials are drawn in fixed-size blocks of one
 prepared state, each block from its own generator seeded by
 ``(master_seed, state, block)``.  Output is bitwise reproducible under
 the seed, and a block's rows do not depend on how many trials follow it.
-A block is drawn and binned in sub-batches of trials sized by the rates
+A block is drawn and placed in sub-batches of trials sized by the rates
 and the record length alone, so that their flip segments stay bounded at
 fast pumping; at slow pumping a sub-batch is the whole block.
 
@@ -34,11 +34,16 @@ label column.  A readout total is one column, bin j's counts are the
 difference of columns j and j - 1, and the counts matrix is derived only
 on access.  The prefix is stored in the narrowest of int8, int16, int32
 and int64 that holds its largest record total, so no sum wraps; at the
-paper's rates that is int8.  :func:`simulate_dataset` heralds each chunk
-of rows as it is drawn and writes only the retained rows' post-herald
-prefix sums, so no raw counts matrix is ever held; it returns those
-records alone, and the herald tally is read off their labels.  Every
-record carries its bin width; none is assumed.  A list of
+paper's rates that is int8.  :func:`simulate_dataset` decides the herald
+of each chunk of rows from the bins of its placed photons and keeps only
+the retained records' post-herald photon bins, so no dense counts matrix
+is ever held; once every trial is drawn it allocates the prefix once, at
+its exact size, bins-major, and returns the retained records alone; the
+herald tally is read off their labels.  Simulated records are therefore
+bins-major in memory (each column of the prefix is contiguous), while
+records built from a counts matrix or read from a file are trial-major;
+every consumer takes either.  Every record carries its bin width; none
+is assumed.  A list of
 :class:`Trajectory` input records is stacked into one by
 :func:`as_dataset`, which checks the records once; only
 :func:`readout.adaptive_classify_batch` still accepts such a list, for
@@ -106,12 +111,10 @@ class ReadoutConfig:
     def __post_init__(self) -> None:
         if self.bin_width_us <= 0:
             raise ValueError("bin_width_us must be positive")
-        if self.n_bins < 1:
-            raise ValueError("n_bins must be >= 1")
+        _check_count("n_bins", self.n_bins)
         if self.herald_duration_us < 0:
             raise ValueError("herald_duration_us must be >= 0")
-        if self.herald_bright_min < 1:
-            raise ValueError("herald_bright_min must be >= 1")
+        _check_count("herald_bright_min", self.herald_bright_min)
         if self.herald_bins >= self.n_bins:
             raise ValueError(
                 f"herald_duration_us ({self.herald_duration_us}) must be shorter than the "
@@ -121,6 +124,15 @@ class ReadoutConfig:
     @property
     def herald_bins(self) -> int:
         return _whole_bins("herald_duration_us", self.herald_duration_us, self.bin_width_us)
+
+
+def _check_count(name: str, value) -> None:
+    """Raise ValueError unless value is an integer (a Python or numpy one, not
+    a bool) of at least 1; the error calls it ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 def _whole_bins(name: str, duration_us: float, bin_width_us: float) -> int:
@@ -173,7 +185,10 @@ class Dataset:
     ``Dataset(counts, bright, bin_width_us)`` takes an n_trials x n_bins
     counts matrix and keeps only ``prefix``, its running sum along each
     record, in the narrowest integer type that holds the largest record
-    total (see :func:`_counts_dtype`).  ``counts`` is derived from
+    total (see :func:`_counts_dtype`), in the counts' memory order: a
+    C-ordered matrix gives a trial-major prefix, as the trajectory reader
+    builds too.  :func:`simulate_dataset` returns a bins-major prefix, the
+    transpose of a bins x trials matrix.  ``counts`` is derived from
     ``prefix`` on each access, in the prefix's type.  ``bright`` is the
     label column: the preparation, or after heralding the herald's
     verdict.  Trial i is ``counts[i]`` with label ``bright[i]``.  ``len``
@@ -366,16 +381,18 @@ def _segments(
     return trial, start, end, flipped
 
 
-def _binned_counts(
+def _placed_photons(
     rng: np.random.Generator, rates: RateParams, cfg: ReadoutConfig, bright: bool,
     segments: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ):
-    """Yield int64 counts of consecutive rows, in order, for the segments' trials.
+    """Yield the photons of consecutive rows, in order, for the segments' trials.
 
     Each segment gets one Poisson total, placed uniformly inside it and
     binned.  Binned counts of a Poisson process are independent Poisson
     variables with the time-weighted means, so this is exact.  Rows are
-    binned a few at a time; the draws do not depend on how they are cut.
+    placed a few at a time; each time the number of rows is yielded with
+    every photon's row, counted from the first of them and in order, and
+    its bin.  The draws do not depend on how the rows are cut.
     """
     t0, n_bins = cfg.bin_width_us, cfg.n_bins
     trial, start, end, flipped = segments
@@ -398,8 +415,9 @@ def _binned_counts(
         at = rng.random(seg.size)
         at *= (end - start)[seg]
         at += first_cell[seg]
-        cell = np.minimum(at.astype(np.int64), cap[seg]) - row * n_bins
-        yield np.bincount(cell, minlength=(stop - row) * n_bins).reshape(-1, n_bins)
+        in_trial = trial[seg]
+        cell = np.minimum(at.astype(np.int64), cap[seg])
+        yield stop - row, in_trial - row, cell - in_trial * n_bins
         row = stop
 
 
@@ -432,16 +450,17 @@ def simulate_dataset(
     bright, 1 dark) draws from the generator seeded by (seed, s, b).  The
     output is bitwise reproducible under the seed, and a block's rows do not
     change when trials_per_state grows beyond that block.  A block's trials
-    are drawn and binned in sub-batches whose expected flip segments stay
-    near ``_SEGMENT_BUDGET``.  Each chunk of rows is heralded as it is
-    binned, and only the retained rows' prefix sums are written, into one
-    matrix allocated at the upper bound: its pages past the retained rows
-    are never touched, so never resident.  The matrix starts as int8 and is
-    widened, with the rows written so far, when a retained record's total
-    would not fit.
+    are drawn and placed in sub-batches whose expected flip segments stay
+    near ``_SEGMENT_BUDGET``.  Each chunk of rows is heralded from the bins
+    of its placed photons, and only the retained records' post-herald
+    photon bins are kept, in the narrowest unsigned type that holds a bin.
+    Once every chunk is placed, the prefix matrix is allocated once, at its
+    exact size and type, bins-major (one row per post-herald bin, one
+    column per retained record): each chunk's counts are scattered into its
+    columns and the bins are summed in order.  The records' prefix is the
+    transposed view, so simulated records are bins-major in memory.
     """
-    if trials_per_state < 1:
-        raise ValueError("trials_per_state must be >= 1")
+    _check_count("trials_per_state", trials_per_state)
     if mode not in ("exact", "bin-boundary"):
         raise ValueError(f"unknown transition mode {mode!r}")
     _flip_probs(rates, cfg.bin_width_us)
@@ -454,33 +473,42 @@ def simulate_dataset(
     # depend on later trials
     batch = max(1, int(_SEGMENT_BUDGET // (1 + cfg.n_bins * p)))
     hb = cfg.herald_bins
-    n_trials, n_post = 2 * trials_per_state, cfg.n_bins - hb
-    prefix = np.empty((n_trials, n_post), dtype=np.int8)
-    bright = np.empty(n_trials, dtype=bool)
-    kept = top = 0  # rows written; the largest retained record total
+    n_post = cfg.n_bins - hb
+    bin_type = np.min_scalar_type(n_post - 1)
+    chunks = []  # per chunk: the retained records' post-herald totals and photon bins
+    bright = np.empty(2 * trials_per_state, dtype=bool)
+    kept = top = 0  # records retained; the largest retained record total
     for s, prepared in enumerate((True, False)):
         for b, lo in enumerate(range(0, trials_per_state, _BLOCK_TRIALS)):
             n = min(_BLOCK_TRIALS, trials_per_state - lo)
             rng = np.random.default_rng((seed, s, b))
             for m in range(0, n, batch):
                 segments = _segments(rng, rates, cfg, prepared, mode, min(batch, n - m))
-                for rows in _binned_counts(rng, rates, cfg, prepared, segments):
-                    labels = prepared
+                for n_rows, row, at in _placed_photons(rng, rates, cfg, prepared, segments):
+                    keep, labels = slice(None), prepared
                     if hb:
-                        keep, labels = _herald(rows[:, :hb].sum(axis=1), cfg)
-                        rows = rows[keep, hb:]
-                    top = max(top, int(rows.sum(axis=1).max(initial=0)))
-                    dtype = _counts_dtype(top)
-                    if dtype != prefix.dtype:  # widen only the rows written so far
-                        wider = np.empty(prefix.shape, dtype)
-                        wider[:kept] = prefix[:kept]
-                        prefix = wider
-                    # exact in the narrow type, which holds every sum
-                    np.cumsum(rows, axis=1, dtype=prefix.dtype,
-                              out=prefix[kept:kept + len(rows)])
-                    bright[kept:kept + len(rows)] = labels
-                    kept += len(rows)
-    return Dataset._from_prefix(prefix[:kept], bright[:kept], cfg.bin_width_us)
+                        post = at >= hb
+                        keep, labels = _herald(np.bincount(row[~post], minlength=n_rows), cfg)
+                        retained = np.zeros(n_rows, dtype=bool)
+                        retained[keep] = True
+                        post &= retained[row]
+                        row, at = row[post], at[post]
+                    totals = np.bincount(row, minlength=n_rows)[keep]
+                    chunks.append((totals, (at - hb).astype(bin_type)))
+                    top = max(top, int(totals.max(initial=0)))
+                    bright[kept:kept + totals.size] = labels
+                    kept += totals.size
+    # bins-major: bin j's counts of every retained record lie side by side
+    sums = np.empty((n_post, kept), dtype=_counts_dtype(top))
+    col = 0
+    for totals, bins in chunks:
+        k = totals.size
+        cell = bins * np.intp(k) + np.repeat(np.arange(k), totals)  # intp: no wrap
+        sums[:, col:col + k] = np.bincount(cell, minlength=n_post * k).reshape(n_post, k)
+        col += k
+    for j in range(1, n_post):  # exact in the matrix's type, which holds every total
+        np.add(sums[j - 1], sums[j], out=sums[j])
+    return Dataset._from_prefix(sums.T, bright[:kept], cfg.bin_width_us)
 
 
 # Arrivals drawn per chunk by simulate_timetag_streams: a chunk's gaps,

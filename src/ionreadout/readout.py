@@ -469,6 +469,24 @@ MIN_CALIBRATION_BINS = 3  # the pumping slope's error needs more bins than the l
 _SUM_BLOCK_BYTES = 1 << 20  # prefix rows summed at a time by calibrate_rates
 
 
+def _prefix_column_sums(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Each prefix column summed over every record and over the bright ones.
+
+    The sums are taken in int32 where no sum can pass it, else in int64.
+    The bright records' rows are copied a block at a time, not all at once.
+    """
+    prefix = ds.prefix
+    top = int(prefix[:, -1].max(initial=0))  # a prefix row never decreases
+    acc = np.int32 if len(ds) * top <= np.iinfo(np.int32).max else np.int64
+    every = prefix.sum(axis=0, dtype=acc)
+    bright = np.zeros(ds.n_bins, dtype=acc)
+    rows_per_block = max(1, _SUM_BLOCK_BYTES // (ds.n_bins * prefix.itemsize))
+    for lo in range(0, len(ds), rows_per_block):
+        block = slice(lo, lo + rows_per_block)
+        bright += prefix[block][ds.bright[block]].sum(axis=0, dtype=acc)
+    return every, bright
+
+
 def calibrate_rates(ds: Dataset) -> CalibratedRates:
     """Recover emitter rates from a labeled dataset.
 
@@ -489,7 +507,6 @@ def calibrate_rates(ds: Dataset) -> CalibratedRates:
                          f"got {ds.n_bins}")
     t0 = ds.bin_width_us
     n_bins = ds.n_bins
-    rows_per_block = max(1, _SUM_BLOCK_BYTES // (n_bins * ds.prefix.itemsize))
 
     def peak_rate(mask: np.ndarray) -> tuple[float, float]:
         estimates = []
@@ -501,16 +518,6 @@ def calibrate_rates(ds: Dataset) -> CalibratedRates:
         err = est.std(ddof=1) / np.sqrt(est.size) if est.size > 1 else float("nan")
         return float(est.mean()), float(err)
 
-    def mean_counts(mask: np.ndarray, n: int) -> np.ndarray:
-        # integer sums are exact, so the differences of the prefix column sums
-        # equal counts[mask].sum(axis=0), and this counts[mask].mean(axis=0);
-        # the masked rows are copied a block at a time, not all at once
-        through = np.zeros(n_bins, dtype=np.int64)
-        for lo in range(0, len(ds), rows_per_block):
-            block = slice(lo, lo + rows_per_block)
-            through += ds.prefix[block][mask[block]].sum(axis=0, dtype=np.int64)
-        return np.diff(through, prepend=0) / n
-
     dark = ~ds.bright
     gamma_b, gamma_b_err = peak_rate(ds.bright)
     gamma_d, gamma_d_err = peak_rate(dark)
@@ -518,8 +525,11 @@ def calibrate_rates(ds: Dataset) -> CalibratedRates:
     if spread <= 0:
         raise ValueError("bright rate did not exceed dark rate; cannot calibrate pumping")
 
-    _, slope_b, slope_b_err = _mean_rate_slope(mean_counts(ds.bright, n_bright), t0)
-    _, slope_d, slope_d_err = _mean_rate_slope(mean_counts(dark, n_dark), t0)
+    every, bright = _prefix_column_sums(ds)
+    # integer sums are exact, so the differences of the prefix column sums
+    # are counts[mask].sum(axis=0), and these counts[mask].mean(axis=0)
+    _, slope_b, slope_b_err = _mean_rate_slope(np.diff(bright, prepend=0) / n_bright, t0)
+    _, slope_d, slope_d_err = _mean_rate_slope(np.diff(every - bright, prepend=0) / n_dark, t0)
     return CalibratedRates(
         gamma_b=gamma_b,
         gamma_b_err=gamma_b_err,

@@ -1,4 +1,5 @@
 """Emitter Monte Carlo: count statistics, heralding, time-tag streams."""
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,10 +15,14 @@ from ionreadout import (
     RateParams,
     ReadoutConfig,
     Trajectory,
+    adaptive_classify_batch,
     as_dataset,
+    calibrate_rates,
+    optimize_threshold,
     simulate_dataset,
     simulate_timetag_streams,
 )
+from ionreadout import io as iio
 from ionreadout import photon_sim
 from ionreadout.photon_sim import _BLOCK_TRIALS, _TAG_CHUNK, _counts_dtype, _herald, _segments
 
@@ -212,6 +217,21 @@ def test_invalid_inputs_rejected(rates):
         simulate_dataset(rates, cfg, trials_per_state=1, seed=0, mode="jump")
 
 
+def test_whole_number_fields_reject_fractions_and_accept_numpy_integers(rates):
+    with pytest.raises(ValueError, match="^n_bins must be an integer, got 100.5"):
+        ReadoutConfig(n_bins=100.5)
+    with pytest.raises(ValueError, match="^herald_bright_min must be an integer, got 2.5"):
+        ReadoutConfig(herald_bright_min=2.5)
+    with pytest.raises(ValueError, match="^n_bins must be >= 1"):
+        ReadoutConfig(n_bins=np.int64(0))
+    cfg = ReadoutConfig(n_bins=np.int64(60), herald_duration_us=10.0,
+                        herald_bright_min=np.int32(2))
+    with pytest.raises(ValueError, match="^trials_per_state must be an integer, got 10.5"):
+        simulate_dataset(rates, cfg, trials_per_state=10.5, seed=1)
+    ds = simulate_dataset(rates, cfg, trials_per_state=np.int64(10), seed=1)
+    assert np.array_equal(ds.prefix, simulate_dataset(rates, replace(cfg, n_bins=60), 10, 1).prefix)
+
+
 def test_large_counts_widen_instead_of_wrapping():
     # 5e4 counts per bin do not fit int16; they must not wrap negative
     ds = simulate_dataset(RateParams(5e4, 1.0), ReadoutConfig(1000.0, 3, 0.0), 2, seed=1)
@@ -315,6 +335,38 @@ def test_dataset_window_totals(rates):
         Dataset(np.array([[1, 1]]), np.array(["bright"]), 1.0)
 
 
+def test_bins_major_and_trial_major_records_give_the_same_results(rates, tmp_path):
+    # the simulator's prefix is bins-major in memory; Dataset(counts, ...)
+    # and the trajectory reader build the same records trial-major
+    sim = simulate_dataset(rates, ReadoutConfig(1.0, 200, 20.0, 3), 600, seed=21)
+    built = Dataset(np.ascontiguousarray(sim.counts), sim.bright, sim.bin_width_us)
+    sim_csv, built_csv = tmp_path / "sim.csv", tmp_path / "built.csv"
+    iio.write_trajectories_csv(sim_csv, sim)
+    iio.write_trajectories_csv(built_csv, built)
+    assert sim_csv.read_bytes() == built_csv.read_bytes()
+    read = iio.read_trajectories_csv(sim_csv, bin_width_us=sim.bin_width_us)
+    assert sim.prefix.strides[0] < sim.prefix.strides[1]
+    levels = 1.0 - np.geomspace(0.1, 1e-4, 16)
+    want = adaptive_classify_batch(sim, rates, 1.0, levels)
+    for ds in (built, read):
+        assert ds.prefix.strides[0] > ds.prefix.strides[1]
+        assert ds.prefix.dtype == sim.prefix.dtype
+        assert np.array_equal(ds.bright, sim.bright)
+        assert np.array_equal(ds.counts, sim.counts) and ds.counts.dtype == sim.counts.dtype
+        for d in (1.0, 57.0, 180.0):
+            assert np.array_equal(ds.totals(d), sim.totals(d))
+        for key in (slice(100, 700), sim.bright, np.arange(0, len(sim), 7)):
+            assert np.array_equal(ds[key].prefix, sim[key].prefix)
+            assert np.array_equal(ds[key].counts, sim[key].counts)
+            assert np.array_equal(ds[key].bright, sim[key].bright)
+        for d in (25.0, 125.0, 180.0):
+            assert optimize_threshold(ds, d) == optimize_threshold(sim, d)
+        for got, res in zip(adaptive_classify_batch(ds, rates, 1.0, levels), want):
+            for field in ("decisions", "bins_consumed", "confidence", "converged"):
+                assert np.array_equal(getattr(got, field), getattr(res, field)), field
+        assert calibrate_rates(ds) == calibrate_rates(sim)
+
+
 # the herald rule on hand-made window counts (config: at least 8 counts is bright)
 def test_herald_zero_counts_keeps_dark(config):
     keep, bright = _herald(np.array([0]), config)
@@ -400,6 +452,83 @@ def test_prefix_widening_mid_simulation_keeps_the_written_rows(mode, monkeypatch
     assert one.prefix.dtype == np.int16
 
 
+def _row_wise_binned_counts(rng, rates, cfg, bright, segments):
+    """Yield int64 counts of consecutive rows: the segments' photons placed
+    and binned a few dense rows at a time, with the simulator's draws."""
+    t0, n_bins = cfg.bin_width_us, cfg.n_bins
+    trial, start, end, flipped = segments
+    photon_rates = (rates.gamma_b, rates.gamma_d) if bright else (rates.gamma_d, rates.gamma_b)
+    per_bin = np.array(photon_rates) * t0 * photon_sim._MS_PER_US
+    totals = rng.poisson(per_bin[flipped] * (end - start))
+    n = int(trial[-1]) + 1
+    first_seg = np.searchsorted(trial, np.arange(n + 1))
+    cost = np.bincount(trial, weights=totals, minlength=n) + n_bins
+    before = np.cumsum(cost) - cost
+    first_cell = trial * n_bins + start
+    cap = trial * n_bins + np.ceil(end).astype(np.int64) - 1
+    row = 0
+    while row < n:
+        stop = max(row + 1, int(np.searchsorted(before, before[row] + photon_sim._PLACE_BUDGET)))
+        lo, hi = first_seg[row], first_seg[stop]
+        seg = np.repeat(np.arange(lo, hi), totals[lo:hi])
+        at = rng.random(seg.size)
+        at *= (end - start)[seg]
+        at += first_cell[seg]
+        cell = np.minimum(at.astype(np.int64), cap[seg]) - row * n_bins
+        yield np.bincount(cell, minlength=(stop - row) * n_bins).reshape(-1, n_bins)
+        row = stop
+
+
+def _row_wise_dataset(rates, cfg, trials_per_state, seed, mode):
+    """simulate_dataset with dense rows: each chunk's rows binned as int64,
+    heralded by their window sums, and the retained rows' post-herald bins
+    summed row by row into a trial-major prefix."""
+    p = cfg.bin_width_us * photon_sim._MS_PER_US * max(rates.gamma_dp, rates.gamma_rp)
+    batch = max(1, int(photon_sim._SEGMENT_BUDGET // (1 + cfg.n_bins * p)))
+    hb = cfg.herald_bins
+    kept, labels = [], []
+    for s, prepared in enumerate((True, False)):
+        for b, lo in enumerate(range(0, trials_per_state, _BLOCK_TRIALS)):
+            n = min(_BLOCK_TRIALS, trials_per_state - lo)
+            rng = np.random.default_rng((seed, s, b))
+            for m in range(0, n, batch):
+                segments = _segments(rng, rates, cfg, prepared, mode, min(batch, n - m))
+                for rows in _row_wise_binned_counts(rng, rates, cfg, prepared, segments):
+                    bright = np.full(len(rows), prepared)
+                    if hb:
+                        keep, bright = _herald(rows[:, :hb].sum(axis=1), cfg)
+                        rows = rows[keep, hb:]
+                    kept.append(rows)
+                    labels.append(bright)
+    rows = np.concatenate(kept)
+    prefix = np.cumsum(rows, axis=1, dtype=_counts_dtype(int(rows.sum(axis=1).max(initial=0))))
+    return prefix, np.concatenate(labels)
+
+
+@pytest.mark.parametrize("budget", [None, 1], ids=["chunks", "one-row-chunks"])
+@pytest.mark.parametrize("mode", ["exact", "bin-boundary"])
+@pytest.mark.parametrize("rates, cfg, n", [
+    (PUMPED, ReadoutConfig(1.0, 60, 20.0, 3), _BLOCK_TRIALS + 37),
+    (PUMPED, ReadoutConfig(1.0, 60, 0.0), 300),
+    (RateParams(5e4, 1.0), ReadoutConfig(1000.0, 4, 1000.0, 8), 20),
+    # 0.9 expected flips per bin: a block is drawn in sub-batches of 290 trials
+    (RateParams(1000.0, 1.0, 900.0, 900.0), ReadoutConfig(1.0, 500, 20.0, 3), 700),
+], ids=["two-blocks", "no-herald", "wide-counts", "fast-pumping"])
+def test_simulation_matches_row_wise_binning(rates, cfg, n, mode, budget, monkeypatch):
+    # the herald decided from placed photons and the bins-major prefix give
+    # the bytes, type and labels of binning every row densely
+    if budget is not None:
+        monkeypatch.setattr("ionreadout.photon_sim._PLACE_BUDGET", budget)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # fast pumping warns
+        ds = simulate_dataset(rates, cfg, n, seed=13, mode=mode)
+    prefix, bright = _row_wise_dataset(rates, cfg, n, 13, mode)
+    assert ds.prefix.dtype == prefix.dtype and ds.prefix.shape == prefix.shape
+    assert ds.prefix.tobytes() == prefix.tobytes()
+    assert np.array_equal(ds.bright, bright)
+    assert ds.prefix.strides[0] < ds.prefix.strides[1]  # bins-major in memory
+
+
 def test_one_pass_simulation_holds_only_the_retained_prefix(peak_rise):
     paper = Path(__file__).resolve().parent.parent / "scenarios" / "paper.cfg"
     rise, prefix_bytes = peak_rise(
@@ -411,6 +540,22 @@ def test_one_pass_simulation_holds_only_the_retained_prefix(peak_rise):
         "ds.prefix.nbytes")
     assert prefix_bytes > 5 * 2**20  # about 13,000 retained rows of 450 int8 sums
     assert 0 < rise <= prefix_bytes + 8 * 2**20, f"rise {rise / 2**20:.1f} MiB"
+
+
+def test_simulation_holds_the_prefix_and_the_retained_photon_bins(peak_rise):
+    # the matrix is allocated once, at its exact size, after every chunk is
+    # placed; until then only the retained post-herald photon bins are held
+    paper = Path(__file__).resolve().parent.parent / "scenarios" / "paper.cfg"
+    rise, prefix_bytes, counts = peak_rise(
+        "import ionreadout\n"
+        "from ionreadout.scenario import load_scenario\n"
+        f"scn = load_scenario({str(paper)!r})",
+        "ionreadout.simulate_dataset(scn.rates, scn.readout, 10, seed=2)",
+        "ds = ionreadout.simulate_dataset(scn.rates, scn.readout, 50_000, seed=3)",
+        "ds.prefix.nbytes, int(ds.prefix[:, -1].sum(dtype='int64'))")
+    assert prefix_bytes > 25 * 2**20  # about 67,000 retained rows of 450 int8 sums
+    bound = prefix_bytes + 2 * counts + 8 * 2**20
+    assert 0 < rise <= bound, f"rise {rise / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
 
 def test_fast_pumping_draws_a_block_in_sub_batches(peak_rise):
