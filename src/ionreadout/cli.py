@@ -25,6 +25,7 @@ from .optics import (
     sde_calibrate,
 )
 from .photon_sim import (
+    TRANSITION_MODES,
     EmitterStreamConfig,
     RateParams,
     ReadoutConfig,
@@ -81,12 +82,40 @@ def _rate_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _rates_from(args) -> RateParams:
-    return RateParams(
-        gamma_b=args.gamma_b_per_ms,
-        gamma_d=args.gamma_d_per_ms,
-        gamma_dp=args.gamma_dp_per_ms,
-        gamma_rp=args.gamma_rp_per_ms,
-    )
+    return RateParams(**{f.name: getattr(args, f.name + "_per_ms") for f in fields(RateParams)})
+
+
+# rfmodel's flags: flag -> (NanowireNetwork field, the flag's unit in SI)
+_NETWORK_FLAGS = {
+    "k_segments": ("k_segments", 1),
+    "l_wire_uh": ("l_wire_total", 1e-6),
+    "c_ground_ff": ("c_ground", 1e-15),
+    "c_drive_ff": ("c_drive", 1e-15),
+    "c_lead_ff": ("c_lead", 1e-15),
+    "l_lead_nh": ("l_lead", 1e-9),
+    "r_lead_ohm": ("r_lead", 1),
+    "z_term_left_ohm": ("z_term_left", 1),
+    "z_term_right_ohm": ("z_term_right", 1),
+    "freq_mhz": ("omega_rf", 2 * np.pi * 1e6),
+    "v_rf_v": ("v_rf", 1),
+}
+
+
+def _field_flags(p: argparse.ArgumentParser, cls, table=None) -> None:
+    """Add an unset flag, typed as the field's default, for each field of the
+    dataclass cls: those of ``table``, else one named after each field."""
+    default = {f.name: f.default for f in fields(cls)}
+    for flag, (name, _) in (table or {f.name: (f.name, 1) for f in fields(cls)}).items():
+        p.add_argument("--" + flag.replace("_", "-"), type=type(default[name]))
+
+
+def _from_flags(cls, args, table=None, **given):
+    """cls from the ``given`` fields and the flags of _field_flags that the
+    command line set, in SI; an unset flag leaves its field at cls's default."""
+    for flag, (name, unit) in (table or {f.name: (f.name, 1) for f in fields(cls)}).items():
+        if getattr(args, flag) is not None:
+            given[name] = getattr(args, flag) * unit
+    return cls(**given)
 
 
 def _print_kv(pairs) -> None:
@@ -100,12 +129,9 @@ def _print_kv(pairs) -> None:
 # ---------------------------------------------------------------- simulate
 
 def _cmd_simulate(args) -> int:
-    cfg = ReadoutConfig(
-        bin_width_us=args.bin_width_us,
-        n_bins=args.n_bins,
-        herald_duration_us=args.herald_duration_us if args.herald else 0.0,
-        herald_bright_min=args.herald_bright_min,
-    )
+    if not args.herald and (args.herald_duration_us, args.herald_bright_min) != (None, None):
+        raise ConfigError("--herald-duration-us and --herald-bright-min need --herald")
+    cfg = _from_flags(ReadoutConfig, args, **({} if args.herald else {"herald_duration_us": 0.0}))
     trajs = simulate_dataset(
         _rates_from(args), cfg, args.trials_per_state, args.seed, mode=args.mode
     )
@@ -137,6 +163,8 @@ def _cmd_classify(args) -> int:
         raise ConfigError("choose --threshold, --bayes, or both")
     if args.out and args.threshold and args.bayes:
         raise ConfigError("--out works with a single method; drop it to compare both")
+    if args.threshold_counts is not None and not args.threshold:
+        raise ConfigError("--threshold-counts needs --threshold")
     ds = _io.read_trajectories_csv(args.infile, bin_width_us=args.bin_width_us)
     if not len(ds):
         raise ConfigError(f"{args.infile}: empty dataset")
@@ -187,27 +215,17 @@ def _cmd_calibrate(args) -> int:
 # ---------------------------------------------------------------- rfmodel
 
 def _cmd_rfmodel(args) -> int:
-    net = NanowireNetwork(
-        k_segments=args.k_segments,
-        l_wire_total=args.l_wire_uh * 1e-6,
-        c_ground=args.c_ground_ff * 1e-15,
-        c_drive=args.c_drive_ff * 1e-15,
-        c_lead=args.c_lead_ff * 1e-15,
-        l_lead=args.l_lead_nh * 1e-9,
-        r_lead=args.r_lead_ohm,
-        z_term_left=args.z_term_left_ohm,
-        z_term_right=args.z_term_right_ohm,
-        omega_rf=2 * np.pi * args.freq_mhz * 1e6,
-        v_rf=args.v_rf_v,
-    )
+    net = _from_flags(NanowireNetwork, args, _NETWORK_FLAGS)
     if args.fit:
         if not (args.rf_on and args.rf_off and args.delta_im_ua is not None):
             raise ConfigError("--fit needs --rf-on, --rf-off and --delta-im-ua")
+        if args.bias_ua is not None or args.out:
+            raise ConfigError("--fit ignores --bias-ua and --out; drop them")
         fit = fit_pickup(
             _io.read_bias_curve_csv(args.rf_on),
             _io.read_bias_curve_csv(args.rf_off),
             args.delta_im_ua,
-            k_segments=args.k_segments,
+            k_segments=net.k_segments,
         )
         _print_kv([
             ("i0_ua", fit.model.i0_ua), ("i0_err_ua", fit.i0_err_ua),
@@ -248,7 +266,7 @@ def _cmd_rfmodel(args) -> int:
 # ---------------------------------------------------------------- optics
 
 def _cmd_optics(args) -> int:
-    scene = DetectorScene(**{f.name: getattr(args, f.name) for f in fields(DetectorScene)})
+    scene = _from_flags(DetectorScene, args)
     if args.ap_constant is not None and args.ap_file:
         raise ConfigError("--ap-constant and --ap-file conflict; pick one AP source")
     if args.ap_constant is not None:
@@ -377,13 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a labeled trajectory dataset")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--trials-per-state", type=int, default=1000)
-    p.add_argument("--n-bins", type=int, default=500)
-    p.add_argument("--bin-width-us", type=float, default=1.0)
-    p.add_argument("--mode", choices=("exact", "bin-boundary"), default="exact")
+    _field_flags(p, ReadoutConfig)
+    p.add_argument("--mode", choices=TRANSITION_MODES, default=TRANSITION_MODES[0])
     p.add_argument("--herald", action="store_true",
                    help="apply the herald filter before writing")
-    p.add_argument("--herald-duration-us", type=float, default=50.0)
-    p.add_argument("--herald-bright-min", type=int, default=8)
     _rate_flags(p)
     p.add_argument("--out", required=True, help="trajectory CSV path")
     p.set_defaults(func=_cmd_simulate)
@@ -412,17 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("rfmodel", help="induced-current model of the biased wire")
-    p.add_argument("--k-segments", type=int, default=40)
-    p.add_argument("--l-wire-uh", type=float, default=2.2)
-    p.add_argument("--c-ground-ff", type=float, default=10.5)
-    p.add_argument("--c-drive-ff", type=float, default=0.04635)
-    p.add_argument("--c-lead-ff", type=float, default=3.587)
-    p.add_argument("--l-lead-nh", type=float, default=5.0)
-    p.add_argument("--r-lead-ohm", type=float, default=5.0)
-    p.add_argument("--z-term-left-ohm", type=float, default=0.0)
-    p.add_argument("--z-term-right-ohm", type=float, default=50.0)
-    p.add_argument("--freq-mhz", type=float, default=67.03)
-    p.add_argument("--v-rf-v", type=float, default=8.8)
+    _field_flags(p, NanowireNetwork, _NETWORK_FLAGS)
     p.add_argument("--rf-off", default=None, help="drive-off bias curve CSV")
     p.add_argument("--bias-ua", type=float, default=None,
                    help="predict drive-on counts at this dc bias")
@@ -435,8 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rfmodel)
 
     p = sub.add_parser("optics", help="collection geometry and efficiency")
-    for f in fields(DetectorScene):  # one flag per scene field, with its default
-        p.add_argument("--" + f.name.replace("_", "-"), type=float, default=f.default)
+    _field_flags(p, DetectorScene)
     p.add_argument("--ap-constant", type=float, default=None,
                    help="angle-independent absorption probability")
     p.add_argument("--ap-file", default=None,

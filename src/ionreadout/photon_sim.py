@@ -6,7 +6,7 @@ counts per ms).  Spontaneous bright->dark decay happens at rate gamma_dp
 and dark->bright at gamma_rp.  Detected counts are binned into windows of
 width t0 (in us).
 
-Two transition models are provided:
+Two transition models are provided, named in :data:`TRANSITION_MODES`:
 
 * ``"exact"`` (default): the hidden state follows a continuous-time Markov
   chain; each bin's count is Poisson with mean given by the time-weighted
@@ -69,7 +69,7 @@ import numpy as np
 from .timing import TimeTagStream
 
 StateLabel = Literal["bright", "dark"]
-TransitionMode = Literal["exact", "bin-boundary"]
+TRANSITION_MODES = ("exact", "bin-boundary")  # the first is the default
 
 _MS_PER_US = 1e-3
 
@@ -365,7 +365,7 @@ def _segments(
         rate, p = flips[k % 2]
         if rate <= 0:
             break
-        if mode == "exact":
+        if mode == TRANSITION_MODES[0]:
             t = t + rng.exponential(1.0 / (rate * t0 * _MS_PER_US), open_.size)
         else:
             t = t + rng.geometric(p, open_.size)
@@ -434,7 +434,7 @@ def simulate_dataset(
     cfg: ReadoutConfig,
     trials_per_state: int,
     seed: int,
-    mode: TransitionMode = "exact",
+    mode: str = TRANSITION_MODES[0],
 ) -> Dataset:
     """Simulate trials_per_state bright then trials_per_state dark trials and herald them.
 
@@ -461,7 +461,7 @@ def simulate_dataset(
     transposed view, so simulated records are bins-major in memory.
     """
     _check_count("trials_per_state", trials_per_state)
-    if mode not in ("exact", "bin-boundary"):
+    if mode not in TRANSITION_MODES:
         raise ValueError(f"unknown transition mode {mode!r}")
     _flip_probs(rates, cfg.bin_width_us)
     p = cfg.bin_width_us * _MS_PER_US * max(rates.gamma_dp, rates.gamma_rp)

@@ -466,25 +466,19 @@ def _mean_rate_slope(
 _DURATION_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 MIN_CALIBRATION_TRIALS = 100
 MIN_CALIBRATION_BINS = 3  # the pumping slope's error needs more bins than the line's 2 parameters
-_SUM_BLOCK_BYTES = 1 << 20  # prefix rows summed at a time by calibrate_rates
 
 
 def _prefix_column_sums(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Each prefix column summed over every record and over the bright ones.
 
-    The sums are taken in int32 where no sum can pass it, else in int64.
-    The bright records' rows are copied a block at a time, not all at once.
+    The sums are taken in int32 where no sum can pass it, else in int64,
+    and the bright records are masked in place, not copied.
     """
     prefix = ds.prefix
     top = int(prefix[:, -1].max(initial=0))  # a prefix row never decreases
     acc = np.int32 if len(ds) * top <= np.iinfo(np.int32).max else np.int64
-    every = prefix.sum(axis=0, dtype=acc)
-    bright = np.zeros(ds.n_bins, dtype=acc)
-    rows_per_block = max(1, _SUM_BLOCK_BYTES // (ds.n_bins * prefix.itemsize))
-    for lo in range(0, len(ds), rows_per_block):
-        block = slice(lo, lo + rows_per_block)
-        bright += prefix[block][ds.bright[block]].sum(axis=0, dtype=acc)
-    return every, bright
+    bright = prefix.sum(axis=0, dtype=acc, where=ds.bright[:, None])
+    return prefix.sum(axis=0, dtype=acc), bright
 
 
 def calibrate_rates(ds: Dataset) -> CalibratedRates:

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import io as _io
 from .photon_sim import (
+    TRANSITION_MODES,
     RateParams,
     ReadoutConfig,
     _flip_probs,
@@ -91,8 +92,8 @@ def _bool(text: str) -> bool:
 
 
 def _mode(text: str) -> str:
-    if text not in ("exact", "bin-boundary"):
-        raise ValueError("expected exact or bin-boundary")
+    if text not in TRANSITION_MODES:
+        raise ValueError("expected " + " or ".join(TRANSITION_MODES))
     return text
 
 
@@ -117,7 +118,7 @@ _SCHEMA = {
     "name": (str, "scenario"),
     "seed": (_int_at_least(0), None),
     "trials_per_state": (_int_at_least(1), None),
-    "transition_mode": (_mode, "exact"),
+    "transition_mode": (_mode, TRANSITION_MODES[0]),
     "gamma_b_per_ms": (float, None),
     "gamma_d_per_ms": (float, None),
     "gamma_dp_per_ms": (float, "0.0"),

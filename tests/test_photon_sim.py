@@ -441,7 +441,7 @@ def test_one_pass_herald_equals_simulate_then_herald(rates, cfg, n, mode):
 
 
 @pytest.mark.parametrize("mode", ["exact", "bin-boundary"])
-def test_prefix_widening_mid_simulation_keeps_the_written_rows(mode, monkeypatch):
+def test_narrowest_prefix_type_under_one_row_chunks(mode, monkeypatch):
     monkeypatch.setattr("ionreadout.photon_sim._PLACE_BUDGET", 1)  # one row per chunk
     cfg = ReadoutConfig(1.0, 130, 10.0, 8)
     one, _ = _assert_one_pass_matches_simulate_then_herald(RateParams(1000.0, 1.0), cfg, 40,

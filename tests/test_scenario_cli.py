@@ -11,13 +11,25 @@ from ionreadout import (
     BiasCountCurve,
     Dataset,
     DetectorScene,
+    EmitterStreamConfig,
+    NanowireNetwork,
+    PickupModel,
     RateParams,
     ReadoutConfig,
+    TimeTagStream,
     adaptive_classify_batch,
     collection_fraction,
+    decompose_currents,
     expected_rate,
+    find_dip,
+    g2_estimate,
+    max_induced,
     obscured_fraction,
+    pickup_from_solution,
+    predict_counts,
     simulate_dataset,
+    simulate_timetag_streams,
+    solve_network,
 )
 from ionreadout import io as iio
 from ionreadout import photon_sim
@@ -493,6 +505,30 @@ def test_cli_rfmodel_default_network(capsys):
     assert float(kv["linear_r_squared"]) > 0.999
     assert float(kv["solver_residual"]) < 1e-9
     assert "plateau_deficit" not in kv  # no rf-off curve, no plateau
+    # an unset flag leaves its field at the default, so these are the library's numbers
+    sol = solve_network(NanowireNetwork())
+    model = pickup_from_solution(sol)
+    assert kv == {"i0_ua": f"{model.i0_ua:.8g}", "i1_ua": f"{model.i1_ua:.8g}",
+                  "max_induced_ua": f"{max_induced(model):.8g}",
+                  "linear_r_squared": f"{decompose_currents(sol).r_squared:.8g}",
+                  "solver_residual": f"{sol.residual:.8g}"}
+
+
+def test_cli_rfmodel_fit_recovers_the_generating_amplitudes(tmp_path, capsys):
+    off = BiasCountCurve(np.array([0.0, 2.0, 5.0, 8.9]), np.array([0.0, 0.0, 1000.0, 1000.0]))
+    bias = np.linspace(0.5, 8.5, 33)
+    on = BiasCountCurve(bias, np.array([predict_counts(PickupModel(0.9, 3.5), off, b)
+                                        for b in bias]))
+    iio.write_bias_curve_csv(tmp_path / "off.csv", off)
+    iio.write_bias_curve_csv(tmp_path / "on.csv", on)
+    code, kv, _ = _run_cli(capsys, "rfmodel", "--fit", "--rf-on", str(tmp_path / "on.csv"),
+                           "--rf-off", str(tmp_path / "off.csv"),
+                           "--delta-im-ua", repr(float(np.hypot(0.9, 3.5))))
+    assert code == 0
+    assert list(kv) == ["i0_ua", "i0_err_ua", "i1_ua", "i1_err_ua", "max_induced_ua",
+                        "residual_norm"]
+    assert float(kv["i0_ua"]) == pytest.approx(0.9, rel=1e-5)
+    assert float(kv["i1_ua"]) == pytest.approx(3.5, rel=1e-5)
 
 
 def test_cli_rfmodel_prediction_flow(tmp_path, capsys):
@@ -607,6 +643,25 @@ def test_cli_rfmodel_checks_its_inputs_before_printing(tmp_path, monkeypatch, ca
     assert not (tmp_path / "on.csv").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--herald-duration-us", "40", "--out", "out.csv"],
+     "--herald-duration-us and --herald-bright-min need --herald"),
+    (["simulate", "--herald-bright-min", "3", "--out", "out.csv"],
+     "--herald-duration-us and --herald-bright-min need --herald"),
+    (["classify", "--in", "data.csv", "--bin-width-us", "1", "--bayes",
+      "--threshold-counts", "3"], "--threshold-counts needs --threshold"),
+    (["rfmodel", "--fit", "--rf-on", "on.csv", "--rf-off", "off.csv", "--delta-im-ua", "3.6",
+      "--bias-ua", "6"], "--fit ignores --bias-ua and --out; drop them"),
+    (["rfmodel", "--fit", "--rf-on", "on.csv", "--rf-off", "off.csv", "--delta-im-ua", "3.6",
+      "--out", "out.csv"], "--fit ignores --bias-ua and --out; drop them"),
+])
+def test_cli_refuses_a_flag_its_mode_would_ignore(small_csv, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(small_csv.parent)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (small_csv.parent / "out.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["optics", "--ap-file", "ap30.csv", "--sweep-lateral", "0:160:8", "--out", "out.csv"],
     ["optics", "--sweep-lateral", "0:16:8", "--out", "missing/out.csv"],
@@ -669,6 +724,23 @@ def test_cli_g2_simulate_and_exclusion(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_g2_reads_two_channels_from_a_file(tmp_path, capsys):
+    cfg = EmitterStreamConfig(5.42e5, 1e-9, 0.5, 0.5, delay_offset_b_s=28e-9, duration_s=0.05)
+    a, b = simulate_timetag_streams(cfg, 7)
+    end = int(max(a.t_ns[-1], b.t_ns[-1])) + 1  # the duration the reader infers
+    a, b = (TimeTagStream(s.channel, s.t_ns, end) for s in (a, b))
+    iio.write_timetags_csv(tmp_path / "tags.csv", [a, b])
+    code, kv, _ = _run_cli(capsys, "g2", "--in", str(tmp_path / "tags.csv"))
+    dip = find_dip(g2_estimate(a, b))
+    assert code == 0
+    assert kv == {"n_tags_a": str(a.t_ns.size), "n_tags_b": str(b.t_ns.size),
+                  "dip_delay_ns": f"{dip.delay_ns:.8g}", "dip_g2": f"{dip.g2_min:.8g}"}
+
+    iio.write_timetags_csv(tmp_path / "one.csv", [a])
+    assert main(["g2", "--in", str(tmp_path / "one.csv")]) == 1
+    assert "need exactly 2 channels, found 1" in capsys.readouterr().err
+
+
 def test_cli_g2_rejects_a_fractional_bin(capsys):
     assert main(["g2", "--simulate", "--duration-s", "0.01", "--bin", "1.5ns"]) == 1
     assert "--bin" in capsys.readouterr().err
@@ -723,9 +795,6 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
     # writing to a directory is an environment failure, not bad usage
-    code = main([
-        "simulate", "--trials-per-state", "2", "--n-bins", "60",
-        "--herald-duration-us", "0", "--out", str(tmp_path),
-    ])
+    code = main(["simulate", "--trials-per-state", "2", "--n-bins", "60", "--out", str(tmp_path)])
     assert code == 2
     assert "runtime error" in capsys.readouterr().err
