@@ -100,6 +100,18 @@ _NETWORK_FLAGS = {
     "v_rf_v": ("v_rf", 1),
 }
 
+# g2 --simulate's flags: flag -> (EmitterStreamConfig field, the flag's unit in SI)
+_STREAM_FLAGS = {
+    "emission_rate_s": ("emission_rate_s", 1),
+    "dead_time_ns": ("dead_time_s", 1e-9),
+    "route_prob_a": ("route_prob_a", 1),
+    "route_prob_b": ("route_prob_b", 1),
+    "background_rate_a_s": ("background_rate_a_s", 1),
+    "background_rate_b_s": ("background_rate_b_s", 1),
+    "offset_b_ns": ("delay_offset_b_s", 1e-9),
+    "duration_s": ("duration_s", 1),
+}
+
 
 def _field_flags(p: argparse.ArgumentParser, cls, table=None) -> None:
     """Add an unset flag, typed as the field's default, for each field of the
@@ -116,6 +128,11 @@ def _from_flags(cls, args, table=None, **given):
         if getattr(args, flag) is not None:
             given[name] = getattr(args, flag) * unit
     return cls(**given)
+
+
+def _flags_set(args, dests) -> list[str]:
+    """The flags, by their command-line names, among ``dests`` that the command line set."""
+    return ["--" + d.replace("_", "-") for d in dests if getattr(args, d) is not None]
 
 
 def _print_kv(pairs) -> None:
@@ -215,17 +232,20 @@ def _cmd_calibrate(args) -> int:
 # ---------------------------------------------------------------- rfmodel
 
 def _cmd_rfmodel(args) -> int:
-    net = _from_flags(NanowireNetwork, args, _NETWORK_FLAGS)
     if args.fit:
         if not (args.rf_on and args.rf_off and args.delta_im_ua is not None):
             raise ConfigError("--fit needs --rf-on, --rf-off and --delta-im-ua")
         if args.bias_ua is not None or args.out:
             raise ConfigError("--fit ignores --bias-ua and --out; drop them")
+        ignored = _flags_set(args, [f for f in _NETWORK_FLAGS if f != "k_segments"])
+        if ignored:  # fit_pickup takes the segment count alone
+            raise ConfigError(f"--fit ignores {', '.join(ignored)}; of the network flags "
+                              "only --k-segments shapes the fit")
         fit = fit_pickup(
             _io.read_bias_curve_csv(args.rf_on),
             _io.read_bias_curve_csv(args.rf_off),
             args.delta_im_ua,
-            k_segments=net.k_segments,
+            k_segments=_from_flags(NanowireNetwork, args, _NETWORK_FLAGS).k_segments,
         )
         _print_kv([
             ("i0_ua", fit.model.i0_ua), ("i0_err_ua", fit.i0_err_ua),
@@ -235,6 +255,10 @@ def _cmd_rfmodel(args) -> int:
         ])
         return 0
 
+    ignored = _flags_set(args, ("rf_on", "delta_im_ua"))
+    if ignored:
+        raise ConfigError(f"without --fit, rfmodel ignores {' and '.join(ignored)}")
+    net = _from_flags(NanowireNetwork, args, _NETWORK_FLAGS)
     # read and check every input before the first line of output
     if args.rf_off:
         curve = _io.read_bias_curve_csv(args.rf_off)
@@ -305,22 +329,17 @@ def _cmd_g2(args) -> int:
     if args.infile and args.simulate:
         raise ConfigError("--in and --simulate conflict; pick one tag source")
     if args.infile:
+        ignored = _flags_set(args, [*_STREAM_FLAGS, "seed"])
+        if ignored:
+            raise ConfigError(f"--in reads its tags from the file and ignores "
+                              f"{', '.join(ignored)}")
         streams = _io.read_timetags_csv(args.infile)
         if len(streams) != 2:
             raise ConfigError(f"need exactly 2 channels, found {len(streams)}")
         a, b = streams
     elif args.simulate:
-        cfg = EmitterStreamConfig(
-            emission_rate_s=args.emission_rate_s,
-            dead_time_s=args.dead_time_ns * 1e-9,
-            route_prob_a=args.route_prob_a,
-            route_prob_b=args.route_prob_b,
-            background_rate_a_s=args.background_rate_a_s,
-            background_rate_b_s=args.background_rate_b_s,
-            delay_offset_b_s=args.offset_b_ns * 1e-9,
-            duration_s=args.duration_s,
-        )
-        a, b = simulate_timetag_streams(cfg, args.seed)
+        a, b = simulate_timetag_streams(_from_flags(EmitterStreamConfig, args, _STREAM_FLAGS),
+                                        DEFAULT_SEED if args.seed is None else args.seed)
     else:
         raise ConfigError("supply --in tags.csv or --simulate")
 
@@ -457,15 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", default=None, help="time-tag CSV")
     p.add_argument("--simulate", action="store_true",
                    help="simulate the two channels instead of reading a file")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--emission-rate-s", type=float, default=5.42e5)
-    p.add_argument("--dead-time-ns", type=float, default=1.0)
-    p.add_argument("--route-prob-a", type=float, default=0.5)
-    p.add_argument("--route-prob-b", type=float, default=0.5)
-    p.add_argument("--background-rate-a-s", type=float, default=0.0)
-    p.add_argument("--background-rate-b-s", type=float, default=0.0)
-    p.add_argument("--offset-b-ns", type=float, default=0.0)
-    p.add_argument("--duration-s", type=float, default=1.0)
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"stream seed for --simulate (default {DEFAULT_SEED})")
+    _field_flags(p, EmitterStreamConfig, _STREAM_FLAGS)
     p.add_argument("--bin", "--bin-width-ns", dest="bin_width_ns", type=_ns,
                    default=1, help="histogram bin width, e.g. 1ns")
     p.add_argument("--max-delay-ns", type=int, default=500)
@@ -499,8 +512,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "seed", 0) < 0:  # numpy's own error would not name the flag
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        seed = getattr(args, "seed", None)  # g2 leaves it unset until --simulate
+        if seed is not None and seed < 0:  # numpy's own error would not name the flag
+            raise ConfigError(f"--seed must be >= 0, got {seed}")
         return args.func(args)
     except (ConfigError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -254,30 +254,24 @@ def _polarization_weights(
     d - (n.d) n, projected onto the TE unit vector s (horizontal,
     perpendicular to the plane of incidence) and the TM unit vector p
     (in the plane of incidence); weights are intensity fractions and sum
-    to 1.  Both s and p are perpendicular to n, so the projections are
-    d.s and d.p, and with e2 = z and s_z = 0 the intensities are real:
-    w_te ~ (e1.s)^2 and w_tm ~ (e1.p)^2 + p_z^2.
+    to 1.  With e2 = z and e1 the in-plane axis perpendicular to the
+    quantization axis q, c = n.q and s^2 = n_x^2 + n_y^2, the TE
+    intensity is c^2 / s^2 and the total is 1 + c^2, so
+    w_te = c^2 / (s^2 (1 + c^2)).  At the poles (s^2 = 0) the plane of
+    incidence is taken to contain the nanowire axis, and
+    w_te = cos^2(nanowire axis - quantization axis).
     """
     a = np.radians(scene.quant_axis_deg)
-    e1 = np.array([-np.sin(a), np.cos(a), 0.0])
-
     w = np.radians(scene.nanowire_axis_deg)
+    c = n_hat @ np.array([np.cos(a), np.sin(a), 0.0])
+    s2 = n_hat[:, 0] ** 2 + n_hat[:, 1] ** 2
+    c2 = c * c
+    w_te = np.divide(c2, s2 * (1.0 + c2), out=np.full(c.shape, np.cos(w - a) ** 2),
+                     where=s2 > 0)
+    w_tm = 1.0 - w_te
+
     x_w = np.array([np.cos(w), np.sin(w), 0.0])
     y_w = np.array([-np.sin(w), np.cos(w), 0.0])
-
-    s_norm = np.hypot(n_hat[:, 0], n_hat[:, 1])
-    degenerate = s_norm < 1e-12
-    s_hat = np.stack([n_hat[:, 1], -n_hat[:, 0], np.zeros(n_hat.shape[0])], axis=1)
-    s_hat /= np.where(degenerate, 1.0, s_norm)[:, None]
-    s_hat[degenerate] = y_w
-    p_hat = np.cross(s_hat, n_hat)
-
-    w_te_raw = (s_hat @ e1) ** 2
-    w_tm_raw = (p_hat @ e1) ** 2 + p_hat[:, 2] ** 2
-    total = w_te_raw + w_tm_raw
-    w_te = w_te_raw / total
-    w_tm = w_tm_raw / total
-
     theta_deg = np.degrees(np.arccos(np.clip(np.abs(n_hat[:, 2]), 0.0, 1.0)))
     phi_deg = np.degrees(np.arctan2(n_hat @ y_w, n_hat @ x_w))
     return w_te, w_tm, theta_deg, phi_deg

@@ -54,9 +54,10 @@ emitter and each channel's background) from its own child of the seed,
 as exponential gaps cumulated a fixed chunk at a time, so each
 channel's tags come out in time order and are rounded straight into
 its tick array; a channel with emitter and background tags merges two
-sorted arrays and none is sorted.  The streams are bitwise reproducible
-under the seed and depend neither on the chunk size nor on the number
-of CPUs.
+sorted arrays and none is sorted.  The two backgrounds are drawn at
+once, on up to two threads, one per CPU the process may use (numpy
+releases the GIL while it draws).  The streams are bitwise reproducible under the seed
+and depend neither on the chunk size nor on the number of CPUs.
 """
 from __future__ import annotations
 
@@ -66,7 +67,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .timing import TimeTagStream
+from .timing import TimeTagStream, _map_on_cpus
 
 StateLabel = Literal["bright", "dark"]
 TRANSITION_MODES = ("exact", "bin-boundary")  # the first is the default
@@ -288,13 +289,15 @@ class EmitterStreamConfig:
     route_prob_a, to channel B with route_prob_b, else lost.  Channel B's
     detection chain delays its tags by delay_offset_b_s.  Independent
     Poisson backgrounds are added per channel.  Tags are rounded to
-    integer nanoseconds.
+    integer nanoseconds.  The defaults are one ion's source: 5.42e5
+    emissions/s, 1 ns dead time, split evenly between the channels, with
+    no background or offset over 1 s.
     """
 
-    emission_rate_s: float
-    dead_time_s: float
-    route_prob_a: float
-    route_prob_b: float
+    emission_rate_s: float = 5.42e5
+    dead_time_s: float = 1e-9
+    route_prob_a: float = 0.5
+    route_prob_b: float = 0.5
     background_rate_a_s: float = 0.0
     background_rate_b_s: float = 0.0
     delay_offset_b_s: float = 0.0
@@ -530,7 +533,10 @@ def _arrival_chunks(rng: np.random.Generator, rate_s: float, dead_time_s: float,
         return
     t_last = 0.0
     while True:
-        t = rng.exponential(1.0 / rate_s, _TAG_CHUNK)
+        # numpy draws exponential(scale) as scale times a standard draw, so these
+        # are its gaps bit for bit, from its faster unscaled fill
+        t = rng.standard_exponential(_TAG_CHUNK)
+        t *= 1.0 / rate_s
         t += dead_time_s
         t[0] += t_last
         np.cumsum(t, out=t)
@@ -575,10 +581,13 @@ def simulate_timetag_streams(
     is the cumulative sum of its gaps, so its tags come out in time
     order and are rounded straight into an int64 tick array allocated
     at an upper bound (pages past the fill are never touched); channel
-    B's emissions are delayed by delay_offset_b_s first.  A channel with
-    emitter and background tags merges the two sorted arrays, and tags
-    outside [0, duration) are cut off.  The streams are bitwise
-    reproducible under the seed and do not depend on the chunk size.
+    B's emissions are delayed by delay_offset_b_s first.  The emitter is
+    drawn first, then the two backgrounds at once, on up to two threads
+    (one per CPU the process may use).  A channel with emitter and
+    background tags merges the two sorted arrays, and tags outside
+    [0, duration) are cut off.  The streams are bitwise reproducible
+    under the seed and depend neither on the chunk size nor on the
+    number of CPUs.
     """
     emit_rng, route_rng, *bg_rngs = (np.random.default_rng(child)
                                      for child in np.random.SeedSequence(seed).spawn(4))
@@ -592,22 +601,27 @@ def simulate_timetag_streams(
         u = route_rng.random(t.size)
         to_a = u < routes[0]
         for c, routed in enumerate((to_a, ~to_a & (u < routes[0] + routes[1]))):
-            t_ns = t[routed]
+            t_ns = np.compress(routed, t)  # a boolean index copies several times slower
             t_ns += offsets[c]
             t_ns *= 1e9
             emitted[c], fill[c] = _write_ticks(emitted[c], fill[c], t_ns)
 
+    def background(channel) -> np.ndarray:
+        rng, rate_s = channel
+        bg, n_bg = np.empty(_tag_capacity(rate_s * cfg.duration_s), dtype=np.int64), 0
+        for t in _arrival_chunks(rng, rate_s, 0.0, cfg.duration_s):
+            t *= 1e9
+            bg, n_bg = _write_ticks(bg, n_bg, t)
+        return bg[:n_bg]
+
+    # each channel's background has its own generator, so the two are drawn at once
+    bgs = _map_on_cpus(background, zip(bg_rngs, (cfg.background_rate_a_s,
+                                                 cfg.background_rate_b_s)))
     duration_ns = int(round(cfg.duration_s * 1e9))
     streams = []
-    for c, (rng, bg_rate) in enumerate(zip(bg_rngs, (cfg.background_rate_a_s,
-                                                      cfg.background_rate_b_s))):
+    for c, bg in enumerate(bgs):
         ticks = emitted[c][:fill[c]]
-        if bg_rate > 0:
-            bg, n_bg = np.empty(_tag_capacity(bg_rate * cfg.duration_s), dtype=np.int64), 0
-            for t in _arrival_chunks(rng, bg_rate, 0.0, cfg.duration_s):
-                t *= 1e9
-                bg, n_bg = _write_ticks(bg, n_bg, t)
-            bg = bg[:n_bg]
+        if bg.size:
             ticks = np.insert(ticks, np.searchsorted(ticks, bg), bg) if ticks.size else bg
             emitted[c] = None  # free the emitter ticks once merged
         lo, hi = np.searchsorted(ticks, (0, duration_ns))

@@ -117,7 +117,7 @@ def _pair_delays(a: np.ndarray, b: np.ndarray, max_delay: int, block: int = 1 <<
                 if open_.size == 0:
                     break
                 a_blk, j, delays = a_blk[open_], j[open_], delays[open_]
-            yield delays
+            yield delays  # the caller may overwrite it
             j += 1
 
 
@@ -162,13 +162,20 @@ def g2_estimate(
     centers = np.arange(-n_side, n_side + 1, dtype=np.int64) * w
 
     # Bin i covers [(i - n_side - 1/2) w, (i - n_side + 1/2) w), and the last
-    # bin also takes its upper edge, so integer delays with |d| <= n_side w
-    # + w // 2 are counted and d falls in bin (2d + w) // (2w) + n_side.
+    # bin also takes its upper edge, so integer delays with |d| <= m = n_side w
+    # + w // 2 are counted and d falls in bin (d + m) // w, clipped to the last
+    # bin 2 n_side (only an even w reaches 2 n_side + 1, at d = m).  At w = 1
+    # the shifted delay d + m is the bin itself.
+    m = n_side * w + w // 2
+
     def histogram(a_part: np.ndarray) -> np.ndarray:
         hist = np.zeros(centers.size, dtype=np.int64)
-        for delays in _pair_delays(a_part, stream_b.t_ns, n_side * w + w // 2):
-            idx = (2 * delays + w) // (2 * w) + n_side
-            hist += np.bincount(np.minimum(idx, 2 * n_side, out=idx), minlength=centers.size)
+        for delays in _pair_delays(a_part, stream_b.t_ns, m):
+            delays += m
+            if w > 1:
+                delays //= w
+                np.minimum(delays, 2 * n_side, out=delays)
+            hist += np.bincount(delays, minlength=centers.size)
         return hist
 
     hist = sum(_map_on_cpus(histogram, np.array_split(stream_a.t_ns, _cpu_count())))

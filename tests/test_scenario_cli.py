@@ -33,7 +33,7 @@ from ionreadout import (
 )
 from ionreadout import io as iio
 from ionreadout import photon_sim
-from ionreadout.cli import main
+from ionreadout.cli import DEFAULT_SEED, main
 from ionreadout.scenario import (
     ConfigError,
     load_scenario,
@@ -654,6 +654,17 @@ def test_cli_rfmodel_checks_its_inputs_before_printing(tmp_path, monkeypatch, ca
       "--bias-ua", "6"], "--fit ignores --bias-ua and --out; drop them"),
     (["rfmodel", "--fit", "--rf-on", "on.csv", "--rf-off", "off.csv", "--delta-im-ua", "3.6",
       "--out", "out.csv"], "--fit ignores --bias-ua and --out; drop them"),
+    (["rfmodel", "--fit", "--rf-on", "on.csv", "--rf-off", "off.csv", "--delta-im-ua", "3.6",
+      "--k-segments", "50", "--v-rf-v", "1", "--freq-mhz", "10"],
+     "--fit ignores --freq-mhz, --v-rf-v; of the network flags only --k-segments shapes the fit"),
+    (["rfmodel", "--rf-on", "on.csv", "--delta-im-ua", "3"],
+     "without --fit, rfmodel ignores --rf-on and --delta-im-ua"),
+    (["rfmodel", "--delta-im-ua", "3", "--rf-off", "off.csv", "--out", "out.csv"],
+     "without --fit, rfmodel ignores --delta-im-ua"),
+    (["g2", "--in", "tags.csv", "--emission-rate-s", "1", "--seed", "3", "--out", "out.csv"],
+     "--in reads its tags from the file and ignores --emission-rate-s, --seed"),
+    (["g2", "--in", "tags.csv", "--dead-time-ns", "2", "--offset-b-ns", "5"],
+     "--in reads its tags from the file and ignores --dead-time-ns, --offset-b-ns"),
 ])
 def test_cli_refuses_a_flag_its_mode_would_ignore(small_csv, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(small_csv.parent)
@@ -722,6 +733,18 @@ def test_cli_g2_simulate_and_exclusion(tmp_path, capsys):
     capsys.readouterr()
     assert main(["g2"]) == 1
     capsys.readouterr()
+
+
+def test_cli_g2_simulates_the_library_defaults(capsys):
+    """Unset stream flags and seed leave EmitterStreamConfig's defaults and DEFAULT_SEED."""
+    code, kv, _ = _run_cli(capsys, "g2", "--simulate", "--duration-s", "0.05")
+    a, b = simulate_timetag_streams(EmitterStreamConfig(duration_s=0.05), DEFAULT_SEED)
+    dip = find_dip(g2_estimate(a, b))
+    assert code == 0
+    assert kv == {"n_tags_a": str(a.t_ns.size), "n_tags_b": str(b.t_ns.size),
+                  "dip_delay_ns": f"{dip.delay_ns:.8g}", "dip_g2": f"{dip.g2_min:.8g}"}
+    assert _run_cli(capsys, "g2", "--simulate", "--duration-s", "0.05",
+                    "--seed", str(DEFAULT_SEED))[1] == kv
 
 
 def test_cli_g2_reads_two_channels_from_a_file(tmp_path, capsys):

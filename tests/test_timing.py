@@ -271,36 +271,51 @@ def test_g2_and_streams_do_not_depend_on_the_cpu_count(monkeypatch):
     """One CPU and four give the same streams and the same histogram, bit for bit.
 
     At 4 parts each part of A's ~4 x 10^5 tags spans several of the
-    walk's 2^15-tag blocks.
+    walk's 2^15-tag blocks.  The background-only streams (no emitter,
+    the two backgrounds drawn at once) are compared too.  The histogram
+    is checked against brute force at widths 1 (the shifted delay is the
+    bin), 2 (the last bin's upper edge is clipped into it) and 3.
     """
     cfg = EmitterStreamConfig(
         emission_rate_s=8e5, dead_time_s=1e-9, route_prob_a=0.5, route_prob_b=0.5,
         background_rate_a_s=2e5, background_rate_b_s=2e5,
         delay_offset_b_s=28e-9, duration_s=0.5,
     )
+    background = EmitterStreamConfig(emission_rate_s=0.0, background_rate_a_s=9e5,
+                                     background_rate_b_s=8e5, duration_s=0.5)
+    widths = (1, 2, 3)
     runs = []
     for cpus in (1, 4):
         monkeypatch.setattr(timing.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
                             raising=False)
         assert timing._cpu_count() == cpus
-        a, b = simulate_timetag_streams(cfg, seed=3)
-        runs.append((a, b, g2_estimate(a, b, bin_width_ns=3, max_delay_ns=40)))
-    (a1, b1, est1), (a4, b4, est4) = runs
+        streams = [simulate_timetag_streams(cfg, seed=3),
+                   simulate_timetag_streams(background, seed=4)]
+        runs.append((streams, [g2_estimate(*streams[0], bin_width_ns=w, max_delay_ns=40)
+                               for w in widths]))
+    (streams1, ests1), (streams4, ests4) = runs
+    a1, b1 = streams1[0]
     assert a1.t_ns.size > 4 * 2 * (1 << 15)
-    assert np.array_equal(a1.t_ns, a4.t_ns) and np.array_equal(b1.t_ns, b4.t_ns)
-    for name in ("delay_ns", "g2", "ci_low", "ci_high", "masked", "n_pairs"):
-        got1, got4 = getattr(est1, name), getattr(est4, name)
-        assert got1.dtype == got4.dtype and got1.tobytes() == got4.tobytes(), name
+    assert streams1[1][0].t_ns.size > 4 * 2 * (1 << 15)
+    for (a, b), (a4, b4) in zip(streams1, streams4):
+        assert np.array_equal(a.t_ns, a4.t_ns) and np.array_equal(b.t_ns, b4.t_ns)
+    for est1, est4 in zip(ests1, ests4):
+        for name in ("delay_ns", "g2", "ci_low", "ci_high", "masked", "n_pairs"):
+            got1, got4 = getattr(est1, name), getattr(est4, name)
+            assert got1.dtype == got4.dtype and got1.tobytes() == got4.tobytes(), name
 
     # brute force: every B tag against the A tags within reach of it
-    n_side, w = 40 // 3, 3
-    lo = np.searchsorted(a1.t_ns, b1.t_ns - (n_side * w + w // 2))
-    hi = np.searchsorted(a1.t_ns, b1.t_ns + (n_side * w + w // 2), side="right")
-    n = hi - lo
-    a_of_pair = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)
-    pairs = np.repeat(b1.t_ns, n) - a1.t_ns[a_of_pair]
-    edges = (np.arange(-n_side, n_side + 2) - 0.5) * w
-    assert np.array_equal(est1.n_pairs, np.histogram(pairs, bins=edges)[0])
+    for w, est1 in zip(widths, ests1):
+        n_side = 40 // w
+        lo = np.searchsorted(a1.t_ns, b1.t_ns - (n_side * w + w // 2))
+        hi = np.searchsorted(a1.t_ns, b1.t_ns + (n_side * w + w // 2), side="right")
+        n = hi - lo
+        a_of_pair = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)
+        pairs = np.repeat(b1.t_ns, n) - a1.t_ns[a_of_pair]
+        edges = (np.arange(-n_side, n_side + 2) - 0.5) * w
+        assert np.array_equal(est1.n_pairs, np.histogram(pairs, bins=edges)[0]), w
+        if w % 2 == 0:  # the clipped upper edge is a delay this histogram holds
+            assert np.any(pairs == n_side * w + w // 2), w
 
 
 def test_cpu_count_falls_back_without_affinity(monkeypatch):
