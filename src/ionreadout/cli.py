@@ -182,6 +182,8 @@ def _cmd_classify(args) -> int:
         raise ConfigError("--out works with a single method; drop it to compare both")
     if args.threshold_counts is not None and not args.threshold:
         raise ConfigError("--threshold-counts needs --threshold")
+    if args.bayes and not 0.5 < args.level < 1.0:
+        raise ConfigError(f"--level must lie in (0.5, 1), got {args.level:g}")
     ds = _io.read_trajectories_csv(args.infile, bin_width_us=args.bin_width_us)
     if not len(ds):
         raise ConfigError(f"{args.infile}: empty dataset")

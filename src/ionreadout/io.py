@@ -5,25 +5,24 @@ rule set by each column's dtype: booleans as 'true' / 'false', floats
 via repr so values round-trip, anything else via str.  Plain comma
 separation and '\n' line endings make the bytes deterministic.  States
 are booleans (True = bright) until they become 'bright' / 'dark' here.
-Every reader checks the header, then parses the rows with
-``np.loadtxt``, a block of about 128 KB of whole lines at a time; a
-missing column, a short row, a field that does not parse or a value out
-of range raises ValueError naming the file.  A quoted field may hold a
-newline.
+Every reader checks the header, then hands the open file to
+``np.loadtxt``, which parses a block of 8,192 rows at a time; a missing
+column, a short row, a field that does not parse or a value out of range
+raises ValueError naming the file.  A quoted field may hold a newline.
 
 The trajectory file is long format, one row per (trial, bin), and does
 not record the bin width: its reader takes the width as a required
 keyword and returns a :class:`Dataset`, so every trial must have the
-same length.  It parses the file a block of about 8,000 rows at a time
-and scatters each block straight into the Dataset's matrix, so beyond
-the returned Dataset it holds one block and a few numbers per trial.
+same length.  It parses the file a block of rows at a time and scatters
+each block straight into the Dataset's matrix, so beyond the returned
+Dataset it holds one block and a few numbers per trial.  Its writer
+builds every digit of the ids, bins and counts with integer arithmetic.
 """
 from __future__ import annotations
 
 import csv
 import os
 import warnings
-from io import StringIO
 from stat import S_ISREG
 from typing import Sequence
 
@@ -62,19 +61,19 @@ def _labels(bright) -> np.ndarray:
     return np.where(bright, BRIGHT, DARK)
 
 
-# Characters of whole lines a reader parses at a time: about 8,000 rows of a
-# written trajectory file, so a block's lines, their Python strings and the
-# parsed columns stay near 1 MB.
-_BLOCK_CHARS = 1 << 17
+# Rows a reader parses at a time: a block of a written trajectory file is
+# about 130 KB of text and 260 KB of parsed columns.  Fewer rows per block
+# read slower; more read no faster.
+_BLOCK_ROWS = 1 << 13
 
 
 def _read_rows(path, dtype):
     """The columns named by a structured dtype, in file order: a header check,
-    then one loadtxt pass over each block of whole lines of about
-    ``_BLOCK_CHARS`` characters.
+    then one loadtxt pass over each block of ``_BLOCK_ROWS`` rows.
 
     The file is read as latin-1, so every byte loads; a quoted field
-    reads as the csv module reads it, newlines included.
+    reads as the csv module reads it, newlines included.  Blank lines
+    are skipped and count toward no block.
     """
     dtype = np.dtype(dtype)
     with open(path, encoding="latin-1") as fh:
@@ -83,24 +82,22 @@ def _read_rows(path, dtype):
             raise ValueError(f"{path}: expected columns {sorted(dtype.names)}")
         usecols = [header.index(c) for c in dtype.names]
         before = 0
-        while text := fh.read(_BLOCK_CHARS):
-            text += fh.readline()
-            quotes = text.count('"')
-            while quotes % 2 and (line := fh.readline()):  # end the block outside quotes
-                text += line
-                quotes += line.count('"')
+        while True:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                try:  # split lines parse faster, but only a stream keeps a quoted newline
-                    rows = np.loadtxt(StringIO(text) if quotes else text.split("\n"),
-                                      dtype=dtype, delimiter=",", usecols=usecols,
-                                      comments=None, ndmin=1, encoding="latin-1",
-                                      quotechar='"')
+                try:  # loadtxt takes the file's lines one at a time and stops after the block
+                    rows = np.loadtxt(fh, dtype=dtype, delimiter=",", usecols=usecols,
+                                      comments=None, ndmin=1, quotechar='"',
+                                      max_rows=_BLOCK_ROWS)
                 except ValueError as exc:  # a short row or a field that does not parse
                     after = f"after {before} rows, " if before else ""
                     raise ValueError(f"{path}: {after}{exc}") from exc
+            if not rows.size:
+                return
             before += rows.size
             yield rows
+            if rows.size < _BLOCK_ROWS:
+                return
 
 
 def _read_table(path, dtype) -> np.ndarray:
@@ -109,21 +106,25 @@ def _read_table(path, dtype) -> np.ndarray:
 
 
 # One field per column.  Labels stay bytes: the file is read as latin-1, so
-# any label loads, and one longer than "bright" still reads as invalid.
-_TRAJECTORY_DTYPE = np.dtype([("trial_id", np.int64), ("prepared", "S7"),
+# any label loads, and one longer than "bright" still reads as invalid.  Eight
+# bytes compare as one uint64.
+_TRAJECTORY_DTYPE = np.dtype([("trial_id", np.int64), ("prepared", "S8"),
                               ("bin_index", np.int64), ("counts", np.int64)])
+_BRIGHT_KEY, _DARK_KEY = np.array([BRIGHT, DARK], dtype="S8").view(np.uint64)
 
 
-def _digits(values: np.ndarray, top: int) -> np.ndarray:
-    """Non-negative integers of at most ``top`` as decimal byte strings."""
-    return values.astype(f"S{len(str(top))}")
-
-
-def _byte_rows(text: np.ndarray, end: bytes) -> np.ndarray:
-    """Byte strings, each followed by ``end``, as rows of zero-padded bytes
-    along one more axis at the end."""
-    text = np.char.add(text, end)
-    return text.view(np.uint8).reshape(*text.shape, text.itemsize)
+def _decimal_rows(values: np.ndarray, top: int, end: bytes) -> np.ndarray:
+    """Non-negative integers of at most ``top`` as decimal digit bytes, each
+    followed by ``end``, along one more axis at the end.  A number shorter
+    than ``top`` starts with 0 bytes in place of its leading zeros."""
+    width = len(str(top))
+    rows = np.empty((*values.shape, width + len(end)), dtype=np.uint8)
+    rows[..., width:] = np.frombuffer(end, dtype=np.uint8)
+    for k in range(width - 1, -1, -1):  # the last digit first
+        digit = values % 10 + ord("0")
+        rows[..., k] = digit if k == width - 1 else np.where(values > 0, digit, 0)
+        values = values // 10
+    return rows
 
 
 def write_trajectories_csv(path, ds: Dataset) -> None:
@@ -131,25 +132,28 @@ def write_trajectories_csv(path, ds: Dataset) -> None:
 
     The rows are assembled as bytes, a block of about 2^15 at a time:
     each row is the trial's "id,label," head, the bin's "j," and the
-    count's "c\n", laid side by side as zero-padded byte tables, and one
-    pass drops the pad bytes.  A count's text is made once per distinct
-    count in the block.
+    count's "c\n", laid side by side as byte tables padded with 0 bytes,
+    and one pass drops the pad bytes.  Every digit is computed with
+    integer arithmetic, one pass over a block per decimal place.
     """
-    labels = _byte_rows(np.array([DARK, BRIGHT], dtype="S"), b",")
-    bins = _byte_rows(_digits(np.arange(ds.n_bins), ds.n_bins), b",")
+    if len(ds) and not ds.n_bins:  # its header alone would read back as no trials
+        raise ValueError(f"cannot write {len(ds)} trials with no bins: "
+                         "the long format holds one row per bin")
+    labels = np.array([DARK + ",", BRIGHT + ","], dtype="S").view(np.uint8).reshape(2, -1)
+    bins = _decimal_rows(np.arange(ds.n_bins), max(ds.n_bins - 1, 0), b",")
     step = max(1, (1 << 15) // max(ds.n_bins, 1))  # trials per block
     with open(path, "wb") as fh:
         fh.write(",".join(_TRAJECTORY_DTYPE.names).encode() + b"\n")
-        for lo in range(0, len(ds) if ds.n_bins else 0, step):
+        for lo in range(0, len(ds), step):
             hi = min(lo + step, len(ds))
-            head = np.concatenate([_byte_rows(_digits(np.arange(lo, hi), hi), b","),
+            head = np.concatenate([_decimal_rows(np.arange(lo, hi), hi - 1, b","),
                                    labels[ds.bright[lo:hi].astype(np.intp)]], axis=1)
-            values, which = np.unique(ds[lo:hi].counts, return_inverse=True)
-            counts = _byte_rows(_digits(values, values[-1]), b"\n")[which.ravel()]
+            counts = ds[lo:hi].counts
+            counts = _decimal_rows(counts, int(counts.max()), b"\n")
             shape = (hi - lo, ds.n_bins)
             rows = np.concatenate([np.broadcast_to(head[:, None], (*shape, head.shape[-1])),
                                    np.broadcast_to(bins, (*shape, bins.shape[-1])),
-                                   counts.reshape(*shape, -1)], axis=2)
+                                   counts], axis=2)
             fh.write(rows[rows != 0].tobytes())
 
 
@@ -226,13 +230,12 @@ def read_trajectories_csv(path, *, bin_width_us: float) -> Dataset:
     cells = np.empty(0, dtype=np.int8)  # the matrix, row-major; None once it cannot fit
     width = top = 0  # matrix width, largest trial total
     for rows in _read_rows(path, _TRAJECTORY_DTYPE):
-        if not rows.size:  # a block of blank lines
-            continue
         tid, label, b, c = (rows[name] for name in _TRAJECTORY_DTYPE.names)
-        bright = label == BRIGHT.encode()
-        if not (bright | (label == DARK.encode())).all():
-            first = int(np.argmax(~bright & (label != DARK.encode())))
-            shown = label[first].decode("utf-8", "replace")
+        key = label.view(np.uint64)
+        bright, dark = key == _BRIGHT_KEY, key == _DARK_KEY
+        if not (bright | dark).all():
+            first = int(np.argmax(~(bright | dark)))
+            shown = label[first][:7].decode("utf-8", "replace")  # a long label, cut short
             raise ValueError(f"{path}: trial {tid[first]} has label {shown!r}; "
                              "expected 'bright' or 'dark'")
         if c.min() < 0:

@@ -22,6 +22,13 @@ reached when |r| >= log(l / (1 - l)).
 Every record with no count yet holds the same odds, those of the
 all-zero record, so the batch filter steps those odds once, as one extra
 lane, and a record is stepped on its own only from its first count.
+The batch filter steps a block of bins at a time, each bin only
+propagating the odds and adding the counts, and checks for stops once
+per block: the running maximum of each record's posterior along the
+block gives the levels it has passed and the first bin that passed each.
+A record whose first count falls inside a block joins at the block's
+start with the lane's odds, which are its own, bit for bit, until that
+count.
 With no counts the odds settle at the fixed point r* of the zero-count
 step, so no record without counts stops at a level at or above
 sigma(|r*|); the filter warns of such a level.
@@ -43,6 +50,15 @@ from .photon_sim import (
     _flip_probs,
     as_dataset,
 )
+
+
+# The batch filter steps its records a block of bins at a time and checks
+# for stops once per block, which saves numpy calls when few records are
+# open.  A block spans at most _STEP_BINS bins and _STEP_CELLS (bin, record)
+# cells: with many records open the calls cost little beside the arithmetic,
+# and larger tables would raise the peak memory of the filter.
+_STEP_BINS = 32
+_STEP_CELLS = 1 << 14
 
 
 @dataclass
@@ -124,10 +140,11 @@ def adaptive_classify_batch(
     records still open at the highest level are stepped.  Records that
     have had no count yet all hold the odds of the all-zero record, so
     one lane steps those odds for all of them: a record joins the stepped
-    records at its first count, with the lane's odds and stopped levels;
-    a record still waiting when the lane passes a level stops there with
-    the lane, and one still waiting at the end of the record takes the
-    lane's final odds.  The results are those of stepping every record.
+    records at the start of the block that holds its first count, with
+    the lane's odds and stopped levels; a record still waiting after the
+    block where the lane passes a level stops there with the lane, and
+    one still waiting at the end of the record takes the lane's final
+    odds.  The results are those of stepping every record bin by bin.
     The odds of a record with no counts approach a cap below 1 (see
     :func:`_zero_count_cap`); levels at or above it draw a warning,
     since no such record stops there.  The records come as a Dataset or
@@ -191,17 +208,23 @@ def adaptive_classify_batch(
     join_order = np.argsort(first, kind="stable")
     join_at = np.searchsorted(first[join_order], np.arange(n_bins + 1))
 
-    # stepped trials, open at the highest level; while ``lane`` holds,
-    # position 0 is the lane, whose trial entry is a placeholder
+    # stepped trials, open at the highest level at the start of a block;
+    # while ``lane`` holds, position 0 is the lane, whose trial entry is a
+    # placeholder
     active = np.zeros(1, dtype=np.intp)
     n_stopped = np.zeros(1, dtype=np.intp)
     r = np.zeros(1)  # log posterior odds, bright over dark
-    before = np.zeros(1, dtype=ds.prefix.dtype)  # counts before bin i
+    before = np.zeros(1, dtype=ds.prefix.dtype)  # counts before the block
     lane = True
-    for i in range(n_bins):
-        if lane:  # trials join at their first count; the lane goes once none waits
-            joining = join_order[join_at[i]:join_at[i + 1]]
-            lane = bool(join_at[i + 1] < n_trials)
+    i = 0
+    while i < n_bins:
+        # the block's bins: fewer than _STEP_BINS when the stepped records,
+        # counting every record that may join in the block, are many
+        most = active.size + (join_at[min(i + _STEP_BINS, n_bins)] - join_at[i] if lane else 0)
+        end = min(i + max(1, min(_STEP_BINS, _STEP_CELLS // most)), n_bins)
+        if lane:  # trials whose first count is in this block join at its start
+            joining = join_order[join_at[i]:join_at[end]]
+            lane = bool(join_at[end] < n_trials)  # the lane goes once none waits
             if joining.size or not lane:
                 kept, nj = slice(0 if lane else 1, None), joining.size
                 active = np.concatenate([active[kept], joining])
@@ -210,48 +233,58 @@ def adaptive_classify_batch(
                 before = np.concatenate([before[kept], np.zeros(nj, before.dtype)])
                 if not active.size:
                     break
-        if flips:  # propagate the odds through one bin of state flips
-            x = np.exp(r)
-            r = np.log(((1.0 - p_dp) * x + p_rp) / (p_dp * x + (1.0 - p_rp)))
-        through = ds.prefix[active, i]
-        k = through - before
+        through = np.take(ds.prefix.T[i:end], active, axis=1)  # bins x stepped trials
+        k = np.diff(through, axis=0, prepend=before[None])
         if lane:
-            k[0] = 0
-        with np.errstate(invalid="ignore"):  # 0 * inf, discarded by the where
-            r += np.where(k > 0, k * a, 0.0) - c
-        before = through
-        mag = np.abs(r)
-        new = np.flatnonzero(mag >= low[n_stopped])  # nan stops nothing
-        if not new.size:
-            continue
-        conf = _confidence(mag[new])
-        hi = np.searchsorted(sorted_levels, conf, side="right")
-        lo = n_stopped[new]
-        moved = hi > lo
-        if not moved.any():
-            continue
-        new, conf, lo, hi = new[moved], conf[moved], lo[moved], hi[moved]
-        n_stopped[new] = hi
-        if lane and new[0] == 0:  # so does every trial with no count yet
-            waiting = join_order[join_at[i + 1]:]
-            stop_bin[lo[0]:hi[0], waiting] = i + 1
-            stop_bright[lo[0]:hi[0], waiting] = r[0] >= 0
-            stop_conf[lo[0]:hi[0], waiting] = conf[0]
-            new, conf, lo, hi = new[1:], conf[1:], lo[1:], hi[1:]
-        # one entry per (trial, level passed in this bin): trial e passes lo[e] .. hi[e] - 1
-        passed = hi - lo
-        e = np.repeat(np.arange(new.size), passed)
-        k = np.arange(e.size) - (np.cumsum(passed) - passed - lo)[e]
-        rows = active[new][e]
-        stop_bin[k, rows] = i + 1
-        stop_bright[k, rows] = (r[new] >= 0)[e]
-        stop_conf[k, rows] = conf[e]
+            k[:, 0] = 0
+        # odds[j] becomes the odds after bin i + j.  A trial that has passed
+        # every level in the block may overflow; its later odds are discarded.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            odds = np.where(k > 0, k * a, 0.0) - c  # 0 * inf, discarded by the where
+            for j in range(end - i):  # the odds before the bin, through its flips, plus its counts
+                prior = r if j == 0 else odds[j - 1]
+                if flips:
+                    x = np.exp(prior)
+                    prior = np.log(((1.0 - p_dp) * x + p_rp) / (p_dp * x + (1.0 - p_rp)))
+                odds[j] += prior
+        # the highest posterior so far in the block, counted only where it
+        # may reach a level not yet passed; nan passes the cheap test nowhere
+        mag = np.abs(odds)
+        near = mag >= low[n_stopped]
+        top = np.zeros(odds.shape)
+        top[near] = _confidence(mag[near])
+        for j in range(1, end - i):
+            np.maximum(top[j], top[j - 1], out=top[j])
+        # one entry per (trial, level passed in the block): trial e passes
+        # n_stopped[e] .. reached - 1, each in the first bin whose posterior
+        # reaches it, where ``top`` is that posterior
+        moved = np.flatnonzero(top[-1] >= sorted_levels[n_stopped])
+        reached = np.searchsorted(sorted_levels, top[-1, moved], side="right")
+        count = reached - n_stopped[moved]
+        e = np.repeat(moved, count)
+        level = np.arange(e.size) - np.repeat(np.cumsum(count) - reached, count)
+        at = np.add.reduce(np.take(top, e, axis=1) < sorted_levels[level], axis=0, dtype=np.intp)
+        if lane and moved.size and moved[0] == 0:  # so does every trial still waiting
+            lane_levels, waiting = slice(n_stopped[0], reached[0]), (first >= end)[None]
+            lane_at, at = at[:count[0]], at[count[0]:]
+            np.copyto(stop_bin[lane_levels], i + 1 + lane_at[:, None], where=waiting)
+            np.copyto(stop_bright[lane_levels], odds[lane_at, 0, None] >= 0, where=waiting)
+            np.copyto(stop_conf[lane_levels], top[lane_at, 0, None], where=waiting)
+            e, level = e[count[0]:], level[count[0]:]
+        cell = level * n_trials + active[e]
+        stop_bin.ravel()[cell] = i + 1 + at
+        stop_bright.ravel()[cell] = odds[at, e] >= 0
+        stop_conf.ravel()[cell] = top[at, e]
+
+        n_stopped[moved] = reached
+        r, before = odds[-1], through[-1]
         still_open = n_stopped < len(levels)
         lane = lane and bool(still_open[0])
         active, n_stopped, r = active[still_open], n_stopped[still_open], r[still_open]
         before = before[still_open]
         if not active.size:
             break
+        i = end
 
     if lane:  # trials with no count at all hold the lane's final odds
         waiting = join_order[join_at[n_bins]:]

@@ -44,17 +44,33 @@ def test_trajectory_round_trip(tmp_path):
 
 def test_trajectory_writer_matches_one_formatted_line_per_row(tmp_path):
     """The byte-table writer gives the bytes of one f-string per row, across
-    blocks (2^15 rows hold 46 trials of 700 bins) and for wide counts."""
+    blocks, across digit boundaries and for wide counts."""
     rng = np.random.default_rng(4)
-    counts = rng.poisson(3, size=(150, 700))
-    counts[3, 5] = 10**7
-    counts[140, 0] = 2**40
-    bright = rng.random(150) < 0.5
+    wide = rng.poisson(3, size=(150, 700))  # blocks of 46 trials of 700 bins
+    wide[3, 5] = 10**7
+    wide[140, 0] = 2**40
+    # ids and bins cross 9 -> 10, 99 -> 100 and 999 -> 1000; with 1001 bins a
+    # block holds 32 trials, and the second block's counts are all 0
+    long = rng.poisson(2, size=(40, 1001))
+    long[:, [9, 10, 99, 100, 999, 1000]] = [0, 9, 10, 2**40, 9, 10]
+    long[32:] = 0
+    one_bin = np.array([0, 9, 10, 2**40] * 250 + [7])[:, None]  # ids 0..1000 in one block
+    for counts in (wide, long, one_bin, np.zeros((3, 5), dtype=np.int8)):
+        bright = rng.random(len(counts)) < 0.5
+        path = tmp_path / "trajs.csv"
+        iio.write_trajectories_csv(path, Dataset(counts, bright, 1.0))
+        want = "".join(f"{i},{'bright' if bright[i] else 'dark'},{j},{c}\n"
+                       for i, row in enumerate(counts.tolist()) for j, c in enumerate(row))
+        assert path.read_bytes() == ("trial_id,prepared,bin_index,counts\n" + want).encode()
+
+
+def test_trajectory_writer_refuses_trials_without_bins(tmp_path):
+    # a header alone would read back as no trials at all
     path = tmp_path / "trajs.csv"
-    iio.write_trajectories_csv(path, Dataset(counts, bright, 1.0))
-    want = "".join(f"{i},{'bright' if bright[i] else 'dark'},{j},{c}\n"
-                   for i, row in enumerate(counts.tolist()) for j, c in enumerate(row))
-    assert path.read_bytes() == ("trial_id,prepared,bin_index,counts\n" + want).encode()
+    with pytest.raises(ValueError, match="cannot write 3 trials with no bins"):
+        iio.write_trajectories_csv(path, Dataset(np.zeros((3, 0), dtype=int),
+                                                 np.ones(3, dtype=bool), 1.0))
+    assert not path.exists()
 
 
 def test_trajectory_read_needs_bin_width(tmp_path):
@@ -209,8 +225,8 @@ def test_trajectory_read_in_tiny_blocks_gives_the_same_outcome(tmp_path, monkeyp
     path = tmp_path / "trajs.csv"
     _write_trajectory_rows(path, *rows)
     whole = _outcome(path)
-    for chars in (1, 16, 40):  # blocks of one row, one or two, about three
-        monkeypatch.setattr(iio, "_BLOCK_CHARS", chars)
+    for block in (1, 2, 3):  # rows per block
+        monkeypatch.setattr(iio, "_BLOCK_ROWS", block)
         assert _outcome(path) == whole
 
 
@@ -220,7 +236,7 @@ def test_trajectory_read_joins_trials_across_blocks(tmp_path, monkeypatch):
     path = tmp_path / "trajs.csv"
     iio.write_trajectories_csv(path, ds)
     header, *rows = _read_lines(path)
-    monkeypatch.setattr(iio, "_BLOCK_CHARS", 1)  # one row per block
+    monkeypatch.setattr(iio, "_BLOCK_ROWS", 1)  # one row per block
     back = iio.read_trajectories_csv(path, bin_width_us=0.5)
     assert back.prefix.dtype == ds.prefix.dtype
     assert np.array_equal(back.prefix, ds.prefix) and np.array_equal(back.bright, ds.bright)
@@ -248,8 +264,8 @@ def test_trajectory_read_types_the_matrix_by_the_largest_record_total(tmp_path, 
     iio.write_trajectories_csv(path, ds)
     header, *rows = _read_lines(path)
     _write_trajectory_rows(backwards, *rows[::-1])
-    for chars in (iio._BLOCK_CHARS, 1, 16, 40):
-        monkeypatch.setattr(iio, "_BLOCK_CHARS", chars)
+    for block in (iio._BLOCK_ROWS, 1, 2, 3):
+        monkeypatch.setattr(iio, "_BLOCK_ROWS", block)
         for source in (path, backwards):
             back = iio.read_trajectories_csv(source, bin_width_us=0.5)
             assert back.prefix.dtype == dtype
@@ -280,7 +296,7 @@ def test_trajectory_read_from_a_pipe(tmp_path, monkeypatch):
     os.mkfifo(fifo)
     writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
     writer.start()
-    monkeypatch.setattr(iio, "_BLOCK_CHARS", 64)  # a few rows per block
+    monkeypatch.setattr(iio, "_BLOCK_ROWS", 3)  # a few rows per block
     back = iio.read_trajectories_csv(fifo, bin_width_us=0.5)
     writer.join(timeout=10)
     assert not writer.is_alive()
@@ -289,14 +305,35 @@ def test_trajectory_read_from_a_pipe(tmp_path, monkeypatch):
 
 
 def test_trajectory_read_keeps_a_quoted_newline_in_its_label(tmp_path, monkeypatch):
-    # split into lines, the label's two halves would join into "bright"
+    # split into lines, the label's two halves would join into "bright"; in
+    # blocks of one row, the quoted newline ends the first block or lies
+    # where a block of one line would end
     path = tmp_path / "trajs.csv"
-    _write_trajectory_rows(path, '0,"bri\nght",0,4', "1,dark,0,2")
-    for chars in (iio._BLOCK_CHARS, 1, 8, 40):
-        monkeypatch.setattr(iio, "_BLOCK_CHARS", chars)
-        with pytest.raises(ValueError, match=re.escape(f"{path}: trial 0 has label 'bri\\nght'; "
-                                                       "expected 'bright' or 'dark'")):
-            iio.read_trajectories_csv(path, bin_width_us=1.0)
+    for rows in (['0,"bri\nght",0,4', "1,dark,0,2"], ["1,dark,0,2", '0,"bri\nght",0,4']):
+        _write_trajectory_rows(path, *rows)
+        for block in (iio._BLOCK_ROWS, 1, 2, 3):
+            monkeypatch.setattr(iio, "_BLOCK_ROWS", block)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: trial 0 has label 'bri\\nght'; expected 'bright' or 'dark'")):
+                iio.read_trajectories_csv(path, bin_width_us=1.0)
+
+
+def test_trajectory_read_of_whole_blocks(tmp_path, monkeypatch):
+    # the last block ends the file exactly, so one more read finds no rows
+    rng = np.random.default_rng(10)
+    ds = Dataset(rng.poisson(3, (4, 3)), rng.random(4) < 0.5, 0.5)
+    path = tmp_path / "trajs.csv"
+    iio.write_trajectories_csv(path, ds)
+    for block in (1, 2, 3, 4, 6, 12):
+        monkeypatch.setattr(iio, "_BLOCK_ROWS", block)
+        back = iio.read_trajectories_csv(path, bin_width_us=0.5)
+        assert np.array_equal(back.prefix, ds.prefix) and np.array_equal(back.bright, ds.bright)
+    monkeypatch.undo()
+    n = 2 * iio._BLOCK_ROWS // 64
+    ds = Dataset(rng.poisson(3, (n, 64)), np.arange(n) % 2 == 0, 0.5)
+    iio.write_trajectories_csv(path, ds)
+    back = iio.read_trajectories_csv(path, bin_width_us=0.5)
+    assert np.array_equal(back.prefix, ds.prefix) and np.array_equal(back.bright, ds.bright)
 
 
 def test_cli_names_the_file_and_trial_of_a_negative_count(tmp_path, capsys):
@@ -555,8 +592,8 @@ def test_side_formats_read_in_tiny_blocks_give_the_same_outcome(tmp_path, monkey
     path = tmp_path / "table.csv"
     path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
     whole = _side_outcome(read, path)
-    for chars in (1, 16, 40):  # blocks of one row, one or two, about three
-        monkeypatch.setattr(iio, "_BLOCK_CHARS", chars)
+    for block in (1, 2, 3):  # rows per block
+        monkeypatch.setattr(iio, "_BLOCK_ROWS", block)
         assert _side_outcome(read, path) == whole
 
 
@@ -565,8 +602,8 @@ def test_timetag_channel_holding_a_newline_round_trips_in_tiny_blocks(tmp_path, 
                TimeTagStream("c", np.array([2, 3], dtype=np.int64), 100)]
     path = tmp_path / "tags.csv"
     iio.write_timetags_csv(path, streams)
-    for chars in (1, 4, 16):  # a block boundary may fall inside the quoted name
-        monkeypatch.setattr(iio, "_BLOCK_CHARS", chars)
+    for block in (1, 2, 3):  # a block may end on a row whose name spans two lines
+        monkeypatch.setattr(iio, "_BLOCK_ROWS", block)
         back = iio.read_timetags_csv(path, duration_ns=100)
         assert [s.channel for s in back] == ["a\nb", "c"]
         assert [s.t_ns.tolist() for s in back] == [[1, 5, 9], [2, 3]]

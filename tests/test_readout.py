@@ -23,7 +23,7 @@ from ionreadout import (
     simulate_dataset,
 )
 from ionreadout.photon_sim import _MS_PER_US, _counts_dtype, _flip_probs
-from ionreadout.readout import _confidence, _zero_count_cap
+from ionreadout.readout import _STEP_BINS, _confidence, _zero_count_cap
 
 NOPUMP = RateParams(gamma_b=162.50, gamma_d=5.095)
 
@@ -159,9 +159,9 @@ def _assert_matches_reference(res, records, rates, bin_width_us):
 
 
 @given(
-    records=arrays(np.int64, st.tuples(st.integers(1, 6), st.integers(1, 30)),
+    records=arrays(np.int64, st.tuples(st.integers(1, 6), st.integers(1, 4 * _STEP_BINS + 2)),
                    elements=st.integers(0, 12)),
-    quiet=arrays(np.int64, 6, elements=st.integers(0, 31)),
+    quiet=arrays(np.int64, 6, elements=st.integers(0, 4 * _STEP_BINS + 3)),
     gamma_d=st.sampled_from([0.0, 5.095]) | st.floats(min_value=0.0, max_value=50.0),
     spread=st.sampled_from([0.0, 157.405]) | st.floats(min_value=0.0, max_value=200.0),
     gamma_dp=st.floats(min_value=0.0, max_value=0.05),
@@ -176,7 +176,8 @@ def test_batch_filter_matches_log_domain_reference(
 ):
     # includes gamma_d = 0 (a count decides bright outright), gamma_b = gamma_d
     # (the odds only drift) and gamma_b = gamma_d = 0 (a count stops nothing);
-    # record j has no count in its first quiet[j] bins, so many have none at all
+    # record j has no count in its first quiet[j] bins, so many have none at all;
+    # records reach past three of the blocks the filter steps at once
     records = np.where(np.arange(records.shape[1]) < quiet[:len(records), None], 0, records)
     rates = RateParams(gamma_d + spread, gamma_d, gamma_dp, gamma_rp)
     trajs = [_traj(c, bin_width_us=bin_width_us) for c in records]
@@ -372,6 +373,43 @@ def test_lane_matches_every_record_loop_with_and_without_all_zero_records(rates,
     _assert_same_as_every_record_loop(res, zeros, rates, 1.0)
     # the all-zero records all stop with the lane, 14 bins in at 0.9
     assert np.all(res[0].bins_consumed == 14) and res[-1].converged.all()
+
+
+@pytest.mark.parametrize("bins, cells", [(1, 1 << 14), (3, 1 << 14), (32, 1), (32, 150),
+                                         (7, 400)])
+@pytest.mark.parametrize("pumped", [True, False])
+def test_block_lengths_leave_the_results_unchanged(monkeypatch, rates, levels16, bins, cells,
+                                                   pumped):
+    # blocks of one bin and of three, and blocks that the number of stepped
+    # records cuts short, down to one bin
+    rng = np.random.default_rng(9)
+    counts = rng.poisson(0.05, (60, 120))
+    counts[:20, :70] = 0  # these join after the all-zero record has passed some levels
+    counts[:5] = 0
+    ds = Dataset(counts, np.arange(60) % 2 == 0, 1.0)
+    rates = rates if pumped else NOPUMP
+    monkeypatch.setattr("ionreadout.readout._STEP_BINS", bins)
+    monkeypatch.setattr("ionreadout.readout._STEP_CELLS", cells)
+    res = adaptive_classify_batch(ds, rates, 1.0, levels16)
+    _assert_same_as_every_record_loop(res, ds, rates, 1.0)
+
+
+def test_a_posterior_equal_to_the_level_stops_in_its_bin(rates):
+    # a level is reached where the posterior is at least the level, so a
+    # level equal to a posterior the filter reaches stops the record in that
+    # bin: here the all-zero record's, shared by the record still waiting,
+    # and a record's own after its first count
+    counts = np.zeros((3, 60), dtype=np.int64)
+    counts[1, [2, 9]] = 1
+    counts[2, 40] = 1
+    ds = Dataset(counts, np.array([False, True, True]), 1.0)
+    probe = adaptive_classify_batch(ds, rates, 1.0, [0.9])[0]
+    assert probe.bins_consumed.tolist() == [14, 3, 14]
+    for k in (0, 1):
+        level = float(probe.confidence[k])
+        res = adaptive_classify_batch(ds, rates, 1.0, [level])[0]
+        assert res.bins_consumed[k] == probe.bins_consumed[k] and res.confidence[k] == level
+        _assert_same_as_every_record_loop([res], ds, rates, 1.0)
 
 
 def test_lane_matches_every_record_loop_on_records_shorter_than_its_last_stop(

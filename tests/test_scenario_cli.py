@@ -469,6 +469,14 @@ def test_cli_classify_duration_outside_the_record_names_the_flag(small_csv, caps
     assert re.search(rf"^error: --duration-us: {problem}$", capsys.readouterr().err, re.M)
 
 
+@pytest.mark.parametrize("level, shown", [("1.0", "1"), ("nan", "nan"), ("0.5", "0.5")])
+def test_cli_classify_names_a_level_outside_its_range(small_csv, capsys, level, shown):
+    code = main(["classify", "--in", str(small_csv), "--bin-width-us", "0.5", "--bayes",
+                 "--level", level])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --level must lie in (0.5, 1), got {shown}\n"
+
+
 def test_cli_classify_names_an_empty_file(tmp_path, capsys):
     path = tmp_path / "empty.csv"
     iio.write_trajectories_csv(path, Dataset(np.zeros((0, 0), dtype=int), np.zeros(0, bool), 1.0))
