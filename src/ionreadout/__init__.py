@@ -3,6 +3,7 @@ ion with an in-vacuum single-photon counter.
 
 Subpackages by concern:
 
+- chain: the two-state chain, one bin at a time (pumping rule, filter step)
 - photon_sim: two-state Poisson emitter, heralding, time-tag streams
 - readout: threshold and adaptive Bayesian state classification
 - rfcircuit: induced-current model of the counter under trap rf drive

@@ -180,10 +180,15 @@ def _cmd_classify(args) -> int:
         raise ConfigError("choose --threshold, --bayes, or both")
     if args.out and args.threshold and args.bayes:
         raise ConfigError("--out works with a single method; drop it to compare both")
-    if args.threshold_counts is not None and not args.threshold:
-        raise ConfigError("--threshold-counts needs --threshold")
-    if args.bayes and not 0.5 < args.level < 1.0:
-        raise ConfigError(f"--level must lie in (0.5, 1), got {args.level:g}")
+    for flag, value, method in (("--threshold-counts", args.threshold_counts, "threshold"),
+                                ("--duration-us", args.duration_us, "threshold"),
+                                ("--level", args.level, "bayes")):
+        if value is not None and not getattr(args, method):
+            raise ConfigError(f"{flag} needs --{method}")
+    duration_us = 125.0 if args.duration_us is None else args.duration_us
+    level = 0.9999 if args.level is None else args.level
+    if args.bayes and not 0.5 < level < 1.0:
+        raise ConfigError(f"--level must lie in (0.5, 1), got {level:g}")
     ds = _io.read_trajectories_csv(args.infile, bin_width_us=args.bin_width_us)
     if not len(ds):
         raise ConfigError(f"{args.infile}: empty dataset")
@@ -194,23 +199,23 @@ def _cmd_classify(args) -> int:
         if thr is not None and thr < 0:
             raise ConfigError("--threshold-counts must be >= 0")
         try:
-            totals = ds.totals(args.duration_us)  # the readout must fit the records
+            totals = ds.totals(duration_us)  # the readout must fit the records
         except ValueError as exc:
             raise ConfigError(f"--duration-us: {exc}") from exc
         if thr is None:
-            thr, _ = optimize_threshold(ds, args.duration_us)
+            thr, _ = optimize_threshold(ds, duration_us)
         decisions = totals >= thr
-        stats = error_stats(ds.bright, decisions, np.full(len(ds), args.duration_us))
+        stats = error_stats(ds.bright, decisions, np.full(len(ds), duration_us))
         rows.append(("threshold", stats))
         if args.out and not args.bayes:
-            _io.write_results_csv(args.out, ds.bright, decisions, args.duration_us)
+            _io.write_results_csv(args.out, ds.bright, decisions, duration_us)
 
     if args.bayes:
         res = adaptive_classify_batch(ds, _rates_from(args),
-                                      args.bin_width_us, [args.level])[0]
+                                      args.bin_width_us, [level])[0]
         durations = res.bins_consumed * args.bin_width_us
         stats_b = error_stats(ds.bright, res.decisions, durations)
-        rows.append((f"bayes@{args.level:g}", stats_b))
+        rows.append((f"bayes@{level:g}", stats_b))
         if args.out and not args.threshold:
             _io.write_results_csv(args.out, ds.bright, res.decisions, durations, res.confidence)
 
@@ -432,11 +437,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fixed-duration counting threshold method")
     p.add_argument("--threshold-counts", type=int, default=None,
                    help="fixed threshold; omitted = optimize on this dataset")
-    p.add_argument("--duration-us", type=float, default=125.0)
+    p.add_argument("--duration-us", type=float, default=None,
+                   help="readout duration for --threshold (default 125)")
     p.add_argument("--bayes", action="store_true",
                    help="adaptive Bayesian method")
-    p.add_argument("--level", type=float, default=0.9999,
-                   help="posterior stopping level for --bayes")
+    p.add_argument("--level", type=float, default=None,
+                   help="posterior stopping level for --bayes (default 0.9999)")
     _rate_flags(p)
     p.add_argument("--out", default=None, help="per-trial results CSV")
     p.set_defaults(func=_cmd_classify)

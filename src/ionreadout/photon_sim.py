@@ -13,7 +13,7 @@ Two transition models are provided, named in :data:`TRANSITION_MODES`:
   rate integral across the bin.
 * ``"bin-boundary"``: state changes may only occur between bins, with
   per-boundary probabilities 1 - exp(-gamma_dp * t0) and
-  1 - exp(-gamma_rp * t0).
+  1 - exp(-gamma_rp * t0), the pumping rule of :mod:`ionreadout.chain`.
 
 Both are simulated at the event level: each trial is cut at its flips
 into constant-rate segments, each segment's Poisson total is placed
@@ -67,12 +67,11 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+from .chain import _MS_PER_US, _flip_probs
 from .timing import TimeTagStream, _map_on_cpus
 
 StateLabel = Literal["bright", "dark"]
 TRANSITION_MODES = ("exact", "bin-boundary")  # the first is the default
-
-_MS_PER_US = 1e-3
 
 BRIGHT: StateLabel = "bright"
 DARK: StateLabel = "dark"
@@ -322,19 +321,6 @@ class EmitterStreamConfig:
         if (self.duration_s + abs(self.delay_offset_b_s)) * 1e9 >= 2.0**63:
             raise ValueError("duration_s + |delay_offset_b_s| must stay below "
                              f"{2.0**63 * 1e-9:.4g} s, the range of int64 ns tags")
-
-
-def _flip_probs(rates: RateParams, bin_width_us: float) -> tuple[float, float]:
-    """Per-bin flip probabilities (p_dp, p_rp) = 1 - exp(-gamma * t0), the one
-    pumping rule of the simulator and the filter: gamma * t0 must stay below 1."""
-    probs = []
-    for name in ("gamma_dp", "gamma_rp"):
-        flips = getattr(rates, name) * bin_width_us * _MS_PER_US
-        if flips >= 1:
-            raise ValueError(f"{name} times the bin width is {flips:g} expected flips per "
-                             "bin; binned records need fewer than 1")
-        probs.append(float(-np.expm1(-flips)))
-    return tuple(probs)
 
 
 # Trials per block of simulate_dataset, the expected segments of the trials

@@ -5,33 +5,21 @@ sums counts over a window and compares against an integer threshold.
 The adaptive method filters a two-state posterior bin by bin,
 accounting for state transitions during the readout, and stops as soon
 as the more likely state reaches a requested confidence level, so easy
-trials finish early (Myerson et al., PRL 100, 200502 (2008)).
-
-The filter carries one number per trial, the log posterior odds
-r = log P(bright) / P(dark), starting from even odds.  Each bin first
-propagates the odds through the per-bin flip probabilities p_dp (bright
-to dark) and p_rp (dark to bright),
-
-    r <- log(((1 - p_dp) e^r + p_rp) / (p_dp e^r + 1 - p_rp)),
-
-then adds the bin's log-likelihood ratio n log(mu_b / mu_d) - (mu_b - mu_d)
-for n counts and mean counts mu_b, mu_d, as in Wald's sequential test.
-The posterior of the more likely state is sigma(|r|), so a level l is
-reached when |r| >= log(l / (1 - l)).
+trials finish early (Myerson et al., PRL 100, 200502 (2008)).  The
+per-bin filter, the log posterior odds r stepped through the flips and
+the counts, is :mod:`ionreadout.chain`'s; a level l is reached when
+|r| >= log(l / (1 - l)).
 
 Every record with no count yet holds the same odds, those of the
-all-zero record, so the batch filter steps those odds once, as one extra
-lane, and a record is stepped on its own only from its first count.
-The batch filter steps a block of bins at a time, each bin only
-propagating the odds and adding the counts, and checks for stops once
-per block: the running maximum of each record's posterior along the
-block gives the levels it has passed and the first bin that passed each.
-A record whose first count falls inside a block joins at the block's
-start with the lane's odds, which are its own, bit for bit, until that
-count.
-With no counts the odds settle at the fixed point r* of the zero-count
-step, so no record without counts stops at a level at or above
-sigma(|r*|); the filter warns of such a level.
+all-zero record, so the batch filter keeps those records as one waiting
+set and steps their odds once, as one extra lane; a record leaves the
+set and is stepped on its own at the start of the block that holds its
+first count, with the lane's odds, which are its own, bit for bit,
+until that count.  The batch filter steps a block of bins at a time and
+checks for stops once per block: the running maximum of each record's
+posterior along the block gives the levels it has passed and the first
+bin that passed each.  No record without counts stops at a level at or
+above the chain's zero-count cap; the filter warns of such a level.
 """
 from __future__ import annotations
 
@@ -41,15 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .photon_sim import (
-    Dataset,
-    RateParams,
-    Trajectory,
-    _MS_PER_US,
-    _counts_dtype,
-    _flip_probs,
-    as_dataset,
-)
+from .chain import _MS_PER_US, _count_llr, _flip_probs, _forward, _zero_count_cap
+from .photon_sim import Dataset, RateParams, Trajectory, _counts_dtype, as_dataset
 
 
 # The batch filter steps its records a block of bins at a time and checks
@@ -77,52 +58,6 @@ def _confidence(log_odds):
     return 1.0 / (1.0 + np.exp(-np.abs(log_odds)))
 
 
-def _first_count_bins(prefix: np.ndarray) -> np.ndarray:
-    """Each record's first bin with a count, or its length if it has none.
-
-    A prefix row never decreases, so the bins before the first count are
-    the bins where it is 0; they are counted by bisection, one probe of
-    every row per halving of the record.
-    """
-    n_trials, n_bins = prefix.shape
-    rows = np.arange(n_trials)
-    first = np.zeros(n_trials, dtype=np.intp)
-    step = 1 << (n_bins.bit_length() - 1)
-    while step:
-        ahead = first + step
-        quiet = prefix[rows, np.minimum(ahead, n_bins) - 1] == 0
-        first += step * ((ahead <= n_bins) & quiet)
-        step >>= 1
-    return first
-
-
-def _zero_count_cap(p_dp: float, p_rp: float, c: float) -> float:
-    """The posterior sigma(|r*|) that the odds of a record with no counts approach.
-
-    r* is the fixed point of the zero-count step: x = e^{r*} is the root
-    x >= 0 of p_dp x^2 + (1 - p_rp - e^{-c} (1 - p_dp)) x - e^{-c} p_rp = 0.
-    While p_dp + p_rp < 1 the step is increasing in r, so the odds move
-    from 0 toward r* without passing it and no level at or above the cap
-    is reached; otherwise they may overshoot, and 1 is returned.  The cap
-    is also 1 where the odds grow without bound (x = 0 or infinite).
-    """
-    if p_dp + p_rp >= 1:
-        return 1.0
-    e = np.exp(-c)
-    a, b, q = p_dp, 1.0 - p_rp - e * (1.0 - p_dp), e * p_rp
-    with np.errstate(over="ignore"):  # a root past the float range is no cap
-        disc = np.sqrt(b * b + 4.0 * a * q)
-        if b > 0:
-            x = 2.0 * q / (b + disc)  # the positive root, with no cancellation
-        elif a > 0:
-            x = (disc - b) / (2.0 * a)
-        elif q > 0:
-            x = np.inf  # only the dark-to-bright flip acts: the odds grow without bound
-        else:
-            x = 1.0  # equal rates and no pumping: the odds stay even
-    return float(max(x, 1.0) / (1.0 + x)) if np.isfinite(x) else 1.0
-
-
 def adaptive_classify_batch(
     trajs: Dataset | Sequence[Trajectory],
     rates: RateParams,
@@ -137,19 +72,18 @@ def adaptive_classify_batch(
     decides.  A record that never gets there is decided by its final
     posterior and reported with ``converged`` False.  A record that has
     reached the highest level has stopped at every lower one, so only
-    records still open at the highest level are stepped.  Records that
-    have had no count yet all hold the odds of the all-zero record, so
-    one lane steps those odds for all of them: a record joins the stepped
-    records at the start of the block that holds its first count, with
-    the lane's odds and stopped levels; a record still waiting after the
-    block where the lane passes a level stops there with the lane, and
-    one still waiting at the end of the record takes the lane's final
-    odds.  The results are those of stepping every record bin by bin.
-    The odds of a record with no counts approach a cap below 1 (see
-    :func:`_zero_count_cap`); levels at or above it draw a warning,
-    since no such record stops there.  The records come as a Dataset or
-    as a list of :class:`Trajectory` records, the form the benchmark's
-    per-trial check passes.
+    records still open at the highest level are stepped.  Records with no
+    count yet all hold the odds of the all-zero record, so they wait in
+    one set and one lane steps those odds: at each block's start, the
+    waiting records with a count by the block's last bin join the stepped
+    records, with the lane's odds and stopped levels; those still waiting
+    after a block where the lane passes a level stop there with it, and
+    those still waiting at the record's end take its final odds.  The
+    results are those of stepping every record bin by bin with
+    :func:`ionreadout.chain._forward`.  Levels at or above the chain's
+    zero-count cap draw a warning: no record without counts stops there.
+    The records come as a Dataset or as a list of :class:`Trajectory`
+    records, the form the benchmark's per-trial check passes.
     """
     levels = [float(l) for l in confidence_levels]
     if not levels:
@@ -169,15 +103,7 @@ def adaptive_classify_batch(
             f"({ds.bin_width_us})"
         )
     p_dp, p_rp = _flip_probs(rates, bin_width_us)
-    flips = p_dp > 0 or p_rp > 0
-
-    # a bin of k counts has log-likelihood ratio k * a - c: +inf for a count
-    # only the bright state can give, nan for one neither can; a is a
-    # difference of logs, since mu_b / mu_d overflows for a tiny mu_d
-    mu_b = rates.gamma_b * bin_width_us * _MS_PER_US
-    mu_d = rates.gamma_d * bin_width_us * _MS_PER_US
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a, c = np.log(mu_b) - np.log(mu_d), mu_b - mu_d
+    a, c = _count_llr(rates, bin_width_us)
     cap = _zero_count_cap(p_dp, p_rp, c)
     capped = [l for l in levels if l >= cap]
     if capped:
@@ -202,31 +128,24 @@ def adaptive_classify_batch(
     stop_bright = np.empty((len(levels), n_trials), dtype=bool)
     stop_conf = np.empty((len(levels), n_trials))
 
-    # join_order[join_at[i]:join_at[i + 1]] are the trials whose first count
-    # is in bin i; join_order[join_at[i + 1]:] have no count up to bin i
-    first = _first_count_bins(ds.prefix)
-    join_order = np.argsort(first, kind="stable")
-    join_at = np.searchsorted(first[join_order], np.arange(n_bins + 1))
-
-    # stepped trials, open at the highest level at the start of a block;
-    # while ``lane`` holds, position 0 is the lane, whose trial entry is a
-    # placeholder
+    # trials with no count yet; stepped trials, open at the highest level at
+    # the start of a block, where while any trial waits position 0 is the
+    # lane, whose trial entry is a placeholder
+    waiting = np.arange(n_trials)
     active = np.zeros(1, dtype=np.intp)
     n_stopped = np.zeros(1, dtype=np.intp)
     r = np.zeros(1)  # log posterior odds, bright over dark
     before = np.zeros(1, dtype=ds.prefix.dtype)  # counts before the block
-    lane = True
     i = 0
     while i < n_bins:
-        # the block's bins: fewer than _STEP_BINS when the stepped records,
-        # counting every record that may join in the block, are many
-        most = active.size + (join_at[min(i + _STEP_BINS, n_bins)] - join_at[i] if lane else 0)
+        # the block's bins: fewer than _STEP_BINS when many trials are stepped or wait
+        most = active.size + waiting.size
         end = min(i + max(1, min(_STEP_BINS, _STEP_CELLS // most)), n_bins)
-        if lane:  # trials whose first count is in this block join at its start
-            joining = join_order[join_at[i]:join_at[end]]
-            lane = bool(join_at[end] < n_trials)  # the lane goes once none waits
-            if joining.size or not lane:
-                kept, nj = slice(0 if lane else 1, None), joining.size
+        if waiting.size:  # trials with a count in this block join at its start
+            counted = ds.prefix[waiting, end - 1] > 0
+            joining, waiting = waiting[counted], waiting[~counted]
+            if joining.size or not waiting.size:  # the lane goes once none waits
+                kept, nj = slice(0 if waiting.size else 1, None), joining.size
                 active = np.concatenate([active[kept], joining])
                 n_stopped = np.concatenate([n_stopped[kept], np.full(nj, n_stopped[0])])
                 r = np.concatenate([r[kept], np.full(nj, r[0])])
@@ -235,18 +154,11 @@ def adaptive_classify_batch(
                     break
         through = np.take(ds.prefix.T[i:end], active, axis=1)  # bins x stepped trials
         k = np.diff(through, axis=0, prepend=before[None])
-        if lane:
+        if waiting.size:
             k[:, 0] = 0
-        # odds[j] becomes the odds after bin i + j.  A trial that has passed
-        # every level in the block may overflow; its later odds are discarded.
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            odds = np.where(k > 0, k * a, 0.0) - c  # 0 * inf, discarded by the where
-            for j in range(end - i):  # the odds before the bin, through its flips, plus its counts
-                prior = r if j == 0 else odds[j - 1]
-                if flips:
-                    x = np.exp(prior)
-                    prior = np.log(((1.0 - p_dp) * x + p_rp) / (p_dp * x + (1.0 - p_rp)))
-                odds[j] += prior
+        # odds[j] is the odds after bin i + j.  A trial that has passed every
+        # level in the block may overflow; its later odds are discarded.
+        odds = _forward(r, k, p_dp, p_rp, a, c)
         # the highest posterior so far in the block, counted only where it
         # may reach a level not yet passed; nan passes the cheap test nowhere
         mag = np.abs(odds)
@@ -264,12 +176,12 @@ def adaptive_classify_batch(
         e = np.repeat(moved, count)
         level = np.arange(e.size) - np.repeat(np.cumsum(count) - reached, count)
         at = np.add.reduce(np.take(top, e, axis=1) < sorted_levels[level], axis=0, dtype=np.intp)
-        if lane and moved.size and moved[0] == 0:  # so does every trial still waiting
-            lane_levels, waiting = slice(n_stopped[0], reached[0]), (first >= end)[None]
+        if waiting.size and moved.size and moved[0] == 0:  # so does every trial still waiting
+            lane_levels = slice(n_stopped[0], reached[0])
             lane_at, at = at[:count[0]], at[count[0]:]
-            np.copyto(stop_bin[lane_levels], i + 1 + lane_at[:, None], where=waiting)
-            np.copyto(stop_bright[lane_levels], odds[lane_at, 0, None] >= 0, where=waiting)
-            np.copyto(stop_conf[lane_levels], top[lane_at, 0, None], where=waiting)
+            stop_bin[lane_levels][:, waiting] = i + 1 + lane_at[:, None]
+            stop_bright[lane_levels][:, waiting] = odds[lane_at, 0, None] >= 0
+            stop_conf[lane_levels][:, waiting] = top[lane_at, 0, None]
             e, level = e[count[0]:], level[count[0]:]
         cell = level * n_trials + active[e]
         stop_bin.ravel()[cell] = i + 1 + at
@@ -279,15 +191,15 @@ def adaptive_classify_batch(
         n_stopped[moved] = reached
         r, before = odds[-1], through[-1]
         still_open = n_stopped < len(levels)
-        lane = lane and bool(still_open[0])
+        if waiting.size and not still_open[0]:  # they stopped with the lane at every level
+            waiting = waiting[:0]
         active, n_stopped, r = active[still_open], n_stopped[still_open], r[still_open]
         before = before[still_open]
         if not active.size:
             break
         i = end
 
-    if lane:  # trials with no count at all hold the lane's final odds
-        waiting = join_order[join_at[n_bins]:]
+    if waiting.size:  # trials with no count at all hold the lane's final odds
         active = np.concatenate([waiting, active[1:]])
         n_stopped = np.concatenate([np.full(waiting.size, n_stopped[0]), n_stopped[1:]])
         r = np.concatenate([np.full(waiting.size, r[0]), r[1:]])

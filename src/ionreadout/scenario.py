@@ -13,11 +13,11 @@ from pathlib import Path
 import numpy as np
 
 from . import io as _io
+from .chain import _flip_probs
 from .photon_sim import (
     TRANSITION_MODES,
     RateParams,
     ReadoutConfig,
-    _flip_probs,
     _readout_bins,
     simulate_dataset,
 )

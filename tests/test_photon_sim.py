@@ -22,6 +22,7 @@ from ionreadout import (
     simulate_dataset,
     simulate_timetag_streams,
 )
+from ionreadout import chain
 from ionreadout import io as iio
 from ionreadout import photon_sim
 from ionreadout.photon_sim import _BLOCK_TRIALS, _TAG_CHUNK, _counts_dtype, _herald, _segments
@@ -458,7 +459,7 @@ def _row_wise_binned_counts(rng, rates, cfg, bright, segments):
     t0, n_bins = cfg.bin_width_us, cfg.n_bins
     trial, start, end, flipped = segments
     photon_rates = (rates.gamma_b, rates.gamma_d) if bright else (rates.gamma_d, rates.gamma_b)
-    per_bin = np.array(photon_rates) * t0 * photon_sim._MS_PER_US
+    per_bin = np.array(photon_rates) * t0 * chain._MS_PER_US
     totals = rng.poisson(per_bin[flipped] * (end - start))
     n = int(trial[-1]) + 1
     first_seg = np.searchsorted(trial, np.arange(n + 1))
@@ -483,7 +484,7 @@ def _row_wise_dataset(rates, cfg, trials_per_state, seed, mode):
     """simulate_dataset with dense rows: each chunk's rows binned as int64,
     heralded by their window sums, and the retained rows' post-herald bins
     summed row by row into a trial-major prefix."""
-    p = cfg.bin_width_us * photon_sim._MS_PER_US * max(rates.gamma_dp, rates.gamma_rp)
+    p = cfg.bin_width_us * chain._MS_PER_US * max(rates.gamma_dp, rates.gamma_rp)
     batch = max(1, int(photon_sim._SEGMENT_BUDGET // (1 + cfg.n_bins * p)))
     hb = cfg.herald_bins
     kept, labels = [], []

@@ -22,8 +22,9 @@ from ionreadout import (
     optimize_threshold,
     simulate_dataset,
 )
-from ionreadout.photon_sim import _MS_PER_US, _counts_dtype, _flip_probs
-from ionreadout.readout import _STEP_BINS, _confidence, _zero_count_cap
+from ionreadout.chain import _count_llr, _flip_probs, _forward, _zero_count_cap
+from ionreadout.photon_sim import _counts_dtype
+from ionreadout.readout import _STEP_BINS, _confidence
 
 NOPUMP = RateParams(gamma_b=162.50, gamma_d=5.095)
 
@@ -62,17 +63,14 @@ def _reference_filter(counts, rates, bin_width_us, level):
 
 def _every_record_loop(ds, rates, bin_width_us, levels):
     """The batch filter that steps every record still open at the top level,
-    with no lane for the records that have no count yet: the reference
-    :func:`adaptive_classify_batch` must match bit for bit.  Returns
-    (decisions, bins_consumed, confidence, converged) per level, in order.
+    one bin at a time, with no lane for the records that have no count yet:
+    the reference :func:`adaptive_classify_batch` must match bit for bit.
+    Returns (decisions, bins_consumed, confidence, converged) per level, in
+    order.
     """
     n_trials, n_bins = len(ds), ds.n_bins
     p_dp, p_rp = _flip_probs(rates, bin_width_us)
-    flips = p_dp > 0 or p_rp > 0
-    mu_b = rates.gamma_b * bin_width_us * _MS_PER_US
-    mu_d = rates.gamma_d * bin_width_us * _MS_PER_US
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a, c = np.log(mu_b) - np.log(mu_d), mu_b - mu_d
+    a, c = _count_llr(rates, bin_width_us)
     order = np.argsort(levels, kind="stable")
     sorted_levels = np.asarray(levels)[order]
     q = sorted_levels - 16 * np.spacing(sorted_levels)
@@ -86,13 +84,8 @@ def _every_record_loop(ds, rates, bin_width_us, levels):
     r = np.zeros(n_trials)
     before = np.zeros(n_trials, dtype=ds.prefix.dtype)
     for i in range(n_bins):
-        if flips:
-            x = np.exp(r)
-            r = np.log(((1.0 - p_dp) * x + p_rp) / (p_dp * x + (1.0 - p_rp)))
         through = ds.prefix[active, i]
-        k = through - before
-        with np.errstate(invalid="ignore"):
-            r += np.where(k > 0, k * a, 0.0) - c
+        r = _forward(r, (through - before)[None], p_dp, p_rp, a, c)[0]
         before = through
         mag = np.abs(r)
         new = np.flatnonzero(mag >= low[n_stopped])
@@ -381,17 +374,25 @@ def test_lane_matches_every_record_loop_with_and_without_all_zero_records(rates,
 def test_block_lengths_leave_the_results_unchanged(monkeypatch, rates, levels16, bins, cells,
                                                    pumped):
     # blocks of one bin and of three, and blocks that the number of stepped
-    # records cuts short, down to one bin
+    # and waiting records cuts short, down to one bin
     rng = np.random.default_rng(9)
     counts = rng.poisson(0.05, (60, 120))
     counts[:20, :70] = 0  # these join after the all-zero record has passed some levels
     counts[:5] = 0
     ds = Dataset(counts, np.arange(60) % 2 == 0, 1.0)
+    # record j of the first 40 has its only count in bin j, so at any block
+    # lengths one record's only count falls on each block's last bin and one
+    # on the record's last bin; the lane, at 0.9999 from bin 59 on, runs to
+    # the end for the two records with none
+    single = np.vstack([np.eye(40, dtype=np.int64), np.zeros((2, 40), dtype=np.int64)])
+    single = Dataset(single, np.arange(42) % 2 == 0, 1.0)
     rates = rates if pumped else NOPUMP
     monkeypatch.setattr("ionreadout.readout._STEP_BINS", bins)
     monkeypatch.setattr("ionreadout.readout._STEP_CELLS", cells)
-    res = adaptive_classify_batch(ds, rates, 1.0, levels16)
-    _assert_same_as_every_record_loop(res, ds, rates, 1.0)
+    for records in (ds, single):
+        res = adaptive_classify_batch(records, rates, 1.0, levels16)
+        _assert_same_as_every_record_loop(res, records, rates, 1.0)
+    assert not res[-1].converged[40:].any()
 
 
 def test_a_posterior_equal_to_the_level_stops_in_its_bin(rates):
@@ -426,12 +427,8 @@ def test_lane_matches_every_record_loop_on_records_shorter_than_its_last_stop(
 
 def _settled_confidence(p_dp, p_rp, c, n_bins=3000):
     """sigma(|r|) after n_bins zero-count steps of the filter from even odds."""
-    r = np.zeros(1)
-    with np.errstate(divide="ignore", over="ignore"):
-        for _ in range(n_bins):
-            x = np.exp(r)
-            r = np.log(((1.0 - p_dp) * x + p_rp) / (p_dp * x + (1.0 - p_rp))) - c
-    return float(_confidence(r)[0])
+    r = _forward(np.zeros(1), np.zeros((n_bins, 1), dtype=np.int64), p_dp, p_rp, 0.0, c)
+    return float(_confidence(r[-1])[0])
 
 
 @pytest.mark.parametrize("p_dp, p_rp, c", [

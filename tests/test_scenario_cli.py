@@ -477,6 +477,16 @@ def test_cli_classify_names_a_level_outside_its_range(small_csv, capsys, level, 
     assert capsys.readouterr().err == f"error: --level must lie in (0.5, 1), got {shown}\n"
 
 
+@pytest.mark.parametrize("argv, flag, method", [
+    (["--threshold", "--level", "2"], "--level", "--bayes"),
+    (["--bayes", "--duration-us", "500"], "--duration-us", "--threshold"),
+])
+def test_cli_classify_refuses_a_flag_its_method_does_not_use(small_csv, capsys, argv, flag,
+                                                             method):
+    assert main(["classify", "--in", str(small_csv), "--bin-width-us", "1", *argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {flag} needs {method}\n")
+
+
 def test_cli_classify_names_an_empty_file(tmp_path, capsys):
     path = tmp_path / "empty.csv"
     iio.write_trajectories_csv(path, Dataset(np.zeros((0, 0), dtype=int), np.zeros(0, bool), 1.0))
