@@ -167,9 +167,9 @@ def _cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------- classify
 
-def _stats_row(name: str, stats) -> str:
+def _stats_row(name: str, stats, width: int) -> str:
     return (
-        f"{name:<10} {stats.eps_bright:>12.6g} {stats.eps_dark:>12.6g} "
+        f"{name:<{width}} {stats.eps_bright:>12.6g} {stats.eps_dark:>12.6g} "
         f"{stats.mean_error:>12.6g} {stats.fidelity:>12.8g} "
         f"{stats.mean_duration_us:>15.6g}"
     )
@@ -221,10 +221,11 @@ def _cmd_classify(args) -> int:
 
     if args.threshold:
         print(f"threshold_counts = {thr}")
-    print(f"{'method':<10} {'eps_bright':>12} {'eps_dark':>12} "
+    width = max(10, *(len(name) for name, _ in rows))
+    print(f"{'method':<{width}} {'eps_bright':>12} {'eps_dark':>12} "
           f"{'mean_error':>12} {'fidelity':>12} {'mean_dur_us':>15}")
     for name, stats in rows:
-        print(_stats_row(name, stats))
+        print(_stats_row(name, stats, width))
     return 0
 
 

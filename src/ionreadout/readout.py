@@ -11,11 +11,12 @@ the counts, is :mod:`ionreadout.chain`'s; a level l is reached when
 |r| >= log(l / (1 - l)).
 
 Every record with no count yet holds the same odds, those of the
-all-zero record, so the batch filter keeps those records as one waiting
-set and steps their odds once, as one extra lane; a record leaves the
-set and is stepped on its own at the start of the block that holds its
-first count, with the lane's odds, which are its own, bit for bit,
-until that count.  The batch filter steps a block of bins at a time and
+all-zero record, so the batch filter steps that record once, as one
+extra record, the lane, in place of all of them; a record is stepped on
+its own from the start of the block that holds its first count, with
+the lane's odds, which are its own, bit for bit, until that count, and
+with the lane's stops so far.  A record with no count at all takes the
+lane's results.  The batch filter steps a block of bins at a time and
 checks for stops once per block: the running maximum of each record's
 posterior along the block gives the levels it has passed and the first
 bin that passed each.  No record without counts stops at a level at or
@@ -72,16 +73,16 @@ def adaptive_classify_batch(
     decides.  A record that never gets there is decided by its final
     posterior and reported with ``converged`` False.  A record that has
     reached the highest level has stopped at every lower one, so only
-    records still open at the highest level are stepped.  Records with no
-    count yet all hold the odds of the all-zero record, so they wait in
-    one set and one lane steps those odds: at each block's start, the
-    waiting records with a count by the block's last bin join the stepped
-    records, with the lane's odds and stopped levels; those still waiting
-    after a block where the lane passes a level stop there with it, and
-    those still waiting at the record's end take its final odds.  The
-    results are those of stepping every record bin by bin with
-    :func:`ionreadout.chain._forward`.  Levels at or above the chain's
-    zero-count cap draw a warning: no record without counts stops there.
+    records still open at the highest level are stepped.  The all-zero
+    record, the lane, is stepped as one more record, with results in an
+    extra column of the tables: a record with no count yet waits on the
+    lane and joins the stepped records at the start of the block that holds
+    its first count, with the lane's odds and its stops at the levels the
+    lane has passed; a record still waiting when the loop ends takes the
+    lane's column.  The results are those of stepping every record bin by
+    bin with :func:`ionreadout.chain._forward`.  Levels at or above the
+    chain's zero-count cap draw a warning: no record without counts stops
+    there.
     The records come as a Dataset or as a list of :class:`Trajectory`
     records, the form the benchmark's per-trial check passes.
     """
@@ -122,39 +123,47 @@ def adaptive_classify_batch(
     low = np.log(q) - np.log1p(-q)
     low -= 1e-12 * (1.0 + np.abs(low))
 
-    # bin, decision and confidence of each trial's stop, per sorted level;
-    # every entry is written, at the stop or after the loop for open trials
-    stop_bin = np.empty((len(levels), n_trials), dtype=_counts_dtype(n_bins))
-    stop_bright = np.empty((len(levels), n_trials), dtype=bool)
-    stop_conf = np.empty((len(levels), n_trials))
+    # bin, decision and confidence of each record's stop, and whether it
+    # stopped, per sorted level; column n_trials is the all-zero record's, the
+    # lane's.  Every entry is written: at the stop, after the loop for records
+    # open at a level, and from the lane's column for records that join or wait.
+    width = n_trials + 1
+    stop_bin = np.empty((len(levels), width), dtype=_counts_dtype(n_bins))
+    stop_bright = np.empty((len(levels), width), dtype=bool)
+    stop_conf = np.empty((len(levels), width))
+    converged = np.ones((len(levels), width), dtype=bool)
+    tables = (stop_bright, stop_bin, stop_conf, converged)  # AdaptiveBatchResult's order
 
-    # trials with no count yet; stepped trials, open at the highest level at
-    # the start of a block, where while any trial waits position 0 is the
-    # lane, whose trial entry is a placeholder
+    # records with no count yet; stepped records, open at the highest level at
+    # the start of a block, with the lane at position 0 while it is open
     waiting = np.arange(n_trials)
-    active = np.zeros(1, dtype=np.intp)
+    active = np.full(1, n_trials)
     n_stopped = np.zeros(1, dtype=np.intp)
     r = np.zeros(1)  # log posterior odds, bright over dark
     before = np.zeros(1, dtype=ds.prefix.dtype)  # counts before the block
     i = 0
     while i < n_bins:
-        # the block's bins: fewer than _STEP_BINS when many trials are stepped or wait
-        most = active.size + waiting.size
+        # the block's bins: fewer than _STEP_BINS when many records are stepped
+        # or wait on the open lane
+        lane = active[0] == n_trials
+        most = active.size + (waiting.size if lane else 0)
         end = min(i + max(1, min(_STEP_BINS, _STEP_CELLS // most)), n_bins)
-        if waiting.size:  # trials with a count in this block join at its start
+        if lane and waiting.size:  # records with a count in this block join at its start
             counted = ds.prefix[waiting, end - 1] > 0
             joining, waiting = waiting[counted], waiting[~counted]
-            if joining.size or not waiting.size:  # the lane goes once none waits
-                kept, nj = slice(0 if waiting.size else 1, None), joining.size
-                active = np.concatenate([active[kept], joining])
-                n_stopped = np.concatenate([n_stopped[kept], np.full(nj, n_stopped[0])])
-                r = np.concatenate([r[kept], np.full(nj, r[0])])
-                before = np.concatenate([before[kept], np.zeros(nj, before.dtype)])
-                if not active.size:
-                    break
-        through = np.take(ds.prefix.T[i:end], active, axis=1)  # bins x stepped trials
+            if joining.size:  # with the lane's odds and its stops so far
+                passed, nj = n_stopped[0], joining.size
+                if passed:  # converged starts True and stays so at a stop
+                    for table in tables[:3]:
+                        table[:passed, joining] = table[:passed, -1:]
+                active = np.concatenate([active, joining])
+                n_stopped = np.concatenate([n_stopped, np.full(nj, passed)])
+                r = np.concatenate([r, np.full(nj, r[0])])
+                before = np.concatenate([before, np.zeros(nj, before.dtype)])
+        # the lane's index wraps round to record 0, whose counts it then drops
+        through = np.take(ds.prefix.T[i:end], active, axis=1, mode="wrap")
         k = np.diff(through, axis=0, prepend=before[None])
-        if waiting.size:
+        if lane:
             k[:, 0] = 0
         # odds[j] is the odds after bin i + j.  A trial that has passed every
         # level in the block may overflow; its later odds are discarded.
@@ -176,14 +185,7 @@ def adaptive_classify_batch(
         e = np.repeat(moved, count)
         level = np.arange(e.size) - np.repeat(np.cumsum(count) - reached, count)
         at = np.add.reduce(np.take(top, e, axis=1) < sorted_levels[level], axis=0, dtype=np.intp)
-        if waiting.size and moved.size and moved[0] == 0:  # so does every trial still waiting
-            lane_levels = slice(n_stopped[0], reached[0])
-            lane_at, at = at[:count[0]], at[count[0]:]
-            stop_bin[lane_levels][:, waiting] = i + 1 + lane_at[:, None]
-            stop_bright[lane_levels][:, waiting] = odds[lane_at, 0, None] >= 0
-            stop_conf[lane_levels][:, waiting] = top[lane_at, 0, None]
-            e, level = e[count[0]:], level[count[0]:]
-        cell = level * n_trials + active[e]
+        cell = level * width + active[e]
         stop_bin.ravel()[cell] = i + 1 + at
         stop_bright.ravel()[cell] = odds[at, e] >= 0
         stop_conf.ravel()[cell] = top[at, e]
@@ -191,38 +193,23 @@ def adaptive_classify_batch(
         n_stopped[moved] = reached
         r, before = odds[-1], through[-1]
         still_open = n_stopped < len(levels)
-        if waiting.size and not still_open[0]:  # they stopped with the lane at every level
-            waiting = waiting[:0]
         active, n_stopped, r = active[still_open], n_stopped[still_open], r[still_open]
         before = before[still_open]
         if not active.size:
             break
         i = end
 
-    if waiting.size:  # trials with no count at all hold the lane's final odds
-        active = np.concatenate([waiting, active[1:]])
-        n_stopped = np.concatenate([np.full(waiting.size, n_stopped[0]), n_stopped[1:]])
-        r = np.concatenate([np.full(waiting.size, r[0]), r[1:]])
-    # trials open at a level keep the whole record and their final posterior;
-    # they are the trials still active that stopped at fewer levels
-    final_bright, final_conf = r >= 0, _confidence(r)
-    results = [None] * len(levels)
-    for k, j in enumerate(order):
-        open_ = n_stopped <= k
-        rows = active[open_]
-        stop_bin[k, rows] = n_bins
-        stop_bright[k, rows] = final_bright[open_]
-        stop_conf[k, rows] = final_conf[open_]
-        converged = np.ones(n_trials, dtype=bool)
-        converged[rows] = False
-        results[j] = AdaptiveBatchResult(
-            confidence_level=levels[j],
-            decisions=stop_bright[k],
-            bins_consumed=stop_bin[k],
-            confidence=stop_conf[k],
-            converged=converged,
-        )
-    return results
+    # records open at a level keep the whole record and their final posterior;
+    # they are the records still active that stopped at fewer levels.  Records
+    # still waiting hold the lane's column: its stops, or its final posterior.
+    open_ = np.arange(len(levels))[:, None] >= n_stopped
+    for table, final in zip(tables, (r >= 0, n_bins, _confidence(r), False)):
+        table[:, active] = np.where(open_, final, table[:, active])
+    for table in tables:
+        table[:, waiting] = table[:, -1:]
+    rows = np.argsort(order)  # each level's row of the tables
+    return [AdaptiveBatchResult(l, *(t[k, :n_trials] for t in tables))
+            for l, k in zip(levels, rows)]
 
 
 @dataclass(frozen=True)
@@ -291,9 +278,12 @@ def error_stats(
     n_d = int(bright.size - n_b)
     if n_b == 0 or n_d == 0:
         raise ValueError("need at least one trial of each state")
+    durations_us = np.asarray(durations_us, dtype=float)
+    valid = np.isfinite(durations_us) & (durations_us >= 0)
+    if durations_us.shape != bright.shape or not valid.all():
+        raise ValueError("durations_us must hold one finite, non-negative duration per trial")
     k_b = int(np.count_nonzero(bright & ~decided_bright))
     k_d = int(np.count_nonzero(~bright & decided_bright))
-    durations_us = np.asarray(durations_us, dtype=float)
     return _stats_from_counts(k_b, n_b, k_d, n_d, float(durations_us[bright].mean()),
                               float(durations_us[~bright].mean()))
 

@@ -366,6 +366,12 @@ def test_lane_matches_every_record_loop_with_and_without_all_zero_records(rates,
     _assert_same_as_every_record_loop(res, zeros, rates, 1.0)
     # the all-zero records all stop with the lane, 14 bins in at 0.9
     assert np.all(res[0].bins_consumed == 14) and res[-1].converged.all()
+    # above the zero-count cap, 0.999930 here, the lane is the only record
+    # stepped and never stops: every record keeps the whole record, open
+    with pytest.warns(UserWarning, match=r"0\.99995 at or above 0\.999930"):
+        res = adaptive_classify_batch(zeros, rates, 1.0, [0.99995])
+    assert not res[0].converged.any() and np.all(res[0].bins_consumed == zeros.n_bins)
+    _assert_same_as_every_record_loop(res, zeros, rates, 1.0)
 
 
 @pytest.mark.parametrize("bins, cells", [(1, 1 << 14), (3, 1 << 14), (32, 1), (32, 150),
@@ -605,6 +611,12 @@ def test_error_stats_validation():
                             ([1, 0], [1, 0]), ([True, False], [1.0, 0.0])]:
         with pytest.raises(ValueError, match="boolean arrays"):
             error_stats(bright, decided, [1.0, 1.0])
+    # one finite, non-negative duration per trial
+    bright = np.array([True, False, True])
+    for durations in ([1.0], 5.0, [1.0, 1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]], [np.nan, 1.0, 1.0],
+                      [np.inf, 1.0, 1.0], [1.0, -1.0, 1.0]):
+        with pytest.raises(ValueError, match="durations_us"):
+            error_stats(bright, bright, durations)
 
 
 def test_error_curve_minimum_sits_near_125us(heralded):

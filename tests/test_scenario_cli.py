@@ -364,20 +364,26 @@ def test_cli_negative_seed_names_the_flag(tmp_path, monkeypatch, capsys, argv):
     assert not (tmp_path / "never.csv").exists()
 
 
-def test_cli_classify_compares_methods(small_csv, capsys):
-    code = main([
-        "classify", "--in", str(small_csv), "--bin-width-us", "1",
-        "--threshold", "--duration-us", "100",
-        "--bayes", "--level", "0.99",
-    ])
+@pytest.mark.parametrize("level", ["0.99", "0.99995"])
+def test_cli_classify_compares_methods(small_csv, capsys, level):
+    # 0.99995 lies above the zero-count cap, 0.999930 at these rates, and
+    # makes the longest method name, "bayes@0.99995"
+    argv = ["classify", "--in", str(small_csv), "--bin-width-us", "1",
+            "--threshold", "--duration-us", "100", "--bayes", "--level", level]
+    if level == "0.99995":
+        with pytest.warns(UserWarning, match="0.999930"):
+            code = main(argv)
+    else:
+        code = main(argv)
     out = capsys.readouterr().out
     assert code == 0
     assert "threshold_counts = " in out
     rows = [l for l in out.splitlines() if l.startswith(("threshold ", "bayes@"))]
     assert len(rows) == 2
-    assert "bayes@0.99" in rows[1]
+    assert rows[1].split()[0] == f"bayes@{level}"
     header = [l for l in out.splitlines() if l.startswith("method")]
     assert header and "mean_error" in header[0] and "fidelity" in header[0]
+    assert all(len(row) == len(header[0]) for row in rows)  # the columns line up
 
 
 def test_cli_classify_warns_of_a_level_above_the_zero_count_cap(tmp_path, capsys):
