@@ -2,9 +2,10 @@
 
 Every subcommand maps onto one module-level operation; quantities in
 flag names carry explicit units.  Exit codes: 0 success, 1 validation
-error (bad flags, bad config, bad input file), 2 runtime or numerical
-error.  All randomness flows from explicit integer seeds; the default
-seed for every subcommand that simulates is 12345.
+error (bad flags, bad config, a bad input file or a path that cannot be
+read or written), 2 runtime or numerical error.  All randomness flows
+from explicit integer seeds; the default seed for every subcommand that
+simulates is 12345.
 """
 from __future__ import annotations
 
@@ -525,7 +526,7 @@ def main(argv=None) -> int:
         if seed is not None and seed < 0:  # numpy's own error would not name the flag
             raise ConfigError(f"--seed must be >= 0, got {seed}")
         return args.func(args)
-    except (ConfigError, ValueError, FileNotFoundError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # numerical / runtime failures

@@ -13,15 +13,19 @@ raises ValueError naming the file.  A quoted field may hold a newline.
 The trajectory file is long format, one row per (trial, bin), and does
 not record the bin width: its reader takes the width as a required
 keyword and returns a :class:`Dataset`, so every trial must have the
-same length.  It parses the file a block of rows at a time and scatters
-each block straight into the Dataset's matrix, so beyond the returned
-Dataset it holds one block and a few numbers per trial.  Its writer
-builds every digit of the ids, bins and counts with integer arithmetic.
+same length.  It scatters each block of rows straight into the
+Dataset's matrix, sized by the file's bytes (a pipe is first copied to a
+temporary file), so beyond the Dataset it holds one block, a dict from
+trial id to matrix row and a few numbers per trial.  Its writer builds
+every digit of the ids, bins and counts with integer arithmetic.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
+import shutil
+import tempfile
 import warnings
 from stat import S_ISREG
 from typing import Sequence
@@ -67,16 +71,17 @@ def _labels(bright) -> np.ndarray:
 _BLOCK_ROWS = 1 << 13
 
 
-def _read_rows(path, dtype):
+def _read_rows(path, dtype, source=None):
     """The columns named by a structured dtype, in file order: a header check,
-    then one loadtxt pass over each block of ``_BLOCK_ROWS`` rows.
+    then one loadtxt pass over each block of ``_BLOCK_ROWS`` rows.  The rows
+    come from ``source`` when given, a copy of ``path``; errors name ``path``.
 
     The file is read as latin-1, so every byte loads; a quoted field
     reads as the csv module reads it, newlines included.  Blank lines
     are skipped and count toward no block.
     """
     dtype = np.dtype(dtype)
-    with open(path, encoding="latin-1") as fh:
+    with open(path if source is None else source, encoding="latin-1") as fh:
         header = next(csv.reader(fh), [])
         if not set(dtype.names).issubset(header):
             raise ValueError(f"{path}: expected columns {sorted(dtype.names)}")
@@ -157,51 +162,21 @@ def write_trajectories_csv(path, ds: Dataset) -> None:
             fh.write(rows[rows != 0].tobytes())
 
 
-# A trajectory row is at least "0,dark,0,0" and a line end, so a regular
-# file of s bytes holds fewer than s // 10 rows, and a valid one fills as
-# many cells.
+# A trajectory row is at least "0,dark,0,0" and a line end, so a file of
+# s bytes holds fewer than s // 10 rows, and a valid one fills as many cells.
 _MIN_ROW_BYTES = 10
 
 
-class _Trials:
-    """Per-trial state of a trajectory file read a block at a time.
-
-    Trials take matrix rows in order of first appearance.  Per row it
-    keeps the trial id and, in ``stat``, the rows read, the bright rows,
-    the lowest and highest bin, and the counts read.  Lookups search the
-    ids as they are while they ascend, as in a written file, and a sorted
-    copy otherwise.
-    """
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.ids = np.empty(0, dtype=np.int64)
-        self.stat = np.empty((0, 5), dtype=np.int64)
-        self.order = None  # the rows in id order, once the ids stop ascending
-        self._sorted_ids = None
-
-    def rows(self, uid: np.ndarray) -> np.ndarray:
-        """The matrix rows of the ascending ids ``uid``; an unseen id takes a new row."""
-        n = self.n
-        keys = self.ids[:n] if self.order is None else self._sorted_ids
-        pos = np.minimum(np.searchsorted(keys, uid), max(n - 1, 0))
-        seen = keys[pos] == uid if n else np.zeros(uid.size, dtype=bool)
-        rows = pos if self.order is None else self.order[pos]
-        if seen.all():
-            return rows
-        fresh = uid[~seen]
-        ascending = self.order is None and (not n or fresh[0] > self.ids[n - 1])
-        self.n += fresh.size
-        if self.n > self.ids.size:
-            self.ids = np.resize(self.ids, 2 * self.n)
-            self.stat = np.resize(self.stat, (2 * self.n, 5))
-        self.ids[n:self.n] = fresh
-        self.stat[n:self.n] = (0, 0, np.iinfo(np.int64).max, np.iinfo(np.int64).min, 0)
-        rows[~seen] = np.arange(n, self.n)
-        if not ascending:
-            self.order = np.argsort(self.ids[:self.n], kind="stable")
-            self._sorted_ids = self.ids[self.order]
-        return rows
+@contextlib.contextmanager
+def _sized(path):
+    """``path``, or a temporary copy of it if it is not a regular file (a pipe)."""
+    if S_ISREG(os.stat(path).st_mode):
+        yield path
+        return
+    with open(path, "rb") as fh, tempfile.NamedTemporaryFile() as copy:
+        shutil.copyfileobj(fh, copy)  # a buffer at a time
+        copy.flush()
+        yield copy.name
 
 
 def read_trajectories_csv(path, *, bin_width_us: float) -> Dataset:
@@ -215,86 +190,88 @@ def read_trajectories_csv(path, *, bin_width_us: float) -> Dataset:
     scattered into one trials x bins matrix of counts, -1 where no row
     has landed, in the narrowest signed type that holds the largest
     trial's running total of counts, so it holds every prefix sum.
-    Between blocks only a few numbers per trial are kept (see
-    :class:`_Trials`).  A trial is whole when its bins lie in [0, rows)
-    and fill as many cells as it has rows.  The matrix is allocated for
-    the most cells the file's size allows, so its pages past the trials
-    read are never touched, never resident, and it becomes the Dataset's
-    prefix in place; a file of unknown size, such as a pipe, doubles it
-    as it fills.  Trials whose first rows are not in ascending id order
-    cost one copy of the matrix at the end.
+    Trials take matrix rows in order of first appearance, found by a dict
+    from trial id to row; between blocks only that and a few numbers per
+    trial are kept.  A trial is whole when its bins lie in [0, rows) and
+    fill as many cells as it has rows.  The matrix is allocated for the
+    most cells the file's size allows (a pipe is first copied to a
+    temporary file to have a size), so its pages past the trials read are
+    never touched, and it becomes the Dataset's prefix in place, after one
+    copy into id order if the ids descend anywhere.
     """
-    info = os.stat(path)
-    cap = info.st_size // _MIN_ROW_BYTES if S_ISREG(info.st_mode) else None
-    trials = _Trials()
-    cells = np.empty(0, dtype=np.int8)  # the matrix, row-major; None once it cannot fit
-    width = top = 0  # matrix width, largest trial total
-    for rows in _read_rows(path, _TRAJECTORY_DTYPE):
-        tid, label, b, c = (rows[name] for name in _TRAJECTORY_DTYPE.names)
-        key = label.view(np.uint64)
-        bright, dark = key == _BRIGHT_KEY, key == _DARK_KEY
-        if not (bright | dark).all():
-            first = int(np.argmax(~(bright | dark)))
-            shown = label[first][:7].decode("utf-8", "replace")  # a long label, cut short
-            raise ValueError(f"{path}: trial {tid[first]} has label {shown!r}; "
-                             "expected 'bright' or 'dark'")
-        if c.min() < 0:
-            first = int(np.argmax(c < 0))
-            raise ValueError(f"{path}: trial {tid[first]} has a negative count "
-                             f"({c[first]}) in bin {b[first]}")
-        if (tid[1:] < tid[:-1]).any():  # ids went backwards: gather each trial's rows
-            order = np.argsort(tid, kind="stable")
-            tid, bright, b, c = tid[order], bright[order], b[order], c[order]
-        start = np.flatnonzero(np.concatenate([[True], tid[1:] != tid[:-1]]))
-        was = trials.n
-        slot = trials.rows(tid[start])
-        length = np.concatenate([start[1:], [tid.size]]) - start
-        lo, hi = np.minimum.reduceat(b, start), np.maximum.reduceat(b, start)
-        stat = trials.stat[slot]
-        stat[:, 0] += length
-        stat[:, 1] += np.add.reduceat(bright, start, dtype=np.int64)
-        np.minimum(stat[:, 2], lo, out=stat[:, 2])
-        np.maximum(stat[:, 3], hi, out=stat[:, 3])
-        total = stat[:, 4] + np.add.reduceat(c, start, dtype=float)  # exact below 2**53
-        if total.max() >= 2.0**63:
-            raise ValueError(f"{path}: trial {tid[start[np.argmax(total)]]} has counts "
-                             "totalling more than about 9.2e18, the range of int64")
-        stat[:, 4] = total
-        trials.stat[slot] = stat
+    with _sized(path) as source:
+        cap = os.stat(source).st_size // _MIN_ROW_BYTES
+        index = {}  # trial id -> matrix row
+        stat = np.empty((0, 5), np.int64)  # per row: rows, bright rows, low and high bin, counts
+        cells = np.empty(0, dtype=np.int8)  # the matrix, row-major; None once it cannot fit
+        n = width = top = 0  # trials, matrix width, largest trial total
+        for rows in _read_rows(path, _TRAJECTORY_DTYPE, source):
+            tid, label, b, c = (rows[name] for name in _TRAJECTORY_DTYPE.names)
+            key = label.view(np.uint64)
+            bright, dark = key == _BRIGHT_KEY, key == _DARK_KEY
+            if not (bright | dark).all():
+                first = int(np.argmax(~(bright | dark)))
+                shown = label[first][:7].decode("utf-8", "replace")  # a long label, cut short
+                raise ValueError(f"{path}: trial {tid[first]} has label {shown!r}; "
+                                 "expected 'bright' or 'dark'")
+            if c.min() < 0:
+                first = int(np.argmax(c < 0))
+                raise ValueError(f"{path}: trial {tid[first]} has a negative count "
+                                 f"({c[first]}) in bin {b[first]}")
+            if (tid[1:] < tid[:-1]).any():  # ids went backwards: gather each trial's rows
+                order = np.argsort(tid, kind="stable")
+                tid, bright, b, c = tid[order], bright[order], b[order], c[order]
+            start = np.flatnonzero(np.concatenate([[True], tid[1:] != tid[:-1]]))
+            was = len(index)
+            slot = np.array([index.setdefault(t, len(index)) for t in tid[start].tolist()])
+            n = len(index)
+            if n > len(stat):
+                stat = np.resize(stat, (2 * n, 5))
+            stat[was:n] = (0, 0, np.iinfo(np.int64).max, np.iinfo(np.int64).min, 0)
+            length = np.concatenate([start[1:], [tid.size]]) - start
+            lo, hi = np.minimum.reduceat(b, start), np.maximum.reduceat(b, start)
+            mine = stat[slot]
+            mine[:, 0] += length
+            mine[:, 1] += np.add.reduceat(bright, start, dtype=np.int64)
+            np.minimum(mine[:, 2], lo, out=mine[:, 2])
+            np.maximum(mine[:, 3], hi, out=mine[:, 3])
+            total = mine[:, 4] + np.add.reduceat(c, start, dtype=float)  # exact below 2**53
+            if total.max() >= 2.0**63:
+                raise ValueError(f"{path}: trial {tid[start[np.argmax(total)]]} has counts "
+                                 "totalling more than about 9.2e18, the range of int64")
+            mine[:, 4] = total
+            stat[slot] = mine
 
-        if cells is None:
-            continue
-        wide = max(width, int(hi.max()) + 1)
-        need = trials.n * wide
-        if cap is not None and need > cap:  # more cells than the file has rows: a trial is short
-            cells = None
-            continue
-        top = max(top, int(stat[:, 4].max()))
-        dtype = _counts_dtype(top)
-        if wide > width or dtype != cells.dtype or need > cells.size:
-            # lay the trials read so far out again
-            wider = np.empty(2 * need if cap is None else cap, dtype=dtype)
-            kept = wider[:was * wide].reshape(was, wide)
-            kept[:, :width] = cells[:was * width].reshape(was, width)
-            kept[:, width:] = -1
-            cells, width = wider, wide
-        cells[was * width:trials.n * width] = -1
-        cell = np.repeat(slot * width, length) + b
-        if lo.min() < 0:  # a negative bin lands nowhere; its trial is not whole
-            cell, c = cell[b >= 0], c[b >= 0]
-        cells[cell] = c.astype(cells.dtype)
+            if cells is None:
+                continue
+            wide = max(width, int(hi.max()) + 1)
+            if n * wide > cap:  # more cells than the file has rows: a trial is short
+                cells = None
+                continue
+            top = max(top, int(mine[:, 4].max()))
+            dtype = _counts_dtype(top)
+            if wide > width or dtype != cells.dtype:  # lay the trials read so far out again
+                wider = np.empty(cap, dtype=dtype)
+                kept = wider[:was * wide].reshape(was, wide)
+                kept[:, :width] = cells[:was * width].reshape(was, width)
+                kept[:, width:] = -1
+                cells, width = wider, wide
+            cells[was * width:n * width] = -1
+            cell = np.repeat(slot * width, length) + b
+            if lo.min() < 0:  # a negative bin lands nowhere; its trial is not whole
+                cell, c = cell[b >= 0], c[b >= 0]
+            cells[cell] = c.astype(cells.dtype)
 
-    n = trials.n
     if not n:
         return Dataset(np.zeros((0, 0), dtype=np.int8), np.zeros(0, dtype=bool), bin_width_us)
-    ids, (n_rows, n_bright, lo, hi, _) = trials.ids[:n], trials.stat[:n].T
+    ids, (n_rows, n_bright, lo, hi, _) = np.fromiter(index, np.int64, n), stat[:n].T
     mixed = (n_bright > 0) & (n_bright < n_rows)
     if mixed.any():
         raise ValueError(f"{path}: trial {ids[mixed].min()} has inconsistent labels")
     whole = (lo >= 0) & (hi < n_rows)
     if cells is not None:
         grid = cells[:n * width].reshape(n, width)
-        chunk = 1 + (1 << 16) // width  # trials per pass, so the mask stays near 64 KB
+        chunk = 1 + (1 << 16) // max(width, 1)  # trials per pass, so the mask stays near 64 KB
         whole &= np.concatenate([np.count_nonzero(grid[i:i + chunk] >= 0, axis=1)
                                  for i in range(0, n, chunk)]) == n_rows
     if not whole.all():
@@ -308,8 +285,9 @@ def read_trajectories_csv(path, *, bin_width_us: float) -> Dataset:
         raise ValueError(f"{path}: trials have different lengths (trial {ids[first]} has "
                          f"{n_rows[first]} bins, trial {ids[k]} has {n_rows[k]})")
     bright = n_bright > 0
-    if trials.order is not None:
-        grid, bright = grid[trials.order], bright[trials.order]
+    if (ids[1:] < ids[:-1]).any():
+        order = np.argsort(ids)
+        grid, bright = grid[order], bright[order]
     np.cumsum(grid, axis=1, out=grid)
     return Dataset._from_prefix(grid, bright, bin_width_us)
 

@@ -381,23 +381,21 @@ def _fit_poisson_peak(totals: np.ndarray) -> float:
     return _golden_min(sse, lo, hi, 1e-9)[0]
 
 
-def _mean_rate_slope(
-    mean_counts: np.ndarray, bin_width_us: float
-) -> tuple[float, float, float]:
-    """Linear fit of ensemble mean count rate (1/ms) vs time (ms).
+def _mean_rate_slope(mean_counts: np.ndarray, bin_width_us: float) -> tuple[float, float]:
+    """Slope of a linear fit of ensemble mean count rate (1/ms) vs time (ms).
 
     ``mean_counts`` is the mean count of each bin over the ensemble.
-    Returns (intercept, slope, slope_err).  Per-bin variances are equal
-    under the Poisson model, so an unweighted fit is the weighted one.
+    Returns (slope, slope_err).  Per-bin variances are equal under the
+    Poisson model, so an unweighted fit is the weighted one.
     """
     t0_ms = bin_width_us * _MS_PER_US
     t_ms = (np.arange(mean_counts.size) + 0.5) * t0_ms
     rate = mean_counts / t0_ms
     coef, cov = np.polyfit(t_ms, rate, 1, cov=True)
-    return float(coef[1]), float(coef[0]), float(np.sqrt(cov[0, 0]))
+    return float(coef[0]), float(np.sqrt(cov[0, 0]))
 
 
-# record fractions at which the count rates are fitted
+# record fractions at which the count rates are fitted; their spread is the error
 _DURATION_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 MIN_CALIBRATION_TRIALS = 100
 MIN_CALIBRATION_BINS = 3  # the pumping slope's error needs more bins than the line's 2 parameters
@@ -444,8 +442,7 @@ def calibrate_rates(ds: Dataset) -> CalibratedRates:
             mu = _fit_poisson_peak(ds.totals(nb * t0)[mask])
             estimates.append(mu / (nb * t0 * _MS_PER_US))
         est = np.asarray(estimates)
-        err = est.std(ddof=1) / np.sqrt(est.size) if est.size > 1 else float("nan")
-        return float(est.mean()), float(err)
+        return float(est.mean()), float(est.std(ddof=1) / np.sqrt(est.size))
 
     dark = ~ds.bright
     gamma_b, gamma_b_err = peak_rate(ds.bright)
@@ -457,8 +454,8 @@ def calibrate_rates(ds: Dataset) -> CalibratedRates:
     every, bright = _prefix_column_sums(ds)
     # integer sums are exact, so the differences of the prefix column sums
     # are counts[mask].sum(axis=0), and these counts[mask].mean(axis=0)
-    _, slope_b, slope_b_err = _mean_rate_slope(np.diff(bright, prepend=0) / n_bright, t0)
-    _, slope_d, slope_d_err = _mean_rate_slope(np.diff(every - bright, prepend=0) / n_dark, t0)
+    slope_b, slope_b_err = _mean_rate_slope(np.diff(bright, prepend=0) / n_bright, t0)
+    slope_d, slope_d_err = _mean_rate_slope(np.diff(every - bright, prepend=0) / n_dark, t0)
     return CalibratedRates(
         gamma_b=gamma_b,
         gamma_b_err=gamma_b_err,

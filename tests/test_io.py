@@ -128,6 +128,10 @@ def test_trajectory_read_validation(tmp_path):
     with pytest.raises(ValueError, match="trial 3 has missing or duplicate bins"):
         iio.read_trajectories_csv(path, bin_width_us=1.0)
 
+    _write_trajectory_rows(path, "0,dark,-1,1")  # a negative bin lands in no cell
+    with pytest.raises(ValueError, match="trial 0 has missing or duplicate bins"):
+        iio.read_trajectories_csv(path, bin_width_us=1.0)
+
     _write_trajectory_rows(path, "0,bright,0,4", "0,dark,1,1")
     with pytest.raises(ValueError, match="trial 0 has inconsistent labels"):
         iio.read_trajectories_csv(path, bin_width_us=1.0)
@@ -273,22 +277,24 @@ def test_trajectory_read_types_the_matrix_by_the_largest_record_total(tmp_path, 
             assert np.array_equal(back.bright, ds.bright)
 
 
-def test_trajectory_read_names_what_cannot_fit(tmp_path):
+def test_trajectory_read_names_what_cannot_fit(tmp_path, monkeypatch):
     # more cells than the file has rows: the reader stops filling its matrix
-    # and still names the defect
-    path = tmp_path / "trajs.csv"
+    # and still names the defect; in small blocks, later blocks come after it stopped
+    path, wide = tmp_path / "trajs.csv", tmp_path / "wide.csv"
     _write_trajectory_rows(path, "0,dark,0,1", "0,dark,1,1",
                            *(f"1,bright,{j},2" for j in range(100)))
-    with pytest.raises(ValueError, match=r"different lengths \(trial 0 has 2 bins, "
-                                         r"trial 1 has 100\)"):
-        iio.read_trajectories_csv(path, bin_width_us=1.0)
-    _write_trajectory_rows(path, "0,dark,0,1", f"0,dark,{10**15},2")
-    with pytest.raises(ValueError, match="trial 0 has missing or duplicate bins"):
-        iio.read_trajectories_csv(path, bin_width_us=1.0)
+    _write_trajectory_rows(wide, "0,dark,0,1", f"0,dark,{10**15},2")
+    for block in (iio._BLOCK_ROWS, 1, 2):
+        monkeypatch.setattr(iio, "_BLOCK_ROWS", block)
+        with pytest.raises(ValueError, match=r"different lengths \(trial 0 has 2 bins, "
+                                             r"trial 1 has 100\)"):
+            iio.read_trajectories_csv(path, bin_width_us=1.0)
+        with pytest.raises(ValueError, match="trial 0 has missing or duplicate bins"):
+            iio.read_trajectories_csv(wide, bin_width_us=1.0)
 
 
 def test_trajectory_read_from_a_pipe(tmp_path, monkeypatch):
-    # a pipe has no size to bound the matrix by, so the matrix grows as it fills
+    # a pipe has no size to bound the matrix by, so it is read from a copy that has one
     rng = np.random.default_rng(9)
     ds = Dataset(rng.poisson(3, (40, 30)), rng.random(40) < 0.5, 0.5)
     path, fifo = tmp_path / "trajs.csv", tmp_path / "fifo"
@@ -302,6 +308,21 @@ def test_trajectory_read_from_a_pipe(tmp_path, monkeypatch):
     assert not writer.is_alive()
     assert back.prefix.dtype == ds.prefix.dtype
     assert np.array_equal(back.prefix, ds.prefix) and np.array_equal(back.bright, ds.bright)
+
+
+def test_cli_reads_a_pipe_as_it_reads_the_same_file(tmp_path, capsys):
+    # a bin index far past the file's rows: no matrix is allocated for it
+    path, fifo = tmp_path / "wide.csv", tmp_path / "fifo"
+    _write_trajectory_rows(path, "0,dark,0,1", f"0,dark,{10**15},2")
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
+    writer.start()
+    for source in (fifo, path):
+        assert main(["calibrate", "--in", str(source), "--bin-width-us", "1"]) == 1
+        assert capsys.readouterr().err == (f"error: {source}: trial 0 has missing or "
+                                           "duplicate bins\n")
+    writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_trajectory_read_keeps_a_quoted_newline_in_its_label(tmp_path, monkeypatch):

@@ -303,6 +303,14 @@ def test_adaptive_level_validation():
         _classify([0], 0.5)
     with pytest.raises(ValueError):
         _classify([0], 1.0)
+    with pytest.raises(ValueError, match="at least one confidence level"):
+        adaptive_classify_batch([_traj([0])], NOPUMP, 1.0, [])
+    with pytest.raises(ValueError, match="empty dataset"):
+        adaptive_classify_batch(Dataset(np.zeros((0, 3)), np.zeros(0, bool), 1.0), NOPUMP,
+                                1.0, [0.9])
+    with pytest.raises(ValueError, match="no bins to classify"):
+        adaptive_classify_batch(Dataset(np.zeros((2, 0)), np.array([True, False]), 1.0),
+                                NOPUMP, 1.0, [0.9])
 
 
 def test_adaptive_memory_follows_the_trials_not_the_counts():
@@ -372,6 +380,14 @@ def test_lane_matches_every_record_loop_with_and_without_all_zero_records(rates,
         res = adaptive_classify_batch(zeros, rates, 1.0, [0.99995])
     assert not res[0].converged.any() and np.all(res[0].bins_consumed == zeros.n_bins)
     _assert_same_as_every_record_loop(res, zeros, rates, 1.0)
+    # 0.9 expected flips per bin each way, p = 0.593: past one half the odds of
+    # no counts swing about their fixed point, so no cap is claimed; the lane
+    # passes 0.52 and stays open at the higher levels
+    swing = RateParams(162.50, 5.095, 900.0, 900.0)
+    assert _zero_count_cap(*_flip_probs(swing, 1.0), _count_llr(swing, 1.0)[1]) == 1.0
+    res = adaptive_classify_batch(zeros, swing, 1.0, [0.52, *levels16])
+    assert res[0].converged.all() and not res[1].converged.any()
+    _assert_same_as_every_record_loop(res, zeros, swing, 1.0)
 
 
 @pytest.mark.parametrize("bins, cells", [(1, 1 << 14), (3, 1 << 14), (32, 1), (32, 150),
@@ -537,6 +553,13 @@ def test_batch_levels_in_any_order(small_dataset):
         assert np.array_equal(res.confidence, ref.confidence)
 
 
+def test_threshold_optimizer_needs_trials_of_both_states():
+    with pytest.raises(ValueError, match="empty dataset"):
+        optimize_threshold(Dataset(np.zeros((0, 2)), np.zeros(0, bool), 1.0), 1.0)
+    with pytest.raises(ValueError, match="need both bright and dark trials"):
+        optimize_threshold(Dataset(np.array([[1, 2], [0, 3]]), np.array([True, True]), 1.0), 1.0)
+
+
 def test_threshold_duration_must_be_whole_bins():
     ds = Dataset(np.array([[1, 2, 3], [0, 0, 0]]), np.array([True, False]), 1.0)
     with pytest.raises(ValueError, match="whole number"):
@@ -604,6 +627,9 @@ def test_error_stats_reference_points():
 def test_error_stats_validation():
     with pytest.raises(ValueError, match="empty inputs"):
         error_stats([], [], [])
+    for bright, decided in [([True, False], [True]), ([[True, False]], [[True, False]])]:
+        with pytest.raises(ValueError, match="equal-length 1-D arrays"):
+            error_stats(bright, decided, [1.0, 1.0])
     with pytest.raises(ValueError, match="one trial of each state"):
         error_stats([True, True], [True, False], [1.0, 1.0])  # only one true state
     # labels are not states: "dark" must not read as a true (bright) entry
@@ -665,3 +691,7 @@ def test_calibration_needs_enough_trials():
                               trials_per_state=150, seed=1)
         with pytest.raises(ValueError, match=f"records of at least 3 bins; got {n_bins}"):
             calibrate_rates(ds)
+    # and bright records brighter than dark ones: here the labels are swapped
+    ds = simulate_dataset(NOPUMP, cfg, trials_per_state=150, seed=1)
+    with pytest.raises(ValueError, match="bright rate did not exceed dark rate"):
+        calibrate_rates(Dataset(ds.counts, ~ds.bright, ds.bin_width_us))

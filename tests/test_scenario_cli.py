@@ -836,12 +836,39 @@ def test_cli_run_executes_scenario(tmp_path, capsys):
     assert (tmp_path / "out" / "summary.txt").exists()
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["simulate", "--no-such-flag"]) == 1
     capsys.readouterr()
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
-    # writing to a directory is an environment failure, not bad usage
-    code = main(["simulate", "--trials-per-state", "2", "--n-bins", "60", "--out", str(tmp_path)])
+
+    def overflow(*args, **kwargs):
+        raise FloatingPointError("overflow in a stage")
+
+    # a failure inside a computation is a runtime error, not bad usage
+    monkeypatch.setattr("ionreadout.cli.simulate_dataset", overflow)
+    code = main(["simulate", "--trials-per-state", "2", "--n-bins", "60",
+                 "--out", str(tmp_path / "t.csv")])
     assert code == 2
-    assert "runtime error" in capsys.readouterr().err
+    assert capsys.readouterr().err == "runtime error: overflow in a stage\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--in", "DIR", "--bin-width-us", "1", "--threshold"],
+    ["calibrate", "--in", "DIR", "--bin-width-us", "1"],
+    ["g2", "--in", "DIR"],
+    ["run", "--config", "DIR"],
+    ["simulate", "--trials-per-state", "2", "--n-bins", "60", "--out", "DIR"],
+    ["run", "--config", "CFG"],  # its out_dir names an existing file
+], ids=["classify", "calibrate", "g2", "run", "simulate", "run-out-dir"])
+def test_cli_names_a_path_it_cannot_use(tmp_path, capsys, argv):
+    # a directory where a file is read or written, or a file where a directory
+    # is made, is a bad path like a missing one, not a runtime failure
+    folder, taken = tmp_path / "folder", tmp_path / "taken"
+    folder.mkdir()
+    taken.write_text("")
+    cfg = _write_minimal_cfg(tmp_path / "s.cfg", taken)
+    named = taken if "CFG" in argv else folder
+    assert main([{"DIR": str(folder), "CFG": str(cfg)}.get(a, a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{named}'" in err
